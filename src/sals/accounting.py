@@ -11,16 +11,18 @@ from dataclasses import dataclass
 
 @dataclass
 class SolveStats:
-    """Multiply-add and row-update accounting for one solver run."""
+    """Multiply-add, row-update and r-hat buffer accounting for one solver run."""
 
     flops: int = 0
     rows_updated: int = 0
     rows_skipped: int = 0  # singular normal equations at lambda=0; values retained
+    rhat_buffers: int = 0  # full-length r-hat buffers allocated by compute_rhat
 
     def merge(self, other: "SolveStats") -> None:
         self.flops += other.flops
         self.rows_updated += other.rows_updated
         self.rows_skipped += other.rows_skipped
+        self.rhat_buffers += other.rhat_buffers
 
 
 @dataclass
@@ -41,22 +43,3 @@ class ResidencyMeter:
 
     def release(self, count: int) -> None:
         self.current -= count
-
-
-# Number of full-length augmented-residual buffers allocated so far.  The
-# fused coordinate-descent path must leave this untouched.
-_rhat_buffers = 0
-
-
-def note_rhat_allocation() -> None:
-    global _rhat_buffers
-    _rhat_buffers += 1
-
-
-def rhat_allocations() -> int:
-    return _rhat_buffers
-
-
-def reset_rhat_allocations() -> None:
-    global _rhat_buffers
-    _rhat_buffers = 0

@@ -69,7 +69,7 @@ def write_convergence_csv(path, records) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["iteration", "seconds", "loss", "rmse", "sent", "received", "flops"]
+            ["iteration", "seconds", "loss", "rmse", "sent", "received", "flops", "eval_seconds"]
         )
         for r in records:
             writer.writerow(
@@ -81,6 +81,7 @@ def write_convergence_csv(path, records) -> None:
                     r.params_sent,
                     r.params_received,
                     r.flops,
+                    repr(r.eval_seconds),
                 ]
             )
 

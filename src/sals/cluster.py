@@ -2,23 +2,25 @@
 
 M long-lived worker threads each own a row partition, a private replica of
 the residual values for the entries they hold, and the current column slabs
-of every factor matrix.  Workers exchange updated rows only through a
-broadcast bus; a barrier separates every step, and each broadcast carries a
-(outer, subset, inner, mode) stamp that receivers verify.  The master model
+of every factor matrix.  Each thread runs the shared schedule driver
+(:func:`sals.solver.run_schedule`) with steps that work on its replica.
+Workers exchange updated rows only through a broadcast bus; a barrier
+separates every step, and each broadcast carries the driver's (outer,
+subset, inner, mode) stamp, which receivers verify.  The master model
 plays the role of the shared file system: workers read the active columns
 from it at the start of a subset and the lead worker writes them back at
 the end; neither transfer counts as communication.
 
 Because every worker owns the complete entry bucket of each row it updates
-(in canonical order) and runs the same row kernel as the serial solver, the
-final model is bitwise identical to a serial run with the same seed.
+(in canonical order) and runs the same row kernel and evaluator as the
+serial solver, the final model is bitwise identical to a serial run with
+the same seed.
 """
 from __future__ import annotations
 
 import csv
 import queue
 import threading
-import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -31,37 +33,22 @@ from .solver import (
     IterationRecord,
     ProgressHook,
     SolverParams,
+    Stamp,
     WEIGHTED,
-    _test_arrays,
-    choose_columns,
     init_model,
-    rng_streams,
-    subset_products,
+    run_schedule,
     update_rows,
 )
-from .tensor import (
-    FactorModel,
-    SparseTensorStore,
-    regularization_penalty,
-    rmse_arrays,
-)
+from .tensor import FactorModel, SparseTensorStore, _test_arrays, evaluate, subset_products
 
 
 class ClusterError(RuntimeError):
     """A worker failed; carries per-worker diagnostics."""
 
 
-class Stamp(NamedTuple):
-    outer: int
-    subset: int
-    inner: int
-    mode: int
-
-
 class Message(NamedTuple):
     sender: int
     stamp: Stamp
-    mode: int
     rows: np.ndarray
     values: np.ndarray
 
@@ -208,23 +195,19 @@ class _RunContext:
     params: SolverParams
     master: FactorModel
     master_residual: np.ndarray
-    schedule: list[list[np.ndarray]]
     bus: _Bus
     log: CommLog
     worker_stats: list[SolveStats]
-    iter_sent: np.ndarray
-    iter_received: np.ndarray
-    iter_flops: np.ndarray
     test: tuple[np.ndarray, np.ndarray] | None
     on_iteration: ProgressHook | None
     check_replicas: bool
     fault_hook: Callable[[int, Stamp], None] | None
-    t0: float = 0.0
     errors: list[tuple[int, str]] = field(default_factory=list)
     error_lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def _worker_loop(ctx: _RunContext, ws: WorkerState) -> None:
+    """One worker's steps of the schedule, run by :func:`run_schedule`."""
     m = ws.machine
     n_modes = ctx.store.n_modes
     n_workers = ctx.bus.n_workers
@@ -232,86 +215,70 @@ def _worker_loop(ctx: _RunContext, ws: WorkerState) -> None:
     weighted = params.regularization == WEIGHTED
     stats = ctx.worker_stats[m]
     barrier = ctx.bus.barrier
-    replica = ws.residual
-    flops_mark = stats.flops
-    for it, subsets in enumerate(ctx.schedule, start=1):
-        for si, columns in enumerate(subsets):
-            n_cols = columns.size
-            slabs = [ctx.master.matrices[n][:, columns] for n in range(n_modes)]
-            replica += subset_products(slabs, ws.idx)
-            stats.flops += ws.idx.shape[0] * n_cols * n_modes
-            barrier.wait()  # r-hat complete everywhere before any row update
-            for inner in range(params.inner_iters):
-                for n in range(n_modes):
-                    stamp = Stamp(it, si, inner, n)
-                    if ctx.fault_hook is not None:
-                        ctx.fault_hook(m, stamp)
-                    update_rows(
-                        slabs, ws.idx, replica, n, ws.owned_rows[n],
-                        lambda i, n=n: ws.buckets[n].get(int(i), _EMPTY),
-                        params.lam, weighted, stats,
-                    )
-                    if n_workers > 1:
-                        payload = slabs[n][ws.owned_rows[n]]
-                        ctx.bus.broadcast(Message(m, stamp, n, ws.owned_rows[n], payload))
-                        ctx.iter_sent[m] += payload.size
-                        ctx.log.sent[m] += payload.size
-                        ctx.log.events[m] += 1
-                    barrier.wait()  # all broadcasts of this step are delivered
-                    if n_workers > 1:
-                        for msg in ctx.bus.drain(m, stamp):
-                            slabs[msg.mode][msg.rows] = msg.values
-                            ctx.iter_received[m] += msg.values.size
-                            ctx.log.received[m] += msg.values.size
-            replica -= subset_products(slabs, ws.idx)
-            stats.flops += ws.idx.shape[0] * n_cols * n_modes
-            ctx.master_residual[ws.lead_global] = replica[ws.lead_local]
-            if m == 0:
-                for n in range(n_modes):
-                    ctx.master.matrices[n][:, columns] = slabs[n]
-            barrier.wait()  # master model/residual now reflect this subset
-            if ctx.check_replicas:
-                for n in range(n_modes):
-                    if not np.array_equal(slabs[n], ctx.master.matrices[n][:, columns]):
-                        raise AssertionError(f"worker {m}: column replica diverged, mode {n}")
-                if not np.array_equal(replica, ctx.master_residual[ws.positions]):
-                    raise AssertionError(f"worker {m}: residual replica diverged")
-                barrier.wait()
-        ctx.iter_flops[m] = stats.flops - flops_mark
-        flops_mark = stats.flops
-        barrier.wait()  # iteration counters final
+    counters = ("sent", "received", "flops")
+    marks = dict.fromkeys(counters, 0)  # the lead's totals at the last close
+
+    def augment(columns):
+        slabs = [ctx.master.matrices[n][:, columns] for n in range(n_modes)]
+        ws.residual += subset_products(slabs, ws.idx)
+        stats.flops += ws.idx.shape[0] * columns.size * n_modes
+        barrier.wait()  # r-hat complete everywhere before any row update
+        return slabs
+
+    def refit(slabs, stamp):
+        n = stamp.mode
+        if ctx.fault_hook is not None:
+            ctx.fault_hook(m, stamp)
+        update_rows(
+            slabs, ws.idx, ws.residual, n, ws.buckets[n].items(),
+            params.lam, weighted, stats,
+        )
+        if n_workers > 1:
+            payload = slabs[n][ws.owned_rows[n]]
+            ctx.bus.broadcast(Message(m, stamp, ws.owned_rows[n], payload))
+            ctx.log.sent[m] += payload.size
+            ctx.log.events[m] += 1
+        barrier.wait()  # all broadcasts of this step are delivered
+        if n_workers > 1:
+            for msg in ctx.bus.drain(m, stamp):
+                slabs[msg.stamp.mode][msg.rows] = msg.values
+                ctx.log.received[m] += msg.values.size
+
+    def write_back(columns, slabs):
+        ws.residual -= subset_products(slabs, ws.idx)
+        stats.flops += ws.idx.shape[0] * columns.size * n_modes
+        ctx.master_residual[ws.lead_global] = ws.residual[ws.lead_local]
         if m == 0:
-            resid_sq = float(ctx.master_residual @ ctx.master_residual)
-            total = resid_sq + regularization_penalty(
-                ctx.master, ctx.store, params.regularization
-            )
-            test_rmse = (
-                None if ctx.test is None
-                else rmse_arrays(ctx.master, ctx.test[0], ctx.test[1])
-            )
-            ctx.log.iterations.append(
-                {
-                    "iteration": it,
-                    "sent": ctx.iter_sent.copy(),
-                    "received": ctx.iter_received.copy(),
-                    "flops": ctx.iter_flops.copy(),
-                }
-            )
-            ctx.log.flops[:] += ctx.iter_flops
+            for n in range(n_modes):
+                ctx.master.matrices[n][:, columns] = slabs[n]
+        barrier.wait()  # master model/residual now reflect this subset
+        if ctx.check_replicas:
+            for n in range(n_modes):
+                if not np.array_equal(slabs[n], ctx.master.matrices[n][:, columns]):
+                    raise AssertionError(f"worker {m}: column replica diverged, mode {n}")
+            if not np.array_equal(ws.residual, ctx.master_residual[ws.positions]):
+                raise AssertionError(f"worker {m}: residual replica diverged")
+            barrier.wait()
+
+    def close(it):
+        ctx.log.flops[m] = stats.flops
+        barrier.wait()  # iteration counters final
+        record = None
+        if m == 0:
+            rec = {"iteration": it}
+            for key in counters:
+                total = getattr(ctx.log, key).copy()
+                rec[key], marks[key] = total - marks[key], total
+            ctx.log.iterations.append(rec)
             if ctx.on_iteration is not None:
-                ctx.on_iteration(
-                    IterationRecord(
-                        it, time.perf_counter() - ctx.t0, total, test_rmse,
-                        int(ctx.iter_sent.sum()), int(ctx.iter_received.sum()),
-                        int(ctx.iter_flops.sum()),
-                    )
-                )
-            ctx.iter_sent[:] = 0
-            ctx.iter_received[:] = 0
+                record = IterationRecord(it, 0.0, *evaluate(
+                    float(ctx.master_residual @ ctx.master_residual), [ctx.master.matrices],
+                    ctx.store, params.lam, params.regularization, ctx.test,
+                ), *(int(rec[key].sum()) for key in counters))
         barrier.wait()  # bookkeeping done; next iteration may start
+        return record
 
-
-_EMPTY = np.empty(0, dtype=np.int64)
+    run_schedule(params, n_modes, augment, refit, write_back, close, ctx.on_iteration)
 
 
 def _worker_main(ctx: _RunContext, ws: WorkerState) -> None:
@@ -342,10 +309,6 @@ def run_distributed(
     """
     workers = distribute(store, assignment)
     master, residual = init_model(store, params)
-    _, order_rng = rng_streams(params.seed)
-    schedule = [
-        choose_columns(params, order_rng) for _ in range(params.outer_iters)
-    ]
     n_workers = assignment.n_machines
     log = CommLog.empty(
         n_workers, params.rank, params.inner_iters, sum(store.mode_lengths)
@@ -355,19 +318,14 @@ def run_distributed(
         params=params,
         master=master,
         master_residual=residual.values,
-        schedule=schedule,
         bus=_Bus(n_workers),
         log=log,
         worker_stats=[SolveStats() for _ in range(n_workers)],
-        iter_sent=np.zeros(n_workers, dtype=np.int64),
-        iter_received=np.zeros(n_workers, dtype=np.int64),
-        iter_flops=np.zeros(n_workers, dtype=np.int64),
         test=_test_arrays(test_entries),
         on_iteration=on_iteration,
         check_replicas=check_replicas,
         fault_hook=fault_hook,
     )
-    ctx.t0 = time.perf_counter()
     threads = [
         threading.Thread(
             target=_worker_main, args=(ctx, ws), name=f"sals-worker-{ws.machine}"

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .solver import IterationRecord, ProgressHook, _test_arrays
-from .tensor import FactorModel, SparseTensorStore, predict_entries, regularization_penalty
+from .solver import PLAIN, IterationRecord, ProgressHook, close_iteration
+from .tensor import FactorModel, SparseTensorStore, _test_arrays, evaluate, predict_entries
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,17 @@ def factorize_psgd(
     """Run T_out averaged epochs from a random initialization."""
     model = init_sgd_model(store, params)
     test = _test_arrays(test_entries)
+
+    def close(epoch):
+        if on_iteration is None:
+            return None
+        err = store.values - predict_entries(model, store.idx)
+        return IterationRecord(epoch, 0.0, *evaluate(
+            float(err @ err), [model.matrices], store, params.lam, PLAIN, test,
+        ))
+
     t0 = time.perf_counter()
     for epoch in range(params.outer_iters):
         model = psgd_epoch(store, model, params, epoch)
-        if on_iteration is not None:
-            err = store.values - predict_entries(model, store.idx)
-            total = float(err @ err) + regularization_penalty(model, store, "plain")
-            test_rmse = None
-            if test is not None:
-                terr = test[1] - predict_entries(model, test[0])
-                test_rmse = float(np.sqrt((terr @ terr) / terr.size))
-            on_iteration(IterationRecord(epoch + 1, time.perf_counter() - t0, total, test_rmse))
+        t0 = close_iteration(t0, epoch + 1, close, on_iteration)
     return model

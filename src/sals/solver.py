@@ -1,35 +1,39 @@
-"""Serial subset-ALS solver.
+"""Subset-ALS schedule driver and row kernel, plus the serial path.
 
 One outer iteration sweeps the K factor columns in subsets of C.  For each
-subset the augmented residual r-hat is materialized, every mode's rows are
-refit T_in times by solving small regularized normal equations, and the
-residual is written back.  C=1 with a fixed column order is the
-coordinate-descent specialization (see :func:`factorize_cdtf`); C=K with
-T_in=1 is classic ALS.
+subset the residual is augmented to r-hat, every mode's rows are refit T_in
+times by solving small regularized normal equations, and the residual is
+written back.  C=1 with a fixed column order is the coordinate-descent
+specialization (see :func:`factorize_cdtf`); C=K with T_in=1 is classic ALS.
 
-Row updates gather per-bucket arrays and push them through one shared
-kernel (:func:`normal_eq_arrays` + :func:`solve_row`).  The multi-worker
-simulation reuses the same kernel on identically ordered arrays, which is
-what makes distributed runs reproduce serial results bitwise.
+:func:`run_schedule` owns that schedule for every execution path: the
+column-order draws, the loops and the (outer, subset, inner, mode) stamp.
+A path supplies only the steps that depend on where the residual lives
+(augment, refit one mode, write back, close the outer iteration); the
+serial path here keeps it in an in-memory array.  Every path refits rows
+through :func:`update_rows` on identically ordered arrays and evaluates
+through :func:`sals.tensor.evaluate`, which is what makes distributed and
+streaming runs reproduce serial results bitwise.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .accounting import SolveStats, note_rhat_allocation
+from .accounting import SolveStats
 from .tensor import (
     AUGMENTED,
     RESIDUAL,
     FactorModel,
     ResidualState,
     SparseTensorStore,
-    regularization_penalty,
-    rmse_arrays,
+    _test_arrays,
+    evaluate,
+    subset_products,
 )
 
 PLAIN = "plain"
@@ -78,7 +82,11 @@ class NormalEq:
 
 @dataclass
 class IterationRecord:
-    """Progress snapshot emitted after each outer iteration."""
+    """Progress snapshot emitted after each outer iteration.
+
+    ``seconds`` is solver-loop time since the run started; evaluating the
+    loss and test RMSE takes ``eval_seconds`` and is not part of it.
+    """
 
     iteration: int
     seconds: float
@@ -87,9 +95,19 @@ class IterationRecord:
     params_sent: int = 0
     params_received: int = 0
     flops: int = 0
+    eval_seconds: float = 0.0
 
 
 ProgressHook = Callable[[IterationRecord], None]
+
+
+class Stamp(NamedTuple):
+    """Position of one mode refit in the schedule."""
+
+    outer: int
+    subset: int
+    inner: int
+    mode: int
 
 
 def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -133,30 +151,6 @@ def choose_columns(
     return [cols[s:s + c] for s in range(0, params.rank, c)]
 
 
-def _chunks(n: int) -> Iterable[tuple[int, int]]:
-    for start in range(0, n, _CHUNK):
-        yield start, min(start + _CHUNK, n)
-
-
-def subset_products(
-    slabs: Sequence[np.ndarray], idx: np.ndarray, out_sum: np.ndarray | None = None
-) -> np.ndarray:
-    """Sum over the subset columns of the full mode product, per entry.
-
-    ``slabs[n]`` is the (I_n, C) slice of factor n restricted to the active
-    columns.  Products multiply modes left to right so every execution path
-    produces identical floating-point results.
-    """
-    prod = slabs[0][idx[:, 0]]  # fancy indexing copies, safe to mutate
-    for n in range(1, len(slabs)):
-        prod *= slabs[n][idx[:, n]]
-    s = prod.sum(axis=1)
-    if out_sum is not None:
-        out_sum[...] = s
-        return out_sum
-    return s
-
-
 def compute_rhat(
     store: SparseTensorStore,
     residual: ResidualState,
@@ -166,16 +160,16 @@ def compute_rhat(
 ) -> ResidualState:
     """Augmented residual: r-hat = r + active-column reconstruction.
 
-    Allocates a fresh buffer (counted by the allocation instrumentation);
-    the input residual is left untouched.
+    Allocates a fresh buffer (counted in ``stats.rhat_buffers``); the input
+    residual is left untouched.
     """
     if residual.kind != RESIDUAL:
         raise ValueError("compute_rhat expects a plain residual")
     columns = np.asarray(columns, dtype=np.int64)
     slabs = [m[:, columns] for m in model.matrices]
-    note_rhat_allocation()
     vals = residual.values + subset_products(slabs, store.idx)
     if stats is not None:
+        stats.rhat_buffers += 1
         stats.flops += store.nnz * columns.size * store.n_modes
     return ResidualState(vals, AUGMENTED, tuple(int(k) for k in columns))
 
@@ -283,23 +277,24 @@ def update_rows(
     idx: np.ndarray,
     rhat_vals: np.ndarray,
     mode: int,
-    rows: Iterable[int],
-    bucket_of: Callable[[int], np.ndarray],
+    buckets: Iterable[tuple[int, np.ndarray | slice]],
     lam: float,
     weighted: bool,
     stats: SolveStats | None = None,
 ) -> int:
-    """Refit the given rows of ``slabs[mode]`` in place; returns skip count.
+    """Refit rows of ``slabs[mode]`` in place; returns skip count.
 
+    ``buckets`` yields ``(row, positions)``: an index array or slice into
+    ``idx`` and ``rhat_vals`` listing the row's entries in canonical order.
     Rows are independent; each solve reads only the other modes' slabs, so
     processing order does not affect the values.
     """
     skipped = 0
     slab = slabs[mode]
-    for i in rows:
-        pos = bucket_of(i)
-        lam_eff = lam * pos.size if weighted else lam
-        neq = normal_eq_arrays(slabs, idx[pos], rhat_vals[pos], mode, stats)
+    for i, pos in buckets:
+        idx_rows = idx[pos]
+        lam_eff = lam * idx_rows.shape[0] if weighted else lam
+        neq = normal_eq_arrays(slabs, idx_rows, rhat_vals[pos], mode, stats)
         x, ok = solve_row(neq, lam_eff, stats)
         if ok:
             slab[i] = x
@@ -327,38 +322,60 @@ def update_mode(
     columns = np.asarray(columns, dtype=np.int64)
     slabs = [m[:, columns] for m in model.matrices]  # fancy indexing copies
     skipped = update_rows(
-        slabs, store.idx, rhat.values, mode,
-        range(store.mode_lengths[mode]), lambda i: store.bucket(mode, i),
+        slabs, store.idx, rhat.values, mode, store.buckets(mode),
         params.lam, params.regularization == WEIGHTED, stats,
     )
     model.matrices[mode][:, columns] = slabs[mode]
     return skipped
 
 
-def _emit(
-    hook: ProgressHook | None,
-    iteration: int,
+def close_iteration(
     t0: float,
-    model: FactorModel,
-    resid_sq: float,
-    store: SparseTensorStore,
+    iteration: int,
+    close: Callable[[int], IterationRecord | None],
+    on_iteration: ProgressHook | None,
+) -> float:
+    """Run ``close(iteration)`` off the solver clock; returns ``t0`` moved past it.
+
+    The record ``close`` returns (only when a hook is set) is stamped with
+    the solver-loop ``seconds`` and its own ``eval_seconds``, then emitted.
+    """
+    start = time.perf_counter()
+    record = close(iteration)
+    if record is not None:
+        record.seconds = start - t0
+        record.eval_seconds = time.perf_counter() - start
+        on_iteration(record)
+    return t0 + (time.perf_counter() - start)
+
+
+def run_schedule(
     params: SolverParams,
-    test: tuple[np.ndarray, np.ndarray] | None,
-    flops: int,
+    n_modes: int,
+    augment: Callable[[np.ndarray], list[np.ndarray]],
+    refit: Callable[[list[np.ndarray], Stamp], None],
+    write_back: Callable[[np.ndarray, list[np.ndarray]], None],
+    close: Callable[[int], IterationRecord | None],
+    on_iteration: ProgressHook | None,
 ) -> None:
-    if hook is None:
-        return
-    total = resid_sq + regularization_penalty(model, store, params.regularization)
-    test_rmse = None if test is None else rmse_arrays(model, test[0], test[1])
-    hook(IterationRecord(iteration, time.perf_counter() - t0, total, test_rmse, 0, 0, flops))
+    """Drive the subset-ALS schedule through one execution path's steps.
 
-
-def _test_arrays(test_entries) -> tuple[np.ndarray, np.ndarray] | None:
-    if test_entries is None:
-        return None
-    idx = np.asarray([e.indices for e in test_entries], dtype=np.int64) - 1
-    vals = np.asarray([e.value for e in test_entries], dtype=np.float64)
-    return idx, vals
+    Per column subset, ``augment(columns)`` turns the residual into r-hat
+    and returns the active slabs, ``refit(slabs, stamp)`` refits mode
+    ``stamp.mode`` (T_in sweeps over all modes), and ``write_back(columns,
+    slabs)`` stores the slabs and restores the residual.  ``close(outer)``
+    ends each outer iteration (see :func:`close_iteration`).
+    """
+    _, order_rng = rng_streams(params.seed)
+    t0 = time.perf_counter()
+    for it in range(1, params.outer_iters + 1):
+        for si, columns in enumerate(choose_columns(params, order_rng)):
+            slabs = augment(columns)
+            for inner in range(params.inner_iters):
+                for n in range(n_modes):
+                    refit(slabs, Stamp(it, si, inner, n))
+            write_back(columns, slabs)
+        t0 = close_iteration(t0, it, close, on_iteration)
 
 
 def factorize(
@@ -371,36 +388,49 @@ def factorize(
 ) -> FactorModel:
     """Run T_out outer iterations of subset-ALS and return the model.
 
-    Per column subset: materialize r-hat once, run T_in sweeps updating
-    modes 0..N-1, then write the residual back.  The progress hook fires
-    after each outer iteration with the regularized loss (and test RMSE
-    when a test set is supplied).
+    The residual buffer is turned into r-hat in place (and back) with
+    chunked passes, so no augmented buffer is ever allocated.  The progress
+    hook fires after each outer iteration with the regularized loss (and
+    test RMSE when a test set is supplied).
     """
     model, residual = init_model(store, params)
-    _, order_rng = rng_streams(params.seed)
+    vals = residual.values
     test = _test_arrays(test_entries)
     stats = stats if stats is not None else SolveStats()
-    t0 = time.perf_counter()
-    flops_before = stats.flops
-    for it in range(1, params.outer_iters + 1):
-        for columns in choose_columns(params, order_rng):
-            rhat = compute_rhat(store, residual, model, columns, stats)
-            slabs = [m[:, columns] for m in model.matrices]
-            for _ in range(params.inner_iters):
-                for n in range(store.n_modes):
-                    update_rows(
-                        slabs, store.idx, rhat.values, n,
-                        range(store.mode_lengths[n]), lambda i, n=n: store.bucket(n, i),
-                        params.lam, params.regularization == WEIGHTED, stats,
-                    )
-            for n in range(store.n_modes):
-                model.matrices[n][:, columns] = slabs[n]
-            residual = update_residual(store, rhat, model, columns, stats)
-        _emit(
-            on_iteration, it, t0, model, float(residual.values @ residual.values),
-            store, params, test, stats.flops - flops_before,
+    weighted = params.regularization == WEIGHTED
+    flops_mark = stats.flops
+
+    def augment(columns):
+        slabs = [m[:, columns] for m in model.matrices]
+        for start in range(0, store.nnz, _CHUNK):
+            vals[start:start + _CHUNK] += subset_products(slabs, store.idx[start:start + _CHUNK])
+        stats.flops += store.nnz * columns.size * store.n_modes
+        return slabs
+
+    def refit(slabs, stamp):
+        update_rows(
+            slabs, store.idx, vals, stamp.mode, store.buckets(stamp.mode),
+            params.lam, weighted, stats,
         )
-        flops_before = stats.flops
+
+    def write_back(columns, slabs):
+        for n in range(store.n_modes):
+            model.matrices[n][:, columns] = slabs[n]
+        for start in range(0, store.nnz, _CHUNK):
+            vals[start:start + _CHUNK] -= subset_products(slabs, store.idx[start:start + _CHUNK])
+        stats.flops += store.nnz * columns.size * store.n_modes
+
+    def close(it):
+        nonlocal flops_mark
+        if on_iteration is None:
+            return None
+        record = IterationRecord(it, 0.0, *evaluate(
+            float(vals @ vals), [model.matrices], store, params.lam, params.regularization, test,
+        ), flops=stats.flops - flops_mark)
+        flops_mark = stats.flops
+        return record
+
+    run_schedule(params, store.n_modes, augment, refit, write_back, close, on_iteration)
     return model
 
 
@@ -412,43 +442,10 @@ def factorize_cdtf(
     on_iteration: ProgressHook | None = None,
     stats: SolveStats | None = None,
 ) -> FactorModel:
-    """Coordinate-descent specialization: C=1, fixed column order, fused r-hat.
-
-    Produces the same model as :func:`factorize` with ``n_columns=1`` and
-    fixed order, but turns the residual buffer into r-hat in place (and back)
-    with chunked passes, so no augmented buffer is ever allocated.
-    """
+    """Coordinate-descent specialization: :func:`factorize` at C=1, fixed order."""
     if params.n_columns != 1:
         raise ValueError("coordinate descent requires n_columns == 1")
-    params = replace(params, column_order=FIXED)
-    model, residual = init_model(store, params)
-    vals = residual.values
-    test = _test_arrays(test_entries)
-    stats = stats if stats is not None else SolveStats()
-    weighted = params.regularization == WEIGHTED
-    t0 = time.perf_counter()
-    flops_before = stats.flops
-    for it in range(1, params.outer_iters + 1):
-        for columns in choose_columns(params):
-            slabs = [m[:, columns] for m in model.matrices]
-            for start, end in _chunks(store.nnz):
-                vals[start:end] += subset_products(slabs, store.idx[start:end])
-            stats.flops += store.nnz * store.n_modes
-            for _ in range(params.inner_iters):
-                for n in range(store.n_modes):
-                    update_rows(
-                        slabs, store.idx, vals, n,
-                        range(store.mode_lengths[n]), lambda i, n=n: store.bucket(n, i),
-                        params.lam, weighted, stats,
-                    )
-            for n in range(store.n_modes):
-                model.matrices[n][:, columns] = slabs[n]
-            for start, end in _chunks(store.nnz):
-                vals[start:end] -= subset_products(slabs, store.idx[start:end])
-            stats.flops += store.nnz * store.n_modes
-        _emit(
-            on_iteration, it, t0, model, float(vals @ vals),
-            store, params, test, stats.flops - flops_before,
-        )
-        flops_before = stats.flops
-    return model
+    return factorize(
+        store, replace(params, column_order=FIXED),
+        test_entries=test_entries, on_iteration=on_iteration, stats=stats,
+    )

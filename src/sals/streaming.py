@@ -2,21 +2,22 @@
 
 Residual entries live in per-mode binary caches on disk (grouped by the
 mode's rows) and factor matrices live in a column-addressable store; only
-the active C columns of each factor are held in memory at a time.  Per
-column subset the engine streams each mode's residual cache to materialize
-the augmented residual on disk, streams that cache once per (inner
-iteration, mode) to refit rows, and streams it again to write the residual
-back.  A residency meter counts live factor-matrix values; its peak stays
-at C * sum(I_n) during the loop (plus a transient of one full factor per
-mode while the initial model is written out).
+the active C columns of each factor are held in memory at a time.  The
+shared schedule driver (:func:`sals.solver.run_schedule`) runs with steps
+that work on the caches: per column subset, augment streams each mode's
+residual cache to materialize the augmented residual on disk, each refit
+streams one mode's r-hat cache and hands its complete row groups to the
+serial row kernel, and write back streams the caches again.  A residency
+meter counts live factor-matrix values; its peak stays at C * sum(I_n)
+during the loop (plus a transient of one full factor per mode while the
+initial model is written out).
 
-The row updates reuse the serial kernel on identically ordered arrays, so
-a streaming run reproduces the in-memory model bit for bit.
+The row groups keep canonical order within each row, so a streaming run
+reproduces the in-memory model bit for bit.
 """
 from __future__ import annotations
 
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,19 +25,18 @@ import numpy as np
 
 from .accounting import ResidencyMeter, SolveStats
 from .dataio import CacheManifest, CacheWriter, cache_name, write_residual_caches
-from .solver import (
+from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented by perfbench
     IterationRecord,
     ProgressHook,
     SolverParams,
     WEIGHTED,
-    _test_arrays,
-    choose_columns,
     normal_eq_arrays,
     rng_streams,
+    run_schedule,
     solve_row,
-    subset_products,
+    update_rows,
 )
-from .tensor import FactorModel, SparseTensorStore
+from .tensor import FactorModel, SparseTensorStore, _test_arrays, evaluate, subset_products
 
 
 class ColumnStore:
@@ -85,6 +85,15 @@ class ColumnStore:
     def release(self, slab: np.ndarray) -> None:
         self.meter.release(slab.size)
 
+    def blocks(self, width: int):
+        """Yield every factor's slab ``width`` columns at a time, released after use."""
+        for start in range(0, self.rank, width):
+            cols = np.arange(start, min(start + width, self.rank))
+            slabs = [self.load_columns(n, cols) for n in range(len(self.mode_lengths))]
+            yield slabs
+            for slab in slabs:
+                self.release(slab)
+
     def read_model(self, lam: float) -> FactorModel:
         """Materialize the full model; meant for use after the metered loop."""
         mats = []
@@ -121,24 +130,23 @@ def _value_pass(
     dst: str,
     slabs: list[np.ndarray],
     sign: float,
-    worker: int,
-    mode: int,
     stats: SolveStats,
     chunk_records: int,
 ) -> None:
-    """Stream src, add/subtract the active-column reconstruction, write dst."""
+    """Stream each mode's ``src`` cache into its ``dst`` cache, adding ``sign``
+    times the active-column reconstruction."""
     n_modes = len(slabs)
-    writer = CacheWriter(manifest.path(dst), n_modes)
+    for n in range(n_modes):
+        writer = CacheWriter(manifest.path(cache_name(dst, 0, n)), n_modes)
 
-    def visit(idx, values, acc):
-        out = values + sign * subset_products(slabs, idx)
-        stats.flops += idx.shape[0] * slabs[0].shape[1] * n_modes
-        writer.append(idx, out)
-        return acc
+        def visit(idx, values, acc):
+            writer.append(idx, values + sign * subset_products(slabs, idx))
+            stats.flops += idx.shape[0] * slabs[0].shape[1] * n_modes
+            return acc
 
-    manifest.stream(src, visit, chunk_records=chunk_records)
-    manifest.register(dst, writer.close(), worker, mode)
-    manifest.save()
+        manifest.stream(cache_name(src, 0, n), visit, chunk_records=chunk_records)
+        manifest.register(cache_name(dst, 0, n), writer.close(), 0, n)
+        manifest.save()
 
 
 def _update_mode_streaming(
@@ -152,88 +160,36 @@ def _update_mode_streaming(
     stats: SolveStats,
     chunk_records: int,
 ) -> None:
-    """One row-refit pass over a mode-grouped r-hat cache."""
-    n_modes = len(slabs)
+    """One row-refit pass over a mode-grouped r-hat cache.
+
+    Each chunk's complete row groups go to :func:`update_rows` as slices;
+    the last group may continue in the next chunk and is carried over.
+    Rows absent from the cache are refit from empty buckets at the end.
+    """
     seen = np.zeros(length, dtype=bool)
-    carry: list[tuple[np.ndarray, np.ndarray] | None] = [None]
 
-    def refit(idx_rows: np.ndarray, vals: np.ndarray) -> None:
-        idx_rows = np.ascontiguousarray(idx_rows)
-        vals = np.ascontiguousarray(vals)
-        row = int(idx_rows[0, mode])
-        seen[row] = True
-        lam_eff = lam * idx_rows.shape[0] if weighted else lam
-        neq = normal_eq_arrays(slabs, idx_rows, vals, mode, stats)
-        x, ok = solve_row(neq, lam_eff, stats)
-        if ok:
-            slabs[mode][row] = x
-            stats.rows_updated += 1
-        else:
-            stats.rows_skipped += 1
+    def refit_groups(idx, values, end):
+        rows = idx[:end, mode]
+        heads = np.flatnonzero(np.diff(rows, prepend=-1))
+        seen[rows[heads]] = True
+        groups = zip(rows[heads].tolist(), map(slice, heads, [*heads[1:], end]))
+        update_rows(slabs, idx, values, mode, groups, lam, weighted, stats)
 
-    def visit(idx, values, acc):
-        if carry[0] is not None:
-            idx = np.concatenate([carry[0][0], idx])
-            values = np.concatenate([carry[0][1], values])
-            carry[0] = None
-        rows = idx[:, mode]
-        starts = np.flatnonzero(np.diff(rows)) + 1
-        bounds = np.concatenate([[0], starts, [rows.size]])
-        for g in range(bounds.size - 2):
-            refit(idx[bounds[g]:bounds[g + 1]], values[bounds[g]:bounds[g + 1]])
-        carry[0] = (idx[bounds[-2]:].copy(), values[bounds[-2]:].copy())
-        return acc
+    def visit(idx, values, carry):
+        if carry is not None:
+            idx, values = np.concatenate([carry[0], idx]), np.concatenate([carry[1], values])
+        # cache chunks are strided views; the kernel needs contiguous rows to match memory bits
+        idx, values = np.ascontiguousarray(idx), np.ascontiguousarray(values)
+        tail = int(np.searchsorted(idx[:, mode], idx[-1, mode]))
+        refit_groups(idx, values, tail)
+        return idx[tail:], values[tail:]
 
-    manifest.stream(name, visit, chunk_records=chunk_records)
-    if carry[0] is not None:
-        refit(*carry[0])
-    empty_idx = np.empty((0, n_modes), dtype=np.int64)
-    empty_vals = np.empty(0)
-    for row in np.flatnonzero(~seen):
-        lam_eff = 0.0 if weighted else lam
-        neq = normal_eq_arrays(slabs, empty_idx, empty_vals, mode, stats)
-        x, ok = solve_row(neq, lam_eff, stats)
-        if ok:
-            slabs[mode][int(row)] = x
-            stats.rows_updated += 1
-        else:
-            stats.rows_skipped += 1
-
-
-def _iteration_stats(
-    colstore: ColumnStore,
-    manifest: CacheManifest,
-    store: SparseTensorStore,
-    params: SolverParams,
-    test: tuple[np.ndarray, np.ndarray] | None,
-    chunk_records: int,
-) -> tuple[float, float | None]:
-    """Regularized loss and test RMSE, streaming columns C at a time."""
-
-    def sq(idx, values, acc):
-        return (0.0 if acc is None else acc) + float(values @ values)
-
-    resid_sq = manifest.stream(cache_name("r", 0, 0), sq, chunk_records=chunk_records) or 0.0
-    penalty = 0.0
-    pred = None if test is None else np.zeros(test[1].size)
-    weighted = params.regularization == WEIGHTED
-    for start in range(0, params.rank, params.n_columns):
-        cols = np.arange(start, min(start + params.n_columns, params.rank))
-        slabs = [colstore.load_columns(n, cols) for n in range(store.n_modes)]
-        for n, slab in enumerate(slabs):
-            if weighted:
-                penalty += float(((slab * slab).sum(axis=1) * store.bucket_sizes(n)).sum())
-            else:
-                penalty += float((slab * slab).sum())
-        if pred is not None:
-            pred += subset_products(slabs, test[0])
-        for slab in slabs:
-            colstore.release(slab)
-    total = resid_sq + params.lam * penalty
-    if test is None:
-        return total, None
-    err = test[1] - pred
-    return total, float(np.sqrt((err @ err) / err.size))
+    carry = manifest.stream(name, visit, chunk_records=chunk_records)
+    if carry is not None:
+        refit_groups(*carry, carry[1].size)
+    empty = [(int(row), slice(0, 0)) for row in np.flatnonzero(~seen)]
+    update_rows(slabs, np.empty((0, len(slabs)), dtype=np.int64), np.empty(0),
+                mode, empty, lam, weighted, stats)
 
 
 def stream_factorize(
@@ -261,7 +217,7 @@ def stream_factorize(
     stats = stats if stats is not None else SolveStats()
     colstore = ColumnStore(workdir / "factors", store.mode_lengths, params.rank, meter)
 
-    init_rng, order_rng = rng_streams(params.seed)
+    init_rng, _ = rng_streams(params.seed)
     colstore.write_full(0, np.zeros((store.mode_lengths[0], params.rank)))
     for n in range(1, store.n_modes):
         colstore.write_full(n, init_rng.random((store.mode_lengths[n], params.rank)))
@@ -272,35 +228,41 @@ def stream_factorize(
     test = _test_arrays(test_entries)
     weighted = params.regularization == WEIGHTED
     run = StreamingRun(workdir, colstore, params.lam, 0, stats, _tmp=tmp)
-    t0 = time.perf_counter()
-    for it in range(1, params.outer_iters + 1):
-        for columns in choose_columns(params, order_rng):
-            slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
-            for n in range(store.n_modes):
-                _value_pass(
-                    manifest, cache_name("r", 0, n), cache_name("rhat", 0, n),
-                    slabs, +1.0, 0, n, stats, chunk_records,
-                )
-            for _ in range(params.inner_iters):
-                for n in range(store.n_modes):
-                    _update_mode_streaming(
-                        manifest, cache_name("rhat", 0, n), slabs, n,
-                        store.mode_lengths[n], params.lam, weighted, stats, chunk_records,
-                    )
-            for n in range(store.n_modes):
-                _value_pass(
-                    manifest, cache_name("rhat", 0, n), cache_name("r", 0, n),
-                    slabs, -1.0, 0, n, stats, chunk_records,
-                )
-            for n in range(store.n_modes):
-                colstore.store_columns(n, columns, slabs[n])
-                colstore.release(slabs[n])
-        if on_iteration is not None:
-            total, test_rmse = _iteration_stats(
-                colstore, manifest, store, params, test, chunk_records
-            )
-            record = IterationRecord(it, time.perf_counter() - t0, total, test_rmse)
-            run.records.append(record)
-            on_iteration(record)
+
+    def augment(columns):
+        slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
+        _value_pass(manifest, "r", "rhat", slabs, +1.0, stats, chunk_records)
+        return slabs
+
+    def refit(slabs, stamp):
+        n = stamp.mode
+        _update_mode_streaming(
+            manifest, cache_name("rhat", 0, n), slabs, n,
+            store.mode_lengths[n], params.lam, weighted, stats, chunk_records,
+        )
+
+    def write_back(columns, slabs):
+        _value_pass(manifest, "rhat", "r", slabs, -1.0, stats, chunk_records)
+        for n in range(store.n_modes):
+            colstore.store_columns(n, columns, slabs[n])
+            colstore.release(slabs[n])
+
+    def close(it):
+        if on_iteration is None:
+            return None
+        resid_sq = manifest.stream(
+            cache_name("r", 0, 0), _sum_squares, chunk_records=chunk_records
+        )
+        run.records.append(IterationRecord(it, 0.0, *evaluate(
+            resid_sq or 0.0, colstore.blocks(params.n_columns), store,
+            params.lam, params.regularization, test,
+        )))
+        return run.records[-1]
+
+    run_schedule(params, store.n_modes, augment, refit, write_back, close, on_iteration)
     run.peak_resident_values = meter.peak
     return run
+
+
+def _sum_squares(idx, values, acc):
+    return (0.0 if acc is None else acc) + float(values @ values)

@@ -5,12 +5,13 @@ shared entry list (sorted lexicographically by index tuple, the *canonical
 order*) plus, for every mode, a grouped index that lists the positions of
 each row's entries.  All mode/row/column indices are 0-based inside the
 library; the only 1-based surface is :class:`TensorEntry`, which mirrors
-the conventional notation used in data files.
+the conventional notation used in data files.  :func:`evaluate` is the one
+loss and RMSE evaluator of every solver path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class SparseTensorStore:
         ptr = self.mode_ptr[mode]
         return self.mode_perm[mode][ptr[row]:ptr[row + 1]]
 
+    def buckets(self, mode: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(row, bucket positions)`` for every row of ``mode``, in row order."""
+        return ((i, self.bucket(mode, i)) for i in range(self.mode_lengths[mode]))
+
     def bucket_sizes(self, mode: int) -> np.ndarray:
         """|Omega^(n)_i| for every row i of ``mode``."""
         return np.diff(self.mode_ptr[mode])
@@ -77,8 +82,8 @@ def store_from_arrays(
 ) -> SparseTensorStore:
     """Build a store from 0-based index/value arrays.
 
-    Sorts into canonical order, rejects out-of-range indices and duplicate
-    tuples, and builds the per-mode grouped indexes.
+    Sorts into canonical order, rejects non-finite values, out-of-range
+    indices and duplicate tuples, and builds the per-mode grouped indexes.
     """
     mode_lengths = tuple(int(length) for length in mode_lengths)
     n_modes = len(mode_lengths)
@@ -88,6 +93,10 @@ def store_from_arrays(
     values = np.ascontiguousarray(np.asarray(values, dtype=np.float64).reshape(-1))
     if idx.shape[0] != values.shape[0]:
         raise ValueError("index and value counts differ")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        p = int(bad[0])
+        raise ValueError(f"entry {p}: value {values[p]} is not finite")
 
     for n, length in enumerate(mode_lengths):
         bad = np.flatnonzero((idx[:, n] < 0) | (idx[:, n] >= length))
@@ -179,13 +188,23 @@ class ResidualState:
     columns: tuple[int, ...] | None = None
 
 
+def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Sum over the subset columns of the full mode product, per entry.
+
+    ``slabs[n]`` is the (I_n, C) slice of factor n restricted to the active
+    columns.  Products multiply modes left to right so every execution path
+    produces identical floating-point results.
+    """
+    prod = slabs[0][idx[:, 0]]  # fancy indexing copies, safe to mutate
+    for n in range(1, len(slabs)):
+        prod *= slabs[n][idx[:, n]]
+    return prod.sum(axis=1)
+
+
 def predict_entries(model: FactorModel, idx: np.ndarray) -> np.ndarray:
     """Model reconstruction for a batch of 0-based index rows."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, model.n_modes)
-    prod = model.matrices[0][idx[:, 0]].copy()
-    for n in range(1, model.n_modes):
-        prod *= model.matrices[n][idx[:, n]]
-    return prod.sum(axis=1)
+    return subset_products(model.matrices, idx)
 
 
 def reconstruct(model: FactorModel, indices: Sequence[int]) -> float:
@@ -204,16 +223,45 @@ def regularization_penalty(
     regularization: str = "plain",
 ) -> float:
     """lambda * sum of squared factor norms, plain or row-weighted by |Omega^(n)_i|."""
-    if regularization == "plain":
-        return model.lam * float(sum((m * m).sum() for m in model.matrices))
-    if regularization == "weighted":
-        if store is None:
-            raise ValueError("weighted regularization needs the store's row counts")
-        total = 0.0
-        for n, mat in enumerate(model.matrices):
-            total += float(((mat * mat).sum(axis=1) * store.bucket_sizes(n)).sum())
-        return model.lam * total
-    raise ValueError(f"unknown regularization {regularization!r}")
+    if regularization not in ("plain", "weighted"):
+        raise ValueError(f"unknown regularization {regularization!r}")
+    if regularization == "weighted" and store is None:
+        raise ValueError("weighted regularization needs the store's row counts")
+    return evaluate(0.0, [model.matrices], store, model.lam, regularization, None)[0]
+
+
+def evaluate(
+    resid_sq: float,
+    blocks: Iterable[Sequence[np.ndarray]],
+    store: SparseTensorStore | None,
+    lam: float,
+    regularization: str,
+    test: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[float, float | None]:
+    """Regularized loss and test RMSE of a model given as column blocks.
+
+    ``resid_sq`` is the squared norm of the residual over the observed set.
+    ``blocks`` yields every factor's slab over disjoint column sets that
+    cover all K columns: the whole model at once in memory, C columns at a
+    time out of core.  The penalty and the test prediction fold over them.
+    ``store`` supplies the row counts of weighted regularization.
+    """
+    penalty = 0.0
+    pred = None if test is None else np.zeros(test[1].size)
+    for slabs in blocks:
+        for n, slab in enumerate(slabs):
+            sq = slab * slab
+            if regularization == "weighted":
+                penalty += float((sq.sum(axis=1) * store.bucket_sizes(n)).sum())
+            else:
+                penalty += float(sq.sum())
+        if pred is not None:
+            pred += subset_products(slabs, test[0])
+    total = resid_sq + lam * penalty
+    if test is None:
+        return total, None
+    err = test[1] - pred
+    return total, float(np.sqrt((err @ err) / err.size))
 
 
 def loss(
@@ -226,20 +274,19 @@ def loss(
     return float(err @ err) + regularization_penalty(model, store, regularization)
 
 
-def rmse(model: FactorModel, test_entries: Sequence[TensorEntry]) -> float:
-    """Root mean square error of the model on held-out entries."""
+def _test_arrays(test_entries) -> tuple[np.ndarray, np.ndarray] | None:
+    if test_entries is None:
+        return None
     if len(test_entries) == 0:
         raise ValueError("empty test set")
     idx = np.asarray([e.indices for e in test_entries], dtype=np.int64) - 1
     vals = np.asarray([e.value for e in test_entries], dtype=np.float64)
-    err = vals - predict_entries(model, idx)
-    return float(np.sqrt((err @ err) / err.size))
+    return idx, vals
 
 
-def rmse_arrays(model: FactorModel, idx: np.ndarray, vals: np.ndarray) -> float:
-    """RMSE over 0-based index/value arrays (internal fast path)."""
-    if vals.size == 0:
-        raise ValueError("empty test set")
+def rmse(model: FactorModel, test_entries: Sequence[TensorEntry]) -> float:
+    """Root mean square error of the model on held-out entries."""
+    idx, vals = _test_arrays(test_entries)
     err = vals - predict_entries(model, idx)
     return float(np.sqrt((err @ err) / err.size))
 

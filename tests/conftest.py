@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sals.tensor import FactorModel, SparseTensorStore, store_from_arrays
+
+# Tests that start ``python -m sals`` need the source tree importable there
+# too; pyproject's ``pythonpath`` only covers the pytest process itself.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def random_store(

@@ -75,6 +75,18 @@ class TestFactorize:
         assert [r["loss"] for r in a] == [r["loss"] for r in b]
         assert [r["rmse"] for r in a] == [r["rmse"] for r in b]
 
+    def test_convergence_csv_appends_eval_seconds(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        code = main(
+            ["factorize", "--train", str(dataset / "train.coo"),
+             "--test", str(dataset / "test.coo"), "--alg", "sals", "-K", "2",
+             "--t-out", "2", "--out", str(out)]
+        )
+        assert code == 0
+        header = (out / "convergence.csv").read_text().splitlines()[0]
+        assert header == "iteration,seconds,loss,rmse,sent,received,flops,eval_seconds"
+        assert all(float(r["eval_seconds"]) > 0 for r in read_csv(out / "convergence.csv"))
+
     def test_streaming_matches_in_memory_model_files(self, dataset, tmp_path):
         common = [
             "factorize", "--train", str(dataset / "train.coo"),

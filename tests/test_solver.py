@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from sals.accounting import SolveStats, rhat_allocations, reset_rhat_allocations
+from sals.accounting import SolveStats
 from sals.solver import (
     NormalEq,
     SolverParams,
@@ -378,11 +380,14 @@ class TestFactorizeCdtf:
         store = random_store(rng, (5, 5), 20)
         params = SolverParams(rank=2, n_columns=1, outer_iters=2,
                               lam=0.01, column_order="fixed", seed=3)
-        reset_rhat_allocations()
-        factorize_cdtf(store, params)
-        assert rhat_allocations() == 0
-        factorize(store, params)
-        assert rhat_allocations() > 0
+        for run in (factorize_cdtf, factorize):
+            stats = SolveStats()
+            run(store, params, stats=stats)
+            assert stats.rhat_buffers == 0
+        model, residual = init_model(store, params)
+        stats = SolveStats()
+        compute_rhat(store, residual, model, np.array([0]), stats)
+        assert stats.rhat_buffers == 1
 
     def test_rank_one_trivial(self, rng):
         store = random_store(rng, (4, 4), 10)
@@ -396,3 +401,38 @@ class TestFactorizeCdtf:
         store = random_store(rng, (4, 4), 10)
         with pytest.raises(ValueError):
             factorize_cdtf(store, SolverParams(rank=2, n_columns=2))
+
+
+class TestIterationTiming:
+    SLEEP = 0.1
+
+    @pytest.mark.parametrize("path", ["serial", "cluster", "streaming", "psgd"])
+    def test_seconds_exclude_evaluation(self, rng, monkeypatch, path):
+        from sals import cluster, sgd, solver, streaming
+        from sals.partition import greedy_assign
+
+        module = {"serial": solver, "cluster": cluster, "streaming": streaming, "psgd": sgd}[path]
+        original = module.evaluate
+
+        def slow_evaluate(*args):
+            time.sleep(self.SLEEP)
+            return original(*args)
+
+        monkeypatch.setattr(module, "evaluate", slow_evaluate)
+        store = random_store(rng, (6, 5, 4), 60)
+        test = store.entries()[:5]
+        params = SolverParams(rank=2, n_columns=1, outer_iters=2, lam=0.1, seed=1)
+        records = []
+        kwargs = dict(test_entries=test, on_iteration=records.append)
+        if path == "serial":
+            factorize(store, params, **kwargs)
+        elif path == "cluster":
+            cluster.run_distributed(store, params, greedy_assign(store, 2), **kwargs)
+        elif path == "streaming":
+            streaming.stream_factorize(store, params, **kwargs).cleanup()
+        else:
+            sgd.factorize_psgd(store, sgd.SgdParams(rank=2, outer_iters=2), **kwargs)
+        assert len(records) == 2
+        assert all(r.eval_seconds >= self.SLEEP for r in records)
+        # the first evaluation ran before the last clock reading
+        assert records[0].seconds <= records[-1].seconds < self.SLEEP

@@ -66,6 +66,12 @@ class TestBuildStore:
         with pytest.raises(ValueError, match=r"entry 1: mode 0 index 3"):
             build_store(entries, (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_with_position(self, bad):
+        idx = np.array([[0, 0], [1, 1], [0, 1]])
+        with pytest.raises(ValueError, match=rf"entry 2: value {bad} is not finite"):
+            store_from_arrays(idx, np.array([1.0, 2.0, bad]), (2, 2))
+
     def test_duplicate_rejected(self):
         entries = [TensorEntry((1, 2), 1.0), TensorEntry((1, 2), 4.0)]
         with pytest.raises(ValueError, match="duplicate"):
