@@ -303,8 +303,10 @@ def _cmd_factorize(args) -> int:
                 store, params, workdir=args.workdir,
                 test_entries=test_entries, on_iteration=hook,
             )
-            model = run.load_model()
-            run.cleanup()
+            try:
+                model = run.load_model()
+            finally:
+                run.cleanup()
             print(f"peak resident factor values: {run.peak_resident_values}")
         else:
             stats = SolveStats()

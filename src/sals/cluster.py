@@ -39,7 +39,14 @@ from .solver import (
     run_schedule,
     update_rows,
 )
-from .tensor import FactorModel, SparseTensorStore, _test_arrays, evaluate, subset_products
+from .tensor import (
+    FactorModel,
+    RowGroups,
+    SparseTensorStore,
+    _test_arrays,
+    evaluate,
+    subset_products,
+)
 
 
 class ClusterError(RuntimeError):
@@ -62,10 +69,8 @@ class WorkerState:
     idx: np.ndarray                       # local copy of the index rows
     values: np.ndarray                    # local copy of the observed values
     residual: np.ndarray                  # private residual replica
-    owned_rows: list[np.ndarray]          # per mode, rows this machine updates
-    buckets: list[dict[int, np.ndarray]]  # per mode, row -> local bucket positions
-    lead_global: np.ndarray               # global positions owned via mode 0
-    lead_local: np.ndarray                # the same entries' local positions
+    groups: list[RowGroups]               # per mode, owned rows and local bucket positions
+    lead_global: np.ndarray               # global positions of groups[0]'s entries
 
 
 def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[WorkerState]:
@@ -81,24 +86,14 @@ def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[Work
         positions = np.flatnonzero(mask)
         idx_local = store.idx[positions]
         vals_local = store.values[positions]
-        buckets: list[dict[int, np.ndarray]] = []
+        groups = []
         for n in range(store.n_modes):
-            per_row: dict[int, np.ndarray] = {}
-            for row in assignment.sets[m][n]:
-                g = store.bucket(n, int(row))
-                per_row[int(row)] = np.searchsorted(positions, g)
-            buckets.append(per_row)
-        lead_global = (
-            np.concatenate([store.bucket(0, int(r)) for r in assignment.sets[m][0]])
-            if assignment.sets[m][0].size
-            else np.empty(0, dtype=np.int64)
-        )
-        lead_local = np.searchsorted(positions, lead_global)
+            rows, order, ptr = store.groups(n, assignment.sets[m][n])
+            groups.append(RowGroups(rows, np.searchsorted(positions, order), ptr))
         workers.append(
             WorkerState(
                 m, positions, idx_local, vals_local, vals_local.copy(),
-                [np.asarray(assignment.sets[m][n]) for n in range(store.n_modes)],
-                buckets, lead_global, lead_local,
+                groups, positions[groups[0].order],
             )
         )
     return workers
@@ -230,12 +225,12 @@ def _worker_loop(ctx: _RunContext, ws: WorkerState) -> None:
         if ctx.fault_hook is not None:
             ctx.fault_hook(m, stamp)
         update_rows(
-            slabs, ws.idx, ws.residual, n, ws.buckets[n].items(),
-            params.lam, weighted, stats,
+            slabs, ws.idx, ws.residual, n, ws.groups[n], params.lam, weighted, stats,
         )
         if n_workers > 1:
-            payload = slabs[n][ws.owned_rows[n]]
-            ctx.bus.broadcast(Message(m, stamp, ws.owned_rows[n], payload))
+            owned = ws.groups[n].rows
+            payload = slabs[n][owned]
+            ctx.bus.broadcast(Message(m, stamp, owned, payload))
             ctx.log.sent[m] += payload.size
             ctx.log.events[m] += 1
         barrier.wait()  # all broadcasts of this step are delivered
@@ -247,7 +242,7 @@ def _worker_loop(ctx: _RunContext, ws: WorkerState) -> None:
     def write_back(columns, slabs):
         ws.residual -= subset_products(slabs, ws.idx)
         stats.flops += ws.idx.shape[0] * columns.size * n_modes
-        ctx.master_residual[ws.lead_global] = ws.residual[ws.lead_local]
+        ctx.master_residual[ws.lead_global] = ws.residual[ws.groups[0].order]
         if m == 0:
             for n in range(n_modes):
                 ctx.master.matrices[n][:, columns] = slabs[n]

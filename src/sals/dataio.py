@@ -172,7 +172,9 @@ def generate_synthetic(
 
     Ground-truth factors are uniform [0,1); the observed set is sampled
     uniformly without replacement.  Returns (train store, test entries,
-    ground-truth model); everything is a pure function of the seed.
+    ground-truth model); everything is a pure function of the seed.  The
+    ground-truth model has ``lam = 0``, so :func:`sals.loss` of it is the
+    bare squared error; rebuild it with a run's lambda to compare losses.
     """
     plan = plan_synthetic(mode_lengths, nnz, rank, noise_sigma, test_fraction, seed)
     if plan.beyond_desk_scale:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .accounting import SolveStats
 from .tensor import (
@@ -30,6 +29,7 @@ from .tensor import (
     RESIDUAL,
     FactorModel,
     ResidualState,
+    RowGroups,
     SparseTensorStore,
     _test_arrays,
     evaluate,
@@ -42,6 +42,8 @@ FIXED = "fixed"
 RANDOM_PER_OUTER = "random_per_outer"
 
 _CHUNK = 1 << 16
+_BATCH_ENTRIES = 1 << 15  # entries a row-kernel batch gathers at once
+_SMALL_BUCKET = 64        # buckets below this size are summed by segments, not BLAS
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,11 @@ class SolverParams:
 
 @dataclass
 class NormalEq:
-    """The C x C system (B + lambda' I) a = c of one row update."""
+    """The C x C systems (B + lambda' I) a = c of row updates.
+
+    B is (R, C, C) and c is (R, C) for a stack of R rows, or (C, C) and (C,)
+    for a single row.
+    """
 
     B: np.ndarray
     c: np.ndarray
@@ -195,18 +201,40 @@ def update_residual(
     return ResidualState(rhat.values, RESIDUAL)
 
 
+def _batches(ptr: np.ndarray, c_cols: int) -> Iterator[tuple[int, int]]:
+    """Row ranges ``[r0, r1)`` of at most about ``_BATCH_ENTRIES`` entries.
+
+    A batch also holds at most ``_BATCH_ENTRIES // C`` rows, so its stacked
+    systems stay about as large as its gathered entries; a bucket larger
+    than the cap is a batch of its own.
+    """
+    n_rows = ptr.size - 1
+    max_rows = max(1, _BATCH_ENTRIES // c_cols)
+    r0 = 0
+    while r0 < n_rows:
+        fit = int(np.searchsorted(ptr, ptr[r0] + _BATCH_ENTRIES, side="right")) - 1
+        r1 = min(max(fit, r0 + 1), r0 + max_rows, n_rows)
+        yield r0, r1
+        r0 = r1
+
+
 def normal_eq_arrays(
     slabs: Sequence[np.ndarray],
     idx_rows: np.ndarray,
     rhat_vals: np.ndarray,
+    ptr: np.ndarray,
     mode: int,
     stats: SolveStats | None = None,
 ) -> NormalEq:
-    """Normal equations of one row from its gathered bucket arrays.
+    """Stacked normal equations of a run of rows from their gathered entries.
 
-    ``idx_rows`` is the (P, N) block of entry indices of the bucket in
-    canonical order, ``rhat_vals`` the matching r-hat values.  B and c
-    accumulate over that order; empty buckets give zero systems.
+    ``idx_rows`` is the (P, N) block of entry indices of the rows' buckets
+    back to back, each in canonical order, ``rhat_vals`` the matching r-hat
+    values, and row r's entries are ``ptr[r]:ptr[r+1]``.  Returns B as
+    (R, C, C) and c as (R, C); empty buckets give zero systems.  Buckets of
+    fewer than ``_SMALL_BUCKET`` entries are summed by segmented reductions,
+    larger ones by one BLAS product each.  Either way a row's sums read only
+    its own entries, so its bits do not depend on the other rows.
     """
     n_modes = len(slabs)
     c_cols = slabs[mode].shape[1]
@@ -221,8 +249,26 @@ def normal_eq_arrays(
             G *= g
     if G is None:  # 1-dimensional tensor: empty product
         G = np.ones((idx_rows.shape[0], c_cols))
-    B = G.T @ G
-    c = G.T @ rhat_vals
+    sizes = np.diff(ptr)
+    B = np.zeros((sizes.size, c_cols, c_cols))
+    c = np.zeros((sizes.size, c_cols))
+    small = sizes < _SMALL_BUCKET
+    summed = np.flatnonzero(small & (sizes > 0))
+    if summed.size:
+        Gs, rs, starts = G, rhat_vals, ptr[summed]
+        if not small.all():  # keep only the small buckets' entries
+            keep = np.repeat(small, sizes)
+            Gs, rs = G[keep], rhat_vals[keep]
+            starts = (np.cumsum(sizes * small) - sizes * small)[summed]
+        for a in range(c_cols):  # row a of B and, mirrored, column a
+            sums = np.add.reduceat(Gs[:, a:a + 1] * Gs[:, a:], starts, axis=0)
+            B[summed, a, a:] = sums
+            B[summed, a + 1:, a] = sums[:, 1:]
+        c[summed] = np.add.reduceat(Gs * rs[:, None], starts, axis=0)
+    for r in np.flatnonzero(~small):
+        g = G[ptr[r]:ptr[r + 1]]
+        B[r] = g.T @ g
+        c[r] = g.T @ rhat_vals[ptr[r]:ptr[r + 1]]
     if stats is not None:
         p = idx_rows.shape[0]
         stats.flops += p * c_cols * max(n_modes - 2, 0) + p * c_cols * c_cols + p * c_cols
@@ -244,32 +290,84 @@ def build_normal_eq(
     columns = np.asarray(columns, dtype=np.int64)
     slabs = [m[:, columns] for m in model.matrices]
     pos = store.bucket(mode, row)
-    return normal_eq_arrays(slabs, store.idx[pos], rhat.values[pos], mode, stats)
+    neq = normal_eq_arrays(
+        slabs, store.idx[pos], rhat.values[pos], np.array([0, pos.size]), mode, stats
+    )
+    return NormalEq(neq.B[0], neq.c[0])
 
 
 def solve_row(
-    neq: NormalEq, lam_eff: float, stats: SolveStats | None = None
-) -> tuple[np.ndarray, bool]:
-    """Solve (B + lambda' I) a = c by Cholesky factorization.
+    neq: NormalEq, lam_eff: float | np.ndarray, stats: SolveStats | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (B + lambda' I) a = c for a stack of systems by Cholesky factorization.
 
-    Returns ``(solution, True)`` on success.  A singular system (possible
-    only when lambda' = 0) returns ``(zeros, False)`` so the caller can keep
-    the row's previous values.
+    ``neq.B`` is (R, C, C), ``neq.c`` (R, C) and ``lam_eff`` a scalar or one
+    value per system; a single (C, C) system is a batch of one and gives a
+    (C,) solution and a bool.  Returns ``(solutions, solved)``.  A singular
+    system (possible only when lambda' = 0) gets zeros and ``solved``
+    False, so the caller can keep the row's previous values.
     """
-    if lam_eff < 0:
+    B, c = neq.B, neq.c
+    if c.ndim == 1:
+        x, ok = solve_row(NormalEq(B[np.newaxis], c[np.newaxis]), lam_eff, stats)
+        return x[0], bool(ok[0])
+    lam = np.broadcast_to(np.asarray(lam_eff, dtype=np.float64), c.shape[:1])
+    if (lam < 0).any():
         raise ValueError("lam_eff must be nonnegative")
-    if not (np.isfinite(neq.B).all() and np.isfinite(neq.c).all()):
+    if not (np.isfinite(B).all() and np.isfinite(c).all()):
         raise ValueError("non-finite normal equations")
-    c_cols = neq.c.shape[0]
-    A = neq.B + lam_eff * np.eye(c_cols)
-    try:
-        chol = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        x = scipy.linalg.cho_solve(chol, neq.c, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return np.zeros(c_cols), False
+    c_cols = c.shape[1]
+    A = B.copy()
+    diag = np.arange(c_cols)
+    A[:, diag, diag] += lam[:, np.newaxis]
+    x = np.zeros_like(c)
+    if c_cols == 1:  # the closed-form coordinate update
+        ok = A[:, 0, 0] > 0
+        x[ok] = c[ok] / A[ok, 0]
+    else:
+        L, ok = _cholesky(A)
+        x[ok] = _cholesky_solve(L[ok], c[ok])
     if stats is not None:
-        stats.flops += c_cols ** 3
-    return x, True
+        stats.flops += c_cols ** 3 * int(ok.sum())
+    return x, ok
+
+
+def _cholesky(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of stacked matrices, and which ones exist.
+
+    One stacked call serves the usual all-definite case; if it fails, each
+    matrix is factored alone so that only the singular ones are lost.
+    """
+    try:
+        return np.linalg.cholesky(A), np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    L = np.zeros_like(A)
+    ok = np.zeros(len(A), dtype=bool)
+    for r in range(len(A)):
+        try:
+            L[r] = np.linalg.cholesky(A[r])
+            ok[r] = True
+        except np.linalg.LinAlgError:
+            pass
+    return L, ok
+
+
+def _cholesky_solve(L: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = c per stacked system by forward and back substitution.
+
+    Every step is elementwise over the systems, so each solution's bits
+    depend only on its own system.
+    """
+    x = c.copy()
+    c_cols = c.shape[1]
+    for j in range(c_cols):
+        x[:, j] /= L[:, j, j]
+        x[:, j + 1:] -= L[:, j + 1:, j] * x[:, j:j + 1]
+    for j in reversed(range(c_cols)):
+        x[:, j] /= L[:, j, j]
+        x[:, :j] -= L[:, j, :j] * x[:, j:j + 1]
+    return x
 
 
 def update_rows(
@@ -277,33 +375,37 @@ def update_rows(
     idx: np.ndarray,
     rhat_vals: np.ndarray,
     mode: int,
-    buckets: Iterable[tuple[int, np.ndarray | slice]],
+    groups: RowGroups,
     lam: float,
     weighted: bool,
     stats: SolveStats | None = None,
 ) -> int:
-    """Refit rows of ``slabs[mode]`` in place; returns skip count.
+    """Refit the rows ``groups.rows`` of ``slabs[mode]`` in place; returns skip count.
 
-    ``buckets`` yields ``(row, positions)``: an index array or slice into
-    ``idx`` and ``rhat_vals`` listing the row's entries in canonical order.
-    Rows are independent; each solve reads only the other modes' slabs, so
-    processing order does not affect the values.
+    ``groups.order`` indexes ``idx`` and ``rhat_vals``.  Rows go through
+    :func:`normal_eq_arrays` and :func:`solve_row` in batches split on row
+    boundaries.  Each solve reads only the row's own entries and the other
+    modes' slabs, so neither the order nor the batching of rows affects the
+    values.
     """
-    skipped = 0
+    rows, order, ptr = groups
     slab = slabs[mode]
-    for i, pos in buckets:
-        idx_rows = idx[pos]
-        lam_eff = lam * idx_rows.shape[0] if weighted else lam
-        neq = normal_eq_arrays(slabs, idx_rows, rhat_vals[pos], mode, stats)
-        x, ok = solve_row(neq, lam_eff, stats)
-        if ok:
-            slab[i] = x
-            if stats is not None:
-                stats.rows_updated += 1
-        else:
-            skipped += 1
-            if stats is not None:
-                stats.rows_skipped += 1
+    skipped = 0
+    for r0, r1 in _batches(ptr, slab.shape[1]):
+        pos = order[ptr[r0]:ptr[r1]]
+        seg = ptr[r0:r1 + 1] - ptr[r0]
+        neq = normal_eq_arrays(slabs, idx[pos], rhat_vals[pos], seg, mode, stats)
+        finite = np.isfinite(neq.B).all(axis=(1, 2)) & np.isfinite(neq.c).all(axis=1)
+        if not finite.all():
+            row = int(rows[r0 + int(np.argmin(finite))])
+            raise ValueError(f"mode {mode}, row {row}: non-finite normal equations")
+        x, ok = solve_row(neq, lam * np.diff(seg) if weighted else lam, stats)
+        slab[rows[r0:r1][ok]] = x[ok]
+        n_ok = int(ok.sum())
+        skipped += ok.size - n_ok
+        if stats is not None:
+            stats.rows_updated += n_ok
+            stats.rows_skipped += ok.size - n_ok
     return skipped
 
 
@@ -322,7 +424,7 @@ def update_mode(
     columns = np.asarray(columns, dtype=np.int64)
     slabs = [m[:, columns] for m in model.matrices]  # fancy indexing copies
     skipped = update_rows(
-        slabs, store.idx, rhat.values, mode, store.buckets(mode),
+        slabs, store.idx, rhat.values, mode, store.groups(mode),
         params.lam, params.regularization == WEIGHTED, stats,
     )
     model.matrices[mode][:, columns] = slabs[mode]
@@ -373,7 +475,11 @@ def run_schedule(
             slabs = augment(columns)
             for inner in range(params.inner_iters):
                 for n in range(n_modes):
-                    refit(slabs, Stamp(it, si, inner, n))
+                    stamp = Stamp(it, si, inner, n)
+                    try:
+                        refit(slabs, stamp)
+                    except (ValueError, ArithmeticError) as exc:
+                        raise type(exc)(f"{stamp}: {exc}") from exc
             write_back(columns, slabs)
         t0 = close_iteration(t0, it, close, on_iteration)
 
@@ -409,7 +515,7 @@ def factorize(
 
     def refit(slabs, stamp):
         update_rows(
-            slabs, store.idx, vals, stamp.mode, store.buckets(stamp.mode),
+            slabs, store.idx, vals, stamp.mode, store.groups(stamp.mode),
             params.lam, weighted, stats,
         )
 

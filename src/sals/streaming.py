@@ -36,7 +36,14 @@ from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented 
     solve_row,
     update_rows,
 )
-from .tensor import FactorModel, SparseTensorStore, _test_arrays, evaluate, subset_products
+from .tensor import (
+    FactorModel,
+    RowGroups,
+    SparseTensorStore,
+    _test_arrays,
+    evaluate,
+    subset_products,
+)
 
 
 class ColumnStore:
@@ -162,9 +169,10 @@ def _update_mode_streaming(
 ) -> None:
     """One row-refit pass over a mode-grouped r-hat cache.
 
-    Each chunk's complete row groups go to :func:`update_rows` as slices;
-    the last group may continue in the next chunk and is carried over.
-    Rows absent from the cache are refit from empty buckets at the end.
+    Each chunk's complete row groups go to :func:`update_rows`, delimited by
+    their row heads; the last group may continue in the next chunk and is
+    carried over.  Rows absent from the cache are refit from empty buckets
+    at the end.
     """
     seen = np.zeros(length, dtype=bool)
 
@@ -172,14 +180,12 @@ def _update_mode_streaming(
         rows = idx[:end, mode]
         heads = np.flatnonzero(np.diff(rows, prepend=-1))
         seen[rows[heads]] = True
-        groups = zip(rows[heads].tolist(), map(slice, heads, [*heads[1:], end]))
+        groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end))
         update_rows(slabs, idx, values, mode, groups, lam, weighted, stats)
 
     def visit(idx, values, carry):
         if carry is not None:
             idx, values = np.concatenate([carry[0], idx]), np.concatenate([carry[1], values])
-        # cache chunks are strided views; the kernel needs contiguous rows to match memory bits
-        idx, values = np.ascontiguousarray(idx), np.ascontiguousarray(values)
         tail = int(np.searchsorted(idx[:, mode], idx[-1, mode]))
         refit_groups(idx, values, tail)
         return idx[tail:], values[tail:]
@@ -187,9 +193,11 @@ def _update_mode_streaming(
     carry = manifest.stream(name, visit, chunk_records=chunk_records)
     if carry is not None:
         refit_groups(*carry, carry[1].size)
-    empty = [(int(row), slice(0, 0)) for row in np.flatnonzero(~seen)]
-    update_rows(slabs, np.empty((0, len(slabs)), dtype=np.int64), np.empty(0),
-                mode, empty, lam, weighted, stats)
+    absent = np.flatnonzero(~seen)
+    none = np.empty(0, dtype=np.int64)
+    update_rows(slabs, np.empty((0, len(slabs)), dtype=np.int64), np.empty(0), mode,
+                RowGroups(absent, none, np.zeros(absent.size + 1, dtype=np.int64)),
+                lam, weighted, stats)
 
 
 def stream_factorize(
@@ -206,60 +214,66 @@ def stream_factorize(
 
     Matches :func:`sals.solver.factorize` exactly for the same parameters
     and seed.  Use ``StreamingRun.load_model`` to materialize the result
-    (that load happens outside the metered loop).
+    (that load happens outside the metered loop).  Without ``workdir`` the
+    run works in a temporary directory, which is removed if the run raises.
     """
     tmp = None
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="sals-stream-")
         workdir = tmp.name
-    workdir = Path(workdir)
-    meter = ResidencyMeter()
-    stats = stats if stats is not None else SolveStats()
-    colstore = ColumnStore(workdir / "factors", store.mode_lengths, params.rank, meter)
+    try:
+        workdir = Path(workdir)
+        meter = ResidencyMeter()
+        stats = stats if stats is not None else SolveStats()
+        colstore = ColumnStore(workdir / "factors", store.mode_lengths, params.rank, meter)
 
-    init_rng, _ = rng_streams(params.seed)
-    colstore.write_full(0, np.zeros((store.mode_lengths[0], params.rank)))
-    for n in range(1, store.n_modes):
-        colstore.write_full(n, init_rng.random((store.mode_lengths[n], params.rank)))
+        init_rng, _ = rng_streams(params.seed)
+        colstore.write_full(0, np.zeros((store.mode_lengths[0], params.rank)))
+        for n in range(1, store.n_modes):
+            colstore.write_full(n, init_rng.random((store.mode_lengths[n], params.rank)))
 
-    manifest = CacheManifest.create(workdir / "cache", store.n_modes)
-    write_residual_caches(store, manifest, worker=0, chunk_records=chunk_records)
+        manifest = CacheManifest.create(workdir / "cache", store.n_modes)
+        write_residual_caches(store, manifest, worker=0, chunk_records=chunk_records)
 
-    test = _test_arrays(test_entries)
-    weighted = params.regularization == WEIGHTED
-    run = StreamingRun(workdir, colstore, params.lam, 0, stats, _tmp=tmp)
+        test = _test_arrays(test_entries)
+        weighted = params.regularization == WEIGHTED
+        run = StreamingRun(workdir, colstore, params.lam, 0, stats, _tmp=tmp)
 
-    def augment(columns):
-        slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
-        _value_pass(manifest, "r", "rhat", slabs, +1.0, stats, chunk_records)
-        return slabs
+        def augment(columns):
+            slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
+            _value_pass(manifest, "r", "rhat", slabs, +1.0, stats, chunk_records)
+            return slabs
 
-    def refit(slabs, stamp):
-        n = stamp.mode
-        _update_mode_streaming(
-            manifest, cache_name("rhat", 0, n), slabs, n,
-            store.mode_lengths[n], params.lam, weighted, stats, chunk_records,
-        )
+        def refit(slabs, stamp):
+            n = stamp.mode
+            _update_mode_streaming(
+                manifest, cache_name("rhat", 0, n), slabs, n,
+                store.mode_lengths[n], params.lam, weighted, stats, chunk_records,
+            )
 
-    def write_back(columns, slabs):
-        _value_pass(manifest, "rhat", "r", slabs, -1.0, stats, chunk_records)
-        for n in range(store.n_modes):
-            colstore.store_columns(n, columns, slabs[n])
-            colstore.release(slabs[n])
+        def write_back(columns, slabs):
+            _value_pass(manifest, "rhat", "r", slabs, -1.0, stats, chunk_records)
+            for n in range(store.n_modes):
+                colstore.store_columns(n, columns, slabs[n])
+                colstore.release(slabs[n])
 
-    def close(it):
-        if on_iteration is None:
-            return None
-        resid_sq = manifest.stream(
-            cache_name("r", 0, 0), _sum_squares, chunk_records=chunk_records
-        )
-        run.records.append(IterationRecord(it, 0.0, *evaluate(
-            resid_sq or 0.0, colstore.blocks(params.n_columns), store,
-            params.lam, params.regularization, test,
-        )))
-        return run.records[-1]
+        def close(it):
+            if on_iteration is None:
+                return None
+            resid_sq = manifest.stream(
+                cache_name("r", 0, 0), _sum_squares, chunk_records=chunk_records
+            )
+            run.records.append(IterationRecord(it, 0.0, *evaluate(
+                resid_sq or 0.0, colstore.blocks(params.n_columns), store,
+                params.lam, params.regularization, test,
+            )))
+            return run.records[-1]
 
-    run_schedule(params, store.n_modes, augment, refit, write_back, close, on_iteration)
+        run_schedule(params, store.n_modes, augment, refit, write_back, close, on_iteration)
+    except BaseException:
+        if tmp is not None:  # a failed run leaves no scratch files behind
+            tmp.cleanup()
+        raise
     run.peak_resident_values = meter.peak
     return run
 

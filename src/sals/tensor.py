@@ -11,9 +11,21 @@ loss and RMSE evaluator of every solver path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+
+class RowGroups(NamedTuple):
+    """Rows of one mode with their buckets laid out back to back.
+
+    Row ``rows[r]``'s entry positions are ``order[ptr[r]:ptr[r + 1]]``, in
+    canonical order; this is the input layout of the row kernel.
+    """
+
+    rows: np.ndarray
+    order: np.ndarray
+    ptr: np.ndarray
 
 
 class TensorEntry(NamedTuple):
@@ -54,9 +66,16 @@ class SparseTensorStore:
         ptr = self.mode_ptr[mode]
         return self.mode_perm[mode][ptr[row]:ptr[row + 1]]
 
-    def buckets(self, mode: int) -> Iterator[tuple[int, np.ndarray]]:
-        """``(row, bucket positions)`` for every row of ``mode``, in row order."""
-        return ((i, self.bucket(mode, i)) for i in range(self.mode_lengths[mode]))
+    def groups(self, mode: int, rows: np.ndarray | None = None) -> RowGroups:
+        """The buckets of ``rows`` of ``mode`` (default: every row, in order)."""
+        ptr = self.mode_ptr[mode]
+        if rows is None:
+            return RowGroups(np.arange(self.mode_lengths[mode]), self.mode_perm[mode], ptr)
+        rows = np.asarray(rows, dtype=np.int64)
+        sizes = ptr[rows + 1] - ptr[rows]
+        sub_ptr = np.concatenate([[0], np.cumsum(sizes)])
+        at = np.arange(sub_ptr[-1]) + np.repeat(ptr[rows] - sub_ptr[:-1], sizes)
+        return RowGroups(rows, self.mode_perm[mode][at], sub_ptr)
 
     def bucket_sizes(self, mode: int) -> np.ndarray:
         """|Omega^(n)_i| for every row i of ``mode``."""
@@ -222,7 +241,10 @@ def regularization_penalty(
     model: FactorModel, store: SparseTensorStore | None = None,
     regularization: str = "plain",
 ) -> float:
-    """lambda * sum of squared factor norms, plain or row-weighted by |Omega^(n)_i|."""
+    """lambda * sum of squared factor norms, plain or row-weighted by |Omega^(n)_i|.
+
+    lambda is ``model.lam``.
+    """
     if regularization not in ("plain", "weighted"):
         raise ValueError(f"unknown regularization {regularization!r}")
     if regularization == "weighted" and store is None:
@@ -267,7 +289,13 @@ def evaluate(
 def loss(
     model: FactorModel, store: SparseTensorStore, regularization: str = "plain"
 ) -> float:
-    """Squared error over the observed set plus the regularization penalty."""
+    """Squared error over the observed set plus the regularization penalty.
+
+    The penalty's lambda is ``model.lam``; a model with lambda = 0 (such as
+    the ground truth of :func:`sals.generate_synthetic`) scores the bare
+    squared error.  To compare with a run's loss, use a copy of the model
+    carrying the run's lambda.
+    """
     if model.n_modes != store.n_modes:
         raise ValueError("model and store dimensions differ")
     err = store.values - predict_entries(model, store.idx)

@@ -1,4 +1,5 @@
 import csv
+import re
 import subprocess
 import sys
 
@@ -245,6 +246,24 @@ class TestExitCodes:
              "--lambda", "-1", "--out", str(tmp_path / "x")]
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_reports_schedule_position(self, tmp_path, capsys):
+        from sals.cli import EXIT_NUMERIC
+
+        store = random_store(np.random.default_rng(4), (6, 5, 4), 60, value_scale=1e300)
+        write_coo(tmp_path / "huge.coo", store.entries(), CooFileSpec(3, 1))
+        code = main(
+            ["factorize", "--train", str(tmp_path / "huge.coo"), "--alg", "sals",
+             "-K", "2", "-C", "1", "--t-out", "2", "--lambda", "0.1",
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(
+            r"numerical error: Stamp\(outer=1, subset=\d+, inner=0, mode=(\d)\): "
+            r"mode \1, row \d+: non-finite normal equations", err
+        ), err
 
     def test_psgd_rejects_weighted_regularization(self, dataset, tmp_path):
         code = main(

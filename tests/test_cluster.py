@@ -57,8 +57,11 @@ class TestDistribute:
         workers = distribute(store, assignment)
         for m, w in enumerate(workers):
             for n in range(3):
-                for row in assignment.sets[m][n]:
-                    local = w.buckets[n][int(row)]
+                rows, order, ptr = w.groups[n]
+                assert np.array_equal(rows, assignment.sets[m][n])
+                assert ptr[0] == 0 and ptr[-1] == order.size
+                for r, row in enumerate(rows):
+                    local = order[ptr[r]:ptr[r + 1]]
                     assert np.array_equal(w.positions[local], store.bucket(n, int(row)))
 
 

@@ -1,8 +1,10 @@
+import re
 import time
 
 import numpy as np
 import pytest
 
+from sals import solver
 from sals.accounting import SolveStats
 from sals.solver import (
     NormalEq,
@@ -16,6 +18,7 @@ from sals.solver import (
     solve_row,
     update_mode,
     update_residual,
+    update_rows,
 )
 from sals.tensor import (
     FactorModel,
@@ -24,6 +27,7 @@ from sals.tensor import (
     build_store,
     predict_entries,
     regularization_penalty,
+    store_from_arrays,
     verify_residual,
 )
 from conftest import random_model, random_store
@@ -261,6 +265,152 @@ class TestUpdateMode:
         assert skipped == 1  # the empty row
         assert model.matrices[0][1, 0] == 1.0  # retained
         assert model.matrices[0][0, 0] == pytest.approx(2.0 * 3.0 / (9.0 + 0.5))
+
+
+def kernel_store(rng, n_modes):
+    """Store whose mode-0 buckets hold 0, 1, 2, 63, 64, 65 and 80 entries.
+
+    The sizes straddle the kernel's 64-entry threshold between segmented
+    sums and per-row BLAS products; other modes get random bucket sizes.
+    """
+    sizes = [0, 1, 2, 63, 64, 65, 80, 0, 5]
+    if n_modes == 1:
+        sizes = [0, 1, 1, 0, 1]
+    others = {1: (), 2: (81,), 3: (9, 9), 4: (5, 4, 5)}[n_modes]
+    cells = int(np.prod(others))
+    idx = []
+    for row, size in enumerate(sizes):
+        flat = rng.choice(cells, size=size, replace=False)
+        tail = np.stack(np.unravel_index(flat, others), axis=1) if others else np.empty((size, 0))
+        idx.append(np.column_stack([np.full(size, row), tail]))
+    idx = np.concatenate(idx).astype(np.int64)
+    return store_from_arrays(idx, rng.normal(size=len(idx)), (len(sizes), *others))
+
+
+def row_oracle(store, slabs, rhat, mode, row, lam_eff):
+    """(B + lambda' I)^-1 c of one row, from a per-entry G."""
+    pos = store.bucket(mode, row)
+    G = np.ones((pos.size, slabs[mode].shape[1]))
+    for n, slab in enumerate(slabs):
+        if n != mode:
+            G = G * slab[store.idx[pos, n]]
+    A = G.T @ G + lam_eff * np.eye(G.shape[1])
+    return np.linalg.solve(A, G.T @ rhat[pos])
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c_cols", [1, 3, 8])
+    def test_batching_does_not_change_bits(self, monkeypatch, n_modes, c_cols):
+        rng = np.random.default_rng(10 * n_modes + c_cols)
+        store = kernel_store(rng, n_modes)
+        slabs = [rng.normal(size=(length, c_cols)) for length in store.mode_lengths]
+        rhat = rng.normal(size=store.nnz)
+        weighted = c_cols == 3
+
+        def refit(mode, groups):
+            out = [s.copy() for s in slabs]
+            stats = SolveStats()
+            for g in groups:
+                update_rows(out, store.idx, rhat, mode, g, 0.1, weighted, stats)
+            return out[mode], (stats.flops, stats.rows_updated, stats.rows_skipped)
+
+        for mode in range(n_modes):
+            whole, counts = refit(mode, [store.groups(mode)])
+            variants = []
+            for cap in (1, 7, 61):  # one row per batch, then prime caps
+                with monkeypatch.context() as mp:
+                    mp.setattr(solver, "_BATCH_ENTRIES", cap)
+                    variants.append(refit(mode, [store.groups(mode)]))
+            perm = rng.permutation(store.mode_lengths[mode])
+            variants.append(refit(mode, [store.groups(mode, p) for p in np.array_split(perm, 3)]))
+            for got, got_counts in variants:
+                assert np.array_equal(got, whole)
+                assert got_counts == counts
+            for row in range(store.mode_lengths[mode]):
+                lam_eff = 0.1 * store.bucket_sizes(mode)[row] if weighted else 0.1
+                if lam_eff == 0:  # empty bucket under weighted: kept
+                    assert np.array_equal(whole[row], slabs[mode][row])
+                else:
+                    expected = row_oracle(store, slabs, rhat, mode, row, lam_eff)
+                    assert np.allclose(whole[row], expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 1 << 15])
+    def test_singular_rows_keep_values_at_lambda_zero(self, monkeypatch, cap):
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", cap)
+        # mode-1 factor rows seen by the mode-0 rows below
+        other = np.array([[1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [2.0, 3.0]])
+        entries = {
+            0: [],         # empty bucket
+            1: [0],        # g = (1, 2): rank one
+            2: [1],        # g = (1, 0): rank one
+            3: [1, 2],     # B = I
+            4: [0, 3, 4],  # well posed
+            5: [],         # empty bucket
+        }
+        idx = [(row, j) for row, cols in entries.items() for j in cols]
+        store = store_from_arrays(idx, np.arange(1.0, len(idx) + 1.0), (6, 5))
+        for c_cols, singular in ((2, [0, 1, 2, 5]), (1, [0, 5])):
+            slabs = [np.full((6, c_cols), 7.0), other[:, :c_cols].copy()]
+            stats = SolveStats()
+            skipped = update_rows(
+                slabs, store.idx, store.values, 0, store.groups(0), 0.0, False, stats,
+            )
+            assert skipped == stats.rows_skipped == len(singular)
+            assert stats.rows_updated == 6 - len(singular)
+            for row in range(6):
+                if row in singular:
+                    assert (slabs[0][row] == 7.0).all()
+                else:
+                    expected = row_oracle(store, slabs, store.values, 0, row, 0.0)
+                    assert np.allclose(slabs[0][row], expected, rtol=1e-12, atol=1e-12)
+
+    def test_weighted_empty_bucket_skipped(self, rng):
+        store = kernel_store(rng, 3)
+        slabs = [rng.normal(size=(length, 3)) for length in store.mode_lengths]
+        before = slabs[0].copy()
+        rhat = rng.normal(size=store.nnz)
+        stats = SolveStats()
+        skipped = update_rows(slabs, store.idx, rhat, 0, store.groups(0), 0.5, True, stats)
+        empty = np.flatnonzero(store.bucket_sizes(0) == 0)
+        assert skipped == stats.rows_skipped == empty.size == 2
+        assert stats.rows_updated == store.mode_lengths[0] - empty.size
+        assert np.array_equal(slabs[0][empty], before[empty])
+
+    def test_stacked_solve_matches_single_solves(self, rng):
+        half = rng.normal(size=(6, 9, 4))
+        B = np.einsum("rpi,rpj->rij", half, half)
+        B[2] = 0.0  # singular at lambda' = 0
+        c = rng.normal(size=(6, 4))
+        lam = np.array([0.1, 0.0, 0.0, 1.0, 0.0, 0.3])
+        x, ok = solve_row(NormalEq(B, c), lam)
+        assert ok.tolist() == [True, True, False, True, True, True]
+        for r in range(6):
+            one, solved = solve_row(NormalEq(B[r], c[r]), lam[r])
+            assert solved == ok[r] and np.array_equal(one, x[r])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNumericalErrorContext:
+    PATTERN = r"Stamp\(outer=1, subset=\d+, inner=0, mode=(\d)\): mode \1, row \d+: non-finite"
+
+    @pytest.mark.parametrize("path", ["serial", "cluster", "streaming"])
+    def test_overflow_names_stamp_mode_and_row(self, rng, path):
+        from sals import cluster, streaming
+        from sals.partition import greedy_assign
+
+        store = random_store(rng, (6, 5, 4), 60, value_scale=1e300)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=2, lam=0.1, seed=1)
+        if path == "serial":
+            with pytest.raises(ValueError, match=self.PATTERN):
+                factorize(store, params)
+        elif path == "cluster":
+            with pytest.raises(cluster.ClusterError) as info:
+                cluster.run_distributed(store, params, greedy_assign(store, 2))
+            assert re.search(self.PATTERN, str(info.value))
+        else:
+            with pytest.raises(ValueError, match=self.PATTERN):
+                streaming.stream_factorize(store, params)
 
 
 class TestUpdateResidual:

@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,15 @@ class TestStreamFactorize:
         model = run.load_model()
         assert all(np.isfinite(m).all() for m in model.matrices)
         run.cleanup()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_removes_temporary_workdir(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        store = random_store(rng, (6, 5, 4), 60, value_scale=1e300)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=2, lam=0.1, seed=1)
+        with pytest.raises(ValueError, match="non-finite") as info:
+            stream_factorize(store, params)
+        # the traceback keeps the run's frame alive, so garbage collection
+        # has not removed the directory: the run itself must have
+        assert info.value.__traceback__ is not None
+        assert not list(tmp_path.glob("sals-stream-*"))
