@@ -319,6 +319,10 @@ def _cmd_factorize(args) -> int:
 
     save_model(out / "model", model)
     write_convergence_csv(out / "convergence.csv", records)
+    for r in records:
+        if r.loss_rose:
+            print(f"warning: loss rose at outer iteration {r.iteration} "
+                  f"(to {r.loss:.6g})", file=sys.stderr)
     if records:
         last = records[-1]
         line = f"iter {last.iteration}: loss {last.loss:.6g}"

@@ -46,6 +46,7 @@ from .tensor import (
     _test_arrays,
     evaluate,
     subset_products,
+    take_rows,
 )
 
 
@@ -229,7 +230,7 @@ def _worker_loop(ctx: _RunContext, ws: WorkerState) -> None:
         )
         if n_workers > 1:
             owned = ws.groups[n].rows
-            payload = slabs[n][owned]
+            payload = take_rows(slabs[n], owned)
             ctx.bus.broadcast(Message(m, stamp, owned, payload))
             ctx.log.sent[m] += payload.size
             ctx.log.events[m] += 1

@@ -34,6 +34,7 @@ from .tensor import (
     _test_arrays,
     evaluate,
     subset_products,
+    take_rows,
 )
 
 PLAIN = "plain"
@@ -44,6 +45,7 @@ RANDOM_PER_OUTER = "random_per_outer"
 _CHUNK = 1 << 16
 _BATCH_ENTRIES = 1 << 15  # entries a row-kernel batch gathers at once
 _SMALL_BUCKET = 64        # buckets below this size are summed by segments, not BLAS
+_LOSS_RISE_RTOL = 1e-9    # relative rise of the loss between outer iterations that is flagged
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,9 @@ class IterationRecord:
 
     ``seconds`` is solver-loop time since the run started; evaluating the
     loss and test RMSE takes ``eval_seconds`` and is not part of it.
+    ``loss_rose`` marks a subset-ALS loss above the previous outer
+    iteration's by more than 1e-9 relative, which exact updates never give
+    (see :func:`run_schedule`; PSGD records are never flagged).
     """
 
     iteration: int
@@ -102,6 +107,7 @@ class IterationRecord:
     params_received: int = 0
     flops: int = 0
     eval_seconds: float = 0.0
+    loss_rose: bool = False
 
 
 ProgressHook = Callable[[IterationRecord], None]
@@ -218,6 +224,22 @@ def _batches(ptr: np.ndarray, c_cols: int) -> Iterator[tuple[int, int]]:
         r0 = r1
 
 
+def _products(slabs: Sequence[np.ndarray], idx_rows: np.ndarray, mode: int) -> np.ndarray:
+    """G: per entry, the product of every other mode's slab row, as (P, C)."""
+    G: np.ndarray | None = None
+    for n in range(len(slabs)):
+        if n == mode:
+            continue
+        g = take_rows(slabs[n], idx_rows[:, n])
+        if G is None:
+            G = g
+        else:
+            G *= g
+    if G is None:  # 1-dimensional tensor: empty product
+        G = np.ones((idx_rows.shape[0], slabs[mode].shape[1]))
+    return G
+
+
 def normal_eq_arrays(
     slabs: Sequence[np.ndarray],
     idx_rows: np.ndarray,
@@ -238,17 +260,7 @@ def normal_eq_arrays(
     """
     n_modes = len(slabs)
     c_cols = slabs[mode].shape[1]
-    G: np.ndarray | None = None
-    for n in range(n_modes):
-        if n == mode:
-            continue
-        g = slabs[n][idx_rows[:, n]]
-        if G is None:
-            G = g
-        else:
-            G *= g
-    if G is None:  # 1-dimensional tensor: empty product
-        G = np.ones((idx_rows.shape[0], c_cols))
+    G = _products(slabs, idx_rows, mode)
     sizes = np.diff(ptr)
     B = np.zeros((sizes.size, c_cols, c_cols))
     c = np.zeros((sizes.size, c_cols))
@@ -258,7 +270,7 @@ def normal_eq_arrays(
         Gs, rs, starts = G, rhat_vals, ptr[summed]
         if not small.all():  # keep only the small buckets' entries
             keep = np.repeat(small, sizes)
-            Gs, rs = G[keep], rhat_vals[keep]
+            Gs, rs = np.compress(keep, G, axis=0), np.compress(keep, rhat_vals)
             starts = (np.cumsum(sizes * small) - sizes * small)[summed]
         for a in range(c_cols):  # row a of B and, mirrored, column a
             sums = np.add.reduceat(Gs[:, a:a + 1] * Gs[:, a:], starts, axis=0)
@@ -320,13 +332,17 @@ def solve_row(
     A = B.copy()
     diag = np.arange(c_cols)
     A[:, diag, diag] += lam[:, np.newaxis]
-    x = np.zeros_like(c)
     if c_cols == 1:  # the closed-form coordinate update
         ok = A[:, 0, 0] > 0
-        x[ok] = c[ok] / A[ok, 0]
+        solve = lambda L, rhs: rhs / L[:, 0]  # noqa: E731
     else:
-        L, ok = _cholesky(A)
-        x[ok] = _cholesky_solve(L[ok], c[ok])
+        A, ok = _cholesky(A)
+        solve = _cholesky_solve
+    if ok.all():
+        x = solve(A, c)
+    else:  # solve the nonsingular systems only
+        x = np.zeros_like(c)
+        x[ok] = solve(np.compress(ok, A, axis=0), np.compress(ok, c, axis=0))
     if stats is not None:
         stats.flops += c_cols ** 3 * int(ok.sum())
     return x, ok
@@ -387,25 +403,46 @@ def update_rows(
     boundaries.  Each solve reads only the row's own entries and the other
     modes' slabs, so neither the order nor the batching of rows affects the
     values.
+
+    A row whose lambda' is 0 is skipped before factoring when fewer than C
+    of its entries have a nonzero product row g (in particular when its
+    bucket holds fewer than C entries): B = sum g g^T then has rank below
+    C, so it is singular in exact arithmetic whether or not a rounded
+    factorization succeeds.
     """
     rows, order, ptr = groups
     slab = slabs[mode]
+    c_cols = slab.shape[1]
     skipped = 0
-    for r0, r1 in _batches(ptr, slab.shape[1]):
+    for r0, r1 in _batches(ptr, c_cols):
         pos = order[ptr[r0]:ptr[r1]]
         seg = ptr[r0:r1 + 1] - ptr[r0]
-        neq = normal_eq_arrays(slabs, idx[pos], rhat_vals[pos], seg, mode, stats)
-        finite = np.isfinite(neq.B).all(axis=(1, 2)) & np.isfinite(neq.c).all(axis=1)
-        if not finite.all():
+        idx_rows = take_rows(idx, pos)
+        neq = normal_eq_arrays(
+            slabs, idx_rows, take_rows(rhat_vals, pos), seg, mode, stats,
+        )
+        if not (np.isfinite(neq.B).all() and np.isfinite(neq.c).all()):
+            finite = np.isfinite(neq.B).all(axis=(1, 2)) & np.isfinite(neq.c).all(axis=1)
             row = int(rows[r0 + int(np.argmin(finite))])
             raise ValueError(f"mode {mode}, row {row}: non-finite normal equations")
-        x, ok = solve_row(neq, lam * np.diff(seg) if weighted else lam, stats)
-        slab[rows[r0:r1][ok]] = x[ok]
-        n_ok = int(ok.sum())
-        skipped += ok.size - n_ok
+        sizes = np.diff(seg)
+        lam_eff = lam * sizes if weighted else np.full(sizes.size, float(lam))
+        batch = rows[r0:r1]
+        fit = lam_eff > 0
+        if (~fit & (sizes >= c_cols)).any():
+            nonzero = np.cumsum(_products(slabs, idx_rows, mode).any(axis=1))
+            fit |= np.diff(np.concatenate([[0], nonzero])[seg]) >= c_cols
+        if not fit.all():
+            neq, lam_eff, batch = NormalEq(neq.B[fit], neq.c[fit]), lam_eff[fit], batch[fit]
+        x, ok = solve_row(neq, lam_eff, stats)
+        if not ok.all():
+            x, batch = np.compress(ok, x, axis=0), np.compress(ok, batch)
+        slab[batch] = x
+        n_ok = batch.size
+        skipped += (r1 - r0) - n_ok
         if stats is not None:
             stats.rows_updated += n_ok
-            stats.rows_skipped += ok.size - n_ok
+            stats.rows_skipped += (r1 - r0) - n_ok
     return skipped
 
 
@@ -466,9 +503,21 @@ def run_schedule(
     and returns the active slabs, ``refit(slabs, stamp)`` refits mode
     ``stamp.mode`` (T_in sweeps over all modes), and ``write_back(columns,
     slabs)`` stores the slabs and restores the residual.  ``close(outer)``
-    ends each outer iteration (see :func:`close_iteration`).
+    ends each outer iteration (see :func:`close_iteration`); a record whose
+    loss rose over the previous record's gets ``loss_rose`` set.
     """
     _, order_rng = rng_streams(params.seed)
+    last_loss = None
+
+    def close_flagged(it):
+        nonlocal last_loss
+        record = close(it)
+        if record is not None:
+            if last_loss is not None:
+                record.loss_rose = record.loss - last_loss > _LOSS_RISE_RTOL * abs(last_loss)
+            last_loss = record.loss
+        return record
+
     t0 = time.perf_counter()
     for it in range(1, params.outer_iters + 1):
         for si, columns in enumerate(choose_columns(params, order_rng)):
@@ -481,7 +530,7 @@ def run_schedule(
                     except (ValueError, ArithmeticError) as exc:
                         raise type(exc)(f"{stamp}: {exc}") from exc
             write_back(columns, slabs)
-        t0 = close_iteration(t0, it, close, on_iteration)
+        t0 = close_iteration(t0, it, close_flagged, on_iteration)
 
 
 def factorize(

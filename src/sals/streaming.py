@@ -181,7 +181,10 @@ def _update_mode_streaming(
         heads = np.flatnonzero(np.diff(rows, prepend=-1))
         seen[rows[heads]] = True
         groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end))
-        update_rows(slabs, idx, values, mode, groups, lam, weighted, stats)
+        # A chunk read from the cache is a strided view; the kernel's row
+        # gathers want contiguous sources (see take_rows).
+        update_rows(slabs, np.ascontiguousarray(idx[:end]), np.ascontiguousarray(values[:end]),
+                    mode, groups, lam, weighted, stats)
 
     def visit(idx, values, carry):
         if carry is not None:

@@ -207,6 +207,20 @@ class ResidualState:
     columns: tuple[int, ...] | None = None
 
 
+def take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``a[index]`` along the first axis, as a new array.
+
+    Every row gather on the solver paths goes through here.  numpy's fancy
+    indexing of a 2-D array by rows takes a generic path several times
+    slower than ``np.take`` on a contiguous index; on a strided index (a
+    column of an index matrix) ``np.take`` is slower than fancy indexing,
+    so the index is made contiguous first.  ``a`` should be contiguous too:
+    ``np.take`` copies a strided ``a`` whole before gathering.  Out-of-range
+    indices raise ``IndexError`` as with fancy indexing.
+    """
+    return np.take(a, np.ascontiguousarray(index), axis=0)
+
+
 def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
     """Sum over the subset columns of the full mode product, per entry.
 
@@ -214,9 +228,9 @@ def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
     columns.  Products multiply modes left to right so every execution path
     produces identical floating-point results.
     """
-    prod = slabs[0][idx[:, 0]]  # fancy indexing copies, safe to mutate
+    prod = take_rows(slabs[0], idx[:, 0])  # a gather copies, safe to mutate
     for n in range(1, len(slabs)):
-        prod *= slabs[n][idx[:, n]]
+        prod *= take_rows(slabs[n], idx[:, n])
     return prod.sum(axis=1)
 
 

@@ -88,6 +88,19 @@ class TestFactorize:
         assert header == "iteration,seconds,loss,rmse,sent,received,flops,eval_seconds"
         assert all(float(r["eval_seconds"]) > 0 for r in read_csv(out / "convergence.csv"))
 
+    def test_loss_rise_warns_naming_the_iteration(self, dataset, tmp_path, capsys, monkeypatch):
+        from sals import solver
+
+        args = ["factorize", "--train", str(dataset / "train.coo"), "--alg", "sals",
+                "-K", "2", "--t-out", "3", "--out", str(tmp_path / "run")]
+        assert main(args) == 0
+        assert "loss rose" not in capsys.readouterr().err
+        losses = iter([3.0, 2.0, 2.5])
+        monkeypatch.setattr(solver, "evaluate", lambda *a: (next(losses), None))
+        assert main(args) == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if "loss rose" in l]
+        assert warnings == ["warning: loss rose at outer iteration 3 (to 2.5)"]
+
     def test_streaming_matches_in_memory_model_files(self, dataset, tmp_path):
         common = [
             "factorize", "--train", str(dataset / "train.coo"),

@@ -7,10 +7,12 @@ from sals.tensor import (
     TensorEntry,
     build_store,
     loss,
+    predict_entries,
     reconstruct,
     regularization_penalty,
     rmse,
     store_from_arrays,
+    take_rows,
     verify_residual,
 )
 from conftest import random_model, random_store
@@ -86,6 +88,50 @@ class TestBuildStore:
         again = build_store(store.entries(), store.mode_lengths)
         assert np.array_equal(again.idx, store.idx)
         assert np.array_equal(again.values, store.values)
+
+
+class TestTakeRows:
+    @pytest.mark.parametrize("c_cols", [1, 2, 4, 8])
+    def test_bitwise_equal_to_fancy_indexing(self, rng, c_cols):
+        n_modes = 3
+        table = rng.normal(size=(50, c_cols))
+        idx = rng.integers(0, 50, size=(300, n_modes))
+        # a cache chunk: index columns and values interleaved per record
+        rec = np.empty((300, n_modes + 1), dtype=np.int64)
+        rec[:, :n_modes] = idx
+        chunk = rec[:, :n_modes]
+        cases = [
+            (table, np.ascontiguousarray(idx[:, 1])),  # contiguous index
+            (table, idx[:, 1]),                        # strided index column
+            (table, chunk[:, 2]),                      # column of a chunk view
+            (table, np.empty(0, dtype=np.int64)),      # empty index
+            (table, -idx[:, 0] - 1),                   # negative indices
+            (chunk, rng.permutation(300)[:120]),       # rows of a strided source
+            (table[:, 0], idx[:, 0]),                  # one-dimensional source
+        ]
+        for a, index in cases:
+            got = take_rows(a, index)
+            want = a[index]
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous and not np.shares_memory(got, a)
+
+    def test_out_of_range_raises_index_error(self, rng):
+        table = rng.normal(size=(5, 3))
+        for bad in ([0, 5], [-6]):
+            with pytest.raises(IndexError):
+                table[np.array(bad)]
+            with pytest.raises(IndexError):
+                take_rows(table, np.array(bad))
+
+    def test_predict_entries_past_mode_length_raises(self, rng):
+        store = random_store(rng, (4, 5, 6), 30)
+        model = random_model(rng, store, rank=2)
+        for n in range(3):
+            idx = np.zeros((3, 3), dtype=np.int64)
+            idx[1, n] = store.mode_lengths[n]
+            with pytest.raises(IndexError):
+                predict_entries(model, idx)
 
 
 class TestReconstruct:
