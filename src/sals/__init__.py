@@ -57,10 +57,12 @@ from .solver import (
 )
 from .streaming import ColumnStore, StreamingRun, stream_factorize
 from .tensor import (
+    Coo,
     FactorModel,
     ResidualState,
     SparseTensorStore,
     TensorEntry,
+    as_coo,
     build_store,
     loss,
     reconstruct,
@@ -78,6 +80,7 @@ __all__ = [
     "ClusterError",
     "ColumnStore",
     "CommLog",
+    "Coo",
     "CooFileSpec",
     "DataFormatError",
     "FactorModel",
@@ -94,6 +97,7 @@ __all__ = [
     "StreamingRun",
     "TensorEntry",
     "WorkerState",
+    "as_coo",
     "assign",
     "build_normal_eq",
     "build_store",

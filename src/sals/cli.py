@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cluster, dataio, partition, sgd, solver, streaming
 from .accounting import SolveStats
-from .tensor import FactorModel, build_store, rmse
+from .tensor import Coo, FactorModel, build_store, rmse
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,8 +37,8 @@ def save_model(directory, model: FactorModel) -> None:
     for n, mat in enumerate(model.matrices):
         with open(directory / f"factor_{n + 1}.txt", "w", encoding="utf-8") as fh:
             fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            for row in mat.tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_model(directory) -> FactorModel:
@@ -97,14 +97,23 @@ def _sniff_n_modes(path) -> int:
     raise dataio.DataFormatError(f"{path}: empty file, cannot infer dimension")
 
 
-def _load_store(path, index_base: int, n_modes: int | None, lengths=None):
+def _load_store(path, index_base: int, n_modes: int | None):
     if n_modes is None:
         n_modes = _sniff_n_modes(path)
-    spec = dataio.CooFileSpec(n_modes, index_base)
-    entries, inferred = dataio.read_coo(path, spec)
-    if lengths is None:
-        lengths = inferred
-    return build_store(entries, lengths), spec
+    data, lengths = dataio.read_coo(path, dataio.CooFileSpec(n_modes, index_base))
+    return build_store(data, lengths)
+
+
+def _read_test(path, index_base: int, lengths) -> Coo:
+    """A test file's cells; every index must fall inside the model's ``lengths``."""
+    data, maxima = dataio.read_coo(path, dataio.CooFileSpec(len(lengths), index_base))
+    for n, (top, length) in enumerate(zip(maxima, lengths)):
+        if top > length:
+            raise dataio.DataFormatError(
+                f"{path}: mode {n + 1} index {top - 1 + index_base} outside the "
+                f"model's {length} rows"
+            )
+    return data
 
 
 def _read_config(path) -> dict[str, str]:
@@ -137,32 +146,37 @@ _DEFAULTS = {
     "index_base": 1,
 }
 
-_CASTS = {
-    "k": int, "c": int, "t_in": int, "t_out": int, "lam": float, "eta0": float,
-    "m": int, "seed": int, "index_base": int, "n_modes": int,
-    "nnz": int, "k_true": int, "noise": float, "test_fraction": float,
-}
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """``raw`` checked by its flag's own type and choices, as on the command line."""
+    try:
+        value = raw if action.type is None else action.type(raw)
+    except (TypeError, ValueError):
+        raise UsageError(f"config key {key!r}: invalid value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r}: {raw!r} is not one of {list(action.choices)}")
+    return value
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _merge_config(args: argparse.Namespace, command: argparse.ArgumentParser):
+    """Fill unset flags from ``--config`` (checked like the flags), then defaults."""
     if getattr(args, "config", None):
+        actions = {a.dest: a for a in command._actions if a.dest != "help"}
         conf = _read_config(args.config)
         for key, raw in conf.items():
             attr = key.replace("-", "_")
             if attr == "lambda":
                 attr = "lam"
-            if not hasattr(args, attr):
+            if attr not in actions:
                 raise UsageError(f"config key {key!r} is not a recognized option")
             if getattr(args, attr) is None:
-                cast = _CASTS.get(attr, str)
-                setattr(args, attr, cast(raw))
+                setattr(args, attr, _config_value(actions[attr], key, raw))
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)
     return args
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="sals", description="Sparse tensor factorization toolkit."
     )
@@ -217,21 +231,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=None)
     ev.add_argument("--n-modes", dest="n_modes", type=int, default=None)
     ev.add_argument("--config", default=None)
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_generate(args) -> int:
     lengths = tuple(int(s) for s in str(args.lengths).split(","))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_store, test_entries, truth = dataio.generate_synthetic(
+    train_store, test, truth = dataio.generate_synthetic(
         lengths, args.nnz, args.k_true, args.noise, args.test_fraction, args.seed
     )
     spec = dataio.CooFileSpec(len(lengths), args.index_base)
-    dataio.write_coo(out / "train.coo", train_store.entries(), spec)
-    dataio.write_coo(out / "test.coo", test_entries, spec)
+    dataio.write_coo(out / "train.coo", Coo(train_store.idx, train_store.values), spec)
+    dataio.write_coo(out / "test.coo", test, spec)
     save_model(out / "truth", truth)
-    print(f"wrote {train_store.nnz} train / {len(test_entries)} test entries to {out}")
+    print(f"wrote {train_store.nnz} train / {test.values.size} test entries to {out}")
     return EXIT_OK
 
 
@@ -268,12 +282,10 @@ def _cmd_factorize(args) -> int:
         raise UsageError("--out is required")
     if args.mode == "streaming" and args.m != 1:
         raise UsageError("--mode streaming supports only -M 1")
-    store, _ = _load_store(args.train, args.index_base, args.n_modes)
+    store = _load_store(args.train, args.index_base, args.n_modes)
     test_entries = None
     if args.test is not None:
-        test_entries, _ = dataio.read_coo(
-            args.test, dataio.CooFileSpec(store.n_modes, args.index_base)
-        )
+        test_entries = _read_test(args.test, args.index_base, store.mode_lengths)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -340,7 +352,7 @@ def _report_skips(stats) -> None:
 def _cmd_partition_stats(args) -> int:
     if args.train is None:
         raise UsageError("--train is required")
-    store, _ = _load_store(args.train, args.index_base, args.n_modes)
+    store = _load_store(args.train, args.index_base, args.n_modes)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -359,20 +371,19 @@ def _cmd_evaluate(args) -> int:
     if args.test is None:
         raise UsageError("--test is required")
     model = load_model(args.model)
-    n_modes = model.n_modes
-    entries, _ = dataio.read_coo(args.test, dataio.CooFileSpec(n_modes, args.index_base))
-    if not entries:
+    test = _read_test(args.test, args.index_base, [m.shape[0] for m in model.matrices])
+    if test.values.size == 0:
         raise dataio.DataFormatError(f"{args.test}: empty test file")
-    value = rmse(model, entries)
+    value = rmse(model, test)
     print(f"RMSE {value!r}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, commands[args.command])
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "factorize":

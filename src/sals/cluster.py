@@ -40,10 +40,11 @@ from .solver import (
     update_rows,
 )
 from .tensor import (
+    Coo,
     FactorModel,
     RowGroups,
     SparseTensorStore,
-    _test_arrays,
+    as_coo,
     evaluate,
     subset_products,
     take_rows,
@@ -194,7 +195,7 @@ class _RunContext:
     bus: _Bus
     log: CommLog
     worker_stats: list[SolveStats]
-    test: tuple[np.ndarray, np.ndarray] | None
+    test: Coo | None
     on_iteration: ProgressHook | None
     check_replicas: bool
     fault_hook: Callable[[int, Stamp], None] | None
@@ -274,7 +275,7 @@ def _worker_loop(ctx: _RunContext, ws: WorkerState) -> None:
         barrier.wait()  # bookkeeping done; next iteration may start
         return record
 
-    run_schedule(params, n_modes, augment, refit, write_back, close, ctx.on_iteration)
+    run_schedule(params, ctx.store, augment, refit, write_back, close, ctx.on_iteration)
 
 
 def _worker_main(ctx: _RunContext, ws: WorkerState) -> None:
@@ -317,7 +318,8 @@ def run_distributed(
         bus=_Bus(n_workers),
         log=log,
         worker_stats=[SolveStats() for _ in range(n_workers)],
-        test=_test_arrays(test_entries),
+        test=None if test_entries is None else as_coo(
+            test_entries, store.n_modes, store.mode_lengths),
         on_iteration=on_iteration,
         check_replicas=check_replicas,
         fault_hook=fault_hook,

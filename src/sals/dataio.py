@@ -15,14 +15,16 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .tensor import (
+    Coo,
     FactorModel,
     SparseTensorStore,
     TensorEntry,
+    as_coo,
     predict_entries,
     store_from_arrays,
 )
@@ -46,10 +48,31 @@ class CooFileSpec:
             raise ValueError("index_base must be 0 or 1")
 
 
-def read_coo(path, spec: CooFileSpec) -> tuple[list[TensorEntry], tuple[int, ...]]:
-    """Parse a COO file; returns 1-based entries and inferred mode lengths."""
-    entries: list[TensorEntry] = []
-    maxima = [0] * spec.n_modes
+def read_coo(path, spec: CooFileSpec) -> tuple[Coo, tuple[int, ...]]:
+    """Parse a COO file; returns its cells as a :class:`Coo` and inferred mode lengths.
+
+    One ``np.loadtxt`` call parses the file.  When that call fails, or its
+    result holds an index below the base or a non-finite value, the
+    line-by-line reference parser reads the file again and decides the
+    result, so every error names its line.
+    """
+    dtype = [("i", "<i8", (spec.n_modes,)), ("v", "<f8")]
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rec = np.loadtxt(path, dtype=dtype, comments=None, encoding="utf-8", ndmin=1)
+    except (ValueError, OSError):
+        rec = None
+    if rec is None or (rec["i"] < spec.index_base).any() or not np.isfinite(rec["v"]).all():
+        idx, values = _read_coo_lines(path, spec)
+    else:
+        idx, values = rec["i"] - spec.index_base, np.ascontiguousarray(rec["v"])
+    return Coo(idx, values), tuple(int(m) + 1 for m in idx.max(axis=0, initial=-1))
+
+
+def _read_coo_lines(path, spec: CooFileSpec) -> Coo:
+    """Reference parser of :func:`read_coo`, one line at a time, and its error path."""
+    rows, vals = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -66,26 +89,23 @@ def read_coo(path, spec: CooFileSpec) -> tuple[list[TensorEntry], tuple[int, ...
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             if not np.isfinite(value):
                 raise DataFormatError(f"{path}:{lineno}: non-finite value {parts[-1]}")
-            indices = []
             for n, r in enumerate(raw):
                 if r < spec.index_base:
                     raise DataFormatError(
                         f"{path}:{lineno}: mode {n + 1} index {r} below base {spec.index_base}"
                     )
-                indices.append(r - spec.index_base + 1)
-            for n, i in enumerate(indices):
-                if i > maxima[n]:
-                    maxima[n] = i
-            entries.append(TensorEntry(tuple(indices), value))
-    return entries, tuple(maxima)
+            rows.append(raw)
+            vals.append(value)
+    idx = np.asarray(rows, dtype=np.int64).reshape(-1, spec.n_modes) - spec.index_base
+    return Coo(idx, np.asarray(vals, dtype=np.float64))
 
 
-def write_coo(path, entries: Sequence[TensorEntry], spec: CooFileSpec) -> None:
-    """Write entries in the COO text format (shortest round-trip floats)."""
+def write_coo(path, data: Coo | Iterable[TensorEntry], spec: CooFileSpec) -> None:
+    """Write cells (see :func:`sals.tensor.as_coo`) as COO text, shortest round-trip floats."""
+    idx, values = as_coo(data, spec.n_modes)
+    line = "{} " * spec.n_modes + "{!r}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            cols = [str(i - 1 + spec.index_base) for i in entry.indices]
-            fh.write(" ".join(cols) + f" {entry.value!r}\n")
+        fh.writelines(map(line.format, *(idx + spec.index_base).T.tolist(), values.tolist()))
 
 
 DESK_SCALE_VALUES = 50_000_000
@@ -167,11 +187,11 @@ def generate_synthetic(
     noise_sigma: float = 0.0,
     test_fraction: float = 0.0,
     seed: int = 0,
-) -> tuple[SparseTensorStore, list[TensorEntry], FactorModel]:
+) -> tuple[SparseTensorStore, Coo, FactorModel]:
     """Sample a low-rank tensor with Gaussian noise and a train/test split.
 
     Ground-truth factors are uniform [0,1); the observed set is sampled
-    uniformly without replacement.  Returns (train store, test entries,
+    uniformly without replacement.  Returns (train store, test cells,
     ground-truth model); everything is a pure function of the seed.  The
     ground-truth model has ``lam = 0``, so :func:`sals.loss` of it is the
     bare squared error; rebuild it with a run's lambda to compare losses.
@@ -197,11 +217,7 @@ def generate_synthetic(
     test_mask = np.zeros(nnz, dtype=bool)
     test_mask[test_pos] = True
     train_store = store_from_arrays(idx[~test_mask], values[~test_mask], plan.mode_lengths)
-    test_entries = [
-        TensorEntry(tuple(int(i) + 1 for i in row), float(v))
-        for row, v in zip(idx[test_mask], values[test_mask])
-    ]
-    return train_store, test_entries, truth
+    return train_store, Coo(idx[test_mask], values[test_mask]), truth
 
 
 def generate_zipf(

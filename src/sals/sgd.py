@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .solver import PLAIN, IterationRecord, ProgressHook, close_iteration
-from .tensor import FactorModel, SparseTensorStore, _test_arrays, evaluate, predict_entries
+from .tensor import FactorModel, SparseTensorStore, as_coo, evaluate, predict_entries
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,8 @@ def factorize_psgd(
 ) -> FactorModel:
     """Run T_out averaged epochs from a random initialization."""
     model = init_sgd_model(store, params)
-    test = _test_arrays(test_entries)
+    test = None if test_entries is None else as_coo(
+        test_entries, store.n_modes, store.mode_lengths)
 
     def close(epoch):
         if on_iteration is None:

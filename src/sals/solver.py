@@ -31,7 +31,7 @@ from .tensor import (
     ResidualState,
     RowGroups,
     SparseTensorStore,
-    _test_arrays,
+    as_coo,
     evaluate,
     subset_products,
     take_rows,
@@ -95,8 +95,9 @@ class IterationRecord:
     ``seconds`` is solver-loop time since the run started; evaluating the
     loss and test RMSE takes ``eval_seconds`` and is not part of it.
     ``loss_rose`` marks a subset-ALS loss above the previous outer
-    iteration's by more than 1e-9 relative, which exact updates never give
-    (see :func:`run_schedule`; PSGD records are never flagged).
+    iteration's by more than 1e-9 relative and more than eps * ||x||^2 (the
+    data's rounding level), which exact updates never give (see
+    :func:`run_schedule`; PSGD records are never flagged).
     """
 
     iteration: int
@@ -490,7 +491,7 @@ def close_iteration(
 
 def run_schedule(
     params: SolverParams,
-    n_modes: int,
+    store: SparseTensorStore,
     augment: Callable[[np.ndarray], list[np.ndarray]],
     refit: Callable[[list[np.ndarray], Stamp], None],
     write_back: Callable[[np.ndarray, list[np.ndarray]], None],
@@ -508,13 +509,15 @@ def run_schedule(
     """
     _, order_rng = rng_streams(params.seed)
     last_loss = None
+    rounding = np.finfo(np.float64).eps * float(store.values @ store.values)
 
     def close_flagged(it):
         nonlocal last_loss
         record = close(it)
         if record is not None:
             if last_loss is not None:
-                record.loss_rose = record.loss - last_loss > _LOSS_RISE_RTOL * abs(last_loss)
+                rise = record.loss - last_loss
+                record.loss_rose = rise > max(_LOSS_RISE_RTOL * abs(last_loss), rounding)
             last_loss = record.loss
         return record
 
@@ -523,7 +526,7 @@ def run_schedule(
         for si, columns in enumerate(choose_columns(params, order_rng)):
             slabs = augment(columns)
             for inner in range(params.inner_iters):
-                for n in range(n_modes):
+                for n in range(store.n_modes):
                     stamp = Stamp(it, si, inner, n)
                     try:
                         refit(slabs, stamp)
@@ -550,7 +553,8 @@ def factorize(
     """
     model, residual = init_model(store, params)
     vals = residual.values
-    test = _test_arrays(test_entries)
+    test = None if test_entries is None else as_coo(
+        test_entries, store.n_modes, store.mode_lengths)
     stats = stats if stats is not None else SolveStats()
     weighted = params.regularization == WEIGHTED
     flops_mark = stats.flops
@@ -585,7 +589,7 @@ def factorize(
         flops_mark = stats.flops
         return record
 
-    run_schedule(params, store.n_modes, augment, refit, write_back, close, on_iteration)
+    run_schedule(params, store, augment, refit, write_back, close, on_iteration)
     return model
 
 

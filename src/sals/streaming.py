@@ -40,7 +40,7 @@ from .tensor import (
     FactorModel,
     RowGroups,
     SparseTensorStore,
-    _test_arrays,
+    as_coo,
     evaluate,
     subset_products,
 )
@@ -238,7 +238,8 @@ def stream_factorize(
         manifest = CacheManifest.create(workdir / "cache", store.n_modes)
         write_residual_caches(store, manifest, worker=0, chunk_records=chunk_records)
 
-        test = _test_arrays(test_entries)
+        test = None if test_entries is None else as_coo(
+            test_entries, store.n_modes, store.mode_lengths)
         weighted = params.regularization == WEIGHTED
         run = StreamingRun(workdir, colstore, params.lam, 0, stats, _tmp=tmp)
 
@@ -272,7 +273,7 @@ def stream_factorize(
             )))
             return run.records[-1]
 
-        run_schedule(params, store.n_modes, augment, refit, write_back, close, on_iteration)
+        run_schedule(params, store, augment, refit, write_back, close, on_iteration)
     except BaseException:
         if tmp is not None:  # a failed run leaves no scratch files behind
             tmp.cleanup()

@@ -3,10 +3,11 @@
 An N-dimensional partially observed tensor is kept in coordinate form: one
 shared entry list (sorted lexicographically by index tuple, the *canonical
 order*) plus, for every mode, a grouped index that lists the positions of
-each row's entries.  All mode/row/column indices are 0-based inside the
-library; the only 1-based surface is :class:`TensorEntry`, which mirrors
-the conventional notation used in data files.  :func:`evaluate` is the one
-loss and RMSE evaluator of every solver path.
+each row's entries.  Observed cells travel as one :class:`Coo` of 0-based
+arrays from file to store, test set and evaluator; the only 1-based surface
+is :class:`TensorEntry`, the notation of data files, which :func:`as_coo`
+converts.  :func:`evaluate` is the one loss and RMSE evaluator of every
+solver path.
 """
 from __future__ import annotations
 
@@ -33,6 +34,55 @@ class TensorEntry(NamedTuple):
 
     indices: tuple[int, ...]
     value: float
+
+
+class Coo(NamedTuple):
+    """Observed cells as arrays: 0-based (nnz, N) int64 indices, float64 values."""
+
+    idx: np.ndarray
+    values: np.ndarray
+
+
+def _check_range(idx: np.ndarray, mode_lengths: Sequence[int], what: str = "entry") -> None:
+    for n, length in enumerate(mode_lengths):
+        bad = np.flatnonzero((idx[:, n] < 0) | (idx[:, n] >= length))
+        if bad.size:
+            p = int(bad[0])
+            raise ValueError(
+                f"{what} {p}: mode {n} index {int(idx[p, n]) + 1} outside [1, {length}]"
+            )
+
+
+def as_coo(
+    data: Coo | Iterable[TensorEntry], n_modes: int,
+    mode_lengths: Sequence[int] | None = None,
+) -> Coo:
+    """Observed cells as a :class:`Coo`.
+
+    ``data`` is a :class:`Coo`, passed through, or an iterable of 1-based
+    :class:`TensorEntry` records.  A test set gives its model's
+    ``mode_lengths``: it must then be nonempty and every index in range.
+    """
+    if isinstance(data, Coo):
+        coo = data
+        if coo.idx.ndim != 2 or coo.idx.shape[1] != n_modes:
+            raise ValueError(f"expected (nnz, {n_modes}) indices, got {coo.idx.shape}")
+    else:
+        rows, vals = [], []
+        for p, entry in enumerate(data):
+            if len(entry.indices) != n_modes:
+                raise ValueError(
+                    f"entry {p}: expected {n_modes} indices, got {len(entry.indices)}"
+                )
+            rows.append(entry.indices)
+            vals.append(entry.value)
+        idx = np.asarray(rows, dtype=np.int64).reshape(-1, n_modes) - 1
+        coo = Coo(idx, np.asarray(vals, dtype=np.float64))
+    if mode_lengths is not None:
+        if coo.values.size == 0:
+            raise ValueError("empty test set")
+        _check_range(coo.idx, mode_lengths, "test entry")
+    return coo
 
 
 @dataclass(frozen=True)
@@ -116,14 +166,7 @@ def store_from_arrays(
     if bad.size:
         p = int(bad[0])
         raise ValueError(f"entry {p}: value {values[p]} is not finite")
-
-    for n, length in enumerate(mode_lengths):
-        bad = np.flatnonzero((idx[:, n] < 0) | (idx[:, n] >= length))
-        if bad.size:
-            p = int(bad[0])
-            raise ValueError(
-                f"entry {p}: mode {n} index {int(idx[p, n]) + 1} outside [1, {length}]"
-            )
+    _check_range(idx, mode_lengths)
 
     if idx.shape[0]:
         order = np.lexsort(tuple(idx[:, n] for n in range(n_modes - 1, -1, -1)))
@@ -143,23 +186,11 @@ def store_from_arrays(
 
 
 def build_store(
-    entries: Iterable[TensorEntry], mode_lengths: Sequence[int]
+    data: Coo | Iterable[TensorEntry], mode_lengths: Sequence[int]
 ) -> SparseTensorStore:
-    """Build a :class:`SparseTensorStore` from 1-based entries."""
-    mode_lengths = tuple(int(length) for length in mode_lengths)
-    n_modes = len(mode_lengths)
-    rows = []
-    vals = []
-    for p, entry in enumerate(entries):
-        if len(entry.indices) != n_modes:
-            raise ValueError(
-                f"entry {p}: expected {n_modes} indices, got {len(entry.indices)}"
-            )
-        rows.append(entry.indices)
-        vals.append(entry.value)
-    idx = np.asarray(rows, dtype=np.int64).reshape(-1, n_modes) - 1
-    values = np.asarray(vals, dtype=np.float64)
-    return store_from_arrays(idx, values, mode_lengths)
+    """Build a :class:`SparseTensorStore` from observed cells (see :func:`as_coo`)."""
+    coo = as_coo(data, len(mode_lengths))
+    return store_from_arrays(coo.idx, coo.values, mode_lengths)
 
 
 @dataclass
@@ -272,7 +303,7 @@ def evaluate(
     store: SparseTensorStore | None,
     lam: float,
     regularization: str,
-    test: tuple[np.ndarray, np.ndarray] | None,
+    test: Coo | None,
 ) -> tuple[float, float | None]:
     """Regularized loss and test RMSE of a model given as column blocks.
 
@@ -283,7 +314,7 @@ def evaluate(
     ``store`` supplies the row counts of weighted regularization.
     """
     penalty = 0.0
-    pred = None if test is None else np.zeros(test[1].size)
+    pred = None if test is None else np.zeros(test.values.size)
     for slabs in blocks:
         for n, slab in enumerate(slabs):
             sq = slab * slab
@@ -292,11 +323,11 @@ def evaluate(
             else:
                 penalty += float(sq.sum())
         if pred is not None:
-            pred += subset_products(slabs, test[0])
+            pred += subset_products(slabs, test.idx)
     total = resid_sq + lam * penalty
     if test is None:
         return total, None
-    err = test[1] - pred
+    err = test.values - pred
     return total, float(np.sqrt((err @ err) / err.size))
 
 
@@ -316,19 +347,9 @@ def loss(
     return float(err @ err) + regularization_penalty(model, store, regularization)
 
 
-def _test_arrays(test_entries) -> tuple[np.ndarray, np.ndarray] | None:
-    if test_entries is None:
-        return None
-    if len(test_entries) == 0:
-        raise ValueError("empty test set")
-    idx = np.asarray([e.indices for e in test_entries], dtype=np.int64) - 1
-    vals = np.asarray([e.value for e in test_entries], dtype=np.float64)
-    return idx, vals
-
-
-def rmse(model: FactorModel, test_entries: Sequence[TensorEntry]) -> float:
-    """Root mean square error of the model on held-out entries."""
-    idx, vals = _test_arrays(test_entries)
+def rmse(model: FactorModel, test: Coo | Sequence[TensorEntry]) -> float:
+    """Root mean square error of the model on held-out cells (see :func:`as_coo`)."""
+    idx, vals = as_coo(test, model.n_modes, [m.shape[0] for m in model.matrices])
     err = vals - predict_entries(model, idx)
     return float(np.sqrt((err @ err) / err.size))
 

@@ -212,6 +212,65 @@ class TestFactorize:
         assert code == EXIT_USAGE
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("line", [
+        "alg=foo", "mode=bogus", "k=abc", "lam=x", "lambda=x", "reg=foo",
+        "index_base=2", "assign=bogus", "t-out=1.5",
+    ])
+    def test_bad_value_is_usage_error_naming_the_key(self, dataset, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        code = main(
+            ["factorize", "--config", str(conf),
+             "--train", str(dataset / "train.coo"), "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_USAGE
+        key = line.split("=")[0]
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_values_are_typed_like_flags(self, tmp_path):
+        conf = tmp_path / "gen.conf"
+        conf.write_text("seed=5\nindex_base=0\nnoise=0.5\n")
+        out = tmp_path / "g"
+        assert main(
+            ["generate", "--config", str(conf), "--out", str(out),
+             "--lengths", "4,4", "--nnz", "6"]
+        ) == 0
+        rows = [line.split() for line in (out / "train.coo").read_text().splitlines()]
+        assert min(int(r[0]) for r in rows) >= 0 and max(int(r[0]) for r in rows) <= 3
+
+
+class TestTestFileRange:
+    # train: a 2 x 2 matrix; the test cell (3, 1) lies outside it
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "train.coo").write_text("1 1 1.0\n2 2 2.0\n1 2 0.5\n2 1 0.25\n")
+        (tmp_path / "test.coo").write_text("3 1 1.0\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--mode", "streaming"], ["-M", "2"], ["--alg", "psgd"],
+    ])
+    def test_factorize_rejects_before_solving(self, files, capsys, extra):
+        code = main(
+            ["factorize", "--train", str(files / "train.coo"),
+             "--test", str(files / "test.coo"),
+             "-K", "2", "--t-out", "2", "--out", str(files / "out"), *extra]
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "test.coo: mode 1 index 3 outside the model's 2 rows" in err
+        assert not (files / "out" / "convergence.csv").exists()
+
+    def test_evaluate_rejects(self, files, capsys):
+        save_model(files / "model", FactorModel(1, 0.0, [np.ones((2, 1)), np.ones((2, 1))]))
+        code = main(
+            ["evaluate", "--model", str(files / "model"), "--test", str(files / "test.coo")]
+        )
+        assert code == EXIT_IO
+        assert "test.coo: mode 1 index 3 outside the model's 2 rows" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_perfect_model_scores_zero(self, rng, tmp_path):
         store = random_store(rng, (6, 5), 20)

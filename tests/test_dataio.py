@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sals.dataio import (
     CacheError,
@@ -18,7 +20,8 @@ from sals.dataio import (
     write_coo,
     write_residual_caches,
 )
-from sals.tensor import TensorEntry, build_store, predict_entries
+from sals.dataio import _read_coo_lines
+from sals.tensor import build_store, predict_entries
 from conftest import random_store
 
 
@@ -26,24 +29,25 @@ class TestCooFiles:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "t.coo"
         path.write_text("1 1 5.0\n2 2 3.0\n")
-        entries, lengths = read_coo(path, CooFileSpec(2, 1))
-        assert entries == [TensorEntry((1, 1), 5.0), TensorEntry((2, 2), 3.0)]
+        (idx, values), lengths = read_coo(path, CooFileSpec(2, 1))
+        assert idx.tolist() == [[0, 0], [1, 1]] and idx.dtype == np.int64
+        assert values.tolist() == [5.0, 3.0] and values.dtype == np.float64
         assert lengths == (2, 2)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.coo"
         path.write_text("")
-        entries, lengths = read_coo(path, CooFileSpec(3, 1))
-        assert entries == [] and lengths == (0, 0, 0)
+        (idx, values), lengths = read_coo(path, CooFileSpec(3, 1))
+        assert idx.shape == (0, 3) and values.shape == (0,) and lengths == (0, 0, 0)
 
     def test_round_trip(self, rng, tmp_path):
         store = random_store(rng, (9, 8, 7), 60)
-        entries = store.entries()
         spec = CooFileSpec(3, 1)
         path = tmp_path / "t.coo"
-        write_coo(path, entries, spec)
-        back, lengths = read_coo(path, spec)
-        assert back == entries
+        write_coo(path, store.entries(), spec)
+        (idx, values), lengths = read_coo(path, spec)
+        assert np.array_equal(idx, store.idx)
+        assert np.array_equal(values.view(np.int64), store.values.view(np.int64))
 
     def test_zero_based_round_trip(self, rng, tmp_path):
         store = random_store(rng, (5, 5), 12)
@@ -52,8 +56,9 @@ class TestCooFiles:
         write_coo(path, store.entries(), spec)
         first = path.read_text().splitlines()[0].split()
         assert int(first[0]) == store.idx[0, 0]  # 0-based on disk
-        back, _ = read_coo(path, spec)
-        assert back == store.entries()
+        (idx, values), _ = read_coo(path, spec)
+        assert np.array_equal(idx, store.idx)
+        assert np.array_equal(values.view(np.int64), store.values.view(np.int64))
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "t.coo"
@@ -80,22 +85,90 @@ class TestCooFiles:
             read_coo(path, CooFileSpec(2, 1))
 
 
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([".5", "5.", "-0", "+2.5E3", "1e-400", "0.1", "7e22"]),
+)
+_BAD_TOKENS = st.sampled_from(
+    ["oops", "1_0", "1.0", "nan", "-inf", "inf", "1e400", "0x1", "#", "1e3", "+", "\u0661",
+     "\uff13", "\x00"]
+)
+
+
+@st.composite
+def coo_texts(draw):
+    """COO text with blank lines, tabs, CRLF, an optional final newline and faults."""
+    n_modes = draw(st.integers(1, 5))
+    base = draw(st.sampled_from([0, 1]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["record"] * 5 + ["blank", "spaces", "fault"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t  "])))
+            continue
+        tokens = [str(draw(st.integers(base, base + 9))) for _ in range(n_modes)]
+        tokens.append(draw(_VALUES))
+        if kind == "fault":
+            fault = draw(st.sampled_from(
+                ["missing", "extra", "comment", "token", "non-finite", "below base"]
+            ))
+            if fault == "missing":
+                tokens.pop(draw(st.integers(0, n_modes)))
+            elif fault == "extra":
+                tokens.append("1")
+            elif fault == "comment":
+                tokens.append("#1")
+            elif fault == "token":
+                tokens[draw(st.integers(0, n_modes))] = draw(_BAD_TOKENS)
+            elif fault == "non-finite":
+                tokens[-1] = draw(st.sampled_from(["nan", "-inf", "inf", "1e400", "-1E999"]))
+            else:
+                tokens[draw(st.integers(0, n_modes - 1))] = str(base - draw(st.integers(1, 3)))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t", "\x0c", "\xa0"]))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + sep.join(tokens) + draw(st.sampled_from(["", " ", "\t"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if lines and draw(st.booleans()) else "")
+    return CooFileSpec(n_modes, base), text
+
+
+def _parse_outcome(parse, path, spec):
+    try:
+        idx, values = parse(path, spec)
+    except DataFormatError as exc:
+        return str(exc)
+    return idx.dtype, idx.shape, idx.tolist(), values.dtype, values.view(np.int64).tolist()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(coo_texts())
+def test_read_coo_matches_line_reference(tmp_path_factory, case):
+    """The array parse equals the line-by-line reference bitwise, or both raise alike."""
+    spec, text = case
+    path = tmp_path_factory.mktemp("coo") / "t.coo"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _parse_outcome(lambda *a: read_coo(*a)[0], path, spec)
+    assert fast == _parse_outcome(_read_coo_lines, path, spec)
+
+
 class TestGenerateSynthetic:
     def test_noiseless_values_match_truth(self):
         store, test, truth = generate_synthetic((6, 7, 8), 100, 3, 0.0, 0.2, seed=5)
         assert np.array_equal(store.values, predict_entries(truth, store.idx))
-        for e in test:
-            idx = np.asarray(e.indices) - 1
-            assert e.value == predict_entries(truth, idx[np.newaxis])[0]
+        assert np.array_equal(test.values, predict_entries(truth, test.idx))
 
     def test_no_duplicates_and_disjoint_split(self):
         store, test, _ = generate_synthetic((8, 8, 8), 400, 2, 0.1, 0.25, seed=9)
         train = {tuple(r) for r in store.idx.tolist()}
-        testset = {tuple(np.asarray(e.indices) - 1) for e in test}
+        testset = {tuple(r) for r in test.idx.tolist()}
         assert len(train) == store.nnz
-        assert len(testset) == len(test)
+        assert len(testset) == test.values.size
         assert not (train & testset)
-        assert store.nnz + len(test) == 400
+        assert store.nnz + test.values.size == 400
 
     def test_reproducible_bytes(self, tmp_path):
         spec = CooFileSpec(3, 1)

@@ -654,6 +654,18 @@ class TestLossRiseFlag:
         assert [r.loss_rose for r in records] == [False, False, True, False]
 
     @pytest.mark.parametrize("path", PATHS)
+    def test_rounding_noise_at_an_exact_fit_is_not_flagged(self, path):
+        # a rank-2 fit of a 2 x 2 matrix is exact: the losses are rounding
+        # noise (around 1e-28) that may rise from one iteration to the next
+        store = build_store(
+            [TensorEntry((1, 1), 1.0), TensorEntry((2, 2), 2.0),
+             TensorEntry((1, 2), 0.5), TensorEntry((2, 1), 0.25)], (2, 2),
+        )
+        records = self.run(path, store, SolverParams(rank=2, n_columns=2, outer_iters=4))
+        assert max(r.loss for r in records) < 1e-20
+        assert not any(r.loss_rose for r in records)
+
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("lam, regularization, c_cols", [
         (0.0, "plain", 3), (0.05, "plain", 1), (0.1, "weighted", 2),
     ])
@@ -666,3 +678,30 @@ class TestLossRiseFlag:
         records = self.run(path, store, params)
         assert len(records) == 5
         assert not any(r.loss_rose for r in records)
+
+
+class TestTestSetRange:
+    @pytest.mark.parametrize("path", ["serial", "cdtf", "cluster", "streaming", "psgd"])
+    def test_out_of_range_test_entry_fails_before_solving(self, rng, path):
+        from sals import cluster, sgd, streaming
+        from sals.partition import greedy_assign
+
+        store = random_store(rng, (2, 2), 4)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=2)
+        records = []
+        kwargs = dict(
+            test_entries=[TensorEntry((1, 1), 1.0), TensorEntry((3, 1), 1.0)],
+            on_iteration=records.append,
+        )
+        with pytest.raises(ValueError, match=r"test entry 1: mode 0 index 3 outside \[1, 2\]"):
+            if path == "serial":
+                factorize(store, params, **kwargs)
+            elif path == "cdtf":
+                factorize_cdtf(store, params, **kwargs)
+            elif path == "cluster":
+                cluster.run_distributed(store, params, greedy_assign(store, 2), **kwargs)
+            elif path == "streaming":
+                streaming.stream_factorize(store, params, **kwargs)
+            else:
+                sgd.factorize_psgd(store, sgd.SgdParams(rank=2, outer_iters=2), **kwargs)
+        assert records == []

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from sals.tensor import (
+    Coo,
     FactorModel,
     ResidualState,
     TensorEntry,
+    as_coo,
     build_store,
     loss,
     predict_entries,
@@ -88,6 +90,32 @@ class TestBuildStore:
         again = build_store(store.entries(), store.mode_lengths)
         assert np.array_equal(again.idx, store.idx)
         assert np.array_equal(again.values, store.values)
+
+
+class TestAsCoo:
+    def test_entries_become_zero_based_arrays(self):
+        idx, values = as_coo([TensorEntry((1, 3), 5.0), TensorEntry((2, 1), -1.0)], 2)
+        assert idx.dtype == np.int64 and idx.tolist() == [[0, 2], [1, 0]]
+        assert values.dtype == np.float64 and values.tolist() == [5.0, -1.0]
+
+    def test_coo_passes_through(self, rng):
+        store = random_store(rng, (6, 7, 5), 60)
+        coo = Coo(store.idx, store.values)
+        assert as_coo(coo, 3) is coo
+        again = build_store(coo, store.mode_lengths)
+        assert np.array_equal(again.idx, store.idx)
+        assert np.array_equal(again.values, store.values)
+
+    def test_coo_of_wrong_arity_rejected(self):
+        with pytest.raises(ValueError, match=r"expected \(nnz, 3\) indices"):
+            as_coo(Coo(np.zeros((4, 2), dtype=np.int64), np.zeros(4)), 3)
+
+    def test_test_set_checked_against_mode_lengths(self):
+        test = [TensorEntry((1, 1), 1.0), TensorEntry((2, 3), 1.0)]
+        with pytest.raises(ValueError, match=r"test entry 1: mode 1 index 3 outside \[1, 2\]"):
+            as_coo(test, 2, (2, 2))
+        with pytest.raises(ValueError, match="empty test set"):
+            as_coo([], 2, (2, 2))
 
 
 class TestTakeRows:
@@ -251,6 +279,16 @@ class TestRmse:
         model = random_model(rng, random_store(rng, (2, 2), 2), rank=1)
         with pytest.raises(ValueError, match="empty"):
             rmse(model, [])
+
+    def test_out_of_range_rejected(self, rng):
+        model = random_model(rng, random_store(rng, (2, 2), 2), rank=1)
+        with pytest.raises(ValueError, match=r"test entry 0: mode 0 index 3 outside \[1, 2\]"):
+            rmse(model, [TensorEntry((3, 1), 1.0)])
+
+    def test_accepts_coo(self, rng):
+        store = random_store(rng, (5, 4), 10)
+        model = random_model(rng, store, rank=2)
+        assert rmse(model, Coo(store.idx, store.values)) == rmse(model, store.entries())
 
 
 class TestVerifyResidual:
