@@ -20,7 +20,6 @@ from .cluster import (
 )
 from .dataio import (
     CacheError,
-    CacheManifest,
     CacheWriter,
     CooFileSpec,
     DataFormatError,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CacheError",
-    "CacheManifest",
     "CacheWriter",
     "ClusterError",
     "ColumnStore",

@@ -2,7 +2,8 @@
 
 Counters are plain objects passed explicitly; nothing here is thread-safe
 on its own.  In the multi-worker simulation each worker owns a private
-``SolveStats`` and the driver merges them.
+``SolveStats``, and :func:`sals.cluster.run_distributed` merges them into
+the ``stats`` its caller passes, as the serial and streaming paths fill it.
 """
 from __future__ import annotations
 

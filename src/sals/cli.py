@@ -113,6 +113,8 @@ def _read_test(path, index_base: int, lengths) -> Coo:
                 f"{path}: mode {n + 1} index {top - 1 + index_base} outside the "
                 f"model's {length} rows"
             )
+    if data.values.size == 0:
+        raise dataio.DataFormatError(f"{path}: empty test file")
     return data
 
 
@@ -303,17 +305,18 @@ def _cmd_factorize(args) -> int:
         )
     else:
         params = _solver_params(args)
+        stats = SolveStats()
         if args.m > 1:
             assignment = partition.assign(store, args.assign, args.m, args.seed)
             model, log = cluster.run_distributed(
                 store, params, assignment,
-                test_entries=test_entries, on_iteration=hook,
+                test_entries=test_entries, on_iteration=hook, stats=stats,
             )
             cluster.export_comm_csv(log, out / "comm.csv")
         elif args.mode == "streaming":
             run = streaming.stream_factorize(
                 store, params, workdir=args.workdir,
-                test_entries=test_entries, on_iteration=hook,
+                test_entries=test_entries, on_iteration=hook, stats=stats,
             )
             try:
                 model = run.load_model()
@@ -321,13 +324,13 @@ def _cmd_factorize(args) -> int:
                 run.cleanup()
             print(f"peak resident factor values: {run.peak_resident_values}")
         else:
-            stats = SolveStats()
             run_fn = solver.factorize_cdtf if args.alg == "cdtf" else solver.factorize
             model = run_fn(
                 store, params, test_entries=test_entries,
                 on_iteration=hook, stats=stats,
             )
-            _report_skips(stats)
+        if stats.rows_skipped:
+            print(f"note: {stats.rows_skipped} singular row updates skipped", file=sys.stderr)
 
     save_model(out / "model", model)
     write_convergence_csv(out / "convergence.csv", records)
@@ -342,11 +345,6 @@ def _cmd_factorize(args) -> int:
             line += f", test RMSE {last.test_rmse:.6g}"
         print(line)
     return EXIT_OK
-
-
-def _report_skips(stats) -> None:
-    if stats.rows_skipped:
-        print(f"note: {stats.rows_skipped} singular row updates skipped", file=sys.stderr)
 
 
 def _cmd_partition_stats(args) -> int:
@@ -372,8 +370,6 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("--test is required")
     model = load_model(args.model)
     test = _read_test(args.test, args.index_base, [m.shape[0] for m in model.matrices])
-    if test.values.size == 0:
-        raise dataio.DataFormatError(f"{args.test}: empty test file")
     value = rmse(model, test)
     print(f"RMSE {value!r}")
     return EXIT_OK

@@ -298,11 +298,13 @@ def run_distributed(
     on_iteration: ProgressHook | None = None,
     check_replicas: bool = False,
     fault_hook: Callable[[int, Stamp], None] | None = None,
+    stats: SolveStats | None = None,
 ) -> tuple[FactorModel, CommLog]:
     """Run the distributed schedule and return the model plus traffic log.
 
     The result is bitwise identical to :func:`sals.solver.factorize` with
     the same parameters and seed, for any machine count and assignment.
+    The workers' counters are merged into ``stats`` when it is given.
     """
     workers = distribute(store, assignment)
     master, residual = init_model(store, params)
@@ -337,4 +339,7 @@ def run_distributed(
     if ctx.errors:
         detail = "\n".join(f"worker {m}: {msg}" for m, msg in ctx.errors)
         raise ClusterError(f"distributed run aborted:\n{detail}")
+    if stats is not None:
+        for worker_stats in ctx.worker_stats:
+            stats.merge(worker_stats)
     return master, log

@@ -3,13 +3,12 @@
 COO text files carry one entry per line: N integer indices then a value,
 whitespace separated, 0- or 1-based.  The streaming cache is a fixed-width
 little-endian binary format (one record = N int64 indices + one float64
-value) with a magic header and a trailing CRC32, described by a JSON
-manifest; it holds the residual entries of one (worker, mode) pair grouped
-by row so a single sequential pass serves that mode's updates.
+value) with a magic header and a trailing CRC32.  One file holds the residual
+entries of one mode grouped by row, so a sequential pass serves that mode's
+updates; every read checks the record count and CRC its writer returned.
 """
 from __future__ import annotations
 
-import json
 import struct
 import warnings
 import zlib
@@ -93,6 +92,10 @@ def _read_coo_lines(path, spec: CooFileSpec) -> Coo:
                 if r < spec.index_base:
                     raise DataFormatError(
                         f"{path}:{lineno}: mode {n + 1} index {r} below base {spec.index_base}"
+                    )
+                if r > np.iinfo(np.int64).max:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: mode {n + 1} index {r} above the int64 maximum"
                     )
             rows.append(raw)
             vals.append(value)
@@ -304,9 +307,10 @@ def stream_pass(
     """Fold ``visitor(idx_chunk, values_chunk, acc)`` over a cache file.
 
     Records are visited in stored order exactly once; the CRC and record
-    count are verified against the trailer (and the manifest entry when
-    ``expected`` is given).  Returns the final accumulator (None for an
-    empty cache).
+    count are verified against the trailer and, when ``expected`` is given,
+    against the writer's :meth:`CacheWriter.close` result (the file's
+    manifest entry).  Returns the final accumulator (None for an empty
+    cache).
     """
     path = Path(path)
     acc = None
@@ -343,63 +347,27 @@ def stream_pass(
     return acc
 
 
-@dataclass
-class CacheManifest:
-    """Record counts and checksums of a directory of cache files."""
-
-    directory: Path
-    n_modes: int
-    files: dict[str, dict]
-
-    MANIFEST_NAME = "manifest.json"
-
-    @classmethod
-    def create(cls, directory, n_modes: int) -> "CacheManifest":
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        return cls(directory, n_modes, {})
-
-    def register(self, name: str, info: dict, worker: int, mode: int) -> None:
-        self.files[name] = {**info, "worker": worker, "mode": mode}
-
-    def path(self, name: str) -> Path:
-        return self.directory / name
-
-    def save(self) -> None:
-        payload = {"version": CACHE_VERSION, "n_modes": self.n_modes, "files": self.files}
-        with open(self.directory / self.MANIFEST_NAME, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, directory) -> "CacheManifest":
-        directory = Path(directory)
-        with open(directory / cls.MANIFEST_NAME, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(directory, payload["n_modes"], payload["files"])
-
-    def stream(self, name: str, visitor: Callable, chunk_records: int = 1 << 16):
-        return stream_pass(
-            self.path(name), visitor,
-            expected=self.files[name], chunk_records=chunk_records,
-        )
-
-
-def cache_name(kind: str, worker: int, mode: int) -> str:
-    return f"{kind}_w{worker}_m{mode}.bin"
+def cache_name(kind: str, mode: int) -> str:
+    return f"{kind}_m{mode}.bin"
 
 
 def write_residual_caches(
     store: SparseTensorStore,
-    manifest: CacheManifest,
-    worker: int = 0,
+    directory: Path,
+    written: dict[Path, dict],
     chunk_records: int = 1 << 16,
 ) -> None:
-    """Cache the initial residual (= x) per mode, grouped by that mode's rows."""
+    """Cache the initial residual (= x) per mode, grouped by that mode's rows.
+
+    Each file's :meth:`CacheWriter.close` result goes into ``written``
+    under its path, for :func:`stream_pass` to check on every read.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
     for n in range(store.n_modes):
         perm = store.mode_perm[n]
-        writer = CacheWriter(manifest.path(cache_name("r", worker, n)), store.n_modes)
+        path = directory / cache_name("r", n)
+        writer = CacheWriter(path, store.n_modes)
         for start in range(0, perm.size, chunk_records):
             sel = perm[start:start + chunk_records]
             writer.append(store.idx[sel], store.values[sel])
-        manifest.register(cache_name("r", worker, n), writer.close(), worker, n)
-    manifest.save()
+        written[path] = writer.close()

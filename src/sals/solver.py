@@ -133,17 +133,23 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(init_ss), np.random.default_rng(order_ss)
 
 
+def init_factors(store: SparseTensorStore, params: SolverParams) -> Iterator[np.ndarray]:
+    """Initial factors in mode order: zero first factor, uniform [0,1) others.
+
+    Lazy, so a caller that writes each factor out holds one at a time.
+    """
+    init_rng, _ = rng_streams(params.seed)
+    yield np.zeros((store.mode_lengths[0], params.rank))
+    for length in store.mode_lengths[1:]:
+        yield init_rng.random((length, params.rank))
+
+
 def init_model(
     store: SparseTensorStore, params: SolverParams
 ) -> tuple[FactorModel, ResidualState]:
-    """Zero first factor, uniform [0,1) others; residual starts equal to x."""
-    init_rng, _ = rng_streams(params.seed)
-    mats = [np.zeros((store.mode_lengths[0], params.rank))]
-    for n in range(1, store.n_modes):
-        mats.append(init_rng.random((store.mode_lengths[n], params.rank)))
-    model = FactorModel(params.rank, params.lam, mats)
-    residual = ResidualState(store.values.copy(), RESIDUAL)
-    return model, residual
+    """The :func:`init_factors` model; residual starts equal to x."""
+    model = FactorModel(params.rank, params.lam, list(init_factors(store, params)))
+    return model, ResidualState(store.values.copy(), RESIDUAL)
 
 
 def choose_columns(

@@ -23,15 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dataio
 from .accounting import ResidencyMeter, SolveStats
-from .dataio import CacheManifest, CacheWriter, cache_name, write_residual_caches
+from .dataio import CacheWriter, cache_name, write_residual_caches
 from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented by perfbench
     IterationRecord,
     ProgressHook,
     SolverParams,
     WEIGHTED,
+    init_factors,
     normal_eq_arrays,
-    rng_streams,
     run_schedule,
     solve_row,
     update_rows,
@@ -132,7 +133,8 @@ class StreamingRun:
 
 
 def _value_pass(
-    manifest: CacheManifest,
+    cache: Path,
+    written: dict[Path, dict],
     src: str,
     dst: str,
     slabs: list[np.ndarray],
@@ -144,24 +146,25 @@ def _value_pass(
     times the active-column reconstruction."""
     n_modes = len(slabs)
     for n in range(n_modes):
-        writer = CacheWriter(manifest.path(cache_name(dst, 0, n)), n_modes)
+        src_path, dst_path = cache / cache_name(src, n), cache / cache_name(dst, n)
+        writer = CacheWriter(dst_path, n_modes)
 
         def visit(idx, values, acc):
             writer.append(idx, values + sign * subset_products(slabs, idx))
             stats.flops += idx.shape[0] * slabs[0].shape[1] * n_modes
             return acc
 
-        manifest.stream(cache_name(src, 0, n), visit, chunk_records=chunk_records)
-        manifest.register(cache_name(dst, 0, n), writer.close(), 0, n)
-        manifest.save()
+        dataio.stream_pass(src_path, visit, expected=written[src_path],
+                           chunk_records=chunk_records)
+        written[dst_path] = writer.close()
 
 
 def _update_mode_streaming(
-    manifest: CacheManifest,
-    name: str,
+    path: Path,
+    expected: dict,
     slabs: list[np.ndarray],
     mode: int,
-    length: int,
+    absent: RowGroups,
     lam: float,
     weighted: bool,
     stats: SolveStats,
@@ -171,15 +174,13 @@ def _update_mode_streaming(
 
     Each chunk's complete row groups go to :func:`update_rows`, delimited by
     their row heads; the last group may continue in the next chunk and is
-    carried over.  Rows absent from the cache are refit from empty buckets
-    at the end.
+    carried over.  The ``absent`` rows, whose buckets are empty and so not
+    cached, are refit at the end.
     """
-    seen = np.zeros(length, dtype=bool)
 
     def refit_groups(idx, values, end):
         rows = idx[:end, mode]
         heads = np.flatnonzero(np.diff(rows, prepend=-1))
-        seen[rows[heads]] = True
         groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end))
         # A chunk read from the cache is a strided view; the kernel's row
         # gathers want contiguous sources (see take_rows).
@@ -193,14 +194,11 @@ def _update_mode_streaming(
         refit_groups(idx, values, tail)
         return idx[tail:], values[tail:]
 
-    carry = manifest.stream(name, visit, chunk_records=chunk_records)
+    carry = dataio.stream_pass(path, visit, expected=expected, chunk_records=chunk_records)
     if carry is not None:
         refit_groups(*carry, carry[1].size)
-    absent = np.flatnonzero(~seen)
-    none = np.empty(0, dtype=np.int64)
     update_rows(slabs, np.empty((0, len(slabs)), dtype=np.int64), np.empty(0), mode,
-                RowGroups(absent, none, np.zeros(absent.size + 1, dtype=np.int64)),
-                lam, weighted, stats)
+                absent, lam, weighted, stats)
 
 
 def stream_factorize(
@@ -230,33 +228,33 @@ def stream_factorize(
         stats = stats if stats is not None else SolveStats()
         colstore = ColumnStore(workdir / "factors", store.mode_lengths, params.rank, meter)
 
-        init_rng, _ = rng_streams(params.seed)
-        colstore.write_full(0, np.zeros((store.mode_lengths[0], params.rank)))
-        for n in range(1, store.n_modes):
-            colstore.write_full(n, init_rng.random((store.mode_lengths[n], params.rank)))
+        for n, matrix in enumerate(init_factors(store, params)):
+            colstore.write_full(n, matrix)
 
-        manifest = CacheManifest.create(workdir / "cache", store.n_modes)
-        write_residual_caches(store, manifest, worker=0, chunk_records=chunk_records)
+        cache = workdir / "cache"
+        written: dict[Path, dict] = {}  # each cache file's writer record, checked on reads
+        write_residual_caches(store, cache, written, chunk_records)
 
         test = None if test_entries is None else as_coo(
             test_entries, store.n_modes, store.mode_lengths)
         weighted = params.regularization == WEIGHTED
+        absent = [store.groups(n, np.flatnonzero(store.bucket_sizes(n) == 0))
+                  for n in range(store.n_modes)]
         run = StreamingRun(workdir, colstore, params.lam, 0, stats, _tmp=tmp)
 
         def augment(columns):
             slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
-            _value_pass(manifest, "r", "rhat", slabs, +1.0, stats, chunk_records)
+            _value_pass(cache, written, "r", "rhat", slabs, +1.0, stats, chunk_records)
             return slabs
 
         def refit(slabs, stamp):
             n = stamp.mode
-            _update_mode_streaming(
-                manifest, cache_name("rhat", 0, n), slabs, n,
-                store.mode_lengths[n], params.lam, weighted, stats, chunk_records,
-            )
+            path = cache / cache_name("rhat", n)
+            _update_mode_streaming(path, written[path], slabs, n, absent[n],
+                                   params.lam, weighted, stats, chunk_records)
 
         def write_back(columns, slabs):
-            _value_pass(manifest, "rhat", "r", slabs, -1.0, stats, chunk_records)
+            _value_pass(cache, written, "rhat", "r", slabs, -1.0, stats, chunk_records)
             for n in range(store.n_modes):
                 colstore.store_columns(n, columns, slabs[n])
                 colstore.release(slabs[n])
@@ -264,8 +262,9 @@ def stream_factorize(
         def close(it):
             if on_iteration is None:
                 return None
-            resid_sq = manifest.stream(
-                cache_name("r", 0, 0), _sum_squares, chunk_records=chunk_records
+            path = cache / cache_name("r", 0)
+            resid_sq = dataio.stream_pass(
+                path, _sum_squares, expected=written[path], chunk_records=chunk_records
             )
             run.records.append(IterationRecord(it, 0.0, *evaluate(
                 resid_sq or 0.0, colstore.blocks(params.n_columns), store,

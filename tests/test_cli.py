@@ -161,6 +161,19 @@ class TestFactorize:
         rows = read_csv(tmp_path / "psgd" / "convergence.csv")
         assert len(rows) == 2 and rows[0]["rmse"]
 
+    @pytest.mark.parametrize("extra", [[], ["-M", "2"], ["--mode", "streaming"]])
+    def test_skipped_rows_noted_on_every_path(self, tmp_path, capsys, extra):
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--lengths", "30,30,30",
+                     "--nnz", "40", "--k-true", "2", "--seed", "3"]) == 0
+        code = main(
+            ["factorize", "--train", str(data / "train.coo"), "-K", "2", "-C", "2",
+             "--t-out", "2", "--lambda", "0", "--seed", "9", "--out", str(tmp_path / "x"),
+             *extra]
+        )
+        assert code == 0
+        assert "note: 122 singular row updates skipped" in capsys.readouterr().err
+
     def test_missing_train_is_usage_error(self, tmp_path):
         assert main(["factorize", "--out", str(tmp_path)]) == EXIT_USAGE
 
@@ -240,17 +253,19 @@ class TestConfigValues:
         assert min(int(r[0]) for r in rows) >= 0 and max(int(r[0]) for r in rows) <= 3
 
 
+PATHS = [[], ["--mode", "streaming"], ["-M", "2"], ["--alg", "psgd"]]
+
+
 class TestTestFileRange:
     # train: a 2 x 2 matrix; the test cell (3, 1) lies outside it
     @pytest.fixture
     def files(self, tmp_path):
         (tmp_path / "train.coo").write_text("1 1 1.0\n2 2 2.0\n1 2 0.5\n2 1 0.25\n")
         (tmp_path / "test.coo").write_text("3 1 1.0\n")
+        (tmp_path / "empty.coo").write_text("")
         return tmp_path
 
-    @pytest.mark.parametrize("extra", [
-        [], ["--mode", "streaming"], ["-M", "2"], ["--alg", "psgd"],
-    ])
+    @pytest.mark.parametrize("extra", PATHS)
     def test_factorize_rejects_before_solving(self, files, capsys, extra):
         code = main(
             ["factorize", "--train", str(files / "train.coo"),
@@ -261,6 +276,16 @@ class TestTestFileRange:
         err = capsys.readouterr().err
         assert "test.coo: mode 1 index 3 outside the model's 2 rows" in err
         assert not (files / "out" / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("extra", PATHS)
+    def test_factorize_rejects_empty_test_file(self, files, capsys, extra):
+        code = main(
+            ["factorize", "--train", str(files / "train.coo"),
+             "--test", str(files / "empty.coo"),
+             "-K", "2", "--t-out", "1", "--out", str(files / "out"), *extra]
+        )
+        assert code == EXIT_IO
+        assert "empty.coo: empty test file" in capsys.readouterr().err
 
     def test_evaluate_rejects(self, files, capsys):
         save_model(files / "model", FactorModel(1, 0.0, [np.ones((2, 1)), np.ones((2, 1))]))
@@ -336,6 +361,15 @@ class TestExitCodes:
             r"numerical error: Stamp\(outer=1, subset=\d+, inner=0, mode=(\d)\): "
             r"mode \1, row \d+: non-finite normal equations", err
         ), err
+
+    def test_index_beyond_int64_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "big.coo").write_text("99999999999999999999 1 1.0\n")
+        code = main(
+            ["factorize", "--train", str(tmp_path / "big.coo"), "--n-modes", "2",
+             "-K", "2", "--t-out", "1", "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_IO
+        assert "big.coo:1: mode 1 index 99999999999999999999 above" in capsys.readouterr().err
 
     def test_psgd_rejects_weighted_regularization(self, dataset, tmp_path):
         code = main(

@@ -1,10 +1,11 @@
 """Property-based cross-path check over generated shapes and schedules.
 
 Complements the fixed ``CASES`` of ``test_equivalence.py``: serial,
-distributed and streaming runs must agree bitwise, and coordinate descent
-must match subset-ALS at C=1 with fixed order, for 1 to 5 modes, empty
-buckets, empty tensors, C not dividing K, more machines than rows and
-stream chunks down to a single record.
+distributed and streaming runs must agree bitwise and count the same row
+updates and skips, and coordinate descent must match subset-ALS at C=1
+with fixed order, for 1 to 5 modes, empty buckets, empty tensors, C not
+dividing K, more machines than rows and stream chunks down to a single
+record.
 """
 from dataclasses import replace
 
@@ -49,17 +50,21 @@ def assert_same(a, b):
 def test_paths_agree_bitwise(case):
     lengths, nnz, params, machines, strategy, chunk, store_seed = case
     store = random_store(np.random.default_rng(store_seed), lengths, nnz)
-    serial = factorize(store, params)
+    stats = [sals.SolveStats() for _ in range(3)]
+    serial = factorize(store, params, stats=stats[0])
 
     assignment = sals.assign(store, strategy, machines, seed=3)
-    dist, _ = sals.run_distributed(store, params, assignment, check_replicas=True)
+    dist, _ = sals.run_distributed(store, params, assignment, check_replicas=True,
+                                   stats=stats[1])
     assert_same(serial, dist)
 
-    run = sals.stream_factorize(store, params, chunk_records=chunk)
+    run = sals.stream_factorize(store, params, chunk_records=chunk, stats=stats[2])
     try:
         assert_same(serial, run.load_model())
     finally:
         run.cleanup()
+    counts = {(s.rows_updated, s.rows_skipped) for s in stats}
+    assert len(counts) == 1, counts
 
     cd = replace(params, n_columns=1, column_order="fixed")
     assert_same(factorize(store, cd), factorize_cdtf(store, cd))

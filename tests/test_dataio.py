@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sals.dataio import (
     CacheError,
-    CacheManifest,
     CacheWriter,
     CooFileSpec,
     DataFormatError,
@@ -76,6 +75,12 @@ class TestCooFiles:
         path = tmp_path / "t.coo"
         path.write_text("0 1 5.0\n")
         with pytest.raises(DataFormatError, match="below base"):
+            read_coo(path, CooFileSpec(2, 1))
+
+    def test_index_above_int64(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_text("1 1 1.0\n2 99999999999999999999 2.0\n")
+        with pytest.raises(DataFormatError, match=r"t.coo:2: mode 2 index 9+ above the int64"):
             read_coo(path, CooFileSpec(2, 1))
 
     def test_non_finite_value(self, tmp_path):
@@ -212,9 +217,10 @@ class TestGenerateZipf:
 class TestResidualCache:
     def test_write_read_round_trip(self, rng, tmp_path):
         store = random_store(rng, (7, 6, 5), 80)
-        manifest = CacheManifest.create(tmp_path / "cache", 3)
-        write_residual_caches(store, manifest)
-        name = cache_name("r", 0, 1)
+        written = {}
+        write_residual_caches(store, tmp_path / "cache", written)
+        path = tmp_path / "cache" / cache_name("r", 1)
+        assert sorted(written) == [tmp_path / "cache" / cache_name("r", n) for n in range(3)]
 
         chunks = []
 
@@ -222,7 +228,7 @@ class TestResidualCache:
             chunks.append((idx.copy(), values.copy()))
             return (0 if acc is None else acc) + idx.shape[0]
 
-        total = manifest.stream(name, visit, chunk_records=17)
+        total = stream_pass(path, visit, expected=written[path], chunk_records=17)
         assert total == store.nnz
         idx = np.concatenate([c[0] for c in chunks])
         values = np.concatenate([c[1] for c in chunks])
@@ -256,14 +262,6 @@ class TestResidualCache:
         wrong = dict(info, records=2)
         with pytest.raises(CacheError, match="manifest"):
             stream_pass(tmp_path / "c.bin", lambda i, v, a: a, expected=wrong)
-
-    def test_manifest_round_trip(self, rng, tmp_path):
-        store = random_store(rng, (5, 4), 15)
-        manifest = CacheManifest.create(tmp_path / "cache", 2)
-        write_residual_caches(store, manifest)
-        loaded = CacheManifest.load(tmp_path / "cache")
-        assert loaded.n_modes == 2
-        assert loaded.files == manifest.files
 
     def test_truncated_file_detected(self, tmp_path):
         writer = CacheWriter(tmp_path / "c.bin", 2)

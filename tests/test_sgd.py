@@ -82,23 +82,25 @@ class TestPsgdEpoch:
     def test_single_shard_matches_straight_line(self, rng):
         store = random_store(rng, (6, 5, 4), 60)
         params = SgdParams(rank=2, lam=0.05, eta0=0.02, n_shards=1, seed=7)
-        model = init_sgd_model(store, params)
-        epoch_model = psgd_epoch(store, model, params, epoch=0)
-
-        # straight-line reference: same visit order, public single-entry op
         from sals.sgd import _epoch_rng
 
         order = _epoch_rng(params.seed, 0).permutation(store.nnz)
-        ref = model.copy()
         degrees = [store.bucket_sizes(n) for n in range(3)]
         eta = learning_rate(params.eta0, 0)
-        for p in order:
-            ind = tuple(int(i) for i in store.idx[p])
-            degs = tuple(int(degrees[n][ind[n]]) for n in range(3))
-            r = entry_residual(ref.matrices, ind, float(store.values[p]))
-            sgd_update_entry(ref, ind, r, eta, params.lam, degs)
-        for a, b in zip(epoch_model.matrices, ref.matrices):
-            assert np.array_equal(a, b)
+        zeroed = init_sgd_model(store, params)
+        zeroed.matrices[1][::2] = 0.0  # exact zeros take the sweep's product fallback
+        zeroed.matrices[2][1, 0] = 0.0
+        for model in (init_sgd_model(store, params), zeroed):
+            epoch_model = psgd_epoch(store, model, params, epoch=0)
+            # straight-line reference: same visit order, public single-entry op
+            ref = model.copy()
+            for p in order:
+                ind = tuple(int(i) for i in store.idx[p])
+                degs = tuple(int(degrees[n][ind[n]]) for n in range(3))
+                r = entry_residual(ref.matrices, ind, float(store.values[p]))
+                sgd_update_entry(ref, ind, r, eta, params.lam, degs)
+            for a, b in zip(epoch_model.matrices, ref.matrices):
+                assert np.array_equal(a, b)
 
     def test_vanishing_rate_freezes_model(self, rng):
         store = random_store(rng, (5, 5), 15)

@@ -339,7 +339,9 @@ class TestRowKernel:
     def test_singular_rows_keep_values_at_lambda_zero(self, monkeypatch, cap):
         monkeypatch.setattr(solver, "_BATCH_ENTRIES", cap)
         # mode-1 factor rows seen by the mode-0 rows below
-        other = np.array([[1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [2.0, 3.0]])
+        other = np.array(
+            [[1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [2.0, 3.0], [3.0, 0.0]]
+        )
         entries = {
             0: [],         # empty bucket
             1: [0],        # g = (1, 2): rank one
@@ -347,18 +349,19 @@ class TestRowKernel:
             3: [1, 2],     # B = I
             4: [0, 3, 4],  # well posed
             5: [],         # empty bucket
+            6: [1, 5],     # C nonzero g rows, but parallel: Cholesky fails at C = 2
         }
         idx = [(row, j) for row, cols in entries.items() for j in cols]
-        store = store_from_arrays(idx, np.arange(1.0, len(idx) + 1.0), (6, 5))
-        for c_cols, singular in ((2, [0, 1, 2, 5]), (1, [0, 5])):
-            slabs = [np.full((6, c_cols), 7.0), other[:, :c_cols].copy()]
+        store = store_from_arrays(idx, np.arange(1.0, len(idx) + 1.0), (7, 6))
+        for c_cols, singular in ((2, [0, 1, 2, 5, 6]), (1, [0, 5])):
+            slabs = [np.full((7, c_cols), 7.0), other[:, :c_cols].copy()]
             stats = SolveStats()
             skipped = update_rows(
                 slabs, store.idx, store.values, 0, store.groups(0), 0.0, False, stats,
             )
             assert skipped == stats.rows_skipped == len(singular)
-            assert stats.rows_updated == 6 - len(singular)
-            for row in range(6):
+            assert stats.rows_updated == 7 - len(singular)
+            for row in range(7):
                 if row in singular:
                     assert (slabs[0][row] == 7.0).all()
                 else:

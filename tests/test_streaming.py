@@ -87,6 +87,15 @@ class TestStreamFactorize:
         run = stream_factorize(store, params, workdir=tmp_path)
         assert max_model_diff(expected, run.load_model()) <= 1e-12
 
+    def test_workdir_holds_only_factors_and_caches(self, rng, tmp_path):
+        store = random_store(rng, (6, 5, 4), 60)
+        params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.1, seed=4)
+        stream_factorize(store, params, workdir=tmp_path, on_iteration=lambda r: None)
+        expected = {f"factors/factor_{n}.bin" for n in range(3)}
+        expected |= {f"cache/{kind}_m{n}.bin" for kind in ("r", "rhat") for n in range(3)}
+        found = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert found == expected
+
     def test_temporary_workdir_cleanup(self, rng):
         store = random_store(rng, (5, 5), 15)
         params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=0)
