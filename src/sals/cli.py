@@ -132,6 +132,17 @@ def _read_config(path) -> dict[str, str]:
     return conf
 
 
+def _finite_float(raw: str) -> float:
+    """A float flag's value; nan and infinities are usage errors too."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+    return value
+
+
 _DEFAULTS = {
     "alg": "sals",
     "k": 10,
@@ -152,6 +163,8 @@ def _config_value(action: argparse.Action, key: str, raw: str):
     """``raw`` checked by its flag's own type and choices, as on the command line."""
     try:
         value = raw if action.type is None else action.type(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from None
     except (TypeError, ValueError):
         raise UsageError(f"config key {key!r}: invalid value {raw!r}") from None
     if action.choices is not None and value not in action.choices:
@@ -204,9 +217,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     fac.add_argument("-C", dest="c", type=int, default=None, help="columns per subset")
     fac.add_argument("--t-in", dest="t_in", type=int, default=None)
     fac.add_argument("--t-out", dest="t_out", type=int, default=None)
-    fac.add_argument("--lambda", dest="lam", type=float, default=None)
+    fac.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     fac.add_argument("--reg", choices=("plain", "weighted"), default=None)
-    fac.add_argument("--eta0", type=float, default=None)
+    fac.add_argument("--eta0", type=_finite_float, default=None)
     fac.add_argument("-M", dest="m", type=int, default=None, help="machines (or PSGD shards)")
     fac.add_argument("--assign", choices=("greedy", "sequential", "random"), default=None)
     fac.add_argument("--mode", choices=("in-memory", "streaming"), default=None)

@@ -3,6 +3,9 @@
 Each epoch randomly splits the observed entries into M shards; every shard
 runs sequential SGD on a private model copy and the shard models are
 averaged entrywise afterwards.  The epoch-t learning rate is 2*eta0/(1+t).
+Within a shard, entries that share no factor row commute, so the sweep runs
+as wavefronts of such entries, one vectorised step each, bitwise equal to
+visiting the entries one at a time.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ class SgdParams:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if not (np.isfinite(self.lam) and np.isfinite(self.eta0)):
+            raise ValueError("lam and eta0 must be finite")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.eta0 <= 0:
@@ -103,48 +108,79 @@ def sgd_update_entry(
             row[k] = a - 2.0 * eta * (lam * a / deg - r * g)
 
 
-def _lists(model: FactorModel) -> list[list[list[float]]]:
-    return [m.tolist() for m in model.matrices]
+def wavefront_levels(rows: np.ndarray) -> np.ndarray:
+    """Level of each entry of a shard, given its (m, N) row ids in visit order.
+
+    Entry j's level is 1 + the highest level of an earlier entry that shares
+    one of its rows (row ids must be distinct across modes).  Entries of one
+    level share no row, and an entry's earlier neighbours on each of its rows
+    sit at lower levels, so running the levels in order applies every row's
+    updates in visit order.
+    """
+    last = [0] * (int(rows.max()) + 1 if rows.size else 0)
+    get = last.__getitem__
+    levels = []
+    for row in zip(*rows.T.tolist()):
+        level = max(map(get, row)) + 1
+        for g in row:
+            last[g] = level
+        levels.append(level)
+    return np.array(levels, dtype=np.int64)
 
 
-def _sgd_sweep(
-    mats: list[list[list[float]]],
-    idx_list: list[list[int]],
-    values_list: list[float],
-    order: list[int],
-    degrees_list: list[list[int]],
+def _wavefront_sweep(
+    stacked: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
+    degrees: np.ndarray,
     eta: float,
     lam: float,
-    rank: int,
 ) -> None:
-    # Pure-Python inner loop: mirrors sgd_update_entry operation for
-    # operation, on list storage to dodge per-scalar numpy overhead.
-    n_modes = len(mats)
-    for p in order:
-        ind = idx_list[p]
-        r = values_list[p]
-        rows = [mats[n][ind[n]] for n in range(n_modes)]
-        full = [1.0] * rank
-        for k in range(rank):
-            q = 1.0
-            for n in range(n_modes):
-                q *= rows[n][k]
-            full[k] = q
-            r -= q
-        old = [list(row) for row in rows]
-        for n in range(n_modes):
-            row = rows[n]
-            deg = degrees_list[n][ind[n]]
-            for k in range(rank):
-                a = old[n][k]
-                if a != 0.0:
-                    g = full[k] / a
-                else:
-                    g = 1.0
-                    for l in range(n_modes):
-                        if l != n:
-                            g *= old[l][k]
-                row[k] = a - 2.0 * eta * (lam * a / deg - r * g)
+    """Sequential SGD over one shard's entries, in place on ``stacked``.
+
+    ``stacked`` holds every factor row, mode after mode; ``rows`` (m, N) are
+    the shard's entries as row ids into it, in visit order, with ``values``
+    beside them, and ``degrees`` is every row's entry count.  Each level of
+    :func:`wavefront_levels` runs as one vectorised step that repeats
+    :func:`sgd_update_entry`'s scalar operations in its order, so the result
+    is bitwise that of visiting the entries one by one.
+    """
+    m, n_modes = rows.shape
+    rank = stacked.shape[1]
+    levels = wavefront_levels(rows)
+    order = np.argsort(levels, kind="stable")
+    bounds = np.cumsum(np.bincount(levels)).tolist()
+    flat = np.take(rows, order, axis=0).ravel()
+    deg = np.take(degrees, flat).reshape(m, n_modes, 1)
+    vq = np.empty((m, rank + 1))  # [value, q_0 .. q_{K-1}] per entry
+    vq[:, 0] = np.take(values, order)
+    two_eta = 2.0 * eta
+    # Silent like the scalar floats: a zero divisor's quotient is replaced,
+    # and a non-finite result is caught when the averaged model is built.
+    with np.errstate(all="ignore"):
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            at = flat[s * n_modes:e * n_modes]
+            old = np.take(stacked, at, axis=0).reshape(e - s, n_modes, rank)
+            full = np.multiply.reduce(old, axis=1, out=vq[s:e, 1:])
+            r = np.subtract.reduce(vq[s:e], axis=1)
+            g = full[:, None, :] / old
+            if np.count_nonzero(old) < old.size:
+                _zero_factor_products(old, g)
+            step = old * lam
+            step /= deg[s:e]
+            g *= r[:, None, None]
+            step -= g
+            step *= two_eta
+            stacked[at] = (old - step).reshape(-1, rank)
+
+
+def _zero_factor_products(old: np.ndarray, g: np.ndarray) -> None:
+    """Where a factor is exactly zero, the cross-mode product taken directly."""
+    for n in range(old.shape[1]):
+        zero = old[:, n] == 0.0
+        if zero.any():
+            others = np.multiply.reduce(np.delete(old, n, axis=1), axis=1)
+            g[:, n][zero] = others[zero]
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -168,27 +204,40 @@ def psgd_epoch(
     if partition is None:
         rng = _epoch_rng(params.seed, epoch)
         perm = rng.permutation(store.nnz)
-        partition = [np.asarray(a) for a in np.array_split(perm, params.n_shards)]
+        partition = np.array_split(perm, params.n_shards)
+    else:
+        partition = [_shard_positions(j, order, store.nnz) for j, order in enumerate(partition)]
+    if not partition:
+        raise ValueError("partition has no shards")
     eta = learning_rate(params.eta0, epoch)
-    degrees_list = [np.diff(store.mode_ptr[n]).tolist() for n in range(store.n_modes)]
-    idx_list = store.idx.tolist()
-    values_list = store.values.tolist()
-    shard_mats = []
-    for order in partition:
-        mats = _lists(model)
-        _sgd_sweep(
-            mats, idx_list, values_list, np.asarray(order).tolist(),
-            degrees_list, eta, params.lam, params.rank,
+    offsets = np.cumsum([0, *store.mode_lengths])
+    rows = store.idx + offsets[:-1]
+    degrees = np.concatenate(
+        [store.bucket_sizes(n) for n in range(store.n_modes)], dtype=np.float64)
+    start = np.concatenate(model.matrices, dtype=np.float64)
+    shards = [start.copy() for _ in partition]
+    for stacked, positions in zip(shards, partition):
+        _wavefront_sweep(
+            stacked, np.take(rows, positions, axis=0), np.take(store.values, positions),
+            degrees, eta, params.lam,
         )
-        shard_mats.append(mats)
-    averaged = []
-    for n in range(store.n_modes):
-        acc = np.asarray(shard_mats[0][n], dtype=np.float64)
-        for mats in shard_mats[1:]:
-            acc += np.asarray(mats[n], dtype=np.float64)
-        acc /= len(shard_mats)
-        averaged.append(acc)
-    return FactorModel(model.rank, model.lam, averaged)
+    total = shards[0]
+    for stacked in shards[1:]:
+        total += stacked
+    total /= len(shards)
+    return FactorModel(model.rank, model.lam, np.split(total, offsets[1:-1]))
+
+
+def _shard_positions(shard: int, order, nnz: int) -> np.ndarray:
+    """An explicit shard's visit order, checked to name entries of the store."""
+    positions = np.asarray(order)
+    if positions.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    bad = (positions < 0) | (positions >= nnz)
+    if bad.any():
+        raise ValueError(
+            f"partition shard {shard}: position {positions[bad][0]} outside [0, {nnz})")
+    return positions
 
 
 def init_sgd_model(store: SparseTensorStore, params: SgdParams) -> FactorModel:

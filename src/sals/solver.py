@@ -68,6 +68,8 @@ class SolverParams:
             raise ValueError("n_columns must satisfy 1 <= C <= rank")
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("iteration counts must be >= 1")
+        if not np.isfinite(self.lam):
+            raise ValueError("lam must be finite")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.regularization not in (PLAIN, WEIGHTED):

@@ -228,7 +228,7 @@ class TestFactorize:
 class TestConfigValues:
     @pytest.mark.parametrize("line", [
         "alg=foo", "mode=bogus", "k=abc", "lam=x", "lambda=x", "reg=foo",
-        "index_base=2", "assign=bogus", "t-out=1.5",
+        "index_base=2", "assign=bogus", "t-out=1.5", "lambda=inf", "eta0=nan",
     ])
     def test_bad_value_is_usage_error_naming_the_key(self, dataset, tmp_path, capsys, line):
         conf = tmp_path / "bad.conf"
@@ -240,6 +240,17 @@ class TestConfigValues:
         assert code == EXIT_USAGE
         key = line.split("=")[0]
         assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda", "inf"), ("--lambda", "nan"), ("--eta0", "nan"), ("--eta0", "-inf"),
+    ])
+    def test_non_finite_flag_is_usage_error(self, dataset, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize", "--train", str(dataset / "train.coo"), "--alg", "psgd",
+                  f"{flag}={value}", "--out", str(tmp_path / "x")])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_values_are_typed_like_flags(self, tmp_path):
         conf = tmp_path / "gen.conf"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sals.sgd import (
     SgdParams,
@@ -9,6 +11,7 @@ from sals.sgd import (
     learning_rate,
     psgd_epoch,
     sgd_update_entry,
+    wavefront_levels,
 )
 from sals.tensor import FactorModel, TensorEntry, build_store, predict_entries, store_from_arrays
 from conftest import random_model, random_store
@@ -155,3 +158,106 @@ def _toy_problem(rng):
     from sals.dataio import generate_synthetic
 
     return generate_synthetic((10, 10, 10), 500, 2, 0.05, 0.1, seed=17)
+
+
+class TestSgdParams:
+    @pytest.mark.parametrize("field", ["lam", "eta0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            SgdParams(rank=2, **{field: value})
+
+
+class TestExplicitPartition:
+    @pytest.mark.parametrize("bad", [-1, 15])
+    def test_position_outside_store_rejected(self, rng, bad):
+        store = random_store(rng, (5, 5), 15)
+        params = SgdParams(rank=2, lam=0.1, eta0=0.05, n_shards=2, seed=3)
+        model = init_sgd_model(store, params)
+        with pytest.raises(ValueError, match=rf"shard 1: position {bad} outside \[0, 15\)"):
+            psgd_epoch(store, model, params, 0, partition=[np.arange(15), np.array([3, bad])])
+        with pytest.raises(ValueError, match="no shards"):
+            psgd_epoch(store, model, params, 0, partition=[])
+
+
+def straight_line_epoch(store, model, partition, eta, lam):
+    """Per shard, the scalar single-entry ops in visit order; then the average."""
+    degrees = [store.bucket_sizes(n) for n in range(store.n_modes)]
+    shards = []
+    for order in partition:
+        ref = model.copy()
+        for p in order:
+            ind = tuple(int(i) for i in store.idx[p])
+            degs = tuple(int(degrees[n][ind[n]]) for n in range(store.n_modes))
+            r = entry_residual(ref.matrices, ind, float(store.values[p]))
+            sgd_update_entry(ref, ind, r, eta, lam, degs)
+        shards.append(ref.matrices)
+    averaged = []
+    for n in range(store.n_modes):
+        acc = shards[0][n].copy()
+        for mats in shards[1:]:
+            acc += mats[n]
+        acc /= len(shards)
+        averaged.append(acc)
+    return averaged
+
+
+@st.composite
+def explicit_epochs(draw):
+    n_modes = draw(st.integers(1, 5))
+    lengths = tuple(draw(st.lists(st.integers(1, 4), min_size=n_modes, max_size=n_modes)))
+    nnz = draw(st.integers(1, min(int(np.prod(lengths)), 30)))
+    rank = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    store = random_store(rng, lengths, nnz)
+    mats = [rng.normal(0.0, 1.0, size=(length, rank)) for length in lengths]
+    for mat in mats:  # exact zeros take the product fallback
+        mat[rng.random(mat.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = -0.0
+        mat[rng.random(mat.shape) < 0.1] = 0.0
+    partition = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["any", "empty", "one row", "disjoint"]))
+        if kind == "any":
+            order = draw(st.lists(st.integers(0, nnz - 1), max_size=2 * nnz))
+        elif kind == "empty":
+            order = []
+        elif kind == "one row":  # one entry per level
+            mode = draw(st.integers(0, n_modes - 1))
+            order = rng.permutation(store.bucket(mode, int(store.idx[0, mode]))).tolist()
+        else:  # pairwise-disjoint rows: a single level
+            order, used = [], set()
+            for p in rng.permutation(nnz).tolist():
+                rows = set(enumerate(store.idx[p].tolist()))
+                if not rows & used:
+                    order.append(p)
+                    used |= rows
+        partition.append(np.asarray(order, dtype=np.int64))
+    params = SgdParams(rank=rank, lam=draw(st.sampled_from([0.0, 0.05, 0.5])),
+                       eta0=draw(st.sampled_from([0.001, 0.02])), n_shards=len(partition))
+    return store, FactorModel(rank, params.lam, mats), params, partition, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(explicit_epochs())
+def test_epoch_equals_straight_line(case):
+    store, model, params, partition, epoch = case
+    got = psgd_epoch(store, model, params, epoch, partition=partition)
+    want = straight_line_epoch(
+        store, model, partition, learning_rate(params.eta0, epoch), params.lam)
+    for a, b in zip(got.matrices, want):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n_modes: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n_modes), max_size=40)))
+def test_wavefront_levels_keep_row_order(entries):
+    n_modes = len(entries[0]) if entries else 1
+    rows = np.array(entries, dtype=np.int64).reshape(-1, n_modes) + 4 * np.arange(n_modes)
+    levels = wavefront_levels(rows).tolist()
+    for k in range(len(rows)):
+        sharing = [j for j in range(k) if np.any(rows[j] == rows[k])]
+        # no level holds two entries that share a row, and sharing entries keep their order
+        assert all(levels[j] < levels[k] for j in sharing)
+        assert levels[k] == 1 + max((levels[j] for j in sharing), default=0)

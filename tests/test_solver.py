@@ -43,6 +43,13 @@ def subset_loss(store, rhat, model, columns, regularization):
     return float(err @ err) + regularization_penalty(model, store, regularization)
 
 
+class TestSolverParams:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            SolverParams(rank=2, lam=lam)
+
+
 class TestInitModel:
     def test_residual_equals_data(self, rng):
         store = random_store(rng, (5, 6, 7), 60)
