@@ -3,7 +3,8 @@
 Subcommands: ``generate`` (synthetic datasets), ``factorize`` (any solver,
 serial / distributed / streaming), ``partition-stats`` (row-assignment load
 tables), and ``evaluate`` (RMSE of a saved model on a test file).  Flags can
-come from a ``key=value`` config file via ``--config``; explicit flags win.
+come from a ``key=value`` config file via ``--config``: a flag on the command
+line beats the file, and the file beats the flag's default.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or data-format error,
 4 numerical/solver failure.
@@ -101,7 +102,10 @@ def _load_store(path, index_base: int, n_modes: int | None):
     if n_modes is None:
         n_modes = _sniff_n_modes(path)
     data, lengths = dataio.read_coo(path, dataio.CooFileSpec(n_modes, index_base))
-    return build_store(data, lengths)
+    try:
+        return build_store(data, lengths)
+    except (ValueError, MemoryError) as exc:  # duplicates, lengths too large to index
+        raise dataio.DataFormatError(f"{path}: {exc}") from exc
 
 
 def _read_test(path, index_base: int, lengths) -> Coo:
@@ -143,21 +147,16 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-_DEFAULTS = {
-    "alg": "sals",
-    "k": 10,
-    "c": None,  # resolved per algorithm
-    "t_in": 1,
-    "t_out": 10,
-    "lam": 0.0,
-    "reg": "plain",
-    "eta0": 0.01,
-    "m": 1,
-    "assign": "greedy",
-    "mode": "in-memory",
-    "seed": 0,
-    "index_base": 1,
-}
+def _positive_int(raw: str) -> int:
+    """A count flag's value; zero and negatives are usage errors too."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
 
 def _config_value(action: argparse.Action, key: str, raw: str):
     """``raw`` checked by its flag's own type and choices, as on the command line."""
@@ -172,23 +171,19 @@ def _config_value(action: argparse.Action, key: str, raw: str):
     return value
 
 
-def _merge_config(args: argparse.Namespace, command: argparse.ArgumentParser):
-    """Fill unset flags from ``--config`` (checked like the flags), then defaults."""
-    if getattr(args, "config", None):
-        actions = {a.dest: a for a in command._actions if a.dest != "help"}
-        conf = _read_config(args.config)
-        for key, raw in conf.items():
-            attr = key.replace("-", "_")
-            if attr == "lambda":
-                attr = "lam"
-            if attr not in actions:
-                raise UsageError(f"config key {key!r} is not a recognized option")
-            if getattr(args, attr) is None:
-                setattr(args, attr, _config_value(actions[attr], key, raw))
-    for key, default in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, default)
-    return args
+def _with_config(args: argparse.Namespace, command: argparse.ArgumentParser, argv):
+    """``--config`` values (checked like the flags), completed by ``command``'s
+    own parse of ``argv``: a flag beats the file, which beats the flag's default."""
+    actions = {a.dest: a for a in command._actions if a.dest != "help"}
+    conf = argparse.Namespace(command=args.command)
+    for key, raw in _read_config(args.config).items():
+        attr = key.replace("-", "_")
+        if attr == "lambda":
+            attr = "lam"
+        if attr not in actions:
+            raise UsageError(f"config key {key!r} is not a recognized option")
+        setattr(conf, attr, _config_value(actions[attr], key, raw))
+    return command.parse_args(argv[argv.index(args.command) + 1:], namespace=conf)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -201,31 +196,32 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--lengths", required=True, help="comma-separated mode lengths")
     gen.add_argument("--nnz", type=int, required=True)
-    gen.add_argument("--k-true", dest="k_true", type=int, default=5)
-    gen.add_argument("--noise", type=float, default=0.0)
-    gen.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.0)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=None)
+    gen.add_argument("--k-true", dest="k_true", type=_positive_int, default=5)
+    gen.add_argument("--noise", type=_finite_float, default=0.0)
+    gen.add_argument("--test-fraction", dest="test_fraction", type=_finite_float, default=0.0)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
     gen.add_argument("--config", default=None)
 
     fac = sub.add_parser("factorize", help="factorize a COO tensor file")
     fac.add_argument("--train", default=None)
     fac.add_argument("--test", default=None)
     fac.add_argument("--out", default=None, help="output directory")
-    fac.add_argument("--alg", choices=("cdtf", "sals", "als", "psgd"), default=None)
-    fac.add_argument("-K", dest="k", type=int, default=None, help="rank")
-    fac.add_argument("-C", dest="c", type=int, default=None, help="columns per subset")
-    fac.add_argument("--t-in", dest="t_in", type=int, default=None)
-    fac.add_argument("--t-out", dest="t_out", type=int, default=None)
-    fac.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
-    fac.add_argument("--reg", choices=("plain", "weighted"), default=None)
-    fac.add_argument("--eta0", type=_finite_float, default=None)
-    fac.add_argument("-M", dest="m", type=int, default=None, help="machines (or PSGD shards)")
-    fac.add_argument("--assign", choices=("greedy", "sequential", "random"), default=None)
-    fac.add_argument("--mode", choices=("in-memory", "streaming"), default=None)
-    fac.add_argument("--seed", type=int, default=None)
-    fac.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=None)
-    fac.add_argument("--n-modes", dest="n_modes", type=int, default=None)
+    fac.add_argument("--alg", choices=("cdtf", "sals", "als", "psgd"), default="sals")
+    fac.add_argument("-K", dest="k", type=_positive_int, default=10, help="rank")
+    fac.add_argument("-C", dest="c", type=_positive_int, default=None, help="columns per subset")
+    fac.add_argument("--t-in", dest="t_in", type=_positive_int, default=1)
+    fac.add_argument("--t-out", dest="t_out", type=_positive_int, default=10)
+    fac.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
+    fac.add_argument("--reg", choices=("plain", "weighted"), default="plain")
+    fac.add_argument("--eta0", type=_finite_float, default=0.01)
+    fac.add_argument("-M", dest="m", type=_positive_int, default=1,
+                     help="machines (or PSGD shards)")
+    fac.add_argument("--assign", choices=("greedy", "sequential", "random"), default="greedy")
+    fac.add_argument("--mode", choices=("in-memory", "streaming"), default="in-memory")
+    fac.add_argument("--seed", type=int, default=0)
+    fac.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
+    fac.add_argument("--n-modes", dest="n_modes", type=_positive_int, default=None)
     fac.add_argument("--column-order", dest="column_order",
                      choices=("fixed", "random"), default=None)
     fac.add_argument("--workdir", default=None, help="scratch directory for streaming mode")
@@ -233,18 +229,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     par = sub.add_parser("partition-stats", help="compare row-assignment strategies")
     par.add_argument("--train", default=None)
-    par.add_argument("-M", dest="m", type=int, default=None)
-    par.add_argument("--seed", type=int, default=None)
-    par.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=None)
-    par.add_argument("--n-modes", dest="n_modes", type=int, default=None)
+    par.add_argument("-M", dest="m", type=_positive_int, default=1)
+    par.add_argument("--seed", type=int, default=0)
+    par.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
+    par.add_argument("--n-modes", dest="n_modes", type=_positive_int, default=None)
     par.add_argument("--out", default=None, help="directory for serialized assignments")
     par.add_argument("--config", default=None)
 
     ev = sub.add_parser("evaluate", help="RMSE of a saved model on a test file")
     ev.add_argument("--model", required=True, help="model directory")
     ev.add_argument("--test", default=None)
-    ev.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=None)
-    ev.add_argument("--n-modes", dest="n_modes", type=int, default=None)
+    ev.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
+    ev.add_argument("--n-modes", dest="n_modes", type=_positive_int, default=None)
     ev.add_argument("--config", default=None)
     return parser, sub.choices
 
@@ -389,10 +385,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, commands[args.command])
+        if args.config is not None:
+            args = _with_config(args, commands[args.command], argv)
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "factorize":

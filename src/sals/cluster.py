@@ -69,7 +69,6 @@ class WorkerState:
     machine: int
     positions: np.ndarray                 # global entry positions (canonical order)
     idx: np.ndarray                       # local copy of the index rows
-    values: np.ndarray                    # local copy of the observed values
     residual: np.ndarray                  # private residual replica
     groups: list[RowGroups]               # per mode, owned rows and local bucket positions
     lead_global: np.ndarray               # global positions of groups[0]'s entries
@@ -87,14 +86,13 @@ def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[Work
             mask |= owners[n][store.idx[:, n]] == m
         positions = np.flatnonzero(mask)
         idx_local = store.idx[positions]
-        vals_local = store.values[positions]
         groups = []
         for n in range(store.n_modes):
             rows, order, ptr = store.groups(n, assignment.sets[m][n])
             groups.append(RowGroups(rows, np.searchsorted(positions, order), ptr))
         workers.append(
             WorkerState(
-                m, positions, idx_local, vals_local, vals_local.copy(),
+                m, positions, idx_local, store.values[positions],
                 groups, positions[groups[0].order],
             )
         )

@@ -146,8 +146,8 @@ def plan_synthetic(
         raise ValueError(f"nnz={nnz} infeasible for {cells} cells")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError("noise_sigma must be finite and nonnegative")
     if not 0 <= test_fraction < 1:
         raise ValueError("test_fraction must be in [0, 1)")
     footprint = nnz * (len(mode_lengths) + 1) + rank * sum(mode_lengths)

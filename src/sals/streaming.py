@@ -241,6 +241,7 @@ def stream_factorize(
         absent = [store.groups(n, np.flatnonzero(store.bucket_sizes(n) == 0))
                   for n in range(store.n_modes)]
         run = StreamingRun(workdir, colstore, params.lam, 0, stats, _tmp=tmp)
+        flops_mark = stats.flops
 
         def augment(columns):
             slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
@@ -260,6 +261,7 @@ def stream_factorize(
                 colstore.release(slabs[n])
 
         def close(it):
+            nonlocal flops_mark
             if on_iteration is None:
                 return None
             path = cache / cache_name("r", 0)
@@ -269,7 +271,8 @@ def stream_factorize(
             run.records.append(IterationRecord(it, 0.0, *evaluate(
                 resid_sq or 0.0, colstore.blocks(params.n_columns), store,
                 params.lam, params.regularization, test,
-            )))
+            ), flops=stats.flops - flops_mark))
+            flops_mark = stats.flops
             return run.records[-1]
 
         run_schedule(params, store, augment, refit, write_back, close, on_iteration)

@@ -252,6 +252,67 @@ class TestConfigValues:
         assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        ("factorize", "-K"), ("factorize", "-C"), ("factorize", "-M"),
+        ("factorize", "--t-in"), ("factorize", "--t-out"), ("factorize", "--n-modes"),
+        ("partition-stats", "-M"), ("partition-stats", "--n-modes"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, dataset, tmp_path, capsys,
+                                            command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--train", str(dataset / "train.coo"), f"{flag}={value}",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("line", ["k=0", "c=0", "m=-1", "t_in=0", "t-out=0", "n_modes=0"])
+    def test_count_below_one_in_config_names_the_key(self, dataset, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        code = main(
+            ["factorize", "--config", str(conf),
+             "--train", str(dataset / "train.coo"), "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_USAGE
+        key = line.split("=")[0]
+        assert f"config key {key!r}: must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--k-true", "0"), ("--noise", "nan"), ("--noise", "inf"), ("--test-fraction", "nan"),
+    ])
+    def test_bad_generate_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(tmp_path / "g"), "--lengths", "5,5",
+                  "--nnz", "10", f"{flag}={value}"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}: must be a" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    def test_generate_precedence_flag_config_default(self, tmp_path):
+        conf = tmp_path / "gen.conf"
+        conf.write_text("k_true=2\nnoise=0.5\ntest_fraction=0.5\n")
+        common = ["generate", "--lengths", "6,6", "--nnz", "20", "--seed", "1"]
+
+        def written(out):
+            rank = (out / "truth" / "factor_1.txt").read_text().splitlines()[0]
+            return rank, len((out / "test.coo").read_text().splitlines())
+
+        assert main([*common, "--config", str(conf), "--out", str(tmp_path / "conf")]) == 0
+        assert written(tmp_path / "conf") == ("6 2", 10)
+        assert main([*common, "--config", str(conf), "--out", str(tmp_path / "flags"),
+                     "--k-true", "3", "--noise", "0", "--test-fraction", "0.25"]) == 0
+        assert written(tmp_path / "flags") == ("6 3", 5)
+        assert main([*common, "--out", str(tmp_path / "plain")]) == 0
+        assert written(tmp_path / "plain") == ("6 5", 0)
+        # noise 0 from a flag writes what the noise-free default writes
+        assert main([*common, "--config", str(conf), "--out", str(tmp_path / "quiet"),
+                     "--k-true", "5", "--noise", "0", "--test-fraction", "0"]) == 0
+        for name in ("train.coo", "test.coo"):
+            assert ((tmp_path / "quiet" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
     def test_values_are_typed_like_flags(self, tmp_path):
         conf = tmp_path / "gen.conf"
         conf.write_text("seed=5\nindex_base=0\nnoise=0.5\n")
@@ -381,6 +442,34 @@ class TestExitCodes:
         )
         assert code == EXIT_IO
         assert "big.coo:1: mode 1 index 99999999999999999999 above" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["factorize", "-K", "2", "--t-out", "1"], ["partition-stats", "-M", "2"],
+    ], ids=["factorize", "partition-stats"])
+    @pytest.mark.parametrize("lines,message", [
+        ("1 1 1.0\n1 1 2.0\n", "bad.coo: duplicate index tuple (1, 1)"),
+        ("9000000000000000000 1 1.0\n1 1 2.0\n", "bad.coo: array is too big"),
+    ], ids=["duplicate", "length-9e18"])
+    def test_bad_training_data_is_io_error_naming_the_file(self, tmp_path, capsys,
+                                                           command, lines, message):
+        (tmp_path / "bad.coo").write_text(lines)
+        code = main([*command, "--train", str(tmp_path / "bad.coo"), "--n-modes", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_IO
+        assert message in capsys.readouterr().err
+
+    def test_out_of_memory_building_the_store_is_io_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        import sals.cli
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 67.1 GiB")
+
+        monkeypatch.setattr(sals.cli, "build_store", no_memory)
+        (tmp_path / "big.coo").write_text("9000000000 1 1.0\n1 1 2.0\n")
+        code = main(["partition-stats", "--train", str(tmp_path / "big.coo")])
+        assert code == EXIT_IO
+        assert "big.coo: Unable to allocate 67.1 GiB" in capsys.readouterr().err
 
     def test_psgd_rejects_weighted_regularization(self, dataset, tmp_path):
         code = main(

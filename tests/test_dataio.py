@@ -195,6 +195,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="infeasible"):
             plan_synthetic((3, 3), 10, 2)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_bad_noise_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+            plan_synthetic((3, 3), 4, 2, noise_sigma=sigma)
+
     def test_desk_scale_not_flagged(self):
         plan = plan_synthetic((50, 50, 50), 40000, 5, 0.1, 0.1, seed=0)
         assert not plan.beyond_desk_scale

@@ -629,6 +629,28 @@ class TestIterationTiming:
         assert all(r.seconds == 0.0 for r in records)
 
 
+class TestIterationFlops:
+    @pytest.mark.parametrize("path", ["serial", "cluster", "streaming"])
+    def test_records_sum_to_run_total(self, rng, path):
+        from sals import cluster, streaming
+        from sals.accounting import SolveStats
+        from sals.partition import greedy_assign
+
+        store = random_store(rng, (9, 8, 7), 160)
+        params = SolverParams(rank=4, n_columns=2, outer_iters=3, lam=0.1, seed=2)
+        records, stats = [], SolveStats()
+        kwargs = dict(on_iteration=records.append, stats=stats)
+        if path == "serial":
+            factorize(store, params, **kwargs)
+        elif path == "cluster":
+            cluster.run_distributed(store, params, greedy_assign(store, 3), **kwargs)
+        else:
+            streaming.stream_factorize(store, params, **kwargs).cleanup()
+        assert len(records) == 3
+        assert all(r.flops > 0 for r in records)
+        assert sum(r.flops for r in records) == stats.flops
+
+
 class TestLossRiseFlag:
     PATHS = ["serial", "cluster", "streaming"]
 
