@@ -44,21 +44,18 @@ from .solver import (
     IterationRecord,
     NormalEq,
     SolverParams,
-    build_normal_eq,
     choose_columns,
     compute_rhat,
     factorize,
     factorize_cdtf,
     init_model,
     solve_row,
-    update_mode,
     update_residual,
 )
 from .streaming import ColumnStore, StreamingRun, stream_factorize
 from .tensor import (
     Coo,
     FactorModel,
-    ResidualState,
     SparseTensorStore,
     TensorEntry,
     as_coo,
@@ -67,7 +64,6 @@ from .tensor import (
     reconstruct,
     rmse,
     store_from_arrays,
-    verify_residual,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +82,6 @@ __all__ = [
     "LoadReport",
     "NormalEq",
     "ResidencyMeter",
-    "ResidualState",
     "RowAssignment",
     "SgdParams",
     "SolveStats",
@@ -97,7 +92,6 @@ __all__ = [
     "WorkerState",
     "as_coo",
     "assign",
-    "build_normal_eq",
     "build_store",
     "choose_columns",
     "comm_report",
@@ -127,8 +121,6 @@ __all__ = [
     "stream_factorize",
     "stream_pass",
     "store_from_arrays",
-    "update_mode",
     "update_residual",
-    "verify_residual",
     "write_coo",
 ]

@@ -12,18 +12,16 @@ from dataclasses import dataclass
 
 @dataclass
 class SolveStats:
-    """Multiply-add, row-update and r-hat buffer accounting for one solver run."""
+    """Multiply-add and row-update accounting for one solver run."""
 
     flops: int = 0
     rows_updated: int = 0
     rows_skipped: int = 0  # singular normal equations at lambda=0; values retained
-    rhat_buffers: int = 0  # full-length r-hat buffers allocated by compute_rhat
 
     def merge(self, other: "SolveStats") -> None:
         self.flops += other.flops
         self.rows_updated += other.rows_updated
         self.rows_skipped += other.rows_skipped
-        self.rhat_buffers += other.rhat_buffers
 
 
 @dataclass

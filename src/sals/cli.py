@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -158,6 +159,11 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _mode_lengths(raw: str) -> tuple[int, ...]:
+    """Comma-separated mode lengths, each a positive integer."""
+    return tuple(_positive_int(part) for part in raw.split(","))
+
+
 def _config_value(action: argparse.Action, key: str, raw: str):
     """``raw`` checked by its flag's own type and choices, as on the command line."""
     try:
@@ -194,7 +200,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     gen = sub.add_parser("generate", help="generate a synthetic dataset")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--lengths", required=True, help="comma-separated mode lengths")
+    gen.add_argument("--lengths", type=_mode_lengths, required=True,
+                     help="comma-separated mode lengths")
     gen.add_argument("--nnz", type=int, required=True)
     gen.add_argument("--k-true", dest="k_true", type=_positive_int, default=5)
     gen.add_argument("--noise", type=_finite_float, default=0.0)
@@ -240,13 +247,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     ev.add_argument("--model", required=True, help="model directory")
     ev.add_argument("--test", default=None)
     ev.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
-    ev.add_argument("--n-modes", dest="n_modes", type=_positive_int, default=None)
     ev.add_argument("--config", default=None)
     return parser, sub.choices
 
 
 def _cmd_generate(args) -> int:
-    lengths = tuple(int(s) for s in str(args.lengths).split(","))
+    lengths = args.lengths
+    cells = math.prod(lengths)
+    if not 0 <= args.nnz <= cells:
+        raise UsageError(f"--nnz {args.nnz} outside [0, {cells}], the cells of --lengths")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_store, test, truth = dataio.generate_synthetic(

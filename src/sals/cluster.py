@@ -314,7 +314,7 @@ def run_distributed(
         store=store,
         params=params,
         master=master,
-        master_residual=residual.values,
+        master_residual=residual,
         bus=_Bus(n_workers),
         log=log,
         worker_stats=[SolveStats() for _ in range(n_workers)],

@@ -254,8 +254,17 @@ def factorize_psgd(
     test_entries=None,
     on_iteration: ProgressHook | None = None,
 ) -> FactorModel:
-    """Run T_out averaged epochs from a random initialization."""
+    """Run T_out averaged epochs from a random initialization.
+
+    Each record's ``flops`` is nnz * 7NK, as every epoch makes one update
+    per entry.  An update counts NK operations for the entry's
+    reconstruction and residual (as the subset-ALS augment counts an entry),
+    and six for each of the NK parameters it moves: the cross-mode quotient,
+    lambda * a, the division by the row's degree, r * g (a multiply-add),
+    the 2 * eta scaling and the step.
+    """
     model = init_sgd_model(store, params)
+    epoch_flops = store.nnz * 7 * store.n_modes * params.rank
     test = None if test_entries is None else as_coo(
         test_entries, store.n_modes, store.mode_lengths)
 
@@ -265,7 +274,7 @@ def factorize_psgd(
         err = store.values - predict_entries(model, store.idx)
         return IterationRecord(epoch, 0.0, *evaluate(
             float(err @ err), [model.matrices], store, params.lam, PLAIN, test,
-        ))
+        ), flops=epoch_flops)
 
     t0 = time.perf_counter()
     for epoch in range(params.outer_iters):

@@ -25,10 +25,7 @@ import numpy as np
 
 from .accounting import SolveStats
 from .tensor import (
-    AUGMENTED,
-    RESIDUAL,
     FactorModel,
-    ResidualState,
     RowGroups,
     SparseTensorStore,
     as_coo,
@@ -82,8 +79,7 @@ class SolverParams:
 class NormalEq:
     """The C x C systems (B + lambda' I) a = c of row updates.
 
-    B is (R, C, C) and c is (R, C) for a stack of R rows, or (C, C) and (C,)
-    for a single row.
+    B is (R, C, C) and c is (R, C) for a stack of R rows.
     """
 
     B: np.ndarray
@@ -148,10 +144,10 @@ def init_factors(store: SparseTensorStore, params: SolverParams) -> Iterator[np.
 
 def init_model(
     store: SparseTensorStore, params: SolverParams
-) -> tuple[FactorModel, ResidualState]:
-    """The :func:`init_factors` model; residual starts equal to x."""
+) -> tuple[FactorModel, np.ndarray]:
+    """The :func:`init_factors` model and its residual, a copy of x."""
     model = FactorModel(params.rank, params.lam, list(init_factors(store, params)))
-    return model, ResidualState(store.values.copy(), RESIDUAL)
+    return model, store.values.copy()
 
 
 def choose_columns(
@@ -173,47 +169,37 @@ def choose_columns(
 
 
 def compute_rhat(
-    store: SparseTensorStore,
-    residual: ResidualState,
-    model: FactorModel,
-    columns: np.ndarray,
+    residual: np.ndarray,
+    slabs: Sequence[np.ndarray],
+    idx: np.ndarray,
     stats: SolveStats | None = None,
-) -> ResidualState:
-    """Augmented residual: r-hat = r + active-column reconstruction.
+) -> None:
+    """Augment the residual to r-hat in place: r-hat = r + the slabs' reconstruction.
 
-    Allocates a fresh buffer (counted in ``stats.rhat_buffers``); the input
-    residual is left untouched.
+    ``slabs`` are the active columns of every factor and ``idx`` the (nnz, N)
+    entry indices.  Chunked, so no buffer of the residual's length is
+    allocated.
     """
-    if residual.kind != RESIDUAL:
-        raise ValueError("compute_rhat expects a plain residual")
-    columns = np.asarray(columns, dtype=np.int64)
-    slabs = [m[:, columns] for m in model.matrices]
-    vals = residual.values + subset_products(slabs, store.idx)
+    for start in range(0, idx.shape[0], _CHUNK):
+        residual[start:start + _CHUNK] += subset_products(slabs, idx[start:start + _CHUNK])
     if stats is not None:
-        stats.rhat_buffers += 1
-        stats.flops += store.nnz * columns.size * store.n_modes
-    return ResidualState(vals, AUGMENTED, tuple(int(k) for k in columns))
+        stats.flops += idx.shape[0] * slabs[0].shape[1] * len(slabs)
 
 
 def update_residual(
-    store: SparseTensorStore,
-    rhat: ResidualState,
-    model: FactorModel,
-    columns: np.ndarray,
+    rhat: np.ndarray,
+    slabs: Sequence[np.ndarray],
+    idx: np.ndarray,
     stats: SolveStats | None = None,
-) -> ResidualState:
-    """Write the residual back: r = r-hat - updated-column reconstruction.
+) -> None:
+    """Write the residual back in place: r = r-hat - the refit slabs' reconstruction.
 
-    Reuses the r-hat buffer in place; the input state is consumed.
+    The inverse of :func:`compute_rhat`, chunked the same way.
     """
-    if rhat.kind != AUGMENTED:
-        raise ValueError("update_residual expects an augmented residual")
-    columns = np.asarray(columns, dtype=np.int64)
-    slabs = [m[:, columns] for m in model.matrices]
-    rhat.values -= subset_products(slabs, store.idx)
+    for start in range(0, idx.shape[0], _CHUNK):
+        rhat[start:start + _CHUNK] -= subset_products(slabs, idx[start:start + _CHUNK])
     if stats is not None:
-        stats.flops += store.nnz * columns.size * store.n_modes
-    return ResidualState(rhat.values, RESIDUAL)
+        stats.flops += idx.shape[0] * slabs[0].shape[1] * len(slabs)
 
 
 def _batches(ptr: np.ndarray, c_cols: int) -> Iterator[tuple[int, int]]:
@@ -296,42 +282,17 @@ def normal_eq_arrays(
     return NormalEq(B, c)
 
 
-def build_normal_eq(
-    store: SparseTensorStore,
-    rhat: ResidualState,
-    model: FactorModel,
-    mode: int,
-    row: int,
-    columns: np.ndarray,
-    stats: SolveStats | None = None,
-) -> NormalEq:
-    """Normal equations for one row of one mode over the active columns."""
-    if rhat.kind != AUGMENTED or rhat.columns != tuple(int(k) for k in columns):
-        raise ValueError("r-hat state does not match the requested columns")
-    columns = np.asarray(columns, dtype=np.int64)
-    slabs = [m[:, columns] for m in model.matrices]
-    pos = store.bucket(mode, row)
-    neq = normal_eq_arrays(
-        slabs, store.idx[pos], rhat.values[pos], np.array([0, pos.size]), mode, stats
-    )
-    return NormalEq(neq.B[0], neq.c[0])
-
-
 def solve_row(
     neq: NormalEq, lam_eff: float | np.ndarray, stats: SolveStats | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (B + lambda' I) a = c for a stack of systems by Cholesky factorization.
 
     ``neq.B`` is (R, C, C), ``neq.c`` (R, C) and ``lam_eff`` a scalar or one
-    value per system; a single (C, C) system is a batch of one and gives a
-    (C,) solution and a bool.  Returns ``(solutions, solved)``.  A singular
-    system (possible only when lambda' = 0) gets zeros and ``solved``
-    False, so the caller can keep the row's previous values.
+    value per system.  Returns ``(solutions, solved)``.  A singular system
+    (possible only when lambda' = 0) gets zeros and ``solved`` False, so the
+    caller can keep the row's previous values.
     """
     B, c = neq.B, neq.c
-    if c.ndim == 1:
-        x, ok = solve_row(NormalEq(B[np.newaxis], c[np.newaxis]), lam_eff, stats)
-        return x[0], bool(ok[0])
     lam = np.broadcast_to(np.asarray(lam_eff, dtype=np.float64), c.shape[:1])
     if (lam < 0).any():
         raise ValueError("lam_eff must be nonnegative")
@@ -455,28 +416,6 @@ def update_rows(
     return skipped
 
 
-def update_mode(
-    store: SparseTensorStore,
-    rhat: ResidualState,
-    model: FactorModel,
-    mode: int,
-    columns: np.ndarray,
-    params: SolverParams,
-    stats: SolveStats | None = None,
-) -> int:
-    """Refit every row of one mode's active columns; returns rows skipped."""
-    if rhat.kind != AUGMENTED or rhat.columns != tuple(int(k) for k in columns):
-        raise ValueError("r-hat state does not match the requested columns")
-    columns = np.asarray(columns, dtype=np.int64)
-    slabs = [m[:, columns] for m in model.matrices]  # fancy indexing copies
-    skipped = update_rows(
-        slabs, store.idx, rhat.values, mode, store.groups(mode),
-        params.lam, params.regularization == WEIGHTED, stats,
-    )
-    model.matrices[mode][:, columns] = slabs[mode]
-    return skipped
-
-
 def close_iteration(
     t0: float,
     iteration: int,
@@ -554,13 +493,12 @@ def factorize(
 ) -> FactorModel:
     """Run T_out outer iterations of subset-ALS and return the model.
 
-    The residual buffer is turned into r-hat in place (and back) with
-    chunked passes, so no augmented buffer is ever allocated.  The progress
-    hook fires after each outer iteration with the regularized loss (and
-    test RMSE when a test set is supplied).
+    The residual is turned into r-hat and back in place by
+    :func:`compute_rhat` and :func:`update_residual`.  The progress hook
+    fires after each outer iteration with the regularized loss (and test
+    RMSE when a test set is supplied).
     """
-    model, residual = init_model(store, params)
-    vals = residual.values
+    model, vals = init_model(store, params)
     test = None if test_entries is None else as_coo(
         test_entries, store.n_modes, store.mode_lengths)
     stats = stats if stats is not None else SolveStats()
@@ -569,9 +507,7 @@ def factorize(
 
     def augment(columns):
         slabs = [m[:, columns] for m in model.matrices]
-        for start in range(0, store.nnz, _CHUNK):
-            vals[start:start + _CHUNK] += subset_products(slabs, store.idx[start:start + _CHUNK])
-        stats.flops += store.nnz * columns.size * store.n_modes
+        compute_rhat(vals, slabs, store.idx, stats)
         return slabs
 
     def refit(slabs, stamp):
@@ -583,9 +519,7 @@ def factorize(
     def write_back(columns, slabs):
         for n in range(store.n_modes):
             model.matrices[n][:, columns] = slabs[n]
-        for start in range(0, store.nnz, _CHUNK):
-            vals[start:start + _CHUNK] -= subset_products(slabs, store.idx[start:start + _CHUNK])
-        stats.flops += store.nnz * columns.size * store.n_modes
+        update_residual(vals, slabs, store.idx, stats)
 
     def close(it):
         nonlocal flops_mark

@@ -220,24 +220,6 @@ class FactorModel:
         return FactorModel(self.rank, self.lam, [m.copy() for m in self.matrices])
 
 
-RESIDUAL = "residual"
-AUGMENTED = "augmented"
-
-
-@dataclass
-class ResidualState:
-    """Per-entry residual values aligned with a store's entry list.
-
-    ``kind`` is either :data:`RESIDUAL` (r = x - reconstruction) or
-    :data:`AUGMENTED` (r-hat, the residual with the contribution of
-    ``columns`` added back).
-    """
-
-    values: np.ndarray
-    kind: str = RESIDUAL
-    columns: tuple[int, ...] | None = None
-
-
 def take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``a[index]`` along the first axis, as a new array.
 
@@ -352,15 +334,3 @@ def rmse(model: FactorModel, test: Coo | Sequence[TensorEntry]) -> float:
     idx, vals = as_coo(test, model.n_modes, [m.shape[0] for m in model.matrices])
     err = vals - predict_entries(model, idx)
     return float(np.sqrt((err @ err) / err.size))
-
-
-def verify_residual(
-    residual: ResidualState, store: SparseTensorStore, model: FactorModel
-) -> float:
-    """Max absolute deviation of ``residual`` from x - reconstruction."""
-    if residual.kind != RESIDUAL:
-        raise ValueError("verify_residual expects a plain residual state")
-    expected = store.values - predict_entries(model, store.idx)
-    if residual.values.size == 0:
-        return 0.0
-    return float(np.max(np.abs(residual.values - expected)))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sals.solver import NormalEq, compute_rhat, normal_eq_arrays, update_rows
 from sals.tensor import FactorModel, SparseTensorStore, store_from_arrays
 
 # Tests that start ``python -m sals`` need the source tree importable there
@@ -38,6 +39,35 @@ def random_model(
     """Dense random factors for oracle-style tests (first factor nonzero)."""
     mats = [rng.normal(0.0, 1.0, size=(length, rank)) for length in store.mode_lengths]
     return FactorModel(rank, lam, mats)
+
+
+def augmented(store, residual, model, columns) -> np.ndarray:
+    """r-hat for ``columns``: a copy of ``residual`` augmented by compute_rhat."""
+    rhat = residual.copy()
+    compute_rhat(rhat, [m[:, columns] for m in model.matrices], store.idx)
+    return rhat
+
+
+def refit_mode(store, rhat, model, mode, columns, params, stats=None) -> int:
+    """Refit every row of one mode's active columns against r-hat; returns rows skipped.
+
+    The row kernel's slab is written back into ``model``, as the solvers'
+    write-back step does.
+    """
+    slabs = [m[:, columns] for m in model.matrices]
+    skipped = update_rows(
+        slabs, store.idx, rhat, mode, store.groups(mode),
+        params.lam, params.regularization == "weighted", stats,
+    )
+    model.matrices[mode][:, columns] = slabs[mode]
+    return skipped
+
+
+def row_normal_eq(store, rhat, model, mode, row, columns) -> NormalEq:
+    """The normal equations of one row over ``columns``, as a stack of one."""
+    pos = store.bucket(mode, row)
+    slabs = [m[:, columns] for m in model.matrices]
+    return normal_eq_arrays(slabs, store.idx[pos], rhat[pos], np.array([0, pos.size]), mode)
 
 
 @pytest.fixture

@@ -13,18 +13,16 @@ from sals.accounting import SolveStats
 from sals.solver import (
     NormalEq,
     SolverParams,
-    build_normal_eq,
     choose_columns,
     compute_rhat,
     factorize,
     factorize_cdtf,
     init_model,
     solve_row,
-    update_mode,
     update_residual,
 )
 from sals.tensor import predict_entries, regularization_penalty, store_from_arrays
-from conftest import random_model, random_store
+from conftest import augmented, random_model, random_store, refit_mode, row_normal_eq
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -46,8 +44,9 @@ def test_criterion_01_row_solve_oracle():
         B = half.T @ half + 0.05 * np.eye(c_cols)
         c = rng.normal(size=c_cols)
         lam = float([0.0, 0.1, 1.0][trial % 3])
-        x, solved = solve_row(NormalEq(B, c), lam)
-        if not solved:
+        x, solved = solve_row(NormalEq(B[np.newaxis], c[np.newaxis]), lam)
+        x = x[0]
+        if not solved[0]:
             failures += 1
             continue
         expected = np.linalg.inv(B + lam * np.eye(c_cols)) @ c
@@ -98,17 +97,15 @@ def test_criterion_02_normal_equation_oracle():
         model = random_model(rng, store, rank)
         c_cols = int(rng.integers(1, 5))
         columns = np.sort(rng.choice(rank, size=c_cols, replace=False))
-        residual = sals.ResidualState(store.values - predict_entries(model, store.idx))
-        rhat = compute_rhat(store, residual, model, columns)
+        residual = store.values - predict_entries(model, store.idx)
+        rhat = augmented(store, residual, model, columns)
         for mode in range(n_modes):
             for row in range(lengths[mode]):
-                neq = build_normal_eq(store, rhat, model, mode, row, columns)
-                Bo, co = _brute_normal_eq(
-                    store, rhat.values, model.matrices, mode, row, columns
-                )
+                neq = row_normal_eq(store, rhat, model, mode, row, columns)
+                Bo, co = _brute_normal_eq(store, rhat, model.matrices, mode, row, columns)
                 scale = max(1.0, float(np.max(np.abs(Bo))), float(np.max(np.abs(co))))
                 diff = max(
-                    float(np.max(np.abs(neq.B - Bo))), float(np.max(np.abs(neq.c - co)))
+                    float(np.max(np.abs(neq.B[0] - Bo))), float(np.max(np.abs(neq.c[0] - co)))
                 )
                 worst = max(worst, diff / scale)
     elapsed = time.perf_counter() - t0
@@ -125,7 +122,7 @@ def _subset_loss(store, rhat, model, columns, regularization):
     prod = slabs[0][store.idx[:, 0]].copy()
     for n in range(1, store.n_modes):
         prod *= slabs[n][store.idx[:, n]]
-    err = rhat.values - prod.sum(axis=1)
+    err = rhat - prod.sum(axis=1)
     return float(err @ err) + regularization_penalty(model, store, regularization)
 
 
@@ -145,14 +142,14 @@ def test_criterion_03_monotone_loss():
             model, residual = init_model(store, params)
             _, order_rng = sals.solver.rng_streams(params.seed)
             for columns in choose_columns(params, order_rng):
-                rhat = compute_rhat(store, residual, model, columns)
-                prev = _subset_loss(store, rhat, model, columns, reg)
+                compute_rhat(residual, [m[:, columns] for m in model.matrices], store.idx)
+                prev = _subset_loss(store, residual, model, columns, reg)
                 for n in range(3):
-                    update_mode(store, rhat, model, n, columns, params)
-                    cur = _subset_loss(store, rhat, model, columns, reg)
+                    refit_mode(store, residual, model, n, columns, params)
+                    cur = _subset_loss(store, residual, model, columns, reg)
                     worst_ratio = max(worst_ratio, (cur - prev) / max(abs(prev), 1e-300))
                     prev = cur
-                residual = update_residual(store, rhat, model, columns)
+                update_residual(residual, [m[:, columns] for m in model.matrices], store.idx)
     elapsed = time.perf_counter() - t0
     ok = worst_ratio <= 1e-9 and elapsed < 30.0
     report(

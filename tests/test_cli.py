@@ -290,6 +290,25 @@ class TestConfigValues:
         assert f"argument {flag}: must be a" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("lengths,nnz,flag", [
+        ("0,5", "3", "--lengths"), ("a,b", "3", "--lengths"), ("5,,5", "3", "--lengths"),
+        ("5,5", "-1", "--nnz"), ("5,5", "30", "--nnz"),
+    ])
+    def test_bad_generate_size_is_usage_error(self, tmp_path, capsys, lengths, nnz, flag):
+        argv = ["generate", "--out", str(tmp_path / "g"), "--lengths", lengths, "--nnz", nnz]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        assert code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    def test_generate_accepts_zero_nnz(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["generate", "--out", str(out), "--lengths", "5,5", "--nnz", "0"]) == 0
+        assert (out / "train.coo").read_text() == ""
+
     def test_generate_precedence_flag_config_default(self, tmp_path):
         conf = tmp_path / "gen.conf"
         conf.write_text("k_true=2\nnoise=0.5\ntest_fraction=0.5\n")
@@ -392,6 +411,20 @@ class TestEvaluate:
             )
         assert code == 0
         assert float(buf.getvalue().split()[-1]) < 1e-10
+
+    def test_n_modes_is_not_an_option(self, rng, tmp_path, capsys):
+        store = random_store(rng, (4, 4), 6)
+        save_model(tmp_path / "model", random_model(rng, store, rank=2))
+        write_coo(tmp_path / "test.coo", store.entries(), CooFileSpec(2, 1))
+        argv = ["evaluate", "--model", str(tmp_path / "model"),
+                "--test", str(tmp_path / "test.coo")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n-modes", "7"])
+        assert exc.value.code == EXIT_USAGE
+        conf = tmp_path / "eval.conf"
+        conf.write_text("n_modes=7\n")
+        assert main([*argv, "--config", str(conf)]) == EXIT_USAGE
+        assert "config key 'n_modes' is not a recognized option" in capsys.readouterr().err
 
     def test_empty_test_file_is_io_error(self, rng, tmp_path):
         store = random_store(rng, (4, 4), 6)

@@ -4,7 +4,6 @@ import pytest
 from sals.tensor import (
     Coo,
     FactorModel,
-    ResidualState,
     TensorEntry,
     as_coo,
     build_store,
@@ -15,7 +14,6 @@ from sals.tensor import (
     rmse,
     store_from_arrays,
     take_rows,
-    verify_residual,
 )
 from conftest import random_model, random_store
 
@@ -290,24 +288,3 @@ class TestRmse:
         model = random_model(rng, store, rank=2)
         assert rmse(model, Coo(store.idx, store.values)) == rmse(model, store.entries())
 
-
-class TestVerifyResidual:
-    def test_fresh_init_zero(self, rng):
-        store = random_store(rng, (4, 5), 12)
-        model = FactorModel(2, 0.0, [np.zeros((4, 2)), rng.random((5, 2))])
-        residual = ResidualState(store.values.copy())
-        assert verify_residual(residual, store, model) == 0.0
-
-    def test_corruption_detected(self, rng):
-        store = random_store(rng, (4, 5), 12)
-        model = FactorModel(2, 0.0, [np.zeros((4, 2)), rng.random((5, 2))])
-        values = store.values.copy()
-        values[3] += 1.0
-        assert verify_residual(ResidualState(values), store, model) >= 1.0
-
-    def test_requires_plain_kind(self, rng):
-        store = random_store(rng, (4, 5), 12)
-        model = random_model(rng, store, rank=2)
-        state = ResidualState(store.values.copy(), "augmented", (0,))
-        with pytest.raises(ValueError):
-            verify_residual(state, store, model)
