@@ -256,6 +256,10 @@ def _cmd_generate(args) -> int:
     cells = math.prod(lengths)
     if not 0 <= args.nnz <= cells:
         raise UsageError(f"--nnz {args.nnz} outside [0, {cells}], the cells of --lengths")
+    if args.noise < 0:
+        raise UsageError(f"--noise {args.noise} is negative")
+    if not 0 <= args.test_fraction < 1:
+        raise UsageError(f"--test-fraction {args.test_fraction} outside [0, 1)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_store, test, truth = dataio.generate_synthetic(

@@ -1,15 +1,18 @@
 """Deterministic multi-worker simulation of the distributed solver.
 
-M long-lived worker threads each own a row partition, a private replica of
-the residual values for the entries they hold, and the current column slabs
-of every factor matrix.  Each thread runs the shared schedule driver
-(:func:`sals.solver.run_schedule`) with steps that work on its replica.
-Workers exchange updated rows only through a broadcast bus; a barrier
-separates every step, and each broadcast carries the driver's (outer,
-subset, inner, mode) stamp, which receivers verify.  The master model
-plays the role of the shared file system: workers read the active columns
-from it at the start of a subset and the lead worker writes them back at
-the end; neither transfer counts as communication.
+M workers each own a row partition, a private replica of the residual
+values for the entries they hold, and their own copy of the active column
+slabs of every factor matrix.  One run of the shared schedule driver
+(:func:`sals.solver.run_schedule`) steps all of them in lockstep: each
+step (augment, refit of one mode, write-back, close) runs on every
+worker's replica before the next step starts, which is the ordering a
+barrier between machines would give; there are no threads.  After every
+worker has refit mode n, each worker's owned rows are copied into every
+other worker's slab; these copies are the only communication, and
+:class:`CommLog` counts them.  The master model plays the role of the
+shared file system: workers read the active columns from it at the start
+of a subset and the lead worker's slabs are written back at the end;
+neither transfer counts as communication.
 
 Because every worker owns the complete entry bucket of each row it updates
 (in canonical order) and runs the same row kernel and evaluator as the
@@ -19,11 +22,9 @@ the same seed.
 from __future__ import annotations
 
 import csv
-import queue
-import threading
-import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -52,14 +53,7 @@ from .tensor import (
 
 
 class ClusterError(RuntimeError):
-    """A worker failed; carries per-worker diagnostics."""
-
-
-class Message(NamedTuple):
-    sender: int
-    stamp: Stamp
-    rows: np.ndarray
-    values: np.ndarray
+    """A worker's step failed; the message names the worker, the cause is chained."""
 
 
 @dataclass
@@ -148,143 +142,114 @@ def comm_report(log: CommLog) -> list[dict]:
 
 
 def export_comm_csv(log: CommLog, path) -> None:
+    """Write the traffic and flop columns of :func:`comm_report` as CSV."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "worker", "sent", "received", "flops"])
-        for rec in log.iterations:
-            for m in range(log.n_workers):
-                writer.writerow(
-                    [rec["iteration"], m, int(rec["sent"][m]),
-                     int(rec["received"][m]), int(rec["flops"][m])]
-                )
+        writer = csv.DictWriter(
+            fh, ["iteration", "worker", "sent", "received", "flops"], extrasaction="ignore",
+        )
+        writer.writeheader()
+        writer.writerows(comm_report(log))
 
 
-class _Bus:
-    """Broadcast mailboxes plus the shared barrier."""
-
-    def __init__(self, n_workers: int):
-        self.n_workers = n_workers
-        self.queues = [queue.SimpleQueue() for _ in range(n_workers)]
-        self.barrier = threading.Barrier(n_workers)
-
-    def broadcast(self, msg: Message) -> None:
-        for m in range(self.n_workers):
-            if m != msg.sender:
-                self.queues[m].put(msg)
-
-    def drain(self, me: int, stamp: Stamp) -> list[Message]:
-        got = []
-        for _ in range(self.n_workers - 1):
-            msg = self.queues[me].get_nowait()
-            if msg.stamp != stamp:
-                raise AssertionError(
-                    f"worker {me}: stamp {msg.stamp} from {msg.sender}, expected {stamp}"
-                )
-            got.append(msg)
-        return got
+@contextmanager
+def _blame(machine: int, stamp: Stamp | None = None):
+    """Turn an error in one worker's step into a :class:`ClusterError` naming it."""
+    try:
+        yield
+    except Exception as exc:
+        where = f"worker {machine}" if stamp is None else f"worker {machine}: {stamp}"
+        raise ClusterError(f"{where}: {exc}") from exc
 
 
-@dataclass
-class _RunContext:
-    store: SparseTensorStore
-    params: SolverParams
-    master: FactorModel
-    master_residual: np.ndarray
-    bus: _Bus
-    log: CommLog
-    worker_stats: list[SolveStats]
-    test: Coo | None
-    on_iteration: ProgressHook | None
-    check_replicas: bool
-    fault_hook: Callable[[int, Stamp], None] | None
-    errors: list[tuple[int, str]] = field(default_factory=list)
-    error_lock: threading.Lock = field(default_factory=threading.Lock)
+def _worker_loop(
+    store: SparseTensorStore,
+    params: SolverParams,
+    workers: list[WorkerState],
+    master: FactorModel,
+    master_residual: np.ndarray,
+    log: CommLog,
+    test: Coo | None,
+    on_iteration: ProgressHook | None,
+    check_replicas: bool,
+    fault_hook: Callable[[int, Stamp], None] | None,
+) -> list[SolveStats]:
+    """Every worker's steps of the schedule, run in lockstep by :func:`run_schedule`.
 
-
-def _worker_loop(ctx: _RunContext, ws: WorkerState) -> None:
-    """One worker's steps of the schedule, run by :func:`run_schedule`."""
-    m = ws.machine
-    n_modes = ctx.store.n_modes
-    n_workers = ctx.bus.n_workers
-    params = ctx.params
+    Each step finishes on every worker before the next step starts.
+    Returns each worker's counters.
+    """
+    n_modes = store.n_modes
     weighted = params.regularization == WEIGHTED
-    stats = ctx.worker_stats[m]
-    barrier = ctx.bus.barrier
+    stats = [SolveStats() for _ in workers]
     counters = ("sent", "received", "flops")
-    marks = dict.fromkeys(counters, 0)  # the lead's totals at the last close
+    marks = dict.fromkeys(counters, 0)  # the totals at the last close
 
     def augment(columns):
-        slabs = [ctx.master.matrices[n][:, columns] for n in range(n_modes)]
-        ws.residual += subset_products(slabs, ws.idx)
-        stats.flops += ws.idx.shape[0] * columns.size * n_modes
-        barrier.wait()  # r-hat complete everywhere before any row update
-        return slabs
+        replicas = []
+        for ws in workers:
+            with _blame(ws.machine):
+                slabs = [master.matrices[n][:, columns] for n in range(n_modes)]
+                ws.residual += subset_products(slabs, ws.idx)
+                stats[ws.machine].flops += ws.idx.shape[0] * columns.size * n_modes
+            replicas.append(slabs)
+        return replicas
 
-    def refit(slabs, stamp):
+    def refit(replicas, stamp):
         n = stamp.mode
-        if ctx.fault_hook is not None:
-            ctx.fault_hook(m, stamp)
-        update_rows(
-            slabs, ws.idx, ws.residual, n, ws.groups[n], params.lam, weighted, stats,
-        )
-        if n_workers > 1:
+        for ws, slabs in zip(workers, replicas):
+            with _blame(ws.machine, stamp):
+                if fault_hook is not None:
+                    fault_hook(ws.machine, stamp)
+                update_rows(
+                    slabs, ws.idx, ws.residual, n, ws.groups[n], params.lam, weighted,
+                    stats[ws.machine],
+                )
+        if len(workers) == 1:
+            return
+        for ws, slabs in zip(workers, replicas):  # broadcast every worker's owned rows
             owned = ws.groups[n].rows
             payload = take_rows(slabs[n], owned)
-            ctx.bus.broadcast(Message(m, stamp, owned, payload))
-            ctx.log.sent[m] += payload.size
-            ctx.log.events[m] += 1
-        barrier.wait()  # all broadcasts of this step are delivered
-        if n_workers > 1:
-            for msg in ctx.bus.drain(m, stamp):
-                slabs[msg.stamp.mode][msg.rows] = msg.values
-                ctx.log.received[m] += msg.values.size
+            for other, other_slabs in zip(workers, replicas):
+                if other is not ws:
+                    other_slabs[n][owned] = payload
+                    log.received[other.machine] += payload.size
+            log.sent[ws.machine] += payload.size
+            log.events[ws.machine] += 1
 
-    def write_back(columns, slabs):
-        ws.residual -= subset_products(slabs, ws.idx)
-        stats.flops += ws.idx.shape[0] * columns.size * n_modes
-        ctx.master_residual[ws.lead_global] = ws.residual[ws.groups[0].order]
-        if m == 0:
-            for n in range(n_modes):
-                ctx.master.matrices[n][:, columns] = slabs[n]
-        barrier.wait()  # master model/residual now reflect this subset
-        if ctx.check_replicas:
-            for n in range(n_modes):
-                if not np.array_equal(slabs[n], ctx.master.matrices[n][:, columns]):
-                    raise AssertionError(f"worker {m}: column replica diverged, mode {n}")
-            if not np.array_equal(ws.residual, ctx.master_residual[ws.positions]):
-                raise AssertionError(f"worker {m}: residual replica diverged")
-            barrier.wait()
+    def write_back(columns, replicas):
+        for ws, slabs in zip(workers, replicas):
+            with _blame(ws.machine):
+                ws.residual -= subset_products(slabs, ws.idx)
+                stats[ws.machine].flops += ws.idx.shape[0] * columns.size * n_modes
+                master_residual[ws.lead_global] = ws.residual[ws.groups[0].order]
+        for n in range(n_modes):
+            master.matrices[n][:, columns] = replicas[0][n]
+        if check_replicas:
+            for ws, slabs in zip(workers, replicas):
+                for n in range(n_modes):
+                    if not np.array_equal(slabs[n], master.matrices[n][:, columns]):
+                        raise ClusterError(
+                            f"worker {ws.machine}: column replica diverged, mode {n}"
+                        )
+                if not np.array_equal(ws.residual, master_residual[ws.positions]):
+                    raise ClusterError(f"worker {ws.machine}: residual replica diverged")
 
     def close(it):
-        ctx.log.flops[m] = stats.flops
-        barrier.wait()  # iteration counters final
-        record = None
-        if m == 0:
-            rec = {"iteration": it}
-            for key in counters:
-                total = getattr(ctx.log, key).copy()
-                rec[key], marks[key] = total - marks[key], total
-            ctx.log.iterations.append(rec)
-            if ctx.on_iteration is not None:
-                record = IterationRecord(it, 0.0, *evaluate(
-                    float(ctx.master_residual @ ctx.master_residual), [ctx.master.matrices],
-                    ctx.store, params.lam, params.regularization, ctx.test,
-                ), *(int(rec[key].sum()) for key in counters))
-        barrier.wait()  # bookkeeping done; next iteration may start
-        return record
+        log.flops[:] = [s.flops for s in stats]
+        rec = {"iteration": it}
+        for key in counters:
+            total = getattr(log, key).copy()
+            rec[key], marks[key] = total - marks[key], total
+        log.iterations.append(rec)
+        if on_iteration is None:
+            return None
+        return IterationRecord(it, 0.0, *evaluate(
+            float(master_residual @ master_residual), [master.matrices],
+            store, params.lam, params.regularization, test,
+        ), *(int(rec[key].sum()) for key in counters))
 
-    run_schedule(params, ctx.store, augment, refit, write_back, close, ctx.on_iteration)
-
-
-def _worker_main(ctx: _RunContext, ws: WorkerState) -> None:
-    try:
-        _worker_loop(ctx, ws)
-    except threading.BrokenBarrierError:
-        pass  # another worker failed; its error is already recorded
-    except BaseException as exc:  # noqa: BLE001 - full diagnostics wanted
-        with ctx.error_lock:
-            ctx.errors.append((ws.machine, f"{exc!r}\n{traceback.format_exc()}"))
-        ctx.bus.barrier.abort()
+    run_schedule(params, store, augment, refit, write_back, close, on_iteration)
+    return stats
 
 
 def run_distributed(
@@ -303,41 +268,20 @@ def run_distributed(
     The result is bitwise identical to :func:`sals.solver.factorize` with
     the same parameters and seed, for any machine count and assignment.
     The workers' counters are merged into ``stats`` when it is given.
+    A failing worker step raises :class:`ClusterError`.
     """
     workers = distribute(store, assignment)
     master, residual = init_model(store, params)
-    n_workers = assignment.n_machines
     log = CommLog.empty(
-        n_workers, params.rank, params.inner_iters, sum(store.mode_lengths)
+        assignment.n_machines, params.rank, params.inner_iters, sum(store.mode_lengths)
     )
-    ctx = _RunContext(
-        store=store,
-        params=params,
-        master=master,
-        master_residual=residual,
-        bus=_Bus(n_workers),
-        log=log,
-        worker_stats=[SolveStats() for _ in range(n_workers)],
-        test=None if test_entries is None else as_coo(
-            test_entries, store.n_modes, store.mode_lengths),
-        on_iteration=on_iteration,
-        check_replicas=check_replicas,
-        fault_hook=fault_hook,
+    test = None if test_entries is None else as_coo(
+        test_entries, store.n_modes, store.mode_lengths)
+    worker_stats = _worker_loop(
+        store, params, workers, master, residual, log, test, on_iteration,
+        check_replicas, fault_hook,
     )
-    threads = [
-        threading.Thread(
-            target=_worker_main, args=(ctx, ws), name=f"sals-worker-{ws.machine}"
-        )
-        for ws in workers
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if ctx.errors:
-        detail = "\n".join(f"worker {m}: {msg}" for m, msg in ctx.errors)
-        raise ClusterError(f"distributed run aborted:\n{detail}")
     if stats is not None:
-        for worker_stats in ctx.worker_stats:
-            stats.merge(worker_stats)
+        for ws_stats in worker_stats:
+            stats.merge(ws_stats)
     return master, log

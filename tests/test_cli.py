@@ -304,6 +304,16 @@ class TestConfigValues:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise", "-0.1"), ("--test-fraction", "1.5"), ("--test-fraction", "1"),
+    ])
+    def test_out_of_range_generate_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = main(["generate", "--out", str(tmp_path / "g"), "--lengths", "5,5",
+                     "--nnz", "10", f"{flag}={value}"])
+        assert code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     def test_generate_accepts_zero_nnz(self, tmp_path):
         out = tmp_path / "g"
         assert main(["generate", "--out", str(out), "--lengths", "5,5", "--nnz", "0"]) == 0

@@ -160,12 +160,40 @@ class TestRunDistributed:
         params = SolverParams(rank=2, n_columns=1, outer_iters=2, lam=0.1, seed=1)
         assignment = sequential_assign(store, 3)
 
+        seen = []
+
         def fault(worker, stamp):
+            seen.append(stamp)
             if worker == 2 and stamp.outer == 2 and stamp.mode == 1:
                 raise RuntimeError("injected fault")
 
-        with pytest.raises(ClusterError, match="worker 2.*injected fault"):
+        with pytest.raises(ClusterError, match="worker 2.*injected fault") as info:
             run_distributed(store, params, assignment, fault_hook=fault)
+        cause = info.value.__cause__
+        assert isinstance(cause, RuntimeError) and str(cause) == "injected fault"
+        assert max(seen) == seen[-1] and (seen[-1].outer, seen[-1].mode) == (2, 1)
+
+    def test_diverged_replica_is_reported(self, rng, monkeypatch):
+        # worker 1 corrupts its copy of a mode-0 row it does not own while
+        # refitting the last mode, after the mode-0 exchange has run
+        from sals import cluster
+
+        store = _instance(rng, (8, 8), 40)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=1)
+        assignment = sequential_assign(store, 2)
+        foreign = int(np.setdiff1d(np.arange(8), assignment.sets[1][0])[0])
+        current = []
+        update_rows = cluster.update_rows
+
+        def corrupting(slabs, idx, residual, mode, *args):
+            update_rows(slabs, idx, residual, mode, *args)
+            if current[-1] == 1 and mode == store.n_modes - 1:
+                slabs[0][foreign] += 1.0
+
+        monkeypatch.setattr(cluster, "update_rows", corrupting)
+        with pytest.raises(ClusterError, match="worker 1: column replica diverged, mode 0"):
+            run_distributed(store, params, assignment, check_replicas=True,
+                            fault_hook=lambda m, stamp: current.append(m))
 
     def test_hooks_and_csv_export(self, rng, tmp_path):
         store = _instance(rng, (8, 7), 50)
@@ -181,6 +209,9 @@ class TestRunDistributed:
         assert records[0].params_sent == int(log.iterations[0]["sent"].sum())
         path = tmp_path / "comm.csv"
         export_comm_csv(log, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,worker,sent,received,flops"
-        assert len(lines) == 1 + 2 * 2
+        columns = ["iteration", "worker", "sent", "received", "flops"]
+        expected = [",".join(columns)] + [
+            ",".join(str(row[c]) for c in columns) for row in comm_report(log)
+        ]
+        assert path.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()
+        assert len(expected) == 1 + 2 * 2
