@@ -57,11 +57,9 @@ from .tensor import (
     Coo,
     FactorModel,
     SparseTensorStore,
-    TensorEntry,
     as_coo,
     build_store,
     loss,
-    reconstruct,
     rmse,
     store_from_arrays,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "SolverParams",
     "SparseTensorStore",
     "StreamingRun",
-    "TensorEntry",
     "WorkerState",
     "as_coo",
     "assign",
@@ -112,7 +109,6 @@ __all__ = [
     "psgd_epoch",
     "random_assign",
     "read_coo",
-    "reconstruct",
     "rmse",
     "run_distributed",
     "sequential_assign",

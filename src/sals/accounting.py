@@ -1,9 +1,9 @@
 """Operation, allocation, and memory instrumentation shared by the solvers.
 
-Counters are plain objects passed explicitly; nothing here is thread-safe
-on its own.  In the multi-worker simulation each worker owns a private
-``SolveStats``, and :func:`sals.cluster.run_distributed` merges them into
-the ``stats`` its caller passes, as the serial and streaming paths fill it.
+Counters are plain objects passed explicitly.  In the multi-worker
+simulation each worker owns a private ``SolveStats``, and
+:func:`sals.cluster.run_distributed` merges them into the ``stats`` its
+caller passes, as the serial and streaming paths fill it.
 """
 from __future__ import annotations
 

@@ -55,15 +55,20 @@ def load_model(directory) -> FactorModel:
             head = fh.readline().split()
             if len(head) != 2:
                 raise dataio.DataFormatError(f"{path}: bad header")
-            length, k = int(head[0]), int(head[1])
-            if rank is None:
-                rank = k
-            elif k != rank:
-                raise dataio.DataFormatError(f"{path}: rank {k} != {rank}")
-            mat = np.loadtxt(fh, ndmin=2)
-            if mat.shape != (length, k):
-                raise dataio.DataFormatError(f"{path}: expected {(length, k)}, got {mat.shape}")
-            mats.append(mat)
+            try:
+                length, k = int(head[0]), int(head[1])
+                mat = np.loadtxt(fh, ndmin=2)
+            except ValueError as exc:
+                raise dataio.DataFormatError(f"{path}: {exc}") from None
+        if rank is None:
+            rank = k
+        elif k != rank:
+            raise dataio.DataFormatError(f"{path}: rank {k} != {rank}")
+        if mat.shape != (length, k):
+            raise dataio.DataFormatError(f"{path}: expected {(length, k)}, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise dataio.DataFormatError(f"{path}: non-finite value")
+        mats.append(mat)
     return FactorModel(rank, 0.0, mats)
 
 
@@ -99,10 +104,8 @@ def _sniff_n_modes(path) -> int:
     raise dataio.DataFormatError(f"{path}: empty file, cannot infer dimension")
 
 
-def _load_store(path, index_base: int, n_modes: int | None):
-    if n_modes is None:
-        n_modes = _sniff_n_modes(path)
-    data, lengths = dataio.read_coo(path, dataio.CooFileSpec(n_modes, index_base))
+def _load_store(path, index_base: int):
+    data, lengths = dataio.read_coo(path, dataio.CooFileSpec(_sniff_n_modes(path), index_base))
     try:
         return build_store(data, lengths)
     except (ValueError, MemoryError) as exc:  # duplicates, lengths too large to index
@@ -228,7 +231,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     fac.add_argument("--mode", choices=("in-memory", "streaming"), default="in-memory")
     fac.add_argument("--seed", type=int, default=0)
     fac.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
-    fac.add_argument("--n-modes", dest="n_modes", type=_positive_int, default=None)
     fac.add_argument("--column-order", dest="column_order",
                      choices=("fixed", "random"), default=None)
     fac.add_argument("--workdir", default=None, help="scratch directory for streaming mode")
@@ -239,7 +241,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     par.add_argument("-M", dest="m", type=_positive_int, default=1)
     par.add_argument("--seed", type=int, default=0)
     par.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
-    par.add_argument("--n-modes", dest="n_modes", type=_positive_int, default=None)
     par.add_argument("--out", default=None, help="directory for serialized assignments")
     par.add_argument("--config", default=None)
 
@@ -273,10 +274,25 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _solver_params(args) -> solver.SolverParams:
+def _run_params(args) -> solver.SolverParams | sgd.SgdParams:
+    """The run's parameters, checked before any file is read or written."""
+    if args.lam < 0:
+        raise UsageError(f"--lambda {args.lam} is negative")
+    if args.alg == "psgd":
+        if args.reg == "weighted":
+            raise UsageError("--alg psgd supports plain regularization only")
+        if args.mode == "streaming":
+            raise UsageError("--alg psgd supports only --mode in-memory")
+        if args.eta0 <= 0:
+            raise UsageError(f"--eta0 {args.eta0} is not positive")
+        return sgd.SgdParams(
+            rank=args.k, lam=args.lam, eta0=args.eta0,
+            outer_iters=args.t_out, n_shards=args.m, seed=args.seed,
+        )
     k = args.k
     c = args.c
     t_in = args.t_in
+    order = args.column_order or ("fixed" if args.alg == "cdtf" else "random")
     if args.alg == "als":
         if c is not None and c != k:
             raise UsageError("--alg als requires C == K")
@@ -286,16 +302,18 @@ def _solver_params(args) -> solver.SolverParams:
     elif args.alg == "cdtf":
         if c is not None and c != 1:
             raise UsageError("--alg cdtf requires C == 1")
+        if order != "fixed":
+            raise UsageError("--alg cdtf requires --column-order fixed")
         c = 1
     elif c is None:
         c = min(10, k)
-    if args.column_order is not None:
-        order = solver.FIXED if args.column_order == "fixed" else solver.RANDOM_PER_OUTER
-    else:
-        order = solver.FIXED if args.alg == "cdtf" else solver.RANDOM_PER_OUTER
+    elif c > k:
+        raise UsageError(f"-C {c} exceeds -K {k}")
     return solver.SolverParams(
         rank=k, n_columns=c, outer_iters=args.t_out, inner_iters=t_in,
-        lam=args.lam, regularization=args.reg, column_order=order, seed=args.seed,
+        lam=args.lam, regularization=args.reg,
+        column_order=solver.FIXED if order == "fixed" else solver.RANDOM_PER_OUTER,
+        seed=args.seed,
     )
 
 
@@ -306,7 +324,8 @@ def _cmd_factorize(args) -> int:
         raise UsageError("--out is required")
     if args.mode == "streaming" and args.m != 1:
         raise UsageError("--mode streaming supports only -M 1")
-    store = _load_store(args.train, args.index_base, args.n_modes)
+    params = _run_params(args)
+    store = _load_store(args.train, args.index_base)
     test_entries = None
     if args.test is not None:
         test_entries = _read_test(args.test, args.index_base, store.mode_lengths)
@@ -316,17 +335,10 @@ def _cmd_factorize(args) -> int:
     hook = records.append
 
     if args.alg == "psgd":
-        if args.reg == "weighted":
-            raise UsageError("--alg psgd supports plain regularization only")
-        params = sgd.SgdParams(
-            rank=args.k, lam=args.lam, eta0=args.eta0,
-            outer_iters=args.t_out, n_shards=args.m, seed=args.seed,
-        )
         model = sgd.factorize_psgd(
             store, params, test_entries=test_entries, on_iteration=hook
         )
     else:
-        params = _solver_params(args)
         stats = SolveStats()
         if args.m > 1:
             assignment = partition.assign(store, args.assign, args.m, args.seed)
@@ -346,8 +358,7 @@ def _cmd_factorize(args) -> int:
                 run.cleanup()
             print(f"peak resident factor values: {run.peak_resident_values}")
         else:
-            run_fn = solver.factorize_cdtf if args.alg == "cdtf" else solver.factorize
-            model = run_fn(
+            model = solver.factorize(
                 store, params, test_entries=test_entries,
                 on_iteration=hook, stats=stats,
             )
@@ -372,7 +383,7 @@ def _cmd_factorize(args) -> int:
 def _cmd_partition_stats(args) -> int:
     if args.train is None:
         raise UsageError("--train is required")
-    store = _load_store(args.train, args.index_base, args.n_modes)
+    store = _load_store(args.train, args.index_base)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -404,6 +415,8 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             args = _with_config(args, commands[args.command], argv)
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed {args.seed} is negative")
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "factorize":

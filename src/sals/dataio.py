@@ -14,7 +14,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .tensor import (
     Coo,
     FactorModel,
     SparseTensorStore,
-    TensorEntry,
     as_coo,
     predict_entries,
     store_from_arrays,
@@ -103,8 +102,8 @@ def _read_coo_lines(path, spec: CooFileSpec) -> Coo:
     return Coo(idx, np.asarray(vals, dtype=np.float64))
 
 
-def write_coo(path, data: Coo | Iterable[TensorEntry], spec: CooFileSpec) -> None:
-    """Write cells (see :func:`sals.tensor.as_coo`) as COO text, shortest round-trip floats."""
+def write_coo(path, data: Coo, spec: CooFileSpec) -> None:
+    """Write cells as COO text in ``spec``'s index base, shortest round-trip floats."""
     idx, values = as_coo(data, spec.n_modes)
     line = "{} " * spec.n_modes + "{!r}\n"
     with open(path, "w", encoding="utf-8") as fh:
@@ -308,9 +307,8 @@ def stream_pass(
 
     Records are visited in stored order exactly once; the CRC and record
     count are verified against the trailer and, when ``expected`` is given,
-    against the writer's :meth:`CacheWriter.close` result (the file's
-    manifest entry).  Returns the final accumulator (None for an empty
-    cache).
+    against its writer's record, the :meth:`CacheWriter.close` result.
+    Returns the final accumulator (None for an empty cache).
     """
     path = Path(path)
     acc = None
@@ -343,7 +341,7 @@ def stream_pass(
         raise CacheError(f"{path}: checksum mismatch")
     if expected is not None:
         if expected.get("records") != count or expected.get("crc32") != crc:
-            raise CacheError(f"{path}: does not match manifest entry")
+            raise CacheError(f"{path}: does not match its writer's record")
     return acc
 
 

@@ -3,11 +3,10 @@
 An N-dimensional partially observed tensor is kept in coordinate form: one
 shared entry list (sorted lexicographically by index tuple, the *canonical
 order*) plus, for every mode, a grouped index that lists the positions of
-each row's entries.  Observed cells travel as one :class:`Coo` of 0-based
-arrays from file to store, test set and evaluator; the only 1-based surface
-is :class:`TensorEntry`, the notation of data files, which :func:`as_coo`
-converts.  :func:`evaluate` is the one loss and RMSE evaluator of every
-solver path.
+each row's entries.  Observed cells have one in-memory form, a :class:`Coo`
+of 0-based arrays, from file to store, test set and evaluator; indices are
+1-based only in text files and in the error messages that quote them.
+:func:`evaluate` is the one loss and RMSE evaluator of every solver path.
 """
 from __future__ import annotations
 
@@ -29,13 +28,6 @@ class RowGroups(NamedTuple):
     ptr: np.ndarray
 
 
-class TensorEntry(NamedTuple):
-    """One observed cell: 1-based indices (index n in [1, I_n]) and a value."""
-
-    indices: tuple[int, ...]
-    value: float
-
-
 class Coo(NamedTuple):
     """Observed cells as arrays: 0-based (nnz, N) int64 indices, float64 values."""
 
@@ -53,36 +45,23 @@ def _check_range(idx: np.ndarray, mode_lengths: Sequence[int], what: str = "entr
             )
 
 
-def as_coo(
-    data: Coo | Iterable[TensorEntry], n_modes: int,
-    mode_lengths: Sequence[int] | None = None,
-) -> Coo:
-    """Observed cells as a :class:`Coo`.
+def as_coo(data: Coo, n_modes: int, mode_lengths: Sequence[int] | None = None) -> Coo:
+    """``data`` checked as observed cells: (nnz, ``n_modes``) indices, nnz values.
 
-    ``data`` is a :class:`Coo`, passed through, or an iterable of 1-based
-    :class:`TensorEntry` records.  A test set gives its model's
-    ``mode_lengths``: it must then be nonempty and every index in range.
+    A test set gives its model's ``mode_lengths``: it must then be nonempty
+    and every index in range.
     """
-    if isinstance(data, Coo):
-        coo = data
-        if coo.idx.ndim != 2 or coo.idx.shape[1] != n_modes:
-            raise ValueError(f"expected (nnz, {n_modes}) indices, got {coo.idx.shape}")
-    else:
-        rows, vals = [], []
-        for p, entry in enumerate(data):
-            if len(entry.indices) != n_modes:
-                raise ValueError(
-                    f"entry {p}: expected {n_modes} indices, got {len(entry.indices)}"
-                )
-            rows.append(entry.indices)
-            vals.append(entry.value)
-        idx = np.asarray(rows, dtype=np.int64).reshape(-1, n_modes) - 1
-        coo = Coo(idx, np.asarray(vals, dtype=np.float64))
+    if not isinstance(data, Coo):
+        raise TypeError(f"expected observed cells as a Coo, got {type(data).__name__}")
+    if data.idx.ndim != 2 or data.idx.shape[1] != n_modes:
+        raise ValueError(f"expected (nnz, {n_modes}) indices, got {data.idx.shape}")
+    if data.values.shape != (data.idx.shape[0],):
+        raise ValueError(f"{data.idx.shape[0]} index rows but {data.values.size} values")
     if mode_lengths is not None:
-        if coo.values.size == 0:
+        if data.values.size == 0:
             raise ValueError("empty test set")
-        _check_range(coo.idx, mode_lengths, "test entry")
-    return coo
+        _check_range(data.idx, mode_lengths, "test entry")
+    return data
 
 
 @dataclass(frozen=True)
@@ -131,13 +110,6 @@ class SparseTensorStore:
         """|Omega^(n)_i| for every row i of ``mode``."""
         return np.diff(self.mode_ptr[mode])
 
-    def entries(self) -> list[TensorEntry]:
-        """Entries as 1-based :class:`TensorEntry` records, canonical order."""
-        return [
-            TensorEntry(tuple(int(i) + 1 for i in row), float(v))
-            for row, v in zip(self.idx, self.values)
-        ]
-
 
 def _index_mode(idx: np.ndarray, length: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
     perm = np.argsort(idx[:, mode], kind="stable")
@@ -185,9 +157,7 @@ def store_from_arrays(
     return SparseTensorStore(mode_lengths, idx, values, tuple(perms), tuple(ptrs))
 
 
-def build_store(
-    data: Coo | Iterable[TensorEntry], mode_lengths: Sequence[int]
-) -> SparseTensorStore:
+def build_store(data: Coo, mode_lengths: Sequence[int]) -> SparseTensorStore:
     """Build a :class:`SparseTensorStore` from observed cells (see :func:`as_coo`)."""
     coo = as_coo(data, len(mode_lengths))
     return store_from_arrays(coo.idx, coo.values, mode_lengths)
@@ -251,17 +221,6 @@ def predict_entries(model: FactorModel, idx: np.ndarray) -> np.ndarray:
     """Model reconstruction for a batch of 0-based index rows."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, model.n_modes)
     return subset_products(model.matrices, idx)
-
-
-def reconstruct(model: FactorModel, indices: Sequence[int]) -> float:
-    """Reconstruction at one cell; ``indices`` are 1-based like TensorEntry."""
-    idx0 = np.asarray(indices, dtype=np.int64) - 1
-    if idx0.shape != (model.n_modes,):
-        raise ValueError(f"expected {model.n_modes} indices, got {idx0.shape}")
-    for n, length in enumerate(m.shape[0] for m in model.matrices):
-        if not 0 <= idx0[n] < length:
-            raise ValueError(f"mode {n} index {indices[n]} outside [1, {length}]")
-    return float(predict_entries(model, idx0[np.newaxis, :])[0])
 
 
 def regularization_penalty(
@@ -329,7 +288,7 @@ def loss(
     return float(err @ err) + regularization_penalty(model, store, regularization)
 
 
-def rmse(model: FactorModel, test: Coo | Sequence[TensorEntry]) -> float:
+def rmse(model: FactorModel, test: Coo) -> float:
     """Root mean square error of the model on held-out cells (see :func:`as_coo`)."""
     idx, vals = as_coo(test, model.n_modes, [m.shape[0] for m in model.matrices])
     err = vals - predict_entries(model, idx)

@@ -8,7 +8,7 @@ import pytest
 
 from sals.cli import EXIT_IO, EXIT_USAGE, load_model, main, save_model
 from sals.dataio import CooFileSpec, write_coo
-from sals.tensor import FactorModel
+from sals.tensor import Coo, FactorModel, predict_entries
 from conftest import random_model, random_store
 
 
@@ -135,17 +135,19 @@ class TestFactorize:
             assert int(row["received"]) == received
 
     def test_distributed_matches_serial_model(self, dataset, tmp_path):
+        # cdtf runs one column order on every path, so the model files match
         common = [
             "factorize", "--train", str(dataset / "train.coo"),
             "--alg", "cdtf", "-K", "3", "--t-out", "2", "--lambda", "0.1",
             "--seed", "4",
         ]
-        assert main([*common, "--out", str(tmp_path / "serial")]) == 0
-        assert main([*common, "-M", "2", "--assign", "random", "--out", str(tmp_path / "dist")]) == 0
-        a = load_model(tmp_path / "serial" / "model")
-        b = load_model(tmp_path / "dist" / "model")
-        for x, y in zip(a.matrices, b.matrices):
-            assert np.array_equal(x, y)
+        runs = {"serial": [], "dist": ["-M", "2", "--assign", "random"],
+                "stream": ["--mode", "streaming"]}
+        for name, extra in runs.items():
+            assert main([*common, *extra, "--out", str(tmp_path / name)]) == 0
+        for n in (1, 2, 3):
+            models = {(tmp_path / name / "model" / f"factor_{n}.txt").read_bytes() for name in runs}
+            assert len(models) == 1
 
     def test_psgd_runs(self, dataset, tmp_path):
         code = main(
@@ -254,8 +256,7 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("command,flag", [
         ("factorize", "-K"), ("factorize", "-C"), ("factorize", "-M"),
-        ("factorize", "--t-in"), ("factorize", "--t-out"), ("factorize", "--n-modes"),
-        ("partition-stats", "-M"), ("partition-stats", "--n-modes"),
+        ("factorize", "--t-in"), ("factorize", "--t-out"), ("partition-stats", "-M"),
     ])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_count_below_one_is_usage_error(self, dataset, tmp_path, capsys,
@@ -267,7 +268,7 @@ class TestConfigValues:
         assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("line", ["k=0", "c=0", "m=-1", "t_in=0", "t-out=0", "n_modes=0"])
+    @pytest.mark.parametrize("line", ["k=0", "c=0", "m=-1", "t_in=0", "t-out=0"])
     def test_count_below_one_in_config_names_the_key(self, dataset, tmp_path, capsys, line):
         conf = tmp_path / "bad.conf"
         conf.write_text(line + "\n")
@@ -354,6 +355,29 @@ class TestConfigValues:
         assert min(int(r[0]) for r in rows) >= 0 and max(int(r[0]) for r in rows) <= 3
 
 
+class TestRunParameters:
+    @pytest.mark.parametrize("argv,message", [
+        (["factorize", "-K", "3", "-C", "5"], "-C 5 exceeds -K 3"),
+        (["factorize", "--lambda", "-1"], "--lambda -1.0 is negative"),
+        (["factorize", "--alg", "psgd", "--eta0", "0"], "--eta0 0.0 is not positive"),
+        (["factorize", "--alg", "psgd", "--mode", "streaming"],
+         "--alg psgd supports only --mode in-memory"),
+        (["factorize", "--alg", "cdtf", "--column-order", "random"],
+         "--alg cdtf requires --column-order fixed"),
+        (["factorize", "--seed", "-1"], "--seed -1 is negative"),
+        (["partition-stats", "--seed", "-2"], "--seed -2 is negative"),
+        (["generate", "--lengths", "5,5", "--nnz", "10", "--seed", "-3"],
+         "--seed -3 is negative"),
+    ], ids=["c-above-k", "lambda", "eta0", "psgd-streaming", "cdtf-random",
+            "factorize-seed", "partition-stats-seed", "generate-seed"])
+    def test_bad_value_is_usage_error_before_any_file(self, tmp_path, capsys, argv, message):
+        # the training file does not exist: reading it first would exit 3
+        train = [] if argv[0] == "generate" else ["--train", str(tmp_path / "missing.coo")]
+        assert main([*argv, *train, "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 PATHS = [[], ["--mode", "streaming"], ["-M", "2"], ["--alg", "psgd"]]
 
 
@@ -401,13 +425,8 @@ class TestEvaluate:
     def test_perfect_model_scores_zero(self, rng, tmp_path):
         store = random_store(rng, (6, 5), 20)
         model = random_model(rng, store, rank=2)
-        from sals.tensor import reconstruct, TensorEntry
-
-        entries = [
-            TensorEntry(e.indices, reconstruct(model, e.indices))
-            for e in store.entries()
-        ]
-        write_coo(tmp_path / "test.coo", entries, CooFileSpec(2, 1))
+        perfect = Coo(store.idx, predict_entries(model, store.idx))
+        write_coo(tmp_path / "test.coo", perfect, CooFileSpec(2, 1))
         save_model(tmp_path / "model", model)
         code, out, _ = 0, "", ""
         import io
@@ -423,18 +442,39 @@ class TestEvaluate:
         assert float(buf.getvalue().split()[-1]) < 1e-10
 
     def test_n_modes_is_not_an_option(self, rng, tmp_path, capsys):
+        # the first data line fixes the mode count on every subcommand
         store = random_store(rng, (4, 4), 6)
         save_model(tmp_path / "model", random_model(rng, store, rank=2))
-        write_coo(tmp_path / "test.coo", store.entries(), CooFileSpec(2, 1))
-        argv = ["evaluate", "--model", str(tmp_path / "model"),
-                "--test", str(tmp_path / "test.coo")]
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--n-modes", "7"])
-        assert exc.value.code == EXIT_USAGE
-        conf = tmp_path / "eval.conf"
+        write_coo(tmp_path / "cells.coo", Coo(store.idx, store.values), CooFileSpec(2, 1))
+        conf = tmp_path / "n.conf"
         conf.write_text("n_modes=7\n")
-        assert main([*argv, "--config", str(conf)]) == EXIT_USAGE
-        assert "config key 'n_modes' is not a recognized option" in capsys.readouterr().err
+        cells = str(tmp_path / "cells.coo")
+        for argv in (
+            ["evaluate", "--model", str(tmp_path / "model"), "--test", cells],
+            ["factorize", "--train", cells, "-K", "2", "--out", str(tmp_path / "x")],
+            ["partition-stats", "--train", cells],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--n-modes", "7"])
+            assert exc.value.code == EXIT_USAGE
+            assert main([*argv, "--config", str(conf)]) == EXIT_USAGE
+            assert "config key 'n_modes' is not a recognized option" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("body,message", [
+        ("2 x\n1.0 2.0\n", "invalid literal for int()"),
+        ("1 2\n1.0 abc\n", "could not convert string"),
+        ("1 2\n1.0 inf\n", "non-finite value"),
+    ], ids=["header", "value", "non-finite"])
+    def test_malformed_model_file_is_io_error_naming_it(self, tmp_path, capsys, body, message):
+        save_model(tmp_path / "model", FactorModel(2, 0.0, [np.ones((1, 2)), np.ones((1, 2))]))
+        (tmp_path / "model" / "factor_2.txt").write_text(body)
+        (tmp_path / "test.coo").write_text("1 1 1.0\n")
+        code = main(["evaluate", "--model", str(tmp_path / "model"),
+                     "--test", str(tmp_path / "test.coo")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"factor_2.txt: {message}" in err, err
 
     def test_empty_test_file_is_io_error(self, rng, tmp_path):
         store = random_store(rng, (4, 4), 6)
@@ -449,22 +489,26 @@ class TestEvaluate:
 
 
 class TestExitCodes:
-    def test_numerical_failure_exit_code(self, dataset, tmp_path):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
         from sals.cli import EXIT_NUMERIC
 
-        code = main(
-            ["factorize", "--train", str(dataset / "train.coo"),
-             "--alg", "sals", "-K", "4", "-C", "2", "--t-out", "2",
-             "--lambda", "-1", "--out", str(tmp_path / "x")]
-        )
-        assert code == EXIT_NUMERIC
+        store = random_store(np.random.default_rng(4), (6, 5, 4), 60, value_scale=1e300)
+        write_coo(tmp_path / "huge.coo", Coo(store.idx, store.values), CooFileSpec(3, 1))
+        for extra in (["-M", "2"], ["--alg", "psgd"]):
+            code = main(
+                ["factorize", "--train", str(tmp_path / "huge.coo"), "-K", "2", "-C", "1",
+                 "--t-out", "2", "--lambda", "0.1", "--out", str(tmp_path / "x"), *extra]
+            )
+            assert code == EXIT_NUMERIC
+            assert "numerical error: " in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_reports_schedule_position(self, tmp_path, capsys):
         from sals.cli import EXIT_NUMERIC
 
         store = random_store(np.random.default_rng(4), (6, 5, 4), 60, value_scale=1e300)
-        write_coo(tmp_path / "huge.coo", store.entries(), CooFileSpec(3, 1))
+        write_coo(tmp_path / "huge.coo", Coo(store.idx, store.values), CooFileSpec(3, 1))
         code = main(
             ["factorize", "--train", str(tmp_path / "huge.coo"), "--alg", "sals",
              "-K", "2", "-C", "1", "--t-out", "2", "--lambda", "0.1",
@@ -480,7 +524,7 @@ class TestExitCodes:
     def test_index_beyond_int64_is_io_error(self, tmp_path, capsys):
         (tmp_path / "big.coo").write_text("99999999999999999999 1 1.0\n")
         code = main(
-            ["factorize", "--train", str(tmp_path / "big.coo"), "--n-modes", "2",
+            ["factorize", "--train", str(tmp_path / "big.coo"),
              "-K", "2", "--t-out", "1", "--out", str(tmp_path / "x")]
         )
         assert code == EXIT_IO
@@ -496,7 +540,7 @@ class TestExitCodes:
     def test_bad_training_data_is_io_error_naming_the_file(self, tmp_path, capsys,
                                                            command, lines, message):
         (tmp_path / "bad.coo").write_text(lines)
-        code = main([*command, "--train", str(tmp_path / "bad.coo"), "--n-modes", "2",
+        code = main([*command, "--train", str(tmp_path / "bad.coo"),
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_IO
         assert message in capsys.readouterr().err

@@ -10,7 +10,7 @@ from sals.cluster import (
 )
 from sals.partition import assign, greedy_assign, sequential_assign
 from sals.solver import SolverParams, factorize
-from sals.tensor import TensorEntry, build_store, store_from_arrays
+from sals.tensor import Coo, store_from_arrays
 from conftest import random_store
 
 
@@ -44,8 +44,7 @@ class TestDistribute:
 
     def test_fully_owned_entry_lives_on_one_machine(self):
         # machine 1 owns row 1 of both modes; entry (1,1) appears only there
-        entries = [TensorEntry((1, 1), 1.0), TensorEntry((2, 2), 2.0)]
-        store = build_store(entries, (2, 2))
+        store = store_from_arrays([[0, 0], [1, 1]], [1.0, 2.0], (2, 2))
         assignment = sequential_assign(store, 2)
         workers = distribute(store, assignment)
         assert workers[0].positions.tolist() == [0]
@@ -198,7 +197,7 @@ class TestRunDistributed:
     def test_hooks_and_csv_export(self, rng, tmp_path):
         store = _instance(rng, (8, 7), 50)
         params = SolverParams(rank=3, n_columns=3, outer_iters=2, lam=0.05, seed=2)
-        test = store.entries()[:6]
+        test = Coo(store.idx[:6], store.values[:6])
         records = []
         _, log = run_distributed(
             store, params, sequential_assign(store, 2),

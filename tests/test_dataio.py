@@ -20,7 +20,7 @@ from sals.dataio import (
     write_residual_caches,
 )
 from sals.dataio import _read_coo_lines
-from sals.tensor import build_store, predict_entries
+from sals.tensor import Coo, predict_entries
 from conftest import random_store
 
 
@@ -43,7 +43,7 @@ class TestCooFiles:
         store = random_store(rng, (9, 8, 7), 60)
         spec = CooFileSpec(3, 1)
         path = tmp_path / "t.coo"
-        write_coo(path, store.entries(), spec)
+        write_coo(path, Coo(store.idx, store.values), spec)
         (idx, values), lengths = read_coo(path, spec)
         assert np.array_equal(idx, store.idx)
         assert np.array_equal(values.view(np.int64), store.values.view(np.int64))
@@ -52,7 +52,7 @@ class TestCooFiles:
         store = random_store(rng, (5, 5), 12)
         spec = CooFileSpec(2, 0)
         path = tmp_path / "t.coo"
-        write_coo(path, store.entries(), spec)
+        write_coo(path, Coo(store.idx, store.values), spec)
         first = path.read_text().splitlines()[0].split()
         assert int(first[0]) == store.idx[0, 0]  # 0-based on disk
         (idx, values), _ = read_coo(path, spec)
@@ -181,7 +181,7 @@ class TestGenerateSynthetic:
         for tag in ("a", "b"):
             store, test, _ = generate_synthetic((10, 10, 10), 200, 3, 0.05, 0.1, seed=77)
             p = tmp_path / f"{tag}.coo"
-            write_coo(p, store.entries(), spec)
+            write_coo(p, Coo(store.idx, store.values), spec)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -265,7 +265,7 @@ class TestResidualCache:
         writer.append(np.array([[0, 0]]), np.array([3.0]))
         info = writer.close()
         wrong = dict(info, records=2)
-        with pytest.raises(CacheError, match="manifest"):
+        with pytest.raises(CacheError, match="does not match its writer's record"):
             stream_pass(tmp_path / "c.bin", lambda i, v, a: a, expected=wrong)
 
     def test_truncated_file_detected(self, tmp_path):

@@ -13,7 +13,7 @@ from sals.sgd import (
     sgd_update_entry,
     wavefront_levels,
 )
-from sals.tensor import FactorModel, TensorEntry, build_store, predict_entries, store_from_arrays
+from sals.tensor import FactorModel, predict_entries, store_from_arrays
 from conftest import random_model, random_store
 
 

@@ -20,9 +20,8 @@ from sals.solver import (
     update_rows,
 )
 from sals.tensor import (
+    Coo,
     FactorModel,
-    TensorEntry,
-    build_store,
     predict_entries,
     regularization_penalty,
     store_from_arrays,
@@ -122,7 +121,7 @@ class TestComputeRhat:
         assert np.max(np.abs(rhat - store.values)) <= 1e-9 * max(scale, 1.0)
 
     def test_single_entry_manual(self):
-        store = build_store([TensorEntry((1, 1), 9.0)], (1, 1))
+        store = store_from_arrays([[0, 0]], [9.0], (1, 1))
         residual = np.array([1.0])
         stats = SolveStats()
         compute_rhat(residual, [np.array([[2.0]]), np.array([[3.0]])], store.idx, stats)
@@ -132,14 +131,14 @@ class TestComputeRhat:
 
 class TestBuildNormalEq:
     def test_single_entry_manual(self):
-        store = build_store([TensorEntry((1, 1), 9.0)], (1, 1))
+        store = store_from_arrays([[0, 0]], [9.0], (1, 1))
         model = FactorModel(1, 0.0, [np.array([[2.0]]), np.array([[3.0]])])
         neq = row_normal_eq(store, np.array([6.0]), model, 0, 0, np.array([0]))
         assert neq.B[0, 0, 0] == 9.0
         assert neq.c[0, 0] == 18.0
 
     def test_empty_row_zero_system(self, rng):
-        store = build_store([TensorEntry((1, 1), 2.0)], (2, 1))
+        store = store_from_arrays([[0, 0]], [2.0], (2, 1))
         model = random_model(rng, store, rank=2)
         neq = row_normal_eq(store, np.array([2.0]), model, 0, 1, np.array([0, 1]))
         assert not neq.B.any() and not neq.c.any()
@@ -200,7 +199,7 @@ class TestSolveRow:
 
 class TestUpdateMode:
     def test_single_entry_exact_fit(self):
-        store = build_store([TensorEntry((1, 1), 2.0)], (1, 1))
+        store = store_from_arrays([[0, 0]], [2.0], (1, 1))
         params = SolverParams(rank=1, n_columns=1, lam=0.0, seed=0)
         model = FactorModel(1, 0.0, [np.zeros((1, 1)), np.array([[3.0]])])
         rhat = augmented(store, store.values, model, np.array([0]))
@@ -260,7 +259,7 @@ class TestUpdateMode:
     def test_weighted_uses_row_counts(self, rng):
         # one observation, weighted lam' = lam * 1 -> same as plain here;
         # an empty row under weighted gets lam' = 0 and is skipped.
-        store = build_store([TensorEntry((1, 1), 2.0)], (2, 1))
+        store = store_from_arrays([[0, 0]], [2.0], (2, 1))
         params = SolverParams(
             rank=1, n_columns=1, lam=0.5, regularization="weighted", seed=0
         )
@@ -550,7 +549,7 @@ class TestFactorize:
 
     def test_hook_records_have_rmse_with_test_set(self, rng):
         store = random_store(rng, (6, 6), 20)
-        test = store.entries()[:5]
+        test = Coo(store.idx[:5], store.values[:5])
         params = SolverParams(rank=2, n_columns=2, outer_iters=2, lam=0.01, seed=0)
         records = []
         factorize(store, params, test_entries=test, on_iteration=records.append)
@@ -629,7 +628,7 @@ class TestIterationTiming:
 
         monkeypatch.setattr(module, "evaluate", slow_evaluate)
         store = random_store(rng, (6, 5, 4), 60)
-        test = store.entries()[:5]
+        test = Coo(store.idx[:5], store.values[:5])
         params = SolverParams(rank=2, n_columns=1, outer_iters=2, lam=0.1, seed=1)
         records = []
         kwargs = dict(test_entries=test, on_iteration=records.append)
@@ -710,10 +709,7 @@ class TestLossRiseFlag:
     def test_rounding_noise_at_an_exact_fit_is_not_flagged(self, path):
         # a rank-2 fit of a 2 x 2 matrix is exact: the losses are rounding
         # noise (around 1e-28) that may rise from one iteration to the next
-        store = build_store(
-            [TensorEntry((1, 1), 1.0), TensorEntry((2, 2), 2.0),
-             TensorEntry((1, 2), 0.5), TensorEntry((2, 1), 0.25)], (2, 2),
-        )
+        store = store_from_arrays([[0, 0], [1, 1], [0, 1], [1, 0]], [1.0, 2.0, 0.5, 0.25], (2, 2))
         records = self.run(path, store, SolverParams(rank=2, n_columns=2, outer_iters=4))
         assert max(r.loss for r in records) < 1e-20
         assert not any(r.loss_rose for r in records)
@@ -734,19 +730,18 @@ class TestLossRiseFlag:
 
 
 class TestTestSetRange:
-    @pytest.mark.parametrize("path", ["serial", "cdtf", "cluster", "streaming", "psgd"])
-    def test_out_of_range_test_entry_fails_before_solving(self, rng, path):
+    PATHS = ["serial", "cdtf", "cluster", "streaming", "psgd"]
+
+    @staticmethod
+    def run(path, test_entries):
         from sals import cluster, sgd, streaming
         from sals.partition import greedy_assign
 
-        store = random_store(rng, (2, 2), 4)
+        store = random_store(np.random.default_rng(0), (2, 2), 4)
         params = SolverParams(rank=2, n_columns=1, outer_iters=2)
         records = []
-        kwargs = dict(
-            test_entries=[TensorEntry((1, 1), 1.0), TensorEntry((3, 1), 1.0)],
-            on_iteration=records.append,
-        )
-        with pytest.raises(ValueError, match=r"test entry 1: mode 0 index 3 outside \[1, 2\]"):
+        kwargs = dict(test_entries=test_entries, on_iteration=records.append)
+        try:
             if path == "serial":
                 factorize(store, params, **kwargs)
             elif path == "cdtf":
@@ -757,13 +752,32 @@ class TestTestSetRange:
                 streaming.stream_factorize(store, params, **kwargs)
             else:
                 sgd.factorize_psgd(store, sgd.SgdParams(rank=2, outer_iters=2), **kwargs)
-        assert records == []
+        finally:
+            assert records == []
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_out_of_range_test_entry_fails_before_solving(self, path):
+        test = Coo(np.array([[0, 0], [2, 0]]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"test entry 1: mode 0 index 3 outside \[1, 2\]"):
+            self.run(path, test)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_count_mismatch_fails_before_solving(self, path):
+        idx = np.array([[0, 0], [1, 1], [0, 1]])
+        for test, message in [
+            (Coo(idx[:1], np.ones(3)), "1 index rows but 3 values"),
+            (Coo(idx, np.ones(1)), "3 index rows but 1 values"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                self.run(path, test)
+        with pytest.raises(TypeError, match="expected observed cells as a Coo, got list"):
+            self.run(path, [((1, 1), 1.0)])
 
 
 class TestPublicApi:
     RETIRED = (
         "RESIDUAL", "AUGMENTED", "ResidualState", "verify_residual",
-        "build_normal_eq", "update_mode",
+        "build_normal_eq", "update_mode", "TensorEntry", "reconstruct",
     )
 
     def test_every_export_resolves(self):
@@ -773,8 +787,9 @@ class TestPublicApi:
 
     def test_retired_step_api_is_gone(self):
         import sals
-        from sals import tensor
+        from sals import dataio, tensor
 
-        for module in (sals, solver, tensor):
+        for module in (sals, solver, tensor, dataio):
             assert [name for name in self.RETIRED if hasattr(module, name)] == []
         assert not hasattr(SolveStats(), "rhat_buffers")
+        assert not hasattr(tensor.SparseTensorStore, "entries")

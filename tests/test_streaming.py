@@ -6,6 +6,7 @@ import pytest
 from sals.accounting import ResidencyMeter
 from sals.solver import SolverParams, factorize
 from sals.streaming import ColumnStore, stream_factorize
+from sals.tensor import Coo
 from conftest import random_store
 
 
@@ -68,7 +69,7 @@ class TestStreamFactorize:
 
     def test_hooks_match_in_memory_records(self, rng, tmp_path):
         store = random_store(rng, (8, 7, 6), 120)
-        test = store.entries()[:10]
+        test = Coo(store.idx[:10], store.values[:10])
         params = SolverParams(rank=4, n_columns=2, outer_iters=3, lam=0.1,
                               regularization="weighted", seed=5)
         mem_records = []

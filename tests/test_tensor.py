@@ -4,12 +4,10 @@ import pytest
 from sals.tensor import (
     Coo,
     FactorModel,
-    TensorEntry,
     as_coo,
     build_store,
     loss,
     predict_entries,
-    reconstruct,
     regularization_penalty,
     rmse,
     store_from_arrays,
@@ -18,13 +16,13 @@ from sals.tensor import (
 from conftest import random_model, random_store
 
 
+def cells(idx, values):
+    """A :class:`Coo` of literal 0-based index rows and values."""
+    return Coo(np.array(idx, dtype=np.int64), np.array(values, dtype=np.float64))
+
+
 def small_matrix_store():
-    entries = [
-        TensorEntry((1, 1), 5.0),
-        TensorEntry((1, 2), 3.0),
-        TensorEntry((2, 2), 1.0),
-    ]
-    return build_store(entries, (2, 2))
+    return build_store(cells([[0, 0], [0, 1], [1, 1]], [5.0, 3.0, 1.0]), (2, 2))
 
 
 class TestBuildStore:
@@ -37,7 +35,7 @@ class TestBuildStore:
         assert store.bucket(1, 1).tolist() == [1, 2]
 
     def test_empty(self):
-        store = build_store([], (3, 4))
+        store = build_store(cells(np.empty((0, 2)), []), (3, 4))
         assert store.nnz == 0
         assert store.bucket(0, 1).size == 0
 
@@ -64,9 +62,8 @@ class TestBuildStore:
             assert sorted(seen) == list(range(store.nnz))
 
     def test_out_of_range_rejected_with_mode_and_position(self):
-        entries = [TensorEntry((1, 1), 1.0), TensorEntry((3, 1), 1.0)]
         with pytest.raises(ValueError, match=r"entry 1: mode 0 index 3"):
-            build_store(entries, (2, 2))
+            build_store(cells([[0, 0], [2, 0]], [1.0, 1.0]), (2, 2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected_with_position(self, bad):
@@ -75,27 +72,23 @@ class TestBuildStore:
             store_from_arrays(idx, np.array([1.0, 2.0, bad]), (2, 2))
 
     def test_duplicate_rejected(self):
-        entries = [TensorEntry((1, 2), 1.0), TensorEntry((1, 2), 4.0)]
-        with pytest.raises(ValueError, match="duplicate"):
-            build_store(entries, (2, 2))
+        with pytest.raises(ValueError, match=r"duplicate index tuple \(1, 2\)"):
+            build_store(cells([[0, 1], [0, 1]], [1.0, 4.0]), (2, 2))
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError, match="indices"):
-            build_store([TensorEntry((1, 1, 1), 1.0)], (2, 2))
+            build_store(cells([[0, 0, 0]], [1.0]), (2, 2))
 
     def test_entries_round_trip(self, rng):
+        # a store's cells, shuffled, rebuild the same canonical store
         store = random_store(rng, (6, 7, 5), 60)
-        again = build_store(store.entries(), store.mode_lengths)
+        perm = rng.permutation(store.nnz)
+        again = build_store(Coo(store.idx[perm], store.values[perm]), store.mode_lengths)
         assert np.array_equal(again.idx, store.idx)
         assert np.array_equal(again.values, store.values)
 
 
 class TestAsCoo:
-    def test_entries_become_zero_based_arrays(self):
-        idx, values = as_coo([TensorEntry((1, 3), 5.0), TensorEntry((2, 1), -1.0)], 2)
-        assert idx.dtype == np.int64 and idx.tolist() == [[0, 2], [1, 0]]
-        assert values.dtype == np.float64 and values.tolist() == [5.0, -1.0]
-
     def test_coo_passes_through(self, rng):
         store = random_store(rng, (6, 7, 5), 60)
         coo = Coo(store.idx, store.values)
@@ -109,11 +102,17 @@ class TestAsCoo:
             as_coo(Coo(np.zeros((4, 2), dtype=np.int64), np.zeros(4)), 3)
 
     def test_test_set_checked_against_mode_lengths(self):
-        test = [TensorEntry((1, 1), 1.0), TensorEntry((2, 3), 1.0)]
+        test = cells([[0, 0], [1, 2]], [1.0, 1.0])
         with pytest.raises(ValueError, match=r"test entry 1: mode 1 index 3 outside \[1, 2\]"):
             as_coo(test, 2, (2, 2))
         with pytest.raises(ValueError, match="empty test set"):
-            as_coo([], 2, (2, 2))
+            as_coo(cells(np.empty((0, 2)), []), 2, (2, 2))
+
+    def test_count_mismatch_rejected(self):
+        idx = np.zeros((4, 2), dtype=np.int64)
+        for values in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match=rf"4 index rows but {values.size} values"):
+                as_coo(Coo(idx, values), 2)
 
 
 class TestTakeRows:
@@ -164,21 +163,19 @@ class TestReconstruct:
     def test_all_ones_k2(self):
         mats = [np.ones((2, 2)) for _ in range(3)]
         model = FactorModel(2, 0.0, mats)
-        assert reconstruct(model, (1, 2, 1)) == 2.0
+        assert predict_entries(model, [0, 1, 0]).tolist() == [2.0]
 
     def test_zero_first_factor(self, rng):
         model = FactorModel(2, 0.0, [np.zeros((2, 2)), rng.random((3, 2))])
-        assert reconstruct(model, (2, 3)) == 0.0
+        assert predict_entries(model, [1, 2]).tolist() == [0.0]
 
     def test_matches_dense_oracle(self, rng):
         model = random_model(rng, random_store(rng, (2, 2, 2), 4), rank=2)
         dense = np.einsum("ik,jk,lk->ijl", *model.matrices)
-        for i in range(2):
-            for j in range(2):
-                for l in range(2):
-                    assert reconstruct(model, (i + 1, j + 1, l + 1)) == pytest.approx(
-                        dense[i, j, l], rel=1e-12, abs=1e-15
-                    )
+        idx = np.argwhere(np.ones((2, 2, 2), dtype=bool))
+        assert predict_entries(model, idx) == pytest.approx(
+            dense[tuple(idx.T)], rel=1e-12, abs=1e-15
+        )
 
     def test_multilinear_column_rescale(self, rng):
         store = random_store(rng, (5, 6, 7), 30)
@@ -187,15 +184,13 @@ class TestReconstruct:
         alpha = 1.7
         scaled.matrices[0][:, 1] *= alpha
         scaled.matrices[1][:, 1] /= alpha
-        for entry_idx in store.idx[:10]:
-            ind = tuple(int(i) + 1 for i in entry_idx)
-            a, b = reconstruct(model, ind), reconstruct(scaled, ind)
-            assert b == pytest.approx(a, rel=1e-12)
+        a, b = predict_entries(model, store.idx[:10]), predict_entries(scaled, store.idx[:10])
+        assert b == pytest.approx(a, rel=1e-12)
 
     def test_bounds_checked(self, rng):
         model = random_model(rng, random_store(rng, (2, 2), 2), rank=1)
-        with pytest.raises(ValueError):
-            reconstruct(model, (3, 1))
+        with pytest.raises(IndexError):
+            predict_entries(model, [2, 0])
 
 
 class TestLoss:
@@ -216,8 +211,7 @@ class TestLoss:
         model = random_model(rng, store, rank=2, lam=0.3)
         total = 0.0
         for pos in range(store.nnz):
-            ind = tuple(int(i) + 1 for i in store.idx[pos])
-            total += (store.values[pos] - reconstruct(model, ind)) ** 2
+            total += (store.values[pos] - predict_entries(model, store.idx[pos])[0]) ** 2
         total += 0.3 * sum(float((m ** 2).sum()) for m in model.matrices)
         assert loss(model, store) == pytest.approx(total, rel=1e-12)
 
@@ -251,40 +245,40 @@ class TestLoss:
 class TestRmse:
     def test_perfect_model(self, rng):
         model = random_model(rng, random_store(rng, (3, 3), 4), rank=2)
-        entries = [
-            TensorEntry((i + 1, j + 1), reconstruct(model, (i + 1, j + 1)))
-            for i in range(3) for j in range(3)
-        ]
-        assert rmse(model, entries) == pytest.approx(0.0, abs=1e-12)
+        idx = np.argwhere(np.ones((3, 3), dtype=bool))
+        assert rmse(model, Coo(idx, predict_entries(model, idx))) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_error_one(self):
         model = FactorModel(1, 0.0, [np.zeros((2, 1)), np.zeros((2, 1))])
-        entries = [TensorEntry((i + 1, j + 1), 1.0) for i in range(2) for j in range(2)]
-        assert rmse(model, entries) == 1.0
+        assert rmse(model, cells([[0, 0], [0, 1], [1, 0], [1, 1]], [1.0] * 4)) == 1.0
 
     def test_matches_formula(self, rng):
         store = random_store(rng, (5, 4), 10)
         model = random_model(rng, store, rank=2)
-        entries = store.entries()
-        direct = np.sqrt(
-            np.mean(
-                [(e.value - reconstruct(model, e.indices)) ** 2 for e in entries]
-            )
-        )
-        assert rmse(model, entries) == pytest.approx(float(direct), rel=1e-12)
+        direct = np.sqrt(np.mean([
+            (v - predict_entries(model, row)[0]) ** 2 for row, v in zip(store.idx, store.values)
+        ]))
+        assert rmse(model, Coo(store.idx, store.values)) == pytest.approx(float(direct), rel=1e-12)
 
     def test_empty_rejected(self, rng):
         model = random_model(rng, random_store(rng, (2, 2), 2), rank=1)
         with pytest.raises(ValueError, match="empty"):
-            rmse(model, [])
+            rmse(model, cells(np.empty((0, 2)), []))
 
     def test_out_of_range_rejected(self, rng):
         model = random_model(rng, random_store(rng, (2, 2), 2), rank=1)
         with pytest.raises(ValueError, match=r"test entry 0: mode 0 index 3 outside \[1, 2\]"):
-            rmse(model, [TensorEntry((3, 1), 1.0)])
+            rmse(model, cells([[2, 0]], [1.0]))
 
     def test_accepts_coo(self, rng):
-        store = random_store(rng, (5, 4), 10)
+        # a Coo only, with as many values as index rows
+        store = random_store(rng, (6, 5, 4), 30)
         model = random_model(rng, store, rank=2)
-        assert rmse(model, Coo(store.idx, store.values)) == rmse(model, store.entries())
+        err = store.values - predict_entries(model, store.idx)
+        assert rmse(model, Coo(store.idx, store.values)) == float(np.sqrt(err @ err / err.size))
+        for bad in (Coo(store.idx[:1], store.values), Coo(store.idx, store.values[:1])):
+            with pytest.raises(ValueError, match="index rows but"):
+                rmse(model, bad)
+        with pytest.raises(TypeError, match="as a Coo"):
+            rmse(model, list(zip(store.idx.tolist(), store.values.tolist())))
 
