@@ -1,14 +1,20 @@
 """Tensor file formats, synthetic data, and the binary residual cache.
 
 COO text files carry one entry per line: N integer indices then a value,
-whitespace separated, 0- or 1-based.  The streaming cache is a fixed-width
-little-endian binary format (one record = N int64 indices + one float64
-value) with a magic header and a trailing CRC32.  One file holds the residual
-entries of one mode grouped by row, so a sequential pass serves that mode's
-updates; every read checks the record count and CRC its writer returned.
+whitespace separated, 0- or 1-based.  The streaming cache of one mode holds
+that mode's residual entries grouped by row, as an (index file, value file)
+pair read in lockstep.  Each file is little-endian binary: a header (magic,
+version, 8-byte words per record, record count), fixed-width records and a
+CRC32 trailer.  An index record is N int64 indices, a value record one
+float64.  The index file is written once; a value file is rewritten in
+place, so it keeps its size and no file is created after set-up.  Every
+read checks both files' lengths, and the record counts and CRCs their
+writers returned.
 """
 from __future__ import annotations
 
+import os
+import shutil
 import struct
 import warnings
 import zlib
@@ -258,42 +264,93 @@ def generate_zipf(
 # --- binary residual cache ------------------------------------------------
 
 CACHE_MAGIC = b"RTCACHE1"
-CACHE_VERSION = 1
-_HEADER = struct.Struct("<8sIIQ")  # magic, version, n_modes, record count
+CACHE_VERSION = 2
+_HEADER = struct.Struct("<8sIIQ")  # magic, version, 8-byte words per record, record count
+_TRAILER = struct.Struct("<I")  # CRC32 of the records
 
 
 class CacheError(ValueError):
     """Corrupt or inconsistent cache file."""
 
 
-class CacheWriter:
-    """Sequential writer for one cache file; records are (indices, value)."""
+class _CacheFile:
+    """One cache file open for writing, records of ``width`` 8-byte words each.
 
-    def __init__(self, path, n_modes: int):
-        self.path = Path(path)
-        self.n_modes = n_modes
-        self._fh = open(self.path, "wb")
-        self._fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, n_modes, 0))
+    The records go after the header's place; :meth:`close` appends the CRC32
+    trailer and writes the header last, so each byte is written once.
+    """
+
+    def __init__(self, path: Path, width: int, mode: str):
+        self.path = path
+        self.width = width
+        self._fh = open(path, mode)
+        self._fh.seek(_HEADER.size)
         self._crc = 0
         self.count = 0
 
-    def append(self, idx: np.ndarray, values: np.ndarray) -> None:
-        idx = np.asarray(idx, dtype="<i8").reshape(-1, self.n_modes)
-        values = np.asarray(values, dtype="<f8").reshape(-1)
-        rec = np.empty((idx.shape[0], self.n_modes + 1), dtype="<i8")
-        rec[:, : self.n_modes] = idx
-        rec[:, self.n_modes] = values.view("<i8")  # bit-preserving
-        raw = rec.tobytes()
-        self._crc = zlib.crc32(raw, self._crc)
-        self._fh.write(raw)
-        self.count += idx.shape[0]
+    def write(self, words: np.ndarray) -> None:
+        self._crc = zlib.crc32(words, self._crc)
+        self._fh.write(words)
+        self.count += words.shape[0]
 
     def close(self) -> dict:
-        self._fh.write(struct.pack("<I", self._crc))
+        self._fh.write(_TRAILER.pack(self._crc))
         self._fh.seek(0)
-        self._fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.n_modes, self.count))
+        self._fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.width, self.count))
         self._fh.close()
         return {"records": self.count, "crc32": self._crc}
+
+
+class CacheWriter:
+    """Sequential writer of one cache: a value file and, when new, its index file.
+
+    :meth:`create` makes both files of an (index, value) pair anew and
+    :meth:`append` writes each record's N indices and its value.
+    :meth:`rewrite` opens an existing value file in place (``r+b``), so no
+    file is created and the file keeps its size; its :meth:`append` writes
+    the values only, and takes ``None`` for the indices, which the pair's
+    index file already holds.
+    """
+
+    def __init__(self, values: _CacheFile, index: _CacheFile | None = None):
+        self._values = values
+        self._index = index
+
+    @classmethod
+    def create(cls, pair, n_modes: int) -> "CacheWriter":
+        index_path, value_path = map(Path, pair)
+        return cls(_CacheFile(value_path, 1, "wb"), _CacheFile(index_path, n_modes, "wb"))
+
+    @classmethod
+    def rewrite(cls, path) -> "CacheWriter":
+        return cls(_CacheFile(Path(path), 1, "r+b"))
+
+    def append(self, idx: np.ndarray | None, values: np.ndarray) -> None:
+        if self._index is not None:
+            self._index.write(
+                np.ascontiguousarray(idx, dtype="<i8").reshape(-1, self._index.width))
+        self._values.write(np.ascontiguousarray(values, dtype="<f8").reshape(-1))
+
+    def close(self) -> dict[Path, dict]:
+        """Finish every file written; returns its writer record by path."""
+        files = [self._values] if self._index is None else [self._index, self._values]
+        return {f.path: f.close() for f in files}
+
+
+def _read_header(fh, path: Path) -> tuple[int, int]:
+    """Check a cache file's header and exact length; returns (width, count)."""
+    head = fh.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        raise CacheError(f"{path}: truncated header")
+    magic, version, width, count = _HEADER.unpack(head)
+    if magic != CACHE_MAGIC or version != CACHE_VERSION:
+        raise CacheError(f"{path}: bad magic or version")
+    size = _HEADER.size + count * width * 8 + _TRAILER.size
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != size:
+        raise CacheError(f"{path}: {actual} bytes, but {count} records of {width} words "
+                         f"take {size}")
+    return width, count
 
 
 def stream_pass(
@@ -303,50 +360,49 @@ def stream_pass(
     expected: dict | None = None,
     chunk_records: int = 1 << 16,
 ):
-    """Fold ``visitor(idx_chunk, values_chunk, acc)`` over a cache file.
+    """Fold ``visitor(idx_chunk, values_chunk, acc)`` over a cache pair.
 
-    Records are visited in stored order exactly once; the CRC and record
-    count are verified against the trailer and, when ``expected`` is given,
-    against its writer's record, the :meth:`CacheWriter.close` result.
+    ``path`` is an (index file, value file) pair, read in lockstep in the
+    same chunks; records are visited in stored order exactly once.  Both
+    files' lengths, CRCs and record counts are verified against their
+    headers and trailers, their counts against each other and, when
+    ``expected`` is given, each file against its writer's record there
+    (a mapping from path to the :meth:`CacheWriter.close` result).
     Returns the final accumulator (None for an empty cache).
     """
-    path = Path(path)
+    index_path, value_path = map(Path, path)
     acc = None
-    crc = 0
-    seen = 0
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise CacheError(f"{path}: truncated header")
-        magic, version, n_modes, count = _HEADER.unpack(head)
-        if magic != CACHE_MAGIC or version != CACHE_VERSION:
-            raise CacheError(f"{path}: bad magic or version")
-        rec_width = (n_modes + 1) * 8
-        while seen < count:
-            take = min(chunk_records, count - seen)
-            raw = fh.read(take * rec_width)
-            if len(raw) != take * rec_width:
-                raise CacheError(f"{path}: truncated records")
-            crc = zlib.crc32(raw, crc)
-            rec = np.frombuffer(raw, dtype="<i8").reshape(take, n_modes + 1)
-            idx = rec[:, :n_modes]
-            values = rec[:, n_modes].view("<f8")
-            acc = visitor(idx, values, acc)
-            seen += take
-        trailer = fh.read(4)
-        if len(trailer) != 4:
-            raise CacheError(f"{path}: missing checksum trailer")
-        (stored_crc,) = struct.unpack("<I", trailer)
-    if stored_crc != crc:
-        raise CacheError(f"{path}: checksum mismatch")
-    if expected is not None:
-        if expected.get("records") != count or expected.get("crc32") != crc:
-            raise CacheError(f"{path}: does not match its writer's record")
+    with open(index_path, "rb") as ifh, open(value_path, "rb") as vfh:
+        n_modes, count = _read_header(ifh, index_path)
+        width, value_count = _read_header(vfh, value_path)
+        if width != 1:
+            raise CacheError(f"{value_path}: {width} words per record, not a value file")
+        if value_count != count:
+            raise CacheError(
+                f"{index_path} holds {count} records but {value_path} holds {value_count}")
+        icrc = vcrc = 0
+        for start in range(0, count, chunk_records):
+            take = min(chunk_records, count - start)
+            raw_idx, raw_values = ifh.read(take * n_modes * 8), vfh.read(take * 8)
+            icrc, vcrc = zlib.crc32(raw_idx, icrc), zlib.crc32(raw_values, vcrc)
+            idx = np.frombuffer(raw_idx, dtype="<i8").reshape(take, n_modes)
+            acc = visitor(idx, np.frombuffer(raw_values, dtype="<f8"), acc)
+        for fh, file, crc in ((ifh, index_path, icrc), (vfh, value_path, vcrc)):
+            (stored_crc,) = _TRAILER.unpack(fh.read(_TRAILER.size))
+            if stored_crc != crc:
+                raise CacheError(f"{file}: checksum mismatch")
+            if expected is not None and expected.get(file) != {"records": count, "crc32": crc}:
+                raise CacheError(f"{file}: does not match its writer's record")
     return acc
 
 
 def cache_name(kind: str, mode: int) -> str:
     return f"{kind}_m{mode}.bin"
+
+
+def cache_pair(directory: Path, kind: str, mode: int) -> tuple[Path, Path]:
+    """The (index file, value file) pair of mode ``mode``'s ``kind`` cache."""
+    return directory / cache_name("idx", mode), directory / cache_name(kind, mode)
 
 
 def write_residual_caches(
@@ -357,15 +413,21 @@ def write_residual_caches(
 ) -> None:
     """Cache the initial residual (= x) per mode, grouped by that mode's rows.
 
-    Each file's :meth:`CacheWriter.close` result goes into ``written``
-    under its path, for :func:`stream_pass` to check on every read.
+    Every file is created anew: per mode, the index file ``idx_m<n>.bin``
+    (written here only) and the value files ``r_m<n>.bin`` and
+    ``rhat_m<n>.bin`` (a copy of ``r`` until the first value pass rewrites
+    it).  Each file's writer record goes into ``written`` under its path,
+    for :func:`stream_pass` to check on every read.
     """
     directory.mkdir(parents=True, exist_ok=True)
     for n in range(store.n_modes):
         perm = store.mode_perm[n]
-        path = directory / cache_name("r", n)
-        writer = CacheWriter(path, store.n_modes)
+        pair = cache_pair(directory, "r", n)
+        writer = CacheWriter.create(pair, store.n_modes)
         for start in range(0, perm.size, chunk_records):
             sel = perm[start:start + chunk_records]
             writer.append(store.idx[sel], store.values[sel])
-        written[path] = writer.close()
+        written.update(writer.close())
+        rhat = directory / cache_name("rhat", n)
+        shutil.copyfile(pair[1], rhat)
+        written[rhat] = written[pair[1]]

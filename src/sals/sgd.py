@@ -156,7 +156,7 @@ def _wavefront_sweep(
     vq[:, 0] = np.take(values, order)
     two_eta = 2.0 * eta
     # Silent like the scalar floats: a zero divisor's quotient is replaced,
-    # and a non-finite result is caught when the averaged model is built.
+    # and psgd_epoch checks the averaged factors for non-finite results.
     with np.errstate(all="ignore"):
         for s, e in zip(bounds[:-1], bounds[1:]):
             at = flat[s * n_modes:e * n_modes]
@@ -199,7 +199,9 @@ def psgd_epoch(
     The partition and visit order come from a per-epoch seeded shuffle
     (shard j takes the j-th slice of one permutation, so the shard-to-data
     mapping is fixed by the seed alone).  ``partition`` overrides the
-    shuffle with explicit position arrays, mainly for tests.
+    shuffle with explicit position arrays, mainly for tests.  A non-finite
+    averaged factor raises ValueError naming the epoch (1-based, as in the
+    iteration records), the mode and the first such row.
     """
     if partition is None:
         rng = _epoch_rng(params.seed, epoch)
@@ -225,6 +227,11 @@ def psgd_epoch(
     for stacked in shards[1:]:
         total += stacked
     total /= len(shards)
+    bad = np.flatnonzero(~np.isfinite(total).all(axis=1))
+    if bad.size:
+        n = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise ValueError(
+            f"epoch {epoch + 1}: mode {n}, row {bad[0] - offsets[n]}: non-finite factor entries")
     return FactorModel(model.rank, model.lam, np.split(total, offsets[1:-1]))
 
 

@@ -2,12 +2,15 @@
 
 Residual entries live in per-mode binary caches on disk (grouped by the
 mode's rows) and factor matrices live in a column-addressable store; only
-the active C columns of each factor are held in memory at a time.  The
+the active C columns of each factor are held in memory at a time.  Per mode
+``n`` the cache directory holds ``idx_m<n>.bin``, the entries' indices,
+written once at set-up, and the value files ``r_m<n>.bin`` (residual) and
+``rhat_m<n>.bin`` (r-hat), which every value pass rewrites in place.  The
 shared schedule driver (:func:`sals.solver.run_schedule`) runs with steps
 that work on the caches: per column subset, augment streams each mode's
-residual cache to materialize the augmented residual on disk, each refit
-streams one mode's r-hat cache and hands its complete row groups to the
-serial row kernel, and write back streams the caches again.  A residency
+residual to rewrite its r-hat, each refit streams one mode's r-hat and
+hands its complete row groups to the serial row kernel, and write back
+streams r-hat to rewrite the residual.  A residency
 meter counts live factor-matrix values; its peak stays at C * sum(I_n)
 during the loop (plus a transient of one full factor per mode while the
 initial model is written out).
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import dataio
 from .accounting import ResidencyMeter, SolveStats
-from .dataio import CacheWriter, cache_name, write_residual_caches
+from .dataio import CacheWriter, cache_name, cache_pair, write_residual_caches
 from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented by perfbench
     IterationRecord,
     ProgressHook,
@@ -142,26 +145,26 @@ def _value_pass(
     stats: SolveStats,
     chunk_records: int,
 ) -> None:
-    """Stream each mode's ``src`` cache into its ``dst`` cache, adding ``sign``
-    times the active-column reconstruction."""
+    """Stream each mode's ``src`` cache into its ``dst`` value file, adding
+    ``sign`` times the active-column reconstruction; ``dst`` is rewritten in
+    place and the mode's index file is only read."""
     n_modes = len(slabs)
     for n in range(n_modes):
-        src_path, dst_path = cache / cache_name(src, n), cache / cache_name(dst, n)
-        writer = CacheWriter(dst_path, n_modes)
+        writer = CacheWriter.rewrite(cache / cache_name(dst, n))
 
         def visit(idx, values, acc):
-            writer.append(idx, values + sign * subset_products(slabs, idx))
+            writer.append(None, values + sign * subset_products(slabs, idx))
             stats.flops += idx.shape[0] * slabs[0].shape[1] * n_modes
             return acc
 
-        dataio.stream_pass(src_path, visit, expected=written[src_path],
+        dataio.stream_pass(cache_pair(cache, src, n), visit, expected=written,
                            chunk_records=chunk_records)
-        written[dst_path] = writer.close()
+        written.update(writer.close())
 
 
 def _update_mode_streaming(
-    path: Path,
-    expected: dict,
+    path: tuple[Path, Path],
+    expected: dict[Path, dict],
     slabs: list[np.ndarray],
     mode: int,
     absent: RowGroups,
@@ -170,7 +173,7 @@ def _update_mode_streaming(
     stats: SolveStats,
     chunk_records: int,
 ) -> None:
-    """One row-refit pass over a mode-grouped r-hat cache.
+    """One row-refit pass over a mode-grouped r-hat cache pair.
 
     Each chunk's complete row groups go to :func:`update_rows`, delimited by
     their row heads; the last group may continue in the next chunk and is
@@ -182,10 +185,7 @@ def _update_mode_streaming(
         rows = idx[:end, mode]
         heads = np.flatnonzero(np.diff(rows, prepend=-1))
         groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end))
-        # A chunk read from the cache is a strided view; the kernel's row
-        # gathers want contiguous sources (see take_rows).
-        update_rows(slabs, np.ascontiguousarray(idx[:end]), np.ascontiguousarray(values[:end]),
-                    mode, groups, lam, weighted, stats)
+        update_rows(slabs, idx[:end], values[:end], mode, groups, lam, weighted, stats)
 
     def visit(idx, values, carry):
         if carry is not None:
@@ -250,8 +250,7 @@ def stream_factorize(
 
         def refit(slabs, stamp):
             n = stamp.mode
-            path = cache / cache_name("rhat", n)
-            _update_mode_streaming(path, written[path], slabs, n, absent[n],
+            _update_mode_streaming(cache_pair(cache, "rhat", n), written, slabs, n, absent[n],
                                    params.lam, weighted, stats, chunk_records)
 
         def write_back(columns, slabs):
@@ -264,9 +263,9 @@ def stream_factorize(
             nonlocal flops_mark
             if on_iteration is None:
                 return None
-            path = cache / cache_name("r", 0)
             resid_sq = dataio.stream_pass(
-                path, _sum_squares, expected=written[path], chunk_records=chunk_records
+                cache_pair(cache, "r", 0), _sum_squares, expected=written,
+                chunk_records=chunk_records,
             )
             run.records.append(IterationRecord(it, 0.0, *evaluate(
                 resid_sq or 0.0, colstore.blocks(params.n_columns), store,

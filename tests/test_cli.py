@@ -521,6 +521,22 @@ class TestExitCodes:
             r"mode \1, row \d+: non-finite normal equations", err
         ), err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_psgd_divergence_names_epoch_mode_and_row(self, tmp_path, capsys):
+        from sals.cli import EXIT_NUMERIC
+
+        store = random_store(np.random.default_rng(4), (6, 5, 4), 60, value_scale=1e300)
+        write_coo(tmp_path / "huge.coo", Coo(store.idx, store.values), CooFileSpec(3, 1))
+        code = main(
+            ["factorize", "--train", str(tmp_path / "huge.coo"), "--alg", "psgd",
+             "-K", "2", "--t-out", "2", "--lambda", "0.1", "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(
+            r"numerical error: epoch 1: mode [0-2], row \d+: non-finite factor entries", err
+        ), err
+
     def test_index_beyond_int64_is_io_error(self, tmp_path, capsys):
         (tmp_path / "big.coo").write_text("99999999999999999999 1 1.0\n")
         code = main(

@@ -11,6 +11,7 @@ from sals.dataio import (
     CooFileSpec,
     DataFormatError,
     cache_name,
+    cache_pair,
     generate_synthetic,
     generate_zipf,
     plan_synthetic,
@@ -219,13 +220,28 @@ class TestGenerateZipf:
         assert sizes[0] > sizes[100:].mean() * 3
 
 
+def _write_pair(tmp_path, idx, values):
+    """A two-file cache in ``tmp_path``: returns its (index, value) pair and writer records."""
+    pair = (tmp_path / "i.bin", tmp_path / "v.bin")
+    writer = CacheWriter.create(pair, idx.shape[1])
+    writer.append(idx, values)
+    return pair, writer.close()
+
+
+def _visit_nothing(idx, values, acc):
+    return acc
+
+
 class TestResidualCache:
     def test_write_read_round_trip(self, rng, tmp_path):
         store = random_store(rng, (7, 6, 5), 80)
         written = {}
-        write_residual_caches(store, tmp_path / "cache", written)
-        path = tmp_path / "cache" / cache_name("r", 1)
-        assert sorted(written) == [tmp_path / "cache" / cache_name("r", n) for n in range(3)]
+        cache = tmp_path / "cache"
+        write_residual_caches(store, cache, written)
+        pair = cache_pair(cache, "r", 1)
+        assert pair == (cache / cache_name("idx", 1), cache / cache_name("r", 1))
+        assert sorted(written) == sorted(
+            cache / cache_name(kind, n) for kind in ("idx", "r", "rhat") for n in range(3))
 
         chunks = []
 
@@ -233,7 +249,7 @@ class TestResidualCache:
             chunks.append((idx.copy(), values.copy()))
             return (0 if acc is None else acc) + idx.shape[0]
 
-        total = stream_pass(path, visit, expected=written[path], chunk_records=17)
+        total = stream_pass(pair, visit, expected=written, chunk_records=17)
         assert total == store.nnz
         idx = np.concatenate([c[0] for c in chunks])
         values = np.concatenate([c[1] for c in chunks])
@@ -242,50 +258,92 @@ class TestResidualCache:
         assert np.array_equal(values, store.values[perm])
         # grouped by the mode's rows in ascending order
         assert (np.diff(idx[:, 1]) >= 0).all()
+        # r-hat starts as the residual, and a value file holds 8 bytes a record
+        rhat = cache / cache_name("rhat", 1)
+        assert rhat.read_bytes() == pair[1].read_bytes()
+        assert pair[1].stat().st_size == 24 + 8 * store.nnz + 4
+        assert pair[0].stat().st_size == 24 + 8 * 3 * store.nnz + 4
 
     def test_empty_cache_never_visits(self, tmp_path):
-        writer = CacheWriter(tmp_path / "empty.bin", 2)
-        info = writer.close()
+        pair = (tmp_path / "i.bin", tmp_path / "v.bin")
+        info = CacheWriter.create(pair, 2).close()
         called = []
-        out = stream_pass(tmp_path / "empty.bin", lambda i, v, a: called.append(1), expected=info)
+        out = stream_pass(pair, lambda i, v, a: called.append(1), expected=info)
         assert out is None and not called
 
     def test_checksum_detects_corruption(self, tmp_path):
-        writer = CacheWriter(tmp_path / "c.bin", 2)
-        writer.append(np.array([[0, 1], [1, 0]]), np.array([1.5, -2.5]))
-        writer.close()
-        raw = bytearray((tmp_path / "c.bin").read_bytes())
-        raw[len(raw) - 12] ^= 0xFF  # flip a bit inside the last record
-        (tmp_path / "c.bin").write_bytes(bytes(raw))
-        with pytest.raises(CacheError, match="checksum"):
-            stream_pass(tmp_path / "c.bin", lambda i, v, a: a)
+        for k, offset in ((0, 8), (1, 12)):  # a bit inside the last record of each file
+            pair, _ = _write_pair(tmp_path, np.array([[0, 1], [1, 0]]), np.array([1.5, -2.5]))
+            raw = bytearray(pair[k].read_bytes())
+            raw[len(raw) - offset] ^= 0xFF
+            pair[k].write_bytes(bytes(raw))
+            with pytest.raises(CacheError, match=f"{pair[k].name}: checksum"):
+                stream_pass(pair, _visit_nothing)
 
     def test_manifest_mismatch_detected(self, tmp_path):
-        writer = CacheWriter(tmp_path / "c.bin", 2)
-        writer.append(np.array([[0, 0]]), np.array([3.0]))
-        info = writer.close()
-        wrong = dict(info, records=2)
-        with pytest.raises(CacheError, match="does not match its writer's record"):
-            stream_pass(tmp_path / "c.bin", lambda i, v, a: a, expected=wrong)
+        pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+        stream_pass(pair, _visit_nothing, expected=info)
+        for path in pair:
+            for wrong in (dict(info[path], records=2), dict(info[path], crc32=0)):
+                with pytest.raises(CacheError,
+                                   match=f"{path.name}: does not match its writer's record"):
+                    stream_pass(pair, _visit_nothing, expected={**info, path: wrong})
+            with pytest.raises(CacheError, match=f"{path.name}: does not match"):
+                stream_pass(pair, _visit_nothing,
+                            expected={p: r for p, r in info.items() if p != path})
 
     def test_truncated_file_detected(self, tmp_path):
-        writer = CacheWriter(tmp_path / "c.bin", 2)
-        writer.append(np.array([[0, 0]]), np.array([3.0]))
-        writer.close()
-        raw = (tmp_path / "c.bin").read_bytes()
-        (tmp_path / "c.bin").write_bytes(raw[:-5])
-        with pytest.raises(CacheError):
-            stream_pass(tmp_path / "c.bin", lambda i, v, a: a)
+        for k in range(2):
+            pair, _ = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+            raw = pair[k].read_bytes()
+            for cut in (5, len(raw) - 10):
+                pair[k].write_bytes(raw[:-cut])
+                with pytest.raises(CacheError, match=pair[k].name):
+                    stream_pass(pair, _visit_nothing)
+
+    def test_junk_after_trailer_detected(self, tmp_path):
+        for k in range(2):
+            pair, _ = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+            with open(pair[k], "ab") as fh:
+                fh.write(b"\0" * 8)
+            with pytest.raises(CacheError, match=rf"{pair[k].name}: \d+ bytes, but 1 records"):
+                stream_pass(pair, _visit_nothing)
+
+    def test_index_and_value_counts_must_agree(self, tmp_path):
+        pair, _ = _write_pair(tmp_path, np.array([[0, 0], [1, 1]]), np.array([3.0, 4.0]))
+        (tmp_path / "one").mkdir()
+        (_, one_value), _ = _write_pair(tmp_path / "one", np.array([[0, 0]]), np.array([3.0]))
+        pair[1].write_bytes(one_value.read_bytes())
+        with pytest.raises(CacheError, match="i.bin holds 2 records but .*v.bin holds 1"):
+            stream_pass(pair, _visit_nothing)
+
+    def test_index_file_is_not_a_value_file(self, tmp_path):
+        pair, _ = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+        with pytest.raises(CacheError, match="i.bin: 2 words per record, not a value file"):
+            stream_pass((pair[1], pair[0]), _visit_nothing)
+
+    def test_rewrite_in_place_keeps_size_and_indices(self, tmp_path):
+        pair, info = _write_pair(tmp_path, np.array([[0, 1], [2, 3]]), np.array([1.0, 2.0]))
+        index_bytes, size = pair[0].read_bytes(), pair[1].stat().st_size
+        writer = CacheWriter.rewrite(pair[1])
+        writer.append(None, np.array([5.0]))
+        writer.append(None, np.array([-6.0]))
+        info.update(writer.close())
+        assert pair[1].stat().st_size == size and pair[0].read_bytes() == index_bytes
+
+        def visit(idx, values, acc):
+            return idx.copy(), values.copy()
+
+        idx, values = stream_pass(pair, visit, expected=info)
+        assert np.array_equal(idx, [[0, 1], [2, 3]]) and np.array_equal(values, [5.0, -6.0])
 
     def test_values_bit_exact(self, tmp_path):
-        writer = CacheWriter(tmp_path / "c.bin", 1)
         vals = np.array([np.pi, -0.0, 1e-300, 2.0 ** 1000])
-        writer.append(np.arange(4).reshape(-1, 1), vals)
-        writer.close()
+        pair, _ = _write_pair(tmp_path, np.arange(4).reshape(-1, 1), vals)
 
         def visit(idx, values, acc):
             return values.copy()
 
-        out = stream_pass(tmp_path / "c.bin", visit)
+        out = stream_pass(pair, visit)
         assert np.array_equal(out, vals)
         assert np.signbit(out[1])

@@ -136,6 +136,17 @@ class TestPsgdEpoch:
         assert all(np.isfinite(m).all() for m in out.matrices)
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_average_names_epoch_mode_and_row(self, rng):
+        store = random_store(rng, (6, 5, 4), 60)
+        params = SgdParams(rank=2, lam=0.05, eta0=0.02, n_shards=2, seed=7)
+        model = init_sgd_model(store, params)
+        model.matrices[1][3, 1] = 1e308  # two empty shards sum it past the float range
+        model.matrices[2][0, 0] = 1e308
+        empty = [np.zeros(0, dtype=np.int64)] * 2
+        with pytest.raises(ValueError, match=r"^epoch 3: mode 1, row 3: non-finite factor"):
+            psgd_epoch(store, model, params, epoch=2, partition=empty)
+
 class TestFactorizePsgd:
     def test_deterministic(self, rng):
         store = random_store(rng, (6, 5), 40)

@@ -1,8 +1,11 @@
+import collections
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sals import dataio, streaming
 from sals.accounting import ResidencyMeter
 from sals.solver import SolverParams, factorize
 from sals.streaming import ColumnStore, stream_factorize
@@ -12,6 +15,26 @@ from conftest import random_store
 
 def max_model_diff(a, b):
     return max(np.max(np.abs(x - y)) for x, y in zip(a.matrices, b.matrices))
+
+
+class _CountingFile:
+    """A file object that adds the bytes written through it to ``counter[name]``."""
+
+    def __init__(self, fh, counter, name):
+        self._fh, self._counter, self._name = fh, counter, name
+
+    def write(self, data):
+        self._counter[self._name] += memoryview(data).nbytes
+        return self._fh.write(data)
+
+    def __getattr__(self, attr):
+        return getattr(self._fh, attr)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
 
 
 class TestColumnStore:
@@ -93,9 +116,51 @@ class TestStreamFactorize:
         params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.1, seed=4)
         stream_factorize(store, params, workdir=tmp_path, on_iteration=lambda r: None)
         expected = {f"factors/factor_{n}.bin" for n in range(3)}
-        expected |= {f"cache/{kind}_m{n}.bin" for kind in ("r", "rhat") for n in range(3)}
+        expected |= {f"cache/{kind}_m{n}.bin" for kind in ("idx", "r", "rhat") for n in range(3)}
         found = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
         assert found == expected
+
+    def test_value_passes_rewrite_8_bytes_a_record_in_place(self, rng, tmp_path, monkeypatch):
+        store = random_store(rng, (6, 5, 4), 60)
+        params = SolverParams(rank=4, n_columns=2, outer_iters=2, lam=0.1, seed=4)
+        cache = tmp_path / "cache"
+        written = collections.Counter()
+        opened = collections.Counter()
+        index_files = {}
+
+        def counting_open(path, mode="r"):
+            opened[Path(path).name, mode] += 1
+            return _CountingFile(open(path, mode), written, Path(path).name)
+
+        def set_up(*args):
+            dataio.write_residual_caches(*args)
+            index_files.update({p.name: (p.stat().st_mtime_ns, p.read_bytes())
+                                for p in cache.glob("idx_*")})
+            monkeypatch.setattr(dataio, "open", counting_open, raising=False)
+
+        monkeypatch.setattr(streaming, "write_residual_caches", set_up)
+        stream_factorize(store, params, workdir=tmp_path, on_iteration=lambda r: None)
+        # Each outer iteration runs two column subsets; each subset's augment
+        # rewrites every mode's r-hat and its write-back every mode's r.  A
+        # value pass writes header + 8 B per record + CRC trailer per mode,
+        # (N + 1) times fewer record bytes than N indices plus a value.
+        passes = params.outer_iters * 2
+        assert sorted(index_files) == [f"idx_m{n}.bin" for n in range(3)]
+        for n in range(3):
+            for kind in ("r", "rhat"):
+                assert opened[f"{kind}_m{n}.bin", "r+b"] == passes
+                assert written[f"{kind}_m{n}.bin"] == passes * (8 * store.nnz + 28)
+            path = cache / f"idx_m{n}.bin"
+            assert (path.stat().st_mtime_ns, path.read_bytes()) == index_files[path.name]
+            assert opened[path.name, "rb"] > 0 and written[path.name] == 0
+        assert {mode for _, mode in opened} == {"rb", "r+b"}  # no file created after set-up
+
+    def test_reused_workdir_with_longer_stale_caches(self, rng, tmp_path):
+        params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.1, seed=4)
+        stream_factorize(random_store(rng, (6, 5, 4), 100), params, workdir=tmp_path)
+        small = random_store(rng, (6, 5, 4), 30)
+        run = stream_factorize(small, params, workdir=tmp_path)
+        assert max_model_diff(factorize(small, params), run.load_model()) == 0
 
     def test_temporary_workdir_cleanup(self, rng):
         store = random_store(rng, (5, 5), 15)

@@ -121,14 +121,14 @@ class TestTakeRows:
         n_modes = 3
         table = rng.normal(size=(50, c_cols))
         idx = rng.integers(0, 50, size=(300, n_modes))
-        # a cache chunk: index columns and values interleaved per record
+        # a record array: index columns and values interleaved per record
         rec = np.empty((300, n_modes + 1), dtype=np.int64)
         rec[:, :n_modes] = idx
         chunk = rec[:, :n_modes]
         cases = [
             (table, np.ascontiguousarray(idx[:, 1])),  # contiguous index
             (table, idx[:, 1]),                        # strided index column
-            (table, chunk[:, 2]),                      # column of a chunk view
+            (table, chunk[:, 2]),                      # column of a record view
             (table, np.empty(0, dtype=np.int64)),      # empty index
             (table, -idx[:, 0] - 1),                   # negative indices
             (chunk, rng.permutation(300)[:120]),       # rows of a strided source
