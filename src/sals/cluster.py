@@ -15,9 +15,9 @@ of a subset and the lead worker's slabs are written back at the end;
 neither transfer counts as communication.
 
 Because every worker owns the complete entry bucket of each row it updates
-(in canonical order) and runs the same row kernel and evaluator as the
-serial solver, the final model is bitwise identical to a serial run with
-the same seed.
+(in canonical order) and runs the serial solver's augment, write-back, row
+kernel and evaluator, the final model is bitwise identical to a serial run
+with the same seed.
 """
 from __future__ import annotations
 
@@ -36,11 +36,13 @@ from .solver import (
     SolverParams,
     Stamp,
     WEIGHTED,
+    compute_rhat,
     init_model,
     run_schedule,
+    update_residual,
     update_rows,
 )
-from .tensor import (
+from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
     Coo,
     FactorModel,
     RowGroups,
@@ -189,8 +191,7 @@ def _worker_loop(
         for ws in workers:
             with _blame(ws.machine):
                 slabs = [master.matrices[n][:, columns] for n in range(n_modes)]
-                ws.residual += subset_products(slabs, ws.idx)
-                stats[ws.machine].flops += ws.idx.shape[0] * columns.size * n_modes
+                compute_rhat(ws.residual, slabs, ws.idx, stats[ws.machine])
             replicas.append(slabs)
         return replicas
 
@@ -219,8 +220,7 @@ def _worker_loop(
     def write_back(columns, replicas):
         for ws, slabs in zip(workers, replicas):
             with _blame(ws.machine):
-                ws.residual -= subset_products(slabs, ws.idx)
-                stats[ws.machine].flops += ws.idx.shape[0] * columns.size * n_modes
+                update_residual(ws.residual, slabs, ws.idx, stats[ws.machine])
                 master_residual[ws.lead_global] = ws.residual[ws.groups[0].order]
         for n in range(n_modes):
             master.matrices[n][:, columns] = replicas[0][n]

@@ -6,15 +6,14 @@ that mode's residual entries grouped by row, as an (index file, value file)
 pair read in lockstep.  Each file is little-endian binary: a header (magic,
 version, 8-byte words per record, record count), fixed-width records and a
 CRC32 trailer.  An index record is N int64 indices, a value record one
-float64.  The index file is written once; a value file is rewritten in
-place, so it keeps its size and no file is created after set-up.  Every
-read checks both files' lengths, and the record counts and CRCs their
-writers returned.
+float64.  The index file is written once; the value file, the mode's one
+residual copy, is rewritten in place (into r-hat and back), so it keeps its
+size and no file is created after set-up.  Every read checks both files'
+lengths, and the record counts and CRCs their writers returned.
 """
 from __future__ import annotations
 
 import os
-import shutil
 import struct
 import warnings
 import zlib
@@ -396,13 +395,9 @@ def stream_pass(
     return acc
 
 
-def cache_name(kind: str, mode: int) -> str:
-    return f"{kind}_m{mode}.bin"
-
-
-def cache_pair(directory: Path, kind: str, mode: int) -> tuple[Path, Path]:
-    """The (index file, value file) pair of mode ``mode``'s ``kind`` cache."""
-    return directory / cache_name("idx", mode), directory / cache_name(kind, mode)
+def cache_pair(directory: Path, mode: int) -> tuple[Path, Path]:
+    """The (index file, value file) pair of mode ``mode``'s cache."""
+    return directory / f"idx_m{mode}.bin", directory / f"r_m{mode}.bin"
 
 
 def write_residual_caches(
@@ -413,21 +408,16 @@ def write_residual_caches(
 ) -> None:
     """Cache the initial residual (= x) per mode, grouped by that mode's rows.
 
-    Every file is created anew: per mode, the index file ``idx_m<n>.bin``
-    (written here only) and the value files ``r_m<n>.bin`` and
-    ``rhat_m<n>.bin`` (a copy of ``r`` until the first value pass rewrites
-    it).  Each file's writer record goes into ``written`` under its path,
-    for :func:`stream_pass` to check on every read.
+    Both files of every mode's :func:`cache_pair` are created anew: the
+    index file ``idx_m<n>.bin`` (written here only) and the value file
+    ``r_m<n>.bin``.  Each file's writer record goes into ``written`` under
+    its path, for :func:`stream_pass` to check on every read.
     """
     directory.mkdir(parents=True, exist_ok=True)
     for n in range(store.n_modes):
         perm = store.mode_perm[n]
-        pair = cache_pair(directory, "r", n)
-        writer = CacheWriter.create(pair, store.n_modes)
+        writer = CacheWriter.create(cache_pair(directory, n), store.n_modes)
         for start in range(0, perm.size, chunk_records):
             sel = perm[start:start + chunk_records]
             writer.append(store.idx[sel], store.values[sel])
         written.update(writer.close())
-        rhat = directory / cache_name("rhat", n)
-        shutil.copyfile(pair[1], rhat)
-        written[rhat] = written[pair[1]]

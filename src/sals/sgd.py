@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .solver import PLAIN, IterationRecord, ProgressHook, close_iteration
-from .tensor import FactorModel, SparseTensorStore, as_coo, evaluate, predict_entries
+from .solver import PLAIN, IterationRecord, ProgressHook, close_iteration, update_residual
+from .tensor import FactorModel, SparseTensorStore, as_coo, evaluate
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,8 @@ def factorize_psgd(
     def close(epoch):
         if on_iteration is None:
             return None
-        err = store.values - predict_entries(model, store.idx)
+        err = store.values.copy()
+        update_residual(err, model.matrices, store.idx)
         return IterationRecord(epoch, 0.0, *evaluate(
             float(err @ err), [model.matrices], store, params.lam, PLAIN, test,
         ), flops=epoch_flops)

@@ -4,16 +4,15 @@ Residual entries live in per-mode binary caches on disk (grouped by the
 mode's rows) and factor matrices live in a column-addressable store; only
 the active C columns of each factor are held in memory at a time.  Per mode
 ``n`` the cache directory holds ``idx_m<n>.bin``, the entries' indices,
-written once at set-up, and the value files ``r_m<n>.bin`` (residual) and
-``rhat_m<n>.bin`` (r-hat), which every value pass rewrites in place.  The
-shared schedule driver (:func:`sals.solver.run_schedule`) runs with steps
-that work on the caches: per column subset, augment streams each mode's
-residual to rewrite its r-hat, each refit streams one mode's r-hat and
-hands its complete row groups to the serial row kernel, and write back
-streams r-hat to rewrite the residual.  A residency
-meter counts live factor-matrix values; its peak stays at C * sum(I_n)
-during the loop (plus a transient of one full factor per mode while the
-initial model is written out).
+written once at set-up, and ``r_m<n>.bin``, the mode's one copy of the
+residual values.  The shared schedule driver (:func:`sals.solver.run_schedule`)
+runs with steps that work on the caches: per column subset, augment
+rewrites each value file in place into r-hat, each refit streams one mode's
+r-hat and hands its complete row groups to the serial row kernel, and write
+back rewrites r-hat in place into the residual.  A residency meter counts
+live factor-matrix values; its peak stays at C * sum(I_n) during the loop
+(plus a transient of one full factor per mode while the initial model is
+written out).
 
 The row groups keep canonical order within each row, so a streaming run
 reproduces the in-memory model bit for bit.
@@ -21,6 +20,7 @@ reproduces the in-memory model bit for bit.
 from __future__ import annotations
 
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,19 +28,21 @@ import numpy as np
 
 from . import dataio
 from .accounting import ResidencyMeter, SolveStats
-from .dataio import CacheWriter, cache_name, cache_pair, write_residual_caches
+from .dataio import CacheWriter, cache_pair, write_residual_caches
 from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented by perfbench
     IterationRecord,
     ProgressHook,
     SolverParams,
     WEIGHTED,
+    compute_rhat,
     init_factors,
     normal_eq_arrays,
     run_schedule,
     solve_row,
+    update_residual,
     update_rows,
 )
-from .tensor import (
+from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
     FactorModel,
     RowGroups,
     SparseTensorStore,
@@ -138,27 +140,28 @@ class StreamingRun:
 def _value_pass(
     cache: Path,
     written: dict[Path, dict],
-    src: str,
-    dst: str,
+    step,
     slabs: list[np.ndarray],
-    sign: float,
     stats: SolveStats,
     chunk_records: int,
 ) -> None:
-    """Stream each mode's ``src`` cache into its ``dst`` value file, adding
-    ``sign`` times the active-column reconstruction; ``dst`` is rewritten in
-    place and the mode's index file is only read."""
-    n_modes = len(slabs)
-    for n in range(n_modes):
-        writer = CacheWriter.rewrite(cache / cache_name(dst, n))
+    """Rewrite each mode's value file in place by ``step``, :func:`compute_rhat`
+    or :func:`update_residual`, applied to a copy of every chunk's values.
+
+    Each chunk is read before it is overwritten and writes never get ahead
+    of reads, so one file is both input and output; the index file is only read.
+    """
+    for n in range(len(slabs)):
+        pair = cache_pair(cache, n)
+        writer = CacheWriter.rewrite(pair[1])
 
         def visit(idx, values, acc):
-            writer.append(None, values + sign * subset_products(slabs, idx))
-            stats.flops += idx.shape[0] * slabs[0].shape[1] * n_modes
+            values = values.copy()
+            step(values, slabs, idx, stats)
+            writer.append(None, values)
             return acc
 
-        dataio.stream_pass(cache_pair(cache, src, n), visit, expected=written,
-                           chunk_records=chunk_records)
+        dataio.stream_pass(pair, visit, expected=written, chunk_records=chunk_records)
         written.update(writer.close())
 
 
@@ -173,7 +176,7 @@ def _update_mode_streaming(
     stats: SolveStats,
     chunk_records: int,
 ) -> None:
-    """One row-refit pass over a mode-grouped r-hat cache pair.
+    """One row-refit pass over a mode-grouped cache pair holding r-hat.
 
     Each chunk's complete row groups go to :func:`update_rows`, delimited by
     their row heads; the last group may continue in the next chunk and is
@@ -216,22 +219,20 @@ def stream_factorize(
     Matches :func:`sals.solver.factorize` exactly for the same parameters
     and seed.  Use ``StreamingRun.load_model`` to materialize the result
     (that load happens outside the metered loop).  Without ``workdir`` the
-    run works in a temporary directory, which is removed if the run raises.
+    run works in a temporary directory.  A run that raises removes the files
+    and directories it made, the temporary directory included.
     """
-    tmp = None
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="sals-stream-")
-        workdir = tmp.name
+    tmp = None if workdir is not None else tempfile.TemporaryDirectory(prefix="sals-stream-")
+    workdir = Path(workdir if tmp is None else tmp.name)
+    factors, cache = workdir / "factors", workdir / "cache"
+    made = [d for d in (workdir, factors, cache) if not d.exists()]
+    meter = ResidencyMeter()
+    colstore = ColumnStore(factors, store.mode_lengths, params.rank, meter)
     try:
-        workdir = Path(workdir)
-        meter = ResidencyMeter()
         stats = stats if stats is not None else SolveStats()
-        colstore = ColumnStore(workdir / "factors", store.mode_lengths, params.rank, meter)
-
         for n, matrix in enumerate(init_factors(store, params)):
             colstore.write_full(n, matrix)
 
-        cache = workdir / "cache"
         written: dict[Path, dict] = {}  # each cache file's writer record, checked on reads
         write_residual_caches(store, cache, written, chunk_records)
 
@@ -245,16 +246,16 @@ def stream_factorize(
 
         def augment(columns):
             slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
-            _value_pass(cache, written, "r", "rhat", slabs, +1.0, stats, chunk_records)
+            _value_pass(cache, written, compute_rhat, slabs, stats, chunk_records)
             return slabs
 
         def refit(slabs, stamp):
             n = stamp.mode
-            _update_mode_streaming(cache_pair(cache, "rhat", n), written, slabs, n, absent[n],
+            _update_mode_streaming(cache_pair(cache, n), written, slabs, n, absent[n],
                                    params.lam, weighted, stats, chunk_records)
 
         def write_back(columns, slabs):
-            _value_pass(cache, written, "rhat", "r", slabs, -1.0, stats, chunk_records)
+            _value_pass(cache, written, update_residual, slabs, stats, chunk_records)
             for n in range(store.n_modes):
                 colstore.store_columns(n, columns, slabs[n])
                 colstore.release(slabs[n])
@@ -264,7 +265,7 @@ def stream_factorize(
             if on_iteration is None:
                 return None
             resid_sq = dataio.stream_pass(
-                cache_pair(cache, "r", 0), _sum_squares, expected=written,
+                cache_pair(cache, 0), _sum_squares, expected=written,
                 chunk_records=chunk_records,
             )
             run.records.append(IterationRecord(it, 0.0, *evaluate(
@@ -275,8 +276,14 @@ def stream_factorize(
             return run.records[-1]
 
         run_schedule(params, store, augment, refit, write_back, close, on_iteration)
-    except BaseException:
-        if tmp is not None:  # a failed run leaves no scratch files behind
+    except BaseException:  # a failed run leaves no scratch files behind
+        for n in range(store.n_modes):
+            for path in (colstore._path(n), *cache_pair(cache, n)):
+                path.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):  # holds files this run did not write
+                directory.rmdir()
+        if tmp is not None:
             tmp.cleanup()
         raise
     run.peak_resident_values = meter.peak

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,27 @@ def _instance(rng, lengths=(10, 9, 8), nnz=300):
 
 
 class TestRunDistributed:
+    def test_peak_memory_grows_only_by_the_replicas(self):
+        # Each worker augments and writes back its residual replica in place,
+        # in the serial path's fixed-size chunks, so doubling nnz at fixed
+        # mode lengths raises the peak by the replicated entries (indices,
+        # values, positions and group orders) and not by an unchunked
+        # pass's (nnz, C) temporaries.
+        stores = [random_store(np.random.default_rng(n), (100, 100, 100), 1 << n)
+                  for n in (17, 18)]
+        params = SolverParams(rank=8, n_columns=4, outer_iters=1, lam=0.05, seed=3)
+        peaks = []
+        for store in stores:
+            assignment = greedy_assign(store, 2)
+            tracemalloc.start()
+            try:
+                run_distributed(store, params, assignment)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added = stores[1].nnz - stores[0].nnz
+        assert (peaks[1] - peaks[0]) / added <= 140, peaks
+
     def test_single_machine_no_traffic_bitwise_serial(self, rng):
         store = _instance(rng)
         params = SolverParams(rank=4, n_columns=2, outer_iters=2, inner_iters=1,

@@ -10,7 +10,6 @@ from sals.dataio import (
     CacheWriter,
     CooFileSpec,
     DataFormatError,
-    cache_name,
     cache_pair,
     generate_synthetic,
     generate_zipf,
@@ -238,10 +237,10 @@ class TestResidualCache:
         written = {}
         cache = tmp_path / "cache"
         write_residual_caches(store, cache, written)
-        pair = cache_pair(cache, "r", 1)
-        assert pair == (cache / cache_name("idx", 1), cache / cache_name("r", 1))
-        assert sorted(written) == sorted(
-            cache / cache_name(kind, n) for kind in ("idx", "r", "rhat") for n in range(3))
+        pair = cache_pair(cache, 1)
+        assert pair == (cache / "idx_m1.bin", cache / "r_m1.bin")
+        assert sorted(written) == sorted(p for n in range(3) for p in cache_pair(cache, n))
+        assert sorted(cache.iterdir()) == sorted(written)
 
         chunks = []
 
@@ -258,9 +257,7 @@ class TestResidualCache:
         assert np.array_equal(values, store.values[perm])
         # grouped by the mode's rows in ascending order
         assert (np.diff(idx[:, 1]) >= 0).all()
-        # r-hat starts as the residual, and a value file holds 8 bytes a record
-        rhat = cache / cache_name("rhat", 1)
-        assert rhat.read_bytes() == pair[1].read_bytes()
+        # a value file holds 8 bytes a record
         assert pair[1].stat().st_size == 24 + 8 * store.nnz + 4
         assert pair[0].stat().st_size == 24 + 8 * 3 * store.nnz + 4
 

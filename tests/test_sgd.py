@@ -13,7 +13,7 @@ from sals.sgd import (
     sgd_update_entry,
     wavefront_levels,
 )
-from sals.tensor import FactorModel, predict_entries, store_from_arrays
+from sals.tensor import FactorModel, loss, predict_entries, store_from_arrays
 from conftest import random_model, random_store
 
 
@@ -163,6 +163,14 @@ class TestFactorizePsgd:
         assert len(records) == 10
         assert records[-1].loss < records[0].loss
         assert records[-1].test_rmse is not None
+
+    def test_last_record_loss_is_the_final_models_loss(self, rng):
+        store = random_store(rng, (9, 8, 7), 300)
+        params = SgdParams(rank=3, lam=0.05, eta0=0.02, outer_iters=3, n_shards=2, seed=4)
+        records = []
+        model = factorize_psgd(store, params, on_iteration=records.append)
+        assert model.lam == params.lam
+        assert records[-1].loss == loss(model, store)
 
 
 def _toy_problem(rng):

@@ -116,7 +116,7 @@ class TestStreamFactorize:
         params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.1, seed=4)
         stream_factorize(store, params, workdir=tmp_path, on_iteration=lambda r: None)
         expected = {f"factors/factor_{n}.bin" for n in range(3)}
-        expected |= {f"cache/{kind}_m{n}.bin" for kind in ("idx", "r", "rhat") for n in range(3)}
+        expected |= {f"cache/{kind}_m{n}.bin" for kind in ("idx", "r") for n in range(3)}
         found = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
         assert found == expected
 
@@ -141,15 +141,15 @@ class TestStreamFactorize:
         monkeypatch.setattr(streaming, "write_residual_caches", set_up)
         stream_factorize(store, params, workdir=tmp_path, on_iteration=lambda r: None)
         # Each outer iteration runs two column subsets; each subset's augment
-        # rewrites every mode's r-hat and its write-back every mode's r.  A
-        # value pass writes header + 8 B per record + CRC trailer per mode,
-        # (N + 1) times fewer record bytes than N indices plus a value.
-        passes = params.outer_iters * 2
+        # rewrites every mode's r_m<n>.bin into r-hat and its write-back
+        # rewrites it into r again.  A value pass writes header + 8 B per
+        # record + CRC trailer per mode, (N + 1) times fewer record bytes than
+        # N indices plus a value.
+        passes = params.outer_iters * 2 * 2
         assert sorted(index_files) == [f"idx_m{n}.bin" for n in range(3)]
         for n in range(3):
-            for kind in ("r", "rhat"):
-                assert opened[f"{kind}_m{n}.bin", "r+b"] == passes
-                assert written[f"{kind}_m{n}.bin"] == passes * (8 * store.nnz + 28)
+            assert opened[f"r_m{n}.bin", "r+b"] == passes
+            assert written[f"r_m{n}.bin"] == passes * (8 * store.nnz + 28)
             path = cache / f"idx_m{n}.bin"
             assert (path.stat().st_mtime_ns, path.read_bytes()) == index_files[path.name]
             assert opened[path.name, "rb"] > 0 and written[path.name] == 0
@@ -181,3 +181,18 @@ class TestStreamFactorize:
         # has not removed the directory: the run itself must have
         assert info.value.__traceback__ is not None
         assert not list(tmp_path.glob("sals-stream-*"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_removes_its_files_from_workdir(self, rng, tmp_path):
+        store = random_store(rng, (6, 5, 4), 60, value_scale=1e300)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=2, lam=0.1, seed=1)
+        keep = tmp_path / "notes.txt"
+        keep.write_text("not the run's")
+        with pytest.raises(ValueError, match="non-finite"):
+            stream_factorize(store, params, workdir=tmp_path)
+        assert sorted(tmp_path.rglob("*")) == [keep]
+        assert keep.read_text() == "not the run's"
+        # a workdir the run made itself is removed too
+        with pytest.raises(ValueError, match="non-finite"):
+            stream_factorize(store, params, workdir=tmp_path / "new")
+        assert sorted(tmp_path.rglob("*")) == [keep]
