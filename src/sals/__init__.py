@@ -39,7 +39,7 @@ from .partition import (
     random_assign,
     sequential_assign,
 )
-from .sgd import SgdParams, factorize_psgd, learning_rate, psgd_epoch, sgd_update_entry
+from .sgd import SgdParams, factorize_psgd, learning_rate, psgd_epoch
 from .solver import (
     IterationRecord,
     NormalEq,
@@ -112,7 +112,6 @@ __all__ = [
     "rmse",
     "run_distributed",
     "sequential_assign",
-    "sgd_update_entry",
     "solve_row",
     "stream_factorize",
     "stream_pass",

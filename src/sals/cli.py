@@ -329,10 +329,9 @@ def _cmd_factorize(args) -> int:
     test_entries = None
     if args.test is not None:
         test_entries = _read_test(args.test, args.index_base, store.mode_lengths)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records = []
     hook = records.append
+    log = None
 
     if args.alg == "psgd":
         model = sgd.factorize_psgd(
@@ -346,7 +345,6 @@ def _cmd_factorize(args) -> int:
                 store, params, assignment,
                 test_entries=test_entries, on_iteration=hook, stats=stats,
             )
-            cluster.export_comm_csv(log, out / "comm.csv")
         elif args.mode == "streaming":
             run = streaming.stream_factorize(
                 store, params, workdir=args.workdir,
@@ -365,6 +363,10 @@ def _cmd_factorize(args) -> int:
         if stats.rows_skipped:
             print(f"note: {stats.rows_skipped} singular row updates skipped", file=sys.stderr)
 
+    out = Path(args.out)  # made only now, so a failed run leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
+    if log is not None:
+        cluster.export_comm_csv(log, out / "comm.csv")
     save_model(out / "model", model)
     write_convergence_csv(out / "convergence.csv", records)
     for r in records:

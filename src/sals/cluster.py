@@ -217,14 +217,18 @@ def _worker_loop(
             log.sent[ws.machine] += payload.size
             log.events[ws.machine] += 1
 
+    def merge_residual():  # only close's loss and the replica check read it
+        for ws in workers:
+            master_residual[ws.lead_global] = ws.residual[ws.groups[0].order]
+
     def write_back(columns, replicas):
         for ws, slabs in zip(workers, replicas):
             with _blame(ws.machine):
                 update_residual(ws.residual, slabs, ws.idx, stats[ws.machine])
-                master_residual[ws.lead_global] = ws.residual[ws.groups[0].order]
         for n in range(n_modes):
             master.matrices[n][:, columns] = replicas[0][n]
         if check_replicas:
+            merge_residual()
             for ws, slabs in zip(workers, replicas):
                 for n in range(n_modes):
                     if not np.array_equal(slabs[n], master.matrices[n][:, columns]):
@@ -243,6 +247,7 @@ def _worker_loop(
         log.iterations.append(rec)
         if on_iteration is None:
             return None
+        merge_residual()
         return IterationRecord(it, 0.0, *evaluate(
             float(master_residual @ master_residual), [master.matrices],
             store, params.lam, params.regularization, test,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -50,64 +49,6 @@ def learning_rate(eta0: float, epoch: int) -> float:
     return 2.0 * eta0 / (1.0 + epoch)
 
 
-def entry_residual(matrices: Sequence, indices0: Sequence[int], value: float) -> float:
-    """x minus the full reconstruction at one cell, as scalar arithmetic.
-
-    Works on numpy matrices or nested lists; the scalar operation sequence
-    is fixed so both storage forms produce bitwise-equal results.
-    """
-    rank = len(matrices[0][0])
-    r = value
-    for k in range(rank):
-        p = 1.0
-        for n, i in enumerate(indices0):
-            p *= matrices[n][i][k]
-        r -= p
-    return r
-
-
-def sgd_update_entry(
-    model: FactorModel,
-    indices0: Sequence[int],
-    r: float,
-    eta: float,
-    lam: float,
-    degrees: Sequence[int],
-) -> None:
-    """One SGD step on all N*K parameters touched by a single entry.
-
-    ``r`` is the residual computed before the step and ``degrees[n]`` the
-    entry count |Omega^(n)_i| of the touched row, which apportions the
-    regularizer across a row's entries.  All NK parameters move
-    simultaneously: gradients use only pre-step values.  The cross-mode
-    product divides the full product by the mode's own factor, falling back
-    to a direct product when that factor is exactly zero.
-    """
-    mats = model.matrices
-    n_modes = len(mats)
-    rank = model.rank
-    old = [[float(mats[n][indices0[n]][k]) for k in range(rank)] for n in range(n_modes)]
-    full = [1.0] * rank
-    for k in range(rank):
-        p = 1.0
-        for n in range(n_modes):
-            p *= old[n][k]
-        full[k] = p
-    for n in range(n_modes):
-        row = mats[n][indices0[n]]
-        deg = degrees[n]
-        for k in range(rank):
-            a = old[n][k]
-            if a != 0.0:
-                g = full[k] / a
-            else:
-                g = 1.0
-                for l in range(n_modes):
-                    if l != n:
-                        g *= old[l][k]
-            row[k] = a - 2.0 * eta * (lam * a / deg - r * g)
-
-
 def wavefront_levels(rows: np.ndarray) -> np.ndarray:
     """Level of each entry of a shard, given its (m, N) row ids in visit order.
 
@@ -141,9 +82,9 @@ def _wavefront_sweep(
     ``stacked`` holds every factor row, mode after mode; ``rows`` (m, N) are
     the shard's entries as row ids into it, in visit order, with ``values``
     beside them, and ``degrees`` is every row's entry count.  Each level of
-    :func:`wavefront_levels` runs as one vectorised step that repeats
-    :func:`sgd_update_entry`'s scalar operations in its order, so the result
-    is bitwise that of visiting the entries one by one.
+    :func:`wavefront_levels` runs as one vectorised step that repeats the
+    scalar one-entry update's operations in its order, so the result is
+    bitwise that of visiting the entries one by one.
     """
     m, n_modes = rows.shape
     rank = stacked.shape[1]

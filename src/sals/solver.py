@@ -41,7 +41,11 @@ RANDOM_PER_OUTER = "random_per_outer"
 
 _CHUNK = 1 << 16
 _BATCH_ENTRIES = 1 << 15  # entries a row-kernel batch gathers at once
-_SMALL_BUCKET = 64        # buckets below this size are summed by segments, not BLAS
+# Per C, the bucket size from which a row's sums take one BLAS product of
+# their own instead of the batch's segmented reductions, measured per entry
+# (see README); _SMALL_BUCKET holds above C = 2.
+_SMALL_BUCKET = 64
+_SEGMENTED_BELOW = {1: np.inf, 2: 512}
 _LOSS_RISE_RTOL = 1e-9    # relative rise of the loss between outer iterations that is flagged
 
 
@@ -235,6 +239,7 @@ def _products(slabs: Sequence[np.ndarray], idx_rows: np.ndarray, mode: int) -> n
     return G
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def normal_eq_arrays(
     slabs: Sequence[np.ndarray],
     idx_rows: np.ndarray,
@@ -248,19 +253,23 @@ def normal_eq_arrays(
     ``idx_rows`` is the (P, N) block of entry indices of the rows' buckets
     back to back, each in canonical order, ``rhat_vals`` the matching r-hat
     values, and row r's entries are ``ptr[r]:ptr[r+1]``.  Returns B as
-    (R, C, C) and c as (R, C); empty buckets give zero systems.  Buckets of
-    fewer than ``_SMALL_BUCKET`` entries are summed by segmented reductions,
-    larger ones by one BLAS product each.  Either way a row's sums read only
-    its own entries, so its bits do not depend on the other rows.
+    (R, C, C) and c as (R, C); empty buckets give zero systems.  A bucket
+    below ``_SEGMENTED_BELOW[C]`` entries (``_SMALL_BUCKET`` above C = 2) is
+    summed by segmented reductions over the batch, which build the summed
+    rows' systems as one compact block; a larger one takes one BLAS product
+    of its own.  Either way a row's sums read only its own entries, and the
+    choice depends only on C and the bucket's size, so a row's bits do not
+    depend on the other rows.  Overflow is silent here: :func:`update_rows`
+    checks the systems and names the row.
     """
     n_modes = len(slabs)
     c_cols = slabs[mode].shape[1]
     G = _products(slabs, idx_rows, mode)
     sizes = np.diff(ptr)
-    B = np.zeros((sizes.size, c_cols, c_cols))
-    c = np.zeros((sizes.size, c_cols))
-    small = sizes < _SMALL_BUCKET
+    small = sizes < _SEGMENTED_BELOW.get(c_cols, _SMALL_BUCKET)
     summed = np.flatnonzero(small & (sizes > 0))
+    Bs = np.empty((summed.size, c_cols, c_cols))
+    cs = np.empty((summed.size, c_cols))
     if summed.size:
         Gs, rs, starts = G, rhat_vals, ptr[summed]
         if not small.all():  # keep only the small buckets' entries
@@ -269,9 +278,15 @@ def normal_eq_arrays(
             starts = (np.cumsum(sizes * small) - sizes * small)[summed]
         for a in range(c_cols):  # row a of B and, mirrored, column a
             sums = np.add.reduceat(Gs[:, a:a + 1] * Gs[:, a:], starts, axis=0)
-            B[summed, a, a:] = sums
-            B[summed, a + 1:, a] = sums[:, 1:]
-        c[summed] = np.add.reduceat(Gs * rs[:, None], starts, axis=0)
+            Bs[:, a, a:] = sums
+            Bs[:, a + 1:, a] = sums[:, 1:]
+        np.add.reduceat(Gs * rs[:, None], starts, axis=0, out=cs)
+    if summed.size == sizes.size:
+        B, c = Bs, cs
+    else:
+        B = np.zeros((sizes.size, c_cols, c_cols))
+        c = np.zeros((sizes.size, c_cols))
+        B[summed], c[summed] = Bs, cs
     for r in np.flatnonzero(~small):
         g = G[ptr[r]:ptr[r + 1]]
         B[r] = g.T @ g
@@ -456,7 +471,8 @@ def run_schedule(
     """
     _, order_rng = rng_streams(params.seed)
     last_loss = None
-    rounding = np.finfo(np.float64).eps * float(store.values @ store.values)
+    with np.errstate(over="ignore"):  # such data fails in the row kernel, which names the row
+        rounding = np.finfo(np.float64).eps * float(store.values @ store.values)
 
     def close_flagged(it):
         nonlocal last_loss

@@ -210,11 +210,22 @@ def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
     ``slabs[n]`` is the (I_n, C) slice of factor n restricted to the active
     columns.  Products multiply modes left to right so every execution path
     produces identical floating-point results.
+
+    ``prod.sum(axis=1)`` pays one numpy inner-loop call per entry.  Below 8
+    terms numpy adds a row in order onto its identity 0.0, so for C < 8 the
+    columns are added in that order instead, one call per column, with the
+    same bits (signed zeros included).  From 8 terms on numpy sums pairwise
+    with 8 accumulators, and the row sum is kept.
     """
     prod = take_rows(slabs[0], idx[:, 0])  # a gather copies, safe to mutate
     for n in range(1, len(slabs)):
         prod *= take_rows(slabs[n], idx[:, n])
-    return prod.sum(axis=1)
+    if prod.shape[1] >= 8:
+        return prod.sum(axis=1)
+    total = 0.0 + prod[:, 0]
+    for j in range(1, prod.shape[1]):
+        total += prod[:, j]
+    return total
 
 
 def predict_entries(model: FactorModel, idx: np.ndarray) -> np.ndarray:

@@ -33,6 +33,30 @@ def random_store(
     return store_from_arrays(idx, values, mode_lengths)
 
 
+# Mode-0 bucket sizes of kernel_store: they straddle the row kernel's limits
+# between segmented sums and per-row BLAS products, 64 entries above C = 2.
+KERNEL_SIZES = (0, 1, 2, 63, 64, 65, 80, 0, 5)
+# ... and also the 512 entries at C = 2.
+LIMIT_SIZES = KERNEL_SIZES + (511, 512, 600)
+
+
+def kernel_store(rng, n_modes, sizes=KERNEL_SIZES) -> SparseTensorStore:
+    """Store whose mode-0 buckets hold ``sizes`` entries; other modes get random sizes."""
+    if n_modes == 1:
+        sizes = [0, 1, 1, 0, 1]
+    others = {1: (), 2: (81,), 3: (9, 9), 4: (5, 4, 5)}[n_modes]
+    if max(sizes) > np.prod(others):  # room for the largest bucket
+        others = (max(sizes),) + others[1:]
+    cells = int(np.prod(others))
+    idx = []
+    for row, size in enumerate(sizes):
+        flat = rng.choice(cells, size=size, replace=False)
+        tail = np.stack(np.unravel_index(flat, others), axis=1) if others else np.empty((size, 0))
+        idx.append(np.column_stack([np.full(size, row), tail]))
+    idx = np.concatenate(idx).astype(np.int64)
+    return store_from_arrays(idx, rng.normal(size=len(idx)), (len(sizes), *others))
+
+
 def random_model(
     rng: np.random.Generator, store: SparseTensorStore, rank: int, lam: float = 0.0
 ) -> FactorModel:

@@ -2,6 +2,7 @@ import csv
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -536,6 +537,25 @@ class TestExitCodes:
         assert re.search(
             r"numerical error: epoch 1: mode [0-2], row \d+: non-finite factor entries", err
         ), err
+
+    @pytest.mark.parametrize("extra", [
+        [], ["-M", "2"], ["--mode", "streaming", "--workdir", "wd"], ["--alg", "psgd"],
+    ], ids=["serial", "cluster", "streaming", "psgd"])
+    def test_overflowing_data_fails_with_one_line_and_no_files(self, tmp_path, capsys,
+                                                               monkeypatch, extra):
+        from sals.cli import EXIT_NUMERIC
+
+        # Finite values whose squares overflow.
+        (tmp_path / "t.coo").write_text("1 1 1e300\n1 2 -1e300\n2 1 -1e300\n2 2 1e300\n")
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = main(["factorize", "--train", "t.coo", "-K", "2", "--t-out", "2",
+                         "--out", "o", *extra])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("numerical error: "), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.coo"]
 
     def test_index_beyond_int64_is_io_error(self, tmp_path, capsys):
         (tmp_path / "big.coo").write_text("99999999999999999999 1 1.0\n")

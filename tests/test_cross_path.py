@@ -5,17 +5,19 @@ distributed and streaming runs must agree bitwise and count the same row
 updates and skips, and coordinate descent must match subset-ALS at C=1
 with fixed order, for 1 to 5 modes, empty buckets, empty tensors, C not
 dividing K, more machines than rows and stream chunks down to a single
-record.
+record.  A fixed store adds buckets of 0 to 600 entries, across the row
+kernel's limits between segmented sums and per-row BLAS products.
 """
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sals
 from sals.solver import SolverParams, factorize, factorize_cdtf
-from conftest import random_store
+from conftest import LIMIT_SIZES, kernel_store, random_store
 
 
 @st.composite
@@ -68,3 +70,18 @@ def test_paths_agree_bitwise(case):
 
     cd = replace(params, n_columns=1, column_order="fixed")
     assert_same(factorize(store, cd), factorize_cdtf(store, cd))
+
+
+@pytest.mark.parametrize("c_cols", [1, 2, 4])
+def test_paths_agree_bitwise_across_bucket_limits(c_cols):
+    store = kernel_store(np.random.default_rng(c_cols), 3, LIMIT_SIZES)
+    params = SolverParams(rank=4, n_columns=c_cols, outer_iters=2, lam=0.05, seed=c_cols)
+    serial = factorize(store, params)
+    dist, _ = sals.run_distributed(store, params, sals.assign(store, "greedy", 2, seed=3),
+                                   check_replicas=True)
+    assert_same(serial, dist)
+    run = sals.stream_factorize(store, params, chunk_records=97)
+    try:
+        assert_same(serial, run.load_model())
+    finally:
+        run.cleanup()

@@ -7,12 +7,27 @@ from sals.partition import (
     greedy_assign,
     load_stats,
     random_assign,
-    read_assignment,
     sequential_assign,
     write_assignment,
 )
 from sals.tensor import store_from_arrays
 from conftest import random_store
+
+
+def read_assignment(path, n_machines: int, n_modes: int) -> list[list[np.ndarray]]:
+    """Parse the text form back into 0-based row arrays."""
+    sets: list[list[np.ndarray | None]] = [
+        [None] * n_modes for _ in range(n_machines)
+    ]
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            m, n = int(parts[0]) - 1, int(parts[1]) - 1
+            rows = np.asarray([int(r) - 1 for r in parts[2:]], dtype=np.int64)
+            sets[m][n] = rows
+    return [[s if s is not None else np.empty(0, dtype=np.int64) for s in row] for row in sets]
 
 
 def ladder_store(counts):

@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +7,74 @@ from hypothesis import strategies as st
 
 from sals.sgd import (
     SgdParams,
-    entry_residual,
     factorize_psgd,
     init_sgd_model,
     learning_rate,
     psgd_epoch,
-    sgd_update_entry,
     wavefront_levels,
 )
 from sals.tensor import FactorModel, loss, predict_entries, store_from_arrays
 from conftest import random_model, random_store
+
+
+# The scalar one-entry SGD step: the reference that psgd_epoch's wavefront
+# sweep must reproduce bitwise.
+def entry_residual(matrices: Sequence, indices0: Sequence[int], value: float) -> float:
+    """x minus the full reconstruction at one cell, as scalar arithmetic.
+
+    Works on numpy matrices or nested lists; the scalar operation sequence
+    is fixed so both storage forms produce bitwise-equal results.
+    """
+    rank = len(matrices[0][0])
+    r = value
+    for k in range(rank):
+        p = 1.0
+        for n, i in enumerate(indices0):
+            p *= matrices[n][i][k]
+        r -= p
+    return r
+
+
+def sgd_update_entry(
+    model: FactorModel,
+    indices0: Sequence[int],
+    r: float,
+    eta: float,
+    lam: float,
+    degrees: Sequence[int],
+) -> None:
+    """One SGD step on all N*K parameters touched by a single entry.
+
+    ``r`` is the residual computed before the step and ``degrees[n]`` the
+    entry count |Omega^(n)_i| of the touched row, which apportions the
+    regularizer across a row's entries.  All NK parameters move
+    simultaneously: gradients use only pre-step values.  The cross-mode
+    product divides the full product by the mode's own factor, falling back
+    to a direct product when that factor is exactly zero.
+    """
+    mats = model.matrices
+    n_modes = len(mats)
+    rank = model.rank
+    old = [[float(mats[n][indices0[n]][k]) for k in range(rank)] for n in range(n_modes)]
+    full = [1.0] * rank
+    for k in range(rank):
+        p = 1.0
+        for n in range(n_modes):
+            p *= old[n][k]
+        full[k] = p
+    for n in range(n_modes):
+        row = mats[n][indices0[n]]
+        deg = degrees[n]
+        for k in range(rank):
+            a = old[n][k]
+            if a != 0.0:
+                g = full[k] / a
+            else:
+                g = 1.0
+                for l in range(n_modes):
+                    if l != n:
+                        g *= old[l][k]
+            row[k] = a - 2.0 * eta * (lam * a / deg - r * g)
 
 
 class TestLearningRate:

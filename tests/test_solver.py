@@ -26,7 +26,10 @@ from sals.tensor import (
     regularization_penalty,
     store_from_arrays,
 )
-from conftest import augmented, random_model, random_store, refit_mode, row_normal_eq
+from conftest import (
+    KERNEL_SIZES, LIMIT_SIZES, augmented, kernel_store, random_model, random_store, refit_mode,
+    row_normal_eq,
+)
 
 
 def subset_loss(store, rhat, model, columns, regularization):
@@ -273,26 +276,6 @@ class TestUpdateMode:
         assert model.matrices[0][0, 0] == pytest.approx(2.0 * 3.0 / (9.0 + 0.5))
 
 
-def kernel_store(rng, n_modes):
-    """Store whose mode-0 buckets hold 0, 1, 2, 63, 64, 65 and 80 entries.
-
-    The sizes straddle the kernel's 64-entry threshold between segmented
-    sums and per-row BLAS products; other modes get random bucket sizes.
-    """
-    sizes = [0, 1, 2, 63, 64, 65, 80, 0, 5]
-    if n_modes == 1:
-        sizes = [0, 1, 1, 0, 1]
-    others = {1: (), 2: (81,), 3: (9, 9), 4: (5, 4, 5)}[n_modes]
-    cells = int(np.prod(others))
-    idx = []
-    for row, size in enumerate(sizes):
-        flat = rng.choice(cells, size=size, replace=False)
-        tail = np.stack(np.unravel_index(flat, others), axis=1) if others else np.empty((size, 0))
-        idx.append(np.column_stack([np.full(size, row), tail]))
-    idx = np.concatenate(idx).astype(np.int64)
-    return store_from_arrays(idx, rng.normal(size=len(idx)), (len(sizes), *others))
-
-
 def row_oracle(store, slabs, rhat, mode, row, lam_eff):
     """(B + lambda' I)^-1 c of one row, from a per-entry G."""
     pos = store.bucket(mode, row)
@@ -306,10 +289,10 @@ def row_oracle(store, slabs, rhat, mode, row, lam_eff):
 
 class TestRowKernel:
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
-    @pytest.mark.parametrize("c_cols", [1, 3, 8])
+    @pytest.mark.parametrize("c_cols", [1, 2, 3, 8])
     def test_batching_does_not_change_bits(self, monkeypatch, n_modes, c_cols):
         rng = np.random.default_rng(10 * n_modes + c_cols)
-        store = kernel_store(rng, n_modes)
+        store = kernel_store(rng, n_modes, LIMIT_SIZES if c_cols == 2 else KERNEL_SIZES)
         slabs = [rng.normal(size=(length, c_cols)) for length in store.mode_lengths]
         rhat = rng.normal(size=store.nnz)
         weighted = c_cols == 3
@@ -778,6 +761,7 @@ class TestPublicApi:
     RETIRED = (
         "RESIDUAL", "AUGMENTED", "ResidualState", "verify_residual",
         "build_normal_eq", "update_mode", "TensorEntry", "reconstruct",
+        "read_assignment", "entry_residual", "sgd_update_entry",
     )
 
     def test_every_export_resolves(self):
@@ -787,9 +771,9 @@ class TestPublicApi:
 
     def test_retired_step_api_is_gone(self):
         import sals
-        from sals import dataio, tensor
+        from sals import dataio, partition, sgd, tensor
 
-        for module in (sals, solver, tensor, dataio):
+        for module in (sals, solver, tensor, dataio, partition, sgd):
             assert [name for name in self.RETIRED if hasattr(module, name)] == []
         assert not hasattr(SolveStats(), "rhat_buffers")
         assert not hasattr(tensor.SparseTensorStore, "entries")

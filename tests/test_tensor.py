@@ -11,6 +11,7 @@ from sals.tensor import (
     regularization_penalty,
     rmse,
     store_from_arrays,
+    subset_products,
     take_rows,
 )
 from conftest import random_model, random_store
@@ -157,6 +158,29 @@ class TestTakeRows:
             idx[1, n] = store.mode_lengths[n]
             with pytest.raises(IndexError):
                 predict_entries(model, idx)
+
+
+class TestSubsetProducts:
+    @pytest.mark.parametrize("c_cols", range(1, 10))
+    def test_bytes_equal_numpy_row_sum(self, rng, c_cols):
+        # Below C = 8 the sum runs column by column; that gives the same bits
+        # only while numpy adds a short row in order onto 0.0.
+        slabs = []
+        for length in (40, 30):
+            scale = rng.choice([1e-100, 1.0, 1e100], size=(length, c_cols))
+            slab = rng.normal(size=(length, c_cols)) * scale  # order-sensitive sums
+            slab[rng.random(slab.shape) < 0.2] = 0.0
+            slab[rng.random(slab.shape) < 0.2] = -0.0
+            slabs.append(slab)
+        slabs[0][0], slabs[1][0] = -0.0, 1.0    # row of -0.0 products
+        slabs[0][1], slabs[1][1] = 1.0, 2.0     # products cancel to +0.0 ...
+        slabs[1][1, 1::2] = -2.0                # ... in pairs, at even C
+        idx = np.column_stack([rng.integers(0, 40, 3000), rng.integers(0, 30, 3000)])
+        idx[:4] = [[0, 0], [1, 1], [0, 1], [1, 0]]
+        want = (take_rows(slabs[0], idx[:, 0]) * take_rows(slabs[1], idx[:, 1])).sum(axis=1)
+        got = subset_products(slabs, idx)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[0])  # -0.0 terms sum onto numpy's identity +0.0
 
 
 class TestReconstruct:
