@@ -261,11 +261,11 @@ def _cmd_generate(args) -> int:
         raise UsageError(f"--noise {args.noise} is negative")
     if not 0 <= args.test_fraction < 1:
         raise UsageError(f"--test-fraction {args.test_fraction} outside [0, 1)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train_store, test, truth = dataio.generate_synthetic(
         lengths, args.nnz, args.k_true, args.noise, args.test_fraction, args.seed
     )
+    out = Path(args.out)  # made only now, so a failed run leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     spec = dataio.CooFileSpec(len(lengths), args.index_base)
     dataio.write_coo(out / "train.coo", Coo(train_store.idx, train_store.values), spec)
     dataio.write_coo(out / "test.coo", test, spec)

@@ -16,8 +16,8 @@ neither transfer counts as communication.
 
 Because every worker owns the complete entry bucket of each row it updates
 (in canonical order) and runs the serial solver's augment, write-back, row
-kernel and evaluator, the final model is bitwise identical to a serial run
-with the same seed.
+kernel and record builder, the final model and the records are bitwise
+identical to a serial run with the same seed.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ import numpy as np
 from .accounting import SolveStats
 from .partition import RowAssignment
 from .solver import (
-    IterationRecord,
     ProgressHook,
+    Recorder,
     SolverParams,
     Stamp,
     WEIGHTED,
@@ -43,12 +43,9 @@ from .solver import (
     update_rows,
 )
 from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
-    Coo,
     FactorModel,
     RowGroups,
     SparseTensorStore,
-    as_coo,
-    evaluate,
     subset_products,
     take_rows,
 )
@@ -170,8 +167,7 @@ def _worker_loop(
     master: FactorModel,
     master_residual: np.ndarray,
     log: CommLog,
-    test: Coo | None,
-    on_iteration: ProgressHook | None,
+    recorder: Recorder,
     check_replicas: bool,
     fault_hook: Callable[[int, Stamp], None] | None,
 ) -> list[SolveStats]:
@@ -217,9 +213,13 @@ def _worker_loop(
             log.sent[ws.machine] += payload.size
             log.events[ws.machine] += 1
 
-    def merge_residual():  # only close's loss and the replica check read it
+    def merge_residual():  # only the records' loss and the replica check read it
         for ws in workers:
             master_residual[ws.lead_global] = ws.residual[ws.groups[0].order]
+
+    def measure():
+        merge_residual()
+        return float(master_residual @ master_residual), [master.matrices]
 
     def write_back(columns, replicas):
         for ws, slabs in zip(workers, replicas):
@@ -245,15 +245,10 @@ def _worker_loop(
             total = getattr(log, key).copy()
             rec[key], marks[key] = total - marks[key], total
         log.iterations.append(rec)
-        if on_iteration is None:
-            return None
-        merge_residual()
-        return IterationRecord(it, 0.0, *evaluate(
-            float(master_residual @ master_residual), [master.matrices],
-            store, params.lam, params.regularization, test,
-        ), *(int(rec[key].sum()) for key in counters))
+        recorder.close(it, measure, int(log.flops.sum()), params_sent=int(rec["sent"].sum()),
+                       params_received=int(rec["received"].sum()))
 
-    run_schedule(params, store, augment, refit, write_back, close, on_iteration)
+    run_schedule(params, store, augment, refit, write_back, close)
     return stats
 
 
@@ -280,11 +275,9 @@ def run_distributed(
     log = CommLog.empty(
         assignment.n_machines, params.rank, params.inner_iters, sum(store.mode_lengths)
     )
-    test = None if test_entries is None else as_coo(
-        test_entries, store.n_modes, store.mode_lengths)
+    recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration)
     worker_stats = _worker_loop(
-        store, params, workers, master, residual, log, test, on_iteration,
-        check_replicas, fault_hook,
+        store, params, workers, master, residual, log, recorder, check_replicas, fault_hook,
     )
     if stats is not None:
         for ws_stats in worker_stats:

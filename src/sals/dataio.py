@@ -161,25 +161,35 @@ def plan_synthetic(
     )
 
 
+def _distinct_rows(
+    draw: Callable[[int], np.ndarray], count: int, min_batch: int, width: int
+) -> np.ndarray:
+    """The first ``count`` distinct rows of repeated ``draw(batch)`` calls, as (count, width)."""
+    seen: set[tuple[int, ...]] = set()
+    rows: list[tuple[int, ...]] = []
+    while len(rows) < count:
+        for row in map(tuple, draw(max(count - len(rows), min_batch)).tolist()):
+            if row not in seen:
+                seen.add(row)
+                rows.append(row)
+                if len(rows) == count:
+                    break
+    return np.array(rows, dtype=np.int64).reshape(count, width)
+
+
 def _sample_tuples(rng: np.random.Generator, lengths: tuple[int, ...], count: int) -> np.ndarray:
     """``count`` distinct index tuples, uniform over the cell space."""
     cells = 1
     for length in lengths:
         cells *= length
+    if cells > 1 << 63:  # cell ids overflow int64: draw each mode's index instead
+        return _distinct_rows(lambda b: np.stack(
+            [rng.integers(0, length, size=b) for length in lengths], axis=1,
+        ), count, 1024, len(lengths))
     if cells <= 1 << 24:
         flat = rng.choice(cells, size=count, replace=False)
     else:
-        seen: set[int] = set()
-        flat_list: list[int] = []
-        while len(flat_list) < count:
-            draw = rng.integers(0, cells, size=max(count - len(flat_list), 1024))
-            for f in draw.tolist():
-                if f not in seen:
-                    seen.add(f)
-                    flat_list.append(f)
-                    if len(flat_list) == count:
-                        break
-        flat = np.asarray(flat_list, dtype=np.int64)
+        flat = _distinct_rows(lambda b: rng.integers(0, cells, size=(b, 1)), count, 1024, 1)[:, 0]
     idx = np.empty((count, len(lengths)), dtype=np.int64)
     for n in range(len(lengths) - 1, -1, -1):
         idx[:, n] = flat % lengths[n]
@@ -242,20 +252,9 @@ def generate_zipf(
         cdf = np.cumsum(weights) / weights.sum()
         cdf[-1] = 1.0  # guard the top bucket against rounding below 1
         cdfs.append(cdf)
-    seen: set[tuple[int, ...]] = set()
-    rows: list[tuple[int, ...]] = []
-    while len(rows) < nnz:
-        batch = max(nnz - len(rows), 4096)
-        draw = np.empty((batch, len(mode_lengths)), dtype=np.int64)
-        for n, cdf in enumerate(cdfs):
-            draw[:, n] = np.searchsorted(cdf, rng.random(batch))
-        for tup in map(tuple, draw.tolist()):
-            if tup not in seen:
-                seen.add(tup)
-                rows.append(tup)
-                if len(rows) == nnz:
-                    break
-    idx = np.asarray(rows, dtype=np.int64)
+    idx = _distinct_rows(lambda b: np.stack(
+        [np.searchsorted(cdf, rng.random(b)) for cdf in cdfs], axis=1,
+    ), nnz, 4096, len(mode_lengths))
     values = rng.uniform(1.0, 5.0, size=nnz)
     return store_from_arrays(idx, values, mode_lengths)
 

@@ -9,13 +9,12 @@ visiting the entries one at a time.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import PLAIN, IterationRecord, ProgressHook, close_iteration, update_residual
-from .tensor import FactorModel, SparseTensorStore, as_coo, evaluate
+from .solver import PLAIN, ProgressHook, Recorder, update_residual
+from .tensor import FactorModel, SparseTensorStore
 
 
 @dataclass(frozen=True)
@@ -213,20 +212,14 @@ def factorize_psgd(
     """
     model = init_sgd_model(store, params)
     epoch_flops = store.nnz * 7 * store.n_modes * params.rank
-    test = None if test_entries is None else as_coo(
-        test_entries, store.n_modes, store.mode_lengths)
 
-    def close(epoch):
-        if on_iteration is None:
-            return None
+    def measure():
         err = store.values.copy()
         update_residual(err, model.matrices, store.idx)
-        return IterationRecord(epoch, 0.0, *evaluate(
-            float(err @ err), [model.matrices], store, params.lam, PLAIN, test,
-        ), flops=epoch_flops)
+        return float(err @ err), [model.matrices]
 
-    t0 = time.perf_counter()
+    recorder = Recorder(store, params.lam, PLAIN, test_entries, on_iteration, flag_rises=False)
     for epoch in range(params.outer_iters):
         model = psgd_epoch(store, model, params, epoch)
-        t0 = close_iteration(t0, epoch + 1, close, on_iteration)
+        recorder.close(epoch + 1, measure, (epoch + 1) * epoch_flops)
     return model

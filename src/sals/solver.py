@@ -11,8 +11,8 @@ column-order draws, the loops and the (outer, subset, inner, mode) stamp.
 A path supplies only the steps that depend on where the residual lives
 (augment, refit one mode, write back, close the outer iteration); the
 serial path here keeps it in an in-memory array.  Every path refits rows
-through :func:`update_rows` on identically ordered arrays and evaluates
-through :func:`sals.tensor.evaluate`, which is what makes distributed and
+through :func:`update_rows` on identically ordered arrays and records
+through one :class:`Recorder`, which is what makes distributed and
 streaming runs reproduce serial results bitwise.
 """
 from __future__ import annotations
@@ -99,7 +99,7 @@ class IterationRecord:
     ``loss_rose`` marks a subset-ALS loss above the previous outer
     iteration's by more than 1e-9 relative and more than eps * ||x||^2 (the
     data's rounding level), which exact updates never give (see
-    :func:`run_schedule`; PSGD records are never flagged).
+    :class:`Recorder`; PSGD records are never flagged).
     """
 
     iteration: int
@@ -431,24 +431,49 @@ def update_rows(
     return skipped
 
 
-def close_iteration(
-    t0: float,
-    iteration: int,
-    close: Callable[[int], IterationRecord | None],
-    on_iteration: ProgressHook | None,
-) -> float:
-    """Run ``close(iteration)`` off the solver clock; returns ``t0`` moved past it.
+class Recorder:
+    """The one builder of :class:`IterationRecord`; every path closes each
+    outer iteration through :meth:`close`.
 
-    The record ``close`` returns (only when a hook is set) is stamped with
-    the solver-loop ``seconds`` and its own ``eval_seconds``, then emitted.
+    Made just before a path's loop: it checks the test set, and the clock
+    that ``seconds`` reads starts then; ``flops`` is the path's running
+    total at that point.  Subset-ALS records whose loss rose get
+    ``loss_rose`` set; ``flag_rises=False`` (PSGD) never flags.
     """
-    start = time.perf_counter()
-    record = close(iteration)
-    if record is not None:
-        record.seconds = start - t0
+
+    def __init__(self, store: SparseTensorStore, lam: float, regularization: str, test_entries,
+                 on_iteration: ProgressHook | None, *, flops: int = 0, flag_rises: bool = True):
+        self.test = None if test_entries is None else as_coo(
+            test_entries, store.n_modes, store.mode_lengths)
+        self.store, self.lam, self.regularization = store, lam, regularization
+        self.on_iteration, self.flops = on_iteration, flops
+        self.rounding = self.last_loss = None  # rounding: loss_rose's floor, eps * ||x||^2
+        if on_iteration is not None and flag_rises:
+            with np.errstate(over="ignore"):  # such data fails in the row kernel
+                self.rounding = np.finfo(np.float64).eps * float(store.values @ store.values)
+        self.t0 = time.perf_counter()
+
+    def close(self, iteration: int, measure: Callable, flops: int, **counters: int) -> None:
+        """Emit the iteration's record off the clock; without a hook, do nothing.
+
+        ``measure()`` gives :func:`sals.tensor.evaluate` the squared residual
+        and the factors' column blocks; ``flops`` is the running total and
+        ``counters`` are further record fields.
+        """
+        if self.on_iteration is None:
+            return
+        start = time.perf_counter()
+        record = IterationRecord(iteration, start - self.t0, *evaluate(
+            *measure(), self.store, self.lam, self.regularization, self.test,
+        ), flops=flops - self.flops, **counters)
         record.eval_seconds = time.perf_counter() - start
-        on_iteration(record)
-    return t0 + (time.perf_counter() - start)
+        self.flops = flops
+        if self.rounding is not None and self.last_loss is not None:
+            rise = record.loss - self.last_loss
+            record.loss_rose = rise > max(_LOSS_RISE_RTOL * abs(self.last_loss), self.rounding)
+        self.last_loss = record.loss
+        self.on_iteration(record)
+        self.t0 += time.perf_counter() - start
 
 
 def run_schedule(
@@ -457,8 +482,7 @@ def run_schedule(
     augment: Callable[[np.ndarray], list[np.ndarray]],
     refit: Callable[[list[np.ndarray], Stamp], None],
     write_back: Callable[[np.ndarray, list[np.ndarray]], None],
-    close: Callable[[int], IterationRecord | None],
-    on_iteration: ProgressHook | None,
+    close: Callable[[int], None],
 ) -> None:
     """Drive the subset-ALS schedule through one execution path's steps.
 
@@ -466,25 +490,9 @@ def run_schedule(
     and returns the active slabs, ``refit(slabs, stamp)`` refits mode
     ``stamp.mode`` (T_in sweeps over all modes), and ``write_back(columns,
     slabs)`` stores the slabs and restores the residual.  ``close(outer)``
-    ends each outer iteration (see :func:`close_iteration`); a record whose
-    loss rose over the previous record's gets ``loss_rose`` set.
+    ends each outer iteration, through :meth:`Recorder.close`.
     """
     _, order_rng = rng_streams(params.seed)
-    last_loss = None
-    with np.errstate(over="ignore"):  # such data fails in the row kernel, which names the row
-        rounding = np.finfo(np.float64).eps * float(store.values @ store.values)
-
-    def close_flagged(it):
-        nonlocal last_loss
-        record = close(it)
-        if record is not None:
-            if last_loss is not None:
-                rise = record.loss - last_loss
-                record.loss_rose = rise > max(_LOSS_RISE_RTOL * abs(last_loss), rounding)
-            last_loss = record.loss
-        return record
-
-    t0 = time.perf_counter()
     for it in range(1, params.outer_iters + 1):
         for si, columns in enumerate(choose_columns(params, order_rng)):
             slabs = augment(columns)
@@ -496,7 +504,7 @@ def run_schedule(
                     except (ValueError, ArithmeticError) as exc:
                         raise type(exc)(f"{stamp}: {exc}") from exc
             write_back(columns, slabs)
-        t0 = close_iteration(t0, it, close_flagged, on_iteration)
+        close(it)
 
 
 def factorize(
@@ -515,11 +523,8 @@ def factorize(
     RMSE when a test set is supplied).
     """
     model, vals = init_model(store, params)
-    test = None if test_entries is None else as_coo(
-        test_entries, store.n_modes, store.mode_lengths)
     stats = stats if stats is not None else SolveStats()
     weighted = params.regularization == WEIGHTED
-    flops_mark = stats.flops
 
     def augment(columns):
         slabs = [m[:, columns] for m in model.matrices]
@@ -537,17 +542,13 @@ def factorize(
             model.matrices[n][:, columns] = slabs[n]
         update_residual(vals, slabs, store.idx, stats)
 
-    def close(it):
-        nonlocal flops_mark
-        if on_iteration is None:
-            return None
-        record = IterationRecord(it, 0.0, *evaluate(
-            float(vals @ vals), [model.matrices], store, params.lam, params.regularization, test,
-        ), flops=stats.flops - flops_mark)
-        flops_mark = stats.flops
-        return record
+    def measure():
+        return float(vals @ vals), [model.matrices]
 
-    run_schedule(params, store, augment, refit, write_back, close, on_iteration)
+    recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration,
+                        flops=stats.flops)
+    run_schedule(params, store, augment, refit, write_back,
+                 lambda it: recorder.close(it, measure, stats.flops))
     return model
 
 

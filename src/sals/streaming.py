@@ -8,8 +8,9 @@ written once at set-up, and ``r_m<n>.bin``, the mode's one copy of the
 residual values.  The shared schedule driver (:func:`sals.solver.run_schedule`)
 runs with steps that work on the caches: per column subset, augment
 rewrites each value file in place into r-hat, each refit streams one mode's
-r-hat and hands its complete row groups to the serial row kernel, and write
-back rewrites r-hat in place into the residual.  A residency meter counts
+r-hat and hands its complete row groups to the serial row kernel, write back
+rewrites r-hat in place into the residual, and close measures the residual
+in one pass over a value file.  A residency meter counts
 live factor-matrix values; its peak stays at C * sum(I_n) during the loop
 (plus a transient of one full factor per mode while the initial model is
 written out).
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import tempfile
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,8 @@ from . import dataio
 from .accounting import ResidencyMeter, SolveStats
 from .dataio import CacheWriter, cache_pair, write_residual_caches
 from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented by perfbench
-    IterationRecord,
     ProgressHook,
+    Recorder,
     SolverParams,
     WEIGHTED,
     compute_rhat,
@@ -46,8 +47,6 @@ from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
     FactorModel,
     RowGroups,
     SparseTensorStore,
-    as_coo,
-    evaluate,
     subset_products,
 )
 
@@ -125,7 +124,6 @@ class StreamingRun:
     lam: float
     peak_resident_values: int
     stats: SolveStats
-    records: list[IterationRecord] = field(default_factory=list)
     _tmp: tempfile.TemporaryDirectory | None = None
 
     def load_model(self) -> FactorModel:
@@ -236,13 +234,9 @@ def stream_factorize(
         written: dict[Path, dict] = {}  # each cache file's writer record, checked on reads
         write_residual_caches(store, cache, written, chunk_records)
 
-        test = None if test_entries is None else as_coo(
-            test_entries, store.n_modes, store.mode_lengths)
         weighted = params.regularization == WEIGHTED
         absent = [store.groups(n, np.flatnonzero(store.bucket_sizes(n) == 0))
                   for n in range(store.n_modes)]
-        run = StreamingRun(workdir, colstore, params.lam, 0, stats, _tmp=tmp)
-        flops_mark = stats.flops
 
         def augment(columns):
             slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
@@ -260,22 +254,17 @@ def stream_factorize(
                 colstore.store_columns(n, columns, slabs[n])
                 colstore.release(slabs[n])
 
-        def close(it):
-            nonlocal flops_mark
-            if on_iteration is None:
-                return None
+        def measure():
             resid_sq = dataio.stream_pass(
                 cache_pair(cache, 0), _sum_squares, expected=written,
                 chunk_records=chunk_records,
             )
-            run.records.append(IterationRecord(it, 0.0, *evaluate(
-                resid_sq or 0.0, colstore.blocks(params.n_columns), store,
-                params.lam, params.regularization, test,
-            ), flops=stats.flops - flops_mark))
-            flops_mark = stats.flops
-            return run.records[-1]
+            return resid_sq or 0.0, colstore.blocks(params.n_columns)
 
-        run_schedule(params, store, augment, refit, write_back, close, on_iteration)
+        recorder = Recorder(store, params.lam, params.regularization, test_entries,
+                            on_iteration, flops=stats.flops)
+        run_schedule(params, store, augment, refit, write_back,
+                     lambda it: recorder.close(it, measure, stats.flops))
     except BaseException:  # a failed run leaves no scratch files behind
         for n in range(store.n_modes):
             for path in (colstore._path(n), *cache_pair(cache, n)):
@@ -286,8 +275,7 @@ def stream_factorize(
         if tmp is not None:
             tmp.cleanup()
         raise
-    run.peak_resident_values = meter.peak
-    return run
+    return StreamingRun(workdir, colstore, params.lam, meter.peak, stats, _tmp=tmp)
 
 
 def _sum_squares(idx, values, acc):

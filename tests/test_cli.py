@@ -57,6 +57,24 @@ class TestGenerate:
         for name in ("train.coo", "test.coo"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_cell_space_beyond_int64(self, tmp_path):
+        out = tmp_path / "g"
+        code = main(["generate", "--out", str(out), "--lengths", "100000,100000,100000,100000",
+                     "--nnz", "1000", "--k-true", "2"])
+        assert code == 0
+        assert len((out / "train.coo").read_text().splitlines()) == 1000
+
+    def test_failed_generation_leaves_no_directory(self, tmp_path, monkeypatch):
+        from sals import dataio
+
+        def fail(*args):
+            raise ValueError("no cells")
+
+        monkeypatch.setattr(dataio, "generate_synthetic", fail)
+        code = main(["generate", "--out", str(tmp_path / "g"), "--lengths", "5,5", "--nnz", "10"])
+        assert code != 0
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFactorize:
     def test_als_equals_sals_full_rank(self, dataset, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -184,6 +185,25 @@ class TestGenerateSynthetic:
             write_coo(p, Coo(store.idx, store.values), spec)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("lengths, digest", [
+        ((5000, 5000, 5000), "f877b22ac6673105"),
+        ((2**16, 2**16, 2**16, 2**15), "96ea88db819be31d"),  # 2**63 cells, the most as cell ids
+    ])
+    def test_sampled_cells_are_pinned(self, lengths, digest):
+        store, test, _ = generate_synthetic(lengths, 300, 2, 0.1, 0.2, seed=11)
+        data = store.idx.tobytes() + store.values.tobytes() + test.idx.tobytes()
+        assert hashlib.sha256(data + test.values.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("lengths", [(10**5,) * 4, (2**16, 2**16, 2**16, 2**15 + 1)])
+    def test_cell_space_beyond_int64(self, lengths):
+        store, test, truth = generate_synthetic(lengths, 1000, 2, 0.0, 0.1, seed=3)
+        idx = np.concatenate([store.idx, test.idx])
+        assert len({tuple(row) for row in idx.tolist()}) == 1000
+        assert ((idx >= 0) & (idx < np.array(lengths))).all()
+        assert np.array_equal(store.values, predict_entries(truth, store.idx))
+        again, _, _ = generate_synthetic(lengths, 1000, 2, 0.0, 0.1, seed=3)
+        assert np.array_equal(again.idx, store.idx)
 
     def test_large_scale_accepted_but_flagged(self):
         # the default synthetic scale from the scaled-up benchmark family:

@@ -3,13 +3,16 @@
 Serial, distributed (any machine count / assignment), and streaming runs
 share row kernels and consume identical seeded streams, so their final
 models must match bit for bit; the fused coordinate-descent path must
-match the general path at C=1 with fixed order.
+match the general path at C=1 with fixed order.  Their progress records
+agree too: bitwise for the cluster, and to rounding for streaming, whose
+penalty folds over C-column blocks.
 """
 import numpy as np
 import pytest
 
 import sals
 from sals.solver import SolverParams, factorize, factorize_cdtf
+from sals.tensor import Coo
 from conftest import random_store
 
 CASES = [
@@ -34,17 +37,36 @@ def test_all_paths_bitwise_identical(i, case, tmp_path):
         rank=k, n_columns=c, outer_iters=t_out, inner_iters=t_in,
         lam=lam, regularization=reg, column_order=order, seed=nnz,
     )
-    serial = factorize(store, params)
+    test = Coo(np.stack([rng.integers(0, n, 6) for n in lengths], axis=1), rng.normal(size=6))
+    records = {"serial": [], "cluster": [], "streaming": []}
+
+    def hooks(path):
+        return dict(test_entries=test, on_iteration=records[path].append)
+
+    serial = factorize(store, params, **hooks("serial"))
 
     assignment = sals.assign(store, strategy, m, seed=3)
-    dist, _ = sals.run_distributed(store, params, assignment, check_replicas=True)
+    dist, _ = sals.run_distributed(store, params, assignment, check_replicas=True,
+                                   **hooks("cluster"))
     for a, b in zip(serial.matrices, dist.matrices):
         assert np.array_equal(a, b)
 
-    run = sals.stream_factorize(store, params, workdir=tmp_path, chunk_records=chunk)
+    run = sals.stream_factorize(store, params, workdir=tmp_path, chunk_records=chunk,
+                                **hooks("streaming"))
     stream = run.load_model()
     for a, b in zip(serial.matrices, stream.matrices):
         assert np.array_equal(a, b)
+
+    def fields(r):
+        return r.iteration, r.loss, r.test_rmse, r.loss_rose
+
+    assert len(records["serial"]) == t_out
+    assert [fields(r) for r in records["cluster"]] == [fields(r) for r in records["serial"]]
+    assert len(records["streaming"]) == t_out
+    for a, b in zip(records["serial"], records["streaming"]):
+        assert (b.iteration, b.loss_rose) == (a.iteration, a.loss_rose)
+        assert b.loss == pytest.approx(a.loss, rel=1e-12)
+        assert b.test_rmse == pytest.approx(a.test_rmse, rel=1e-12)
 
     if c == 1 and order == "fixed":
         fused = factorize_cdtf(store, params)

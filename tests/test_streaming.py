@@ -97,10 +97,11 @@ class TestStreamFactorize:
                               regularization="weighted", seed=5)
         mem_records = []
         factorize(store, params, test_entries=test, on_iteration=mem_records.append)
-        run = stream_factorize(store, params, workdir=tmp_path, test_entries=test,
-                               on_iteration=lambda r: None)
-        assert len(run.records) == 3
-        for a, b in zip(mem_records, run.records):
+        stream_records = []
+        stream_factorize(store, params, workdir=tmp_path, test_entries=test,
+                         on_iteration=stream_records.append)
+        assert len(stream_records) == 3
+        for a, b in zip(mem_records, stream_records):
             assert b.loss == pytest.approx(a.loss, rel=1e-12)
             assert b.test_rmse == pytest.approx(a.test_rmse, rel=1e-12)
 
