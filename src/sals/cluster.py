@@ -47,6 +47,7 @@ from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
     RowGroups,
     SparseTensorStore,
     subset_products,
+    take_columns,
     take_rows,
 )
 
@@ -61,9 +62,10 @@ class WorkerState:
 
     machine: int
     positions: np.ndarray                 # global entry positions (canonical order)
-    idx: np.ndarray                       # local copy of the index rows
+    idx: np.ndarray                       # local copy of the indices, column-major
     residual: np.ndarray                  # private residual replica
-    groups: list[RowGroups]               # per mode, owned rows and local bucket positions
+    groups: list[tuple[np.ndarray, ...]]  # per mode, owned rows, local bucket positions
+                                          # and their pointers (RowGroups less the columns)
     lead_global: np.ndarray               # global positions of groups[0]'s entries
 
 
@@ -78,15 +80,16 @@ def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[Work
         for n in range(store.n_modes):
             mask |= owners[n][store.idx[:, n]] == m
         positions = np.flatnonzero(mask)
-        idx_local = store.idx[positions]
+        idx_local = take_columns(store.idx, positions)
         groups = []
         for n in range(store.n_modes):
-            rows, order, ptr = store.groups(n, assignment.sets[m][n])
-            groups.append(RowGroups(rows, np.searchsorted(positions, order), ptr))
+            rows = np.asarray(assignment.sets[m][n], dtype=np.int64)
+            at, ptr = store.bucket_slots(n, rows)
+            groups.append((rows, np.searchsorted(positions, store.mode_perm[n][at]), ptr))
         workers.append(
             WorkerState(
                 m, positions, idx_local, store.values[positions],
-                groups, positions[groups[0].order],
+                groups, positions[groups[0][1]],
             )
         )
     return workers
@@ -197,14 +200,17 @@ def _worker_loop(
             with _blame(ws.machine, stamp):
                 if fault_hook is not None:
                     fault_hook(ws.machine, stamp)
+                rows, order, ptr = ws.groups[n]
+                cols = tuple(None if m == n else take_rows(ws.idx[:, m], order)
+                             for m in range(n_modes))
                 update_rows(
-                    slabs, ws.idx, ws.residual, n, ws.groups[n], params.lam, weighted,
-                    stats[ws.machine],
+                    slabs, ws.residual, n, RowGroups(rows, order, ptr, cols), params.lam,
+                    weighted, stats[ws.machine],
                 )
         if len(workers) == 1:
             return
         for ws, slabs in zip(workers, replicas):  # broadcast every worker's owned rows
-            owned = ws.groups[n].rows
+            owned = ws.groups[n][0]
             payload = take_rows(slabs[n], owned)
             for other, other_slabs in zip(workers, replicas):
                 if other is not ws:
@@ -215,7 +221,7 @@ def _worker_loop(
 
     def merge_residual():  # only the records' loss and the replica check read it
         for ws in workers:
-            master_residual[ws.lead_global] = ws.residual[ws.groups[0].order]
+            master_residual[ws.lead_global] = ws.residual[ws.groups[0][1]]
 
     def measure():
         merge_residual()
@@ -270,12 +276,14 @@ def run_distributed(
     The workers' counters are merged into ``stats`` when it is given.
     A failing worker step raises :class:`ClusterError`.
     """
+    # checks the test set before the entries are replicated
+    recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration)
     workers = distribute(store, assignment)
     master, residual = init_model(store, params)
     log = CommLog.empty(
         assignment.n_machines, params.rank, params.inner_iters, sum(store.mode_lengths)
     )
-    recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration)
+    recorder.start()
     worker_stats = _worker_loop(
         store, params, workers, master, residual, log, recorder, check_replicas, fault_hook,
     )

@@ -153,7 +153,7 @@ def psgd_epoch(
         raise ValueError("partition has no shards")
     eta = learning_rate(params.eta0, epoch)
     offsets = np.cumsum([0, *store.mode_lengths])
-    rows = store.idx + offsets[:-1]
+    rows = np.add(store.idx, offsets[:-1], order="C")  # row-major: np.take gathers rows
     degrees = np.concatenate(
         [store.bucket_sizes(n) for n in range(store.n_modes)], dtype=np.float64)
     start = np.concatenate(model.matrices, dtype=np.float64)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .accounting import SolveStats
 from .tensor import (
+    Coo,
     FactorModel,
     RowGroups,
     SparseTensorStore,
@@ -83,11 +84,14 @@ class SolverParams:
 class NormalEq:
     """The C x C systems (B + lambda' I) a = c of row updates.
 
-    B is (R, C, C) and c is (R, C) for a stack of R rows.
+    B is (R, C, C) and c is (R, C) for a stack of R rows.  ``nonzero``,
+    when asked for, counts each row's entries whose product row g is
+    nonzero, which the rank test at lambda' = 0 reads.
     """
 
     B: np.ndarray
     c: np.ndarray
+    nonzero: np.ndarray | None = None
 
 
 @dataclass
@@ -223,48 +227,50 @@ def _batches(ptr: np.ndarray, c_cols: int) -> Iterator[tuple[int, int]]:
         r0 = r1
 
 
-def _products(slabs: Sequence[np.ndarray], idx_rows: np.ndarray, mode: int) -> np.ndarray:
-    """G: per entry, the product of every other mode's slab row, as (P, C)."""
-    G: np.ndarray | None = None
-    for n in range(len(slabs)):
-        if n == mode:
-            continue
-        g = take_rows(slabs[n], idx_rows[:, n])
-        if G is None:
-            G = g
-        else:
-            G *= g
-    if G is None:  # 1-dimensional tensor: empty product
-        G = np.ones((idx_rows.shape[0], slabs[mode].shape[1]))
+def _products(slabs: Sequence[np.ndarray], cols: Sequence[np.ndarray | None],
+              mode: int) -> np.ndarray:
+    """G: per entry, the product of every other mode's slab row, as (P, C).
+
+    Needs a second mode; a gather copies, so the product is built in place.
+    """
+    others = [n for n in range(len(slabs)) if n != mode]
+    G = take_rows(slabs[others[0]], cols[others[0]])
+    for n in others[1:]:
+        G *= take_rows(slabs[n], cols[n])
     return G
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def normal_eq_arrays(
     slabs: Sequence[np.ndarray],
-    idx_rows: np.ndarray,
+    cols: Sequence[np.ndarray | None],
     rhat_vals: np.ndarray,
     ptr: np.ndarray,
     mode: int,
     stats: SolveStats | None = None,
+    count_nonzero: bool = False,
 ) -> NormalEq:
-    """Stacked normal equations of a run of rows from their gathered entries.
+    """Stacked normal equations of a run of rows from their entries' index columns.
 
-    ``idx_rows`` is the (P, N) block of entry indices of the rows' buckets
-    back to back, each in canonical order, ``rhat_vals`` the matching r-hat
-    values, and row r's entries are ``ptr[r]:ptr[r+1]``.  Returns B as
-    (R, C, C) and c as (R, C); empty buckets give zero systems.  A bucket
-    below ``_SEGMENTED_BELOW[C]`` entries (``_SMALL_BUCKET`` above C = 2) is
-    summed by segmented reductions over the batch, which build the summed
-    rows' systems as one compact block; a larger one takes one BLAS product
-    of its own.  Either way a row's sums read only its own entries, and the
-    choice depends only on C and the bucket's size, so a row's bits do not
-    depend on the other rows.  Overflow is silent here: :func:`update_rows`
+    ``cols[m]`` holds the mode-m indices of the rows' bucket entries back
+    to back, each bucket in canonical order (``cols[mode]`` is not read),
+    ``rhat_vals`` the matching r-hat values, and row r's entries are
+    ``ptr[r]:ptr[r+1]``.  Returns B as (R, C, C) and c as (R, C), plus
+    ``nonzero`` when ``count_nonzero``; empty buckets give zero systems.
+    A bucket below ``_SEGMENTED_BELOW[C]`` entries (``_SMALL_BUCKET`` above
+    C = 2) is summed by segmented reductions over the batch, which build
+    the summed rows' systems as one compact block; a larger one takes one
+    BLAS product of its own.  Either way a row's sums read only its own
+    entries, and the choice depends only on C and the bucket's size, so a
+    row's bits do not depend on the other rows.  Overflow is silent here: :func:`update_rows`
     checks the systems and names the row.
     """
     n_modes = len(slabs)
     c_cols = slabs[mode].shape[1]
-    G = _products(slabs, idx_rows, mode)
+    if n_modes > 1:
+        G = _products(slabs, cols, mode)
+    else:  # 1-dimensional tensor: empty product
+        G = np.ones((rhat_vals.size, c_cols))
     sizes = np.diff(ptr)
     small = sizes < _SEGMENTED_BELOW.get(c_cols, _SMALL_BUCKET)
     summed = np.flatnonzero(small & (sizes > 0))
@@ -291,10 +297,13 @@ def normal_eq_arrays(
         g = G[ptr[r]:ptr[r + 1]]
         B[r] = g.T @ g
         c[r] = g.T @ rhat_vals[ptr[r]:ptr[r + 1]]
+    nonzero = None
+    if count_nonzero:
+        nonzero = np.diff(np.concatenate([[0], np.cumsum(G.any(axis=1))])[ptr])
     if stats is not None:
-        p = idx_rows.shape[0]
+        p = rhat_vals.shape[0]
         stats.flops += p * c_cols * max(n_modes - 2, 0) + p * c_cols * c_cols + p * c_cols
-    return NormalEq(B, c)
+    return NormalEq(B, c, nonzero)
 
 
 def solve_row(
@@ -373,7 +382,6 @@ def _cholesky_solve(L: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def update_rows(
     slabs: list[np.ndarray],
-    idx: np.ndarray,
     rhat_vals: np.ndarray,
     mode: int,
     groups: RowGroups,
@@ -383,11 +391,18 @@ def update_rows(
 ) -> int:
     """Refit the rows ``groups.rows`` of ``slabs[mode]`` in place; returns skip count.
 
-    ``groups.order`` indexes ``idx`` and ``rhat_vals``.  Rows go through
+    ``groups.order`` indexes ``rhat_vals``, and ``groups.cols`` gives the
+    entries' index columns in the same order.  Rows go through
     :func:`normal_eq_arrays` and :func:`solve_row` in batches split on row
-    boundaries.  Each solve reads only the row's own entries and the other
-    modes' slabs, so neither the order nor the batching of rows affects the
-    values.
+    boundaries; a batch slices its entries' index columns and gathers only
+    their r-hat values.  Each solve reads only the row's own entries and
+    the other modes' slabs, so neither the order nor the batching of rows
+    affects the values.
+
+    Empty buckets stay out of the batches.  Under plain lambda > 0 their
+    solution is exactly +0.0, which is written directly; such a row counts
+    in ``rows_updated`` but adds no flops, as nothing is solved.  Otherwise
+    (lambda' = 0) they are skipped.
 
     A row whose lambda' is 0 is skipped before factoring when fewer than C
     of its entries have a nonzero product row g (in particular when its
@@ -395,16 +410,24 @@ def update_rows(
     C, so it is singular in exact arithmetic whether or not a rounded
     factorization succeeds.
     """
-    rows, order, ptr = groups
+    rows, order, ptr, cols = groups
     slab = slabs[mode]
     c_cols = slab.shape[1]
-    skipped = 0
+    skipped = updated = 0
+    empty = np.diff(ptr) == 0
+    if empty.any():
+        if lam > 0 and not weighted:
+            slab[rows[empty]] = 0.0
+            updated += int(empty.sum())
+        else:
+            skipped += int(empty.sum())
+        rows, ptr = rows[~empty], np.append(ptr[:-1][~empty], ptr[-1])
     for r0, r1 in _batches(ptr, c_cols):
-        pos = order[ptr[r0]:ptr[r1]]
-        seg = ptr[r0:r1 + 1] - ptr[r0]
-        idx_rows = take_rows(idx, pos)
+        lo, hi = ptr[r0], ptr[r1]
+        seg = ptr[r0:r1 + 1] - lo
         neq = normal_eq_arrays(
-            slabs, idx_rows, take_rows(rhat_vals, pos), seg, mode, stats,
+            slabs, [None if col is None else col[lo:hi] for col in cols],
+            take_rows(rhat_vals, order[lo:hi]), seg, mode, stats, count_nonzero=not lam > 0,
         )
         if not (np.isfinite(neq.B).all() and np.isfinite(neq.c).all()):
             finite = np.isfinite(neq.B).all(axis=(1, 2)) & np.isfinite(neq.c).all(axis=1)
@@ -414,20 +437,19 @@ def update_rows(
         lam_eff = lam * sizes if weighted else np.full(sizes.size, float(lam))
         batch = rows[r0:r1]
         fit = lam_eff > 0
-        if (~fit & (sizes >= c_cols)).any():
-            nonzero = np.cumsum(_products(slabs, idx_rows, mode).any(axis=1))
-            fit |= np.diff(np.concatenate([[0], nonzero])[seg]) >= c_cols
+        if neq.nonzero is not None:  # lambda' = 0: the rank test
+            fit |= neq.nonzero >= c_cols
         if not fit.all():
             neq, lam_eff, batch = NormalEq(neq.B[fit], neq.c[fit]), lam_eff[fit], batch[fit]
         x, ok = solve_row(neq, lam_eff, stats)
         if not ok.all():
             x, batch = np.compress(ok, x, axis=0), np.compress(ok, batch)
         slab[batch] = x
-        n_ok = batch.size
-        skipped += (r1 - r0) - n_ok
-        if stats is not None:
-            stats.rows_updated += n_ok
-            stats.rows_skipped += (r1 - r0) - n_ok
+        updated += batch.size
+        skipped += (r1 - r0) - batch.size
+    if stats is not None:
+        stats.rows_updated += updated
+        stats.rows_skipped += skipped
     return skipped
 
 
@@ -435,22 +457,31 @@ class Recorder:
     """The one builder of :class:`IterationRecord`; every path closes each
     outer iteration through :meth:`close`.
 
-    Made just before a path's loop: it checks the test set, and the clock
-    that ``seconds`` reads starts then; ``flops`` is the path's running
-    total at that point.  Subset-ALS records whose loss rose get
-    ``loss_rose`` set; ``flag_rises=False`` (PSGD) never flags.
+    Made before a path's set-up, it checks the test set (and keeps its
+    indices column-major, as the evaluator reads them by column) and
+    starts the clock that ``seconds`` reads; a path with set-up of its own
+    restarts the clock with :meth:`start` just before its loop.  ``flops``
+    is the path's running total when the loop starts.  Subset-ALS records
+    whose loss rose get ``loss_rose`` set; ``flag_rises=False`` (PSGD)
+    never flags.
     """
 
     def __init__(self, store: SparseTensorStore, lam: float, regularization: str, test_entries,
                  on_iteration: ProgressHook | None, *, flops: int = 0, flag_rises: bool = True):
-        self.test = None if test_entries is None else as_coo(
-            test_entries, store.n_modes, store.mode_lengths)
+        if test_entries is not None:
+            idx, values = as_coo(test_entries, store.n_modes, store.mode_lengths)
+            test_entries = Coo(np.asfortranarray(idx), values)
+        self.test = test_entries
         self.store, self.lam, self.regularization = store, lam, regularization
         self.on_iteration, self.flops = on_iteration, flops
         self.rounding = self.last_loss = None  # rounding: loss_rose's floor, eps * ||x||^2
         if on_iteration is not None and flag_rises:
             with np.errstate(over="ignore"):  # such data fails in the row kernel
                 self.rounding = np.finfo(np.float64).eps * float(store.values @ store.values)
+        self.start()
+
+    def start(self) -> None:
+        """(Re)start the clock that the records' ``seconds`` read."""
         self.t0 = time.perf_counter()
 
     def close(self, iteration: int, measure: Callable, flops: int, **counters: int) -> None:
@@ -533,8 +564,7 @@ def factorize(
 
     def refit(slabs, stamp):
         update_rows(
-            slabs, store.idx, vals, stamp.mode, store.groups(stamp.mode),
-            params.lam, weighted, stats,
+            slabs, vals, stamp.mode, store.groups(stamp.mode), params.lam, weighted, stats,
         )
 
     def write_back(columns, slabs):

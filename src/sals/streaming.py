@@ -179,14 +179,16 @@ def _update_mode_streaming(
     Each chunk's complete row groups go to :func:`update_rows`, delimited by
     their row heads; the last group may continue in the next chunk and is
     carried over.  The ``absent`` rows, whose buckets are empty and so not
-    cached, are refit at the end.
+    cached, go to :func:`update_rows` at the end, which settles them
+    without a batch.
     """
 
     def refit_groups(idx, values, end):
         rows = idx[:end, mode]
         heads = np.flatnonzero(np.diff(rows, prepend=-1))
-        groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end))
-        update_rows(slabs, idx[:end], values[:end], mode, groups, lam, weighted, stats)
+        cols = tuple(None if m == mode else idx[:end, m] for m in range(len(slabs)))
+        groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end), cols)
+        update_rows(slabs, values[:end], mode, groups, lam, weighted, stats)
 
     def visit(idx, values, carry):
         if carry is not None:
@@ -198,8 +200,7 @@ def _update_mode_streaming(
     carry = dataio.stream_pass(path, visit, expected=expected, chunk_records=chunk_records)
     if carry is not None:
         refit_groups(*carry, carry[1].size)
-    update_rows(slabs, np.empty((0, len(slabs)), dtype=np.int64), np.empty(0), mode,
-                absent, lam, weighted, stats)
+    update_rows(slabs, np.empty(0), mode, absent, lam, weighted, stats)
 
 
 def stream_factorize(
@@ -220,6 +221,10 @@ def stream_factorize(
     run works in a temporary directory.  A run that raises removes the files
     and directories it made, the temporary directory included.
     """
+    stats = stats if stats is not None else SolveStats()
+    # checks the test set before any file is written
+    recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration,
+                        flops=stats.flops)
     tmp = None if workdir is not None else tempfile.TemporaryDirectory(prefix="sals-stream-")
     workdir = Path(workdir if tmp is None else tmp.name)
     factors, cache = workdir / "factors", workdir / "cache"
@@ -227,7 +232,6 @@ def stream_factorize(
     meter = ResidencyMeter()
     colstore = ColumnStore(factors, store.mode_lengths, params.rank, meter)
     try:
-        stats = stats if stats is not None else SolveStats()
         for n, matrix in enumerate(init_factors(store, params)):
             colstore.write_full(n, matrix)
 
@@ -261,8 +265,7 @@ def stream_factorize(
             )
             return resid_sq or 0.0, colstore.blocks(params.n_columns)
 
-        recorder = Recorder(store, params.lam, params.regularization, test_entries,
-                            on_iteration, flops=stats.flops)
+        recorder.start()
         run_schedule(params, store, augment, refit, write_back,
                      lambda it: recorder.close(it, measure, stats.flops))
     except BaseException:  # a failed run leaves no scratch files behind

@@ -2,10 +2,12 @@
 
 An N-dimensional partially observed tensor is kept in coordinate form: one
 shared entry list (sorted lexicographically by index tuple, the *canonical
-order*) plus, for every mode, a grouped index that lists the positions of
-each row's entries.  Observed cells have one in-memory form, a :class:`Coo`
-of 0-based arrays, from file to store, test set and evaluator; indices are
-1-based only in text files and in the error messages that quote them.
+order*, its indices kept column by column) plus, for every mode, a grouped
+index that lists the positions of each row's entries and a copy of the other
+modes' index columns in that order, which the row kernel slices.  Observed
+cells have one in-memory form, a :class:`Coo` of 0-based arrays, from file
+to store, test set and evaluator; indices are 1-based only in text files
+and in the error messages that quote them.
 :func:`evaluate` is the one loss and RMSE evaluator of every solver path.
 """
 from __future__ import annotations
@@ -20,12 +22,16 @@ class RowGroups(NamedTuple):
     """Rows of one mode with their buckets laid out back to back.
 
     Row ``rows[r]``'s entry positions are ``order[ptr[r]:ptr[r + 1]]``, in
-    canonical order; this is the input layout of the row kernel.
+    canonical order, and ``cols[m]`` holds those entries' mode-m indices in
+    the same order; the mode's own entry is ``None``.  This is the input
+    layout of the row kernel: a batch of rows reads its entries' index
+    columns as slices.
     """
 
     rows: np.ndarray
     order: np.ndarray
     ptr: np.ndarray
+    cols: tuple[np.ndarray | None, ...]
 
 
 class Coo(NamedTuple):
@@ -68,12 +74,17 @@ def as_coo(data: Coo, n_modes: int, mode_lengths: Sequence[int] | None = None) -
 class SparseTensorStore:
     """Immutable observed-entry set with per-mode row indexes.
 
-    ``idx`` holds 0-based indices, shape (nnz, n_modes), canonical order.
-    ``mode_perm[n]`` lists entry positions sorted by (row in mode n,
-    canonical order) and ``mode_ptr[n]`` delimits each row's slice, so the
-    bucket of row ``i`` in mode ``n`` is
-    ``mode_perm[n][mode_ptr[n][i]:mode_ptr[n][i+1]]``.  Bucket positions are
-    ascending, which keeps every accumulation in canonical entry order.
+    ``idx`` holds 0-based indices, shape (nnz, n_modes), canonical order,
+    column-major (each mode's column is contiguous), in :func:`column_dtype`
+    of the mode lengths; positions are in that of nnz.  ``mode_perm[n]`` lists
+    entry positions sorted by (row in mode n, canonical order) and
+    ``mode_ptr[n]`` delimits each row's slice, so the bucket of row ``i`` in
+    mode ``n`` is ``mode_perm[n][mode_ptr[n][i]:mode_ptr[n][i+1]]``.  Bucket
+    positions are ascending, which keeps every accumulation in canonical
+    entry order.  ``mode_cols[n][m]`` is ``idx[mode_perm[n], m]``, the
+    other modes' indices in mode n's bucket order (``None`` at m = n);
+    mode 0's bucket order is the canonical order, so its columns are
+    ``idx``'s own.
     """
 
     mode_lengths: tuple[int, ...]
@@ -81,6 +92,7 @@ class SparseTensorStore:
     values: np.ndarray
     mode_perm: tuple[np.ndarray, ...] = field(repr=False)
     mode_ptr: tuple[np.ndarray, ...] = field(repr=False)
+    mode_cols: tuple[tuple[np.ndarray | None, ...], ...] = field(repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -97,25 +109,44 @@ class SparseTensorStore:
 
     def groups(self, mode: int, rows: np.ndarray | None = None) -> RowGroups:
         """The buckets of ``rows`` of ``mode`` (default: every row, in order)."""
-        ptr = self.mode_ptr[mode]
         if rows is None:
-            return RowGroups(np.arange(self.mode_lengths[mode]), self.mode_perm[mode], ptr)
+            return RowGroups(np.arange(self.mode_lengths[mode]), self.mode_perm[mode],
+                             self.mode_ptr[mode], self.mode_cols[mode])
         rows = np.asarray(rows, dtype=np.int64)
+        at, ptr = self.bucket_slots(mode, rows)
+        return RowGroups(rows, self.mode_perm[mode][at], ptr,
+                         tuple(None if c is None else take_rows(c, at)
+                               for c in self.mode_cols[mode]))
+
+    def bucket_slots(self, mode: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the buckets of ``rows`` sit in ``mode_perm[mode]``, back to
+        back, and the pointers that delimit each row's slice of them."""
+        ptr = self.mode_ptr[mode]
         sizes = ptr[rows + 1] - ptr[rows]
         sub_ptr = np.concatenate([[0], np.cumsum(sizes)])
-        at = np.arange(sub_ptr[-1]) + np.repeat(ptr[rows] - sub_ptr[:-1], sizes)
-        return RowGroups(rows, self.mode_perm[mode][at], sub_ptr)
+        return np.arange(sub_ptr[-1]) + np.repeat(ptr[rows] - sub_ptr[:-1], sizes), sub_ptr
 
     def bucket_sizes(self, mode: int) -> np.ndarray:
         """|Omega^(n)_i| for every row i of ``mode``."""
         return np.diff(self.mode_ptr[mode])
 
 
-def _index_mode(idx: np.ndarray, length: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
-    perm = np.argsort(idx[:, mode], kind="stable")
-    rows_sorted = idx[perm, mode]
-    ptr = np.searchsorted(rows_sorted, np.arange(length + 1))
-    return perm, ptr
+def column_dtype(mode_lengths: Sequence[int]) -> np.dtype:
+    """Index type of a store's index columns: int32 while every mode is
+    shorter than 2^31 rows, else int64.  Entry positions take the type of
+    one mode of length nnz."""
+    return np.dtype(np.int32 if max(mode_lengths, default=0) < 1 << 31 else np.int64)
+
+
+def take_columns(idx: np.ndarray, positions: np.ndarray, dtype=None) -> np.ndarray:
+    """``idx[positions]`` as a column-major array, of ``idx``'s type unless
+    ``dtype`` is given.  It is gathered a column at a time, so a strided
+    ``idx`` costs one contiguous column copy at a time, never a whole copy."""
+    out = np.empty((positions.size, idx.shape[1]), idx.dtype if dtype is None else dtype,
+                   order="F")
+    for n in range(idx.shape[1]):
+        np.take(np.ascontiguousarray(idx[:, n]), positions, out=out[:, n])
+    return out
 
 
 def store_from_arrays(
@@ -124,13 +155,15 @@ def store_from_arrays(
     """Build a store from 0-based index/value arrays.
 
     Sorts into canonical order, rejects non-finite values, out-of-range
-    indices and duplicate tuples, and builds the per-mode grouped indexes.
+    indices and duplicate tuples, and builds the per-mode grouped indexes
+    and index columns.  No second full copy of the indices is made: the
+    canonical columns are gathered from ``idx`` one at a time.
     """
     mode_lengths = tuple(int(length) for length in mode_lengths)
     n_modes = len(mode_lengths)
     if any(length < 0 for length in mode_lengths):
         raise ValueError("mode lengths must be nonnegative")
-    idx = np.ascontiguousarray(np.asarray(idx, dtype=np.int64).reshape(-1, n_modes))
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1, n_modes)
     values = np.ascontiguousarray(np.asarray(values, dtype=np.float64).reshape(-1))
     if idx.shape[0] != values.shape[0]:
         raise ValueError("index and value counts differ")
@@ -140,21 +173,30 @@ def store_from_arrays(
         raise ValueError(f"entry {p}: value {values[p]} is not finite")
     _check_range(idx, mode_lengths)
 
-    if idx.shape[0]:
-        order = np.lexsort(tuple(idx[:, n] for n in range(n_modes - 1, -1, -1)))
-        idx = np.ascontiguousarray(idx[order])
-        values = values[order]
-        dup = np.flatnonzero((np.diff(idx, axis=0) == 0).all(axis=1))
+    nnz = idx.shape[0]
+    order = np.lexsort(tuple(idx[:, n] for n in range(n_modes - 1, -1, -1)))
+    idx = take_columns(idx, order, column_dtype(mode_lengths))
+    values = values[order]
+    del order
+    if nnz > 1:
+        same = idx[1:, 0] == idx[:-1, 0]
+        for n in range(1, n_modes):
+            same &= idx[1:, n] == idx[:-1, n]
+        dup = np.flatnonzero(same)
         if dup.size:
             tup = tuple(int(i) + 1 for i in idx[int(dup[0])])
             raise ValueError(f"duplicate index tuple {tup}")
 
-    perms, ptrs = [], []
-    for n, length in enumerate(mode_lengths):
-        perm, ptr = _index_mode(idx, length, n)
-        perms.append(perm)
-        ptrs.append(ptr)
-    return SparseTensorStore(mode_lengths, idx, values, tuple(perms), tuple(ptrs))
+    # Positions are indices below nnz.  Mode 0 leads the canonical order,
+    # so its buckets are in it and its columns are idx's own.
+    position = column_dtype((nnz,))
+    perms = [np.arange(nnz, dtype=position)] + [
+        np.argsort(idx[:, n], kind="stable").astype(position) for n in range(1, n_modes)]
+    cols = [tuple(None if m == n else idx[:, m] if n == 0 else np.take(idx[:, m], perms[n])
+                  for m in range(n_modes)) for n in range(n_modes)]
+    ptrs = [np.concatenate([[0], np.cumsum(np.bincount(idx[:, n], minlength=length))])
+            for n, length in enumerate(mode_lengths)]
+    return SparseTensorStore(mode_lengths, idx, values, tuple(perms), tuple(ptrs), tuple(cols))
 
 
 def build_store(data: Coo, mode_lengths: Sequence[int]) -> SparseTensorStore:
@@ -195,11 +237,14 @@ def take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
 
     Every row gather on the solver paths goes through here.  numpy's fancy
     indexing of a 2-D array by rows takes a generic path several times
-    slower than ``np.take`` on a contiguous index; on a strided index (a
-    column of an index matrix) ``np.take`` is slower than fancy indexing,
-    so the index is made contiguous first.  ``a`` should be contiguous too:
-    ``np.take`` copies a strided ``a`` whole before gathering.  Out-of-range
-    indices raise ``IndexError`` as with fancy indexing.
+    slower than ``np.take`` on a contiguous index.  The solvers' indices are
+    contiguous columns: the store's column-major ``idx`` and its per-mode
+    copies, whose int32 values ``np.take`` casts to intp.  A strided index
+    (a column of a row-major index matrix, such as a streaming cache chunk)
+    is made contiguous first, as ``np.take`` is slower than fancy indexing
+    on it.  ``a`` should be contiguous too: ``np.take`` copies a strided
+    ``a`` whole before gathering.  Out-of-range indices raise
+    ``IndexError`` as with fancy indexing.
     """
     return np.take(a, np.ascontiguousarray(index), axis=0)
 

@@ -80,7 +80,7 @@ def refit_mode(store, rhat, model, mode, columns, params, stats=None) -> int:
     """
     slabs = [m[:, columns] for m in model.matrices]
     skipped = update_rows(
-        slabs, store.idx, rhat, mode, store.groups(mode),
+        slabs, rhat, mode, store.groups(mode),
         params.lam, params.regularization == "weighted", stats,
     )
     model.matrices[mode][:, columns] = slabs[mode]
@@ -91,7 +91,8 @@ def row_normal_eq(store, rhat, model, mode, row, columns) -> NormalEq:
     """The normal equations of one row over ``columns``, as a stack of one."""
     pos = store.bucket(mode, row)
     slabs = [m[:, columns] for m in model.matrices]
-    return normal_eq_arrays(slabs, store.idx[pos], rhat[pos], np.array([0, pos.size]), mode)
+    cols = store.idx[pos].T
+    return normal_eq_arrays(slabs, cols, rhat[pos], np.array([0, pos.size]), mode)
 
 
 @pytest.fixture

@@ -207,8 +207,8 @@ class TestRunDistributed:
         current = []
         update_rows = cluster.update_rows
 
-        def corrupting(slabs, idx, residual, mode, *args):
-            update_rows(slabs, idx, residual, mode, *args)
+        def corrupting(slabs, residual, mode, *args):
+            update_rows(slabs, residual, mode, *args)
             if current[-1] == 1 and mode == store.n_modes - 1:
                 slabs[0][foreign] += 1.0
 
@@ -216,6 +216,18 @@ class TestRunDistributed:
         with pytest.raises(ClusterError, match="worker 1: column replica diverged, mode 0"):
             run_distributed(store, params, assignment, check_replicas=True,
                             fault_hook=lambda m, stamp: current.append(m))
+
+    def test_bad_test_set_fails_before_distribution(self, rng, monkeypatch):
+        from sals import cluster
+
+        calls = []
+        monkeypatch.setattr(cluster, "distribute", lambda *a: calls.append(a))
+        store = _instance(rng, (4, 3), 8)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=0)
+        test = Coo(np.array([[0, 3]]), np.array([1.0]))
+        with pytest.raises(ValueError, match=r"test entry 0: mode 1 index 4 outside \[1, 3\]"):
+            run_distributed(store, params, greedy_assign(store, 2), test_entries=test)
+        assert calls == []
 
     def test_hooks_and_csv_export(self, rng, tmp_path):
         store = _instance(rng, (8, 7), 50)

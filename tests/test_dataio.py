@@ -192,7 +192,9 @@ class TestGenerateSynthetic:
     ])
     def test_sampled_cells_are_pinned(self, lengths, digest):
         store, test, _ = generate_synthetic(lengths, 300, 2, 0.1, 0.2, seed=11)
-        data = store.idx.tobytes() + store.values.tobytes() + test.idx.tobytes()
+        # the cells as int64 rows: the store keeps its indices as int32 columns
+        cells = np.ascontiguousarray(store.idx, dtype=np.int64)
+        data = cells.tobytes() + store.values.tobytes() + test.idx.tobytes()
         assert hashlib.sha256(data + test.values.tobytes()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("lengths", [(10**5,) * 4, (2**16, 2**16, 2**16, 2**15 + 1)])

@@ -302,7 +302,7 @@ class TestRowKernel:
             out = [s.copy() for s in slabs]
             stats = SolveStats()
             for g in groups:
-                update_rows(out, store.idx, rhat, mode, g, 0.1, weighted, stats)
+                update_rows(out, rhat, mode, g, 0.1, weighted, stats)
             return out[mode], (stats.flops, stats.rows_updated, stats.rows_skipped)
 
         for mode in range(n_modes):
@@ -347,7 +347,7 @@ class TestRowKernel:
             slabs = [np.full((7, c_cols), 7.0), other[:, :c_cols].copy()]
             stats = SolveStats()
             skipped = update_rows(
-                slabs, store.idx, store.values, 0, store.groups(0), 0.0, False, stats,
+                slabs, store.values, 0, store.groups(0), 0.0, False, stats,
             )
             assert skipped == stats.rows_skipped == len(singular)
             assert stats.rows_updated == 7 - len(singular)
@@ -389,11 +389,59 @@ class TestRowKernel:
         before = slabs[0].copy()
         rhat = rng.normal(size=store.nnz)
         stats = SolveStats()
-        skipped = update_rows(slabs, store.idx, rhat, 0, store.groups(0), 0.5, True, stats)
+        skipped = update_rows(slabs, rhat, 0, store.groups(0), 0.5, True, stats)
         empty = np.flatnonzero(store.bucket_sizes(0) == 0)
         assert skipped == stats.rows_skipped == empty.size == 2
         assert stats.rows_updated == store.mode_lengths[0] - empty.size
         assert np.array_equal(slabs[0][empty], before[empty])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_lambda_zero_builds_products_once_per_batch(self, monkeypatch, weighted):
+        # The rank test counts nonzero product rows from the G that the
+        # normal equations are built from, so no batch builds G twice.
+        calls = {"products": 0, "batches": 0}
+        products, normal_eq = solver._products, solver.normal_eq_arrays
+
+        def counting_products(*args):
+            calls["products"] += 1
+            return products(*args)
+
+        def counting_normal_eq(*args, **kwargs):
+            calls["batches"] += 1
+            return normal_eq(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_products", counting_products)
+        monkeypatch.setattr(solver, "normal_eq_arrays", counting_normal_eq)
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 61)
+        rng = np.random.default_rng(4)
+        store = kernel_store(rng, 3)
+        for c_cols in (1, 2, 3):
+            slabs = [rng.normal(size=(length, c_cols)) for length in store.mode_lengths]
+            for mode in range(3):
+                update_rows(slabs, rng.normal(size=store.nnz), mode, store.groups(mode),
+                            0.0, weighted)
+        assert calls["batches"] > 9
+        assert calls["products"] == calls["batches"]
+
+    @pytest.mark.parametrize("c_cols", [1, 2, 3])
+    def test_empty_buckets_get_positive_zero_without_a_batch(self, rng, c_cols):
+        store = kernel_store(rng, 3)
+        empty = np.flatnonzero(store.bucket_sizes(0) == 0)
+        filled = np.flatnonzero(store.bucket_sizes(0) > 0)
+        slabs = [rng.normal(size=(length, c_cols)) for length in store.mode_lengths]
+        slabs[0][:] = -7.0
+        rhat = rng.normal(size=store.nnz)
+        stats, alone = SolveStats(), SolveStats()
+        skipped = update_rows(slabs, rhat, 0, store.groups(0), 0.5, False, stats)
+        rest = [s.copy() for s in slabs]
+        rest[0][:] = -7.0
+        update_rows(rest, rhat, 0, store.groups(0, filled), 0.5, False, alone)
+        assert skipped == 0 and empty.size == 2
+        assert (slabs[0][empty] == 0.0).all() and not np.signbit(slabs[0][empty]).any()
+        assert np.array_equal(slabs[0][filled], rest[0][filled])
+        # counted as updated rows; no flops, as nothing is solved
+        assert stats.rows_updated == alone.rows_updated + empty.size
+        assert stats.flops == alone.flops
 
     def test_stacked_solve_matches_single_solves(self, rng):
         half = rng.normal(size=(6, 9, 4))

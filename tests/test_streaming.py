@@ -9,7 +9,7 @@ from sals import dataio, streaming
 from sals.accounting import ResidencyMeter
 from sals.solver import SolverParams, factorize
 from sals.streaming import ColumnStore, stream_factorize
-from sals.tensor import Coo
+from sals.tensor import Coo, store_from_arrays
 from conftest import random_store
 
 
@@ -197,3 +197,52 @@ class TestStreamFactorize:
         with pytest.raises(ValueError, match="non-finite"):
             stream_factorize(store, params, workdir=tmp_path / "new")
         assert sorted(tmp_path.rglob("*")) == [keep]
+
+    def test_bad_test_set_fails_before_any_file_is_written(self, rng, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(ColumnStore, "write_full", lambda *a: writes.append("factor"))
+        monkeypatch.setattr(streaming, "write_residual_caches", lambda *a: writes.append("cache"))
+        store = random_store(rng, (4, 3), 8)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=0)
+        test = Coo(np.array([[0, 0], [4, 0]]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"test entry 1: mode 0 index 5 outside \[1, 4\]"):
+            stream_factorize(store, params, workdir=tmp_path / "run", test_entries=test)
+        assert writes == [] and not (tmp_path / "run").exists()
+
+
+class TestEmptyRows:
+    @pytest.mark.parametrize("lam, regularization", [
+        (0.05, "plain"), (0.0, "plain"), (0.05, "weighted"),
+    ])
+    def test_paths_agree_bitwise_with_many_empty_rows(self, lam, regularization):
+        from sals.cluster import run_distributed
+        from sals.partition import greedy_assign
+        from sals.accounting import SolveStats
+
+        rng = np.random.default_rng(11)
+        lengths = (30, 25, 20)
+        idx = np.stack([rng.integers(0, length * 3 // 5, size=120) for length in lengths], axis=1)
+        idx = np.unique(idx, axis=0)
+        store = store_from_arrays(idx, rng.normal(size=len(idx)), lengths)
+        for n in range(3):
+            assert (store.bucket_sizes(n) == 0).mean() >= 0.3
+        params = SolverParams(rank=4, n_columns=2, outer_iters=2, inner_iters=2, lam=lam,
+                              regularization=regularization, seed=5)
+        stats = [SolveStats() for _ in range(3)]
+        serial = factorize(store, params, stats=stats[0])
+        dist, _ = run_distributed(store, params, greedy_assign(store, 3), check_replicas=True,
+                                  stats=stats[1])
+        run = stream_factorize(store, params, chunk_records=7, stats=stats[2])
+        try:
+            streamed = run.load_model()
+        finally:
+            run.cleanup()
+        for other in (dist, streamed):
+            assert all(np.array_equal(a, b) for a, b in zip(serial.matrices, other.matrices))
+        assert len({(s.rows_updated, s.rows_skipped) for s in stats}) == 1
+        for n, factor in enumerate(serial.matrices):
+            rows = factor[store.bucket_sizes(n) == 0]
+            if lam > 0 and regularization == "plain":  # refit to exactly +0.0
+                assert (rows == 0.0).all() and not np.signbit(rows).any()
+            elif n > 0:  # skipped: the initial uniform [0, 1) values stay
+                assert (rows > 0).all()

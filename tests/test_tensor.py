@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sals.tensor import (
     Coo,
     FactorModel,
     as_coo,
     build_store,
+    column_dtype,
     loss,
     predict_entries,
     regularization_penalty,
@@ -80,6 +85,22 @@ class TestBuildStore:
         with pytest.raises(ValueError, match="indices"):
             build_store(cells([[0, 0, 0]], [1.0]), (2, 2))
 
+    def test_strided_index_view_builds_the_same_store(self, rng):
+        # an index that is neither C- nor F-contiguous: the first three
+        # columns of a wider integer table, in reverse row order
+        store = random_store(rng, (6, 7, 5), 60)
+        table = np.concatenate([store.idx, store.idx[:, :1]], axis=1)[::-1]
+        view = table[:, :3]
+        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+        again = build_store(Coo(view, store.values[::-1]), store.mode_lengths)
+        assert np.array_equal(again.idx, store.idx) and again.idx.flags.f_contiguous
+        assert np.array_equal(again.values, store.values)
+        for n in range(3):
+            assert np.array_equal(again.mode_perm[n], store.mode_perm[n])
+            assert np.array_equal(again.mode_ptr[n], store.mode_ptr[n])
+            for a, b in zip(again.mode_cols[n], store.mode_cols[n]):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
     def test_entries_round_trip(self, rng):
         # a store's cells, shuffled, rebuild the same canonical store
         store = random_store(rng, (6, 7, 5), 60)
@@ -87,6 +108,85 @@ class TestBuildStore:
         again = build_store(Coo(store.idx[perm], store.values[perm]), store.mode_lengths)
         assert np.array_equal(again.idx, store.idx)
         assert np.array_equal(again.values, store.values)
+
+
+@st.composite
+def layout_cases(draw):
+    n_modes = draw(st.integers(1, 5))
+    lengths = tuple(draw(st.lists(st.integers(1, 6), min_size=n_modes, max_size=n_modes)))
+    nnz = draw(st.integers(0, min(int(np.prod(lengths)), 60)))
+    return lengths, nnz, draw(st.integers(0, 1000))
+
+
+class TestLayout:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(layout_cases())
+    def test_index_columns_follow_each_modes_bucket_order(self, case):
+        lengths, nnz, seed = case
+        rng = np.random.default_rng(seed)
+        store = random_store(rng, lengths, nnz)
+        n_modes = len(lengths)
+        assert store.idx.shape == (nnz, n_modes) and store.idx.flags.f_contiguous
+        assert store.idx.dtype == column_dtype(lengths)
+        assert np.array_equal(store.mode_perm[0], np.arange(nnz))
+        assert all(p.dtype == column_dtype((nnz,)) for p in store.mode_perm)
+        for n in range(n_modes):
+            cols = store.mode_cols[n]
+            assert len(cols) == n_modes and cols[n] is None
+            rows = rng.permutation(lengths[n])[:rng.integers(0, lengths[n] + 1)]
+            whole, some = store.groups(n), store.groups(n, rows)
+            assert whole.cols is cols
+            for m in range(n_modes):
+                if m == n:
+                    continue
+                assert cols[m].flags.c_contiguous
+                # mode 0 reads the canonical columns themselves
+                assert cols[m].dtype == column_dtype(lengths)
+                assert np.shares_memory(cols[m], store.idx) == (n == 0 and nnz > 0)
+                assert np.array_equal(cols[m], store.idx[store.mode_perm[n], m])
+                assert np.array_equal(some.cols[m], store.idx[some.order, m])
+
+    def test_column_dtype_is_int32_below_two_to_the_31(self):
+        assert column_dtype((2**31 - 1,)) == np.int32
+        assert column_dtype((5, 2**31 - 1, 7)) == np.int32
+        assert column_dtype((2**31,)) == np.int64
+        assert column_dtype((5, 2**31)) == np.int64
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_build_memory(self, layout):
+        # The store holds at most HEAD's row-major layout (int64 indices,
+        # values and every mode's int64 permutation) plus the column copies,
+        # 4 (N-1)^2 nnz bytes, and the pointers: its indices and positions
+        # are int32 here.  Above that, the build's peak is its transients:
+        # the canonical columns are gathered one at a time, so no second
+        # (nnz, N) int64 copy of the indices is ever held, whatever the
+        # input's layout; a sort's keys and output, two int64 columns, are
+        # the most.
+        lengths, nnz = (300, 200, 100, 50), 200_000
+        n_modes = len(lengths)
+        rng = np.random.default_rng(0)
+        flat = rng.choice(int(np.prod(lengths)), nnz, replace=False)
+        idx = np.stack(np.unravel_index(flat, lengths), axis=1)
+        if layout == "F":
+            idx = np.asfortranarray(idx)
+        elif layout == "strided":
+            idx = np.concatenate([idx, idx[:, :1]], axis=1)[:, :n_modes]
+        coo = Coo(idx, rng.normal(size=nnz))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            store = build_store(coo, lengths)
+            held, peak = (b - base for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        row_major = (8 * n_modes + 8 + 8 * n_modes) * nnz
+        kept = [store.idx, store.values, *store.mode_perm,
+                *(c for cols in store.mode_cols[1:] for c in cols if c is not None)]
+        assert sum(a.nbytes for a in kept) == (4 * n_modes + 8 + 4 * n_modes) * nnz \
+            + 4 * (n_modes - 1) ** 2 * nnz <= row_major + 4 * (n_modes - 1) ** 2 * nnz
+        pointers = 8 * (sum(lengths) + n_modes)
+        assert held <= sum(a.nbytes for a in kept) + pointers + (1 << 14), held
+        assert peak - held <= 2 * 8 * nnz + (1 << 16) < 8 * n_modes * nnz, peak - held
 
 
 class TestAsCoo:
