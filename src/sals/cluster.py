@@ -14,6 +14,10 @@ shared file system: workers read the active columns from it at the start
 of a subset and the lead worker's slabs are written back at the end;
 neither transfer counts as communication.
 
+Each worker holds the entries its rows touch in any mode (the assignment's
+:meth:`~sals.partition.RowAssignment.held` positions) and, built once per
+mode, the row kernel's input for its owned rows: the store's
+:class:`~sals.tensor.RowGroups` of those rows with positions made local.
 Because every worker owns the complete entry bucket of each row it updates
 (in canonical order) and runs the serial solver's augment, write-back, row
 kernel and record builder, the final model and the records are bitwise
@@ -46,6 +50,7 @@ from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
     FactorModel,
     RowGroups,
     SparseTensorStore,
+    column_dtype,
     subset_products,
     take_columns,
     take_rows,
@@ -61,37 +66,31 @@ class WorkerState:
     """One machine's private shard of the problem."""
 
     machine: int
-    positions: np.ndarray                 # global entry positions (canonical order)
-    idx: np.ndarray                       # local copy of the indices, column-major
-    residual: np.ndarray                  # private residual replica
-    groups: list[tuple[np.ndarray, ...]]  # per mode, owned rows, local bucket positions
-                                          # and their pointers (RowGroups less the columns)
-    lead_global: np.ndarray               # global positions of groups[0]'s entries
+    positions: np.ndarray      # global entry positions (canonical order)
+    idx: np.ndarray            # local copy of the indices, column-major
+    residual: np.ndarray       # private residual replica
+    groups: list[RowGroups]    # per mode, the owned rows' buckets at local positions
 
 
 def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[WorkerState]:
-    """Replicate entries to every machine whose row sets touch them."""
-    owners = [
-        assignment.owner_map(n, store.mode_lengths[n]) for n in range(store.n_modes)
-    ]
+    """Replicate entries to every machine whose row sets touch them.
+
+    A worker's groups are the store's groups of its owned rows, with their
+    entry positions mapped to the worker's local ones.
+    """
+    position = column_dtype((store.nnz,))
+    local = np.empty(store.nnz, dtype=position)  # global -> local, per worker
     workers = []
     for m in range(assignment.n_machines):
-        mask = np.zeros(store.nnz, dtype=bool)
-        for n in range(store.n_modes):
-            mask |= owners[n][store.idx[:, n]] == m
-        positions = np.flatnonzero(mask)
-        idx_local = take_columns(store.idx, positions)
+        positions = assignment.held(store, m).astype(position)
+        local[positions] = np.arange(positions.size, dtype=position)
         groups = []
         for n in range(store.n_modes):
-            rows = np.asarray(assignment.sets[m][n], dtype=np.int64)
-            at, ptr = store.bucket_slots(n, rows)
-            groups.append((rows, np.searchsorted(positions, store.mode_perm[n][at]), ptr))
-        workers.append(
-            WorkerState(
-                m, positions, idx_local, store.values[positions],
-                groups, positions[groups[0][1]],
-            )
-        )
+            g = store.groups(n, assignment.sets[m][n])
+            groups.append(g._replace(order=take_rows(local, g.order)))
+        workers.append(WorkerState(
+            m, positions, take_columns(store.idx, positions), store.values[positions], groups,
+        ))
     return workers
 
 
@@ -200,17 +199,12 @@ def _worker_loop(
             with _blame(ws.machine, stamp):
                 if fault_hook is not None:
                     fault_hook(ws.machine, stamp)
-                rows, order, ptr = ws.groups[n]
-                cols = tuple(None if m == n else take_rows(ws.idx[:, m], order)
-                             for m in range(n_modes))
-                update_rows(
-                    slabs, ws.residual, n, RowGroups(rows, order, ptr, cols), params.lam,
-                    weighted, stats[ws.machine],
-                )
+                update_rows(slabs, ws.residual, n, ws.groups[n], params.lam, weighted,
+                            stats[ws.machine])
         if len(workers) == 1:
             return
         for ws, slabs in zip(workers, replicas):  # broadcast every worker's owned rows
-            owned = ws.groups[n][0]
+            owned = ws.groups[n].rows
             payload = take_rows(slabs[n], owned)
             for other, other_slabs in zip(workers, replicas):
                 if other is not ws:
@@ -221,7 +215,8 @@ def _worker_loop(
 
     def merge_residual():  # only the records' loss and the replica check read it
         for ws in workers:
-            master_residual[ws.lead_global] = ws.residual[ws.groups[0][1]]
+            order = ws.groups[0].order
+            master_residual[take_rows(ws.positions, order)] = take_rows(ws.residual, order)
 
     def measure():
         merge_residual()

@@ -2,9 +2,10 @@
 
 For every mode, each machine receives a subset of the factor rows; the
 machine then owns those rows' updates and holds every observed entry whose
-index touches one of them.  The greedy strategy balances per-mode entry
-counts under a hard cap of ceil(I_n / M) rows per machine; sequential and
-random assignment are the baselines it is compared against.
+index touches one of them (:meth:`RowAssignment.held`, from each mode's
+owner array).  The greedy strategy balances per-mode entry counts under a
+hard cap of ceil(I_n / M) rows per machine; sequential and random
+assignment are the baselines it is compared against.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SparseTensorStore
+from .tensor import SparseTensorStore, take_rows
 
 
 @dataclass
@@ -21,12 +22,14 @@ class RowAssignment:
     """Per-machine, per-mode row sets with derived load counts.
 
     ``sets[m][n]`` is the sorted 0-based row array of machine ``m`` in mode
-    ``n``.  ``mode_loads[m, n]`` counts the entries of those rows and
-    ``union_loads[m]`` the distinct entries machine ``m`` holds overall.
+    ``n`` and ``owners[n]`` maps each row of mode ``n`` to its machine.
+    ``mode_loads[m, n]`` counts the entries of machine ``m``'s mode-``n``
+    rows and ``union_loads[m]`` the distinct entries it holds overall.
     """
 
     n_machines: int
     sets: list[list[np.ndarray]]
+    owners: list[np.ndarray]
     mode_loads: np.ndarray
     union_loads: np.ndarray
 
@@ -34,29 +37,30 @@ class RowAssignment:
     def n_modes(self) -> int:
         return len(self.sets[0])
 
-    def owner_map(self, mode: int, length: int) -> np.ndarray:
-        """Row -> machine lookup array for one mode."""
-        owner = np.full(length, -1, dtype=np.int64)
-        for m in range(self.n_machines):
-            owner[self.sets[m][mode]] = m
-        return owner
+    def held(self, store: SparseTensorStore, machine: int) -> np.ndarray:
+        """Ascending positions of the entries that touch a row ``machine``
+        owns in some mode: the entries that machine holds."""
+        mask = np.zeros(store.nnz, dtype=bool)
+        for n in range(store.n_modes):
+            mask |= take_rows(self.owners[n] == machine, store.idx[:, n])
+        return np.flatnonzero(mask)
 
 
 def _finalize(store: SparseTensorStore, sets: list[list[np.ndarray]]) -> RowAssignment:
     n_machines = len(sets)
     mode_loads = np.zeros((n_machines, store.n_modes), dtype=np.int64)
-    member = np.zeros((store.nnz, n_machines), dtype=bool)
+    owners = []
     for n in range(store.n_modes):
         sizes = store.bucket_sizes(n)
         owner = np.full(store.mode_lengths[n], -1, dtype=np.int64)
         for m in range(n_machines):
-            rows = sets[m][n]
-            mode_loads[m, n] = int(sizes[rows].sum())
-            owner[rows] = m
-        entry_owner = owner[store.idx[:, n]]
-        member[np.arange(store.nnz), entry_owner] = True
-    union_loads = member.sum(axis=0).astype(np.int64)
-    return RowAssignment(n_machines, sets, mode_loads, union_loads)
+            owner[sets[m][n]] = m
+            mode_loads[m, n] = int(sizes[sets[m][n]].sum())
+        owners.append(owner)
+    assignment = RowAssignment(n_machines, sets, owners, mode_loads,
+                               np.zeros(n_machines, dtype=np.int64))
+    assignment.union_loads[:] = [assignment.held(store, m).size for m in range(n_machines)]
+    return assignment
 
 
 def greedy_assign(store: SparseTensorStore, n_machines: int) -> RowAssignment:
@@ -126,20 +130,16 @@ def random_assign(store: SparseTensorStore, n_machines: int, seed: int) -> RowAs
     return _finalize(store, sets)
 
 
-STRATEGIES = {
-    "greedy": greedy_assign,
-    "sequential": sequential_assign,
-}
-
-
 def assign(store: SparseTensorStore, strategy: str, n_machines: int, seed: int = 0) -> RowAssignment:
-    """Dispatch one of the named strategies."""
+    """Run the strategy named ``greedy``, ``sequential`` or ``random``
+    (``seed`` seeds the last)."""
+    if strategy == "greedy":
+        return greedy_assign(store, n_machines)
+    if strategy == "sequential":
+        return sequential_assign(store, n_machines)
     if strategy == "random":
         return random_assign(store, n_machines, seed)
-    try:
-        return STRATEGIES[strategy](store, n_machines)
-    except KeyError:
-        raise ValueError(f"unknown assignment strategy {strategy!r}") from None
+    raise ValueError(f"unknown assignment strategy {strategy!r}")
 
 
 @dataclass
@@ -167,19 +167,13 @@ class LoadReport:
 
 
 def load_stats(store: SparseTensorStore, assignment: RowAssignment) -> LoadReport:
-    """Exact load statistics recomputed from the row sets."""
+    """Load statistics of the assignment's row sets and entry loads."""
     n_machines = assignment.n_machines
-    n_modes = store.n_modes
-    mode_loads = np.zeros((n_machines, n_modes), dtype=np.int64)
-    row_counts = np.zeros((n_machines, n_modes), dtype=np.int64)
-    for n in range(n_modes):
-        sizes = store.bucket_sizes(n)
-        for m in range(n_machines):
-            rows = assignment.sets[m][n]
-            mode_loads[m, n] = int(sizes[rows].sum())
-            row_counts[m, n] = rows.size
+    mode_loads = assignment.mode_loads
+    row_counts = np.array([[rows.size for rows in sets] for sets in assignment.sets],
+                          dtype=np.int64)
     max_mode = mode_loads.max(axis=0)
-    mean_mode = np.full(n_modes, store.nnz / n_machines)
+    mean_mode = np.full(store.n_modes, store.nnz / n_machines)
     with np.errstate(divide="ignore", invalid="ignore"):
         imbalance = np.where(mean_mode > 0, max_mode / mean_mode, 1.0)
     return LoadReport(

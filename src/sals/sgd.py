@@ -16,6 +16,10 @@ import numpy as np
 from .solver import PLAIN, ProgressHook, Recorder, update_residual
 from .tensor import FactorModel, SparseTensorStore
 
+# Entries whose row ids wavefront_levels turns into Python ints at a time:
+# a whole shard at once would hold N int objects per entry.
+_LEVEL_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class SgdParams:
@@ -60,11 +64,12 @@ def wavefront_levels(rows: np.ndarray) -> np.ndarray:
     last = [0] * (int(rows.max()) + 1 if rows.size else 0)
     get = last.__getitem__
     levels = []
-    for row in zip(*rows.T.tolist()):
-        level = max(map(get, row)) + 1
-        for g in row:
-            last[g] = level
-        levels.append(level)
+    for start in range(0, rows.shape[0], _LEVEL_CHUNK):
+        for row in zip(*rows[start:start + _LEVEL_CHUNK].T.tolist()):
+            level = max(map(get, row)) + 1
+            for g in row:
+                last[g] = level
+            levels.append(level)
     return np.array(levels, dtype=np.int64)
 
 

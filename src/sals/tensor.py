@@ -113,18 +113,13 @@ class SparseTensorStore:
             return RowGroups(np.arange(self.mode_lengths[mode]), self.mode_perm[mode],
                              self.mode_ptr[mode], self.mode_cols[mode])
         rows = np.asarray(rows, dtype=np.int64)
-        at, ptr = self.bucket_slots(mode, rows)
-        return RowGroups(rows, self.mode_perm[mode][at], ptr,
-                         tuple(None if c is None else take_rows(c, at)
-                               for c in self.mode_cols[mode]))
-
-    def bucket_slots(self, mode: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where the buckets of ``rows`` sit in ``mode_perm[mode]``, back to
-        back, and the pointers that delimit each row's slice of them."""
         ptr = self.mode_ptr[mode]
         sizes = ptr[rows + 1] - ptr[rows]
         sub_ptr = np.concatenate([[0], np.cumsum(sizes)])
-        return np.arange(sub_ptr[-1]) + np.repeat(ptr[rows] - sub_ptr[:-1], sizes), sub_ptr
+        at = np.arange(sub_ptr[-1]) + np.repeat(ptr[rows] - sub_ptr[:-1], sizes)
+        return RowGroups(rows, self.mode_perm[mode][at], sub_ptr,
+                         tuple(None if c is None else take_rows(c, at)
+                               for c in self.mode_cols[mode]))
 
     def bucket_sizes(self, mode: int) -> np.ndarray:
         """|Omega^(n)_i| for every row i of ``mode``."""

@@ -12,7 +12,7 @@ from sals.cluster import (
 )
 from sals.partition import assign, greedy_assign, sequential_assign
 from sals.solver import SolverParams, factorize
-from sals.tensor import Coo, store_from_arrays
+from sals.tensor import Coo, RowGroups, store_from_arrays
 from conftest import random_store
 
 
@@ -37,7 +37,7 @@ class TestDistribute:
         store = random_store(rng, (9, 7, 5), 120)
         assignment = assign(store, "random", 3, seed=2)
         workers = distribute(store, assignment)
-        owners = [assignment.owner_map(n, store.mode_lengths[n]) for n in range(3)]
+        owners = assignment.owners
         for m, w in enumerate(workers):
             expected = np.zeros(store.nnz, dtype=bool)
             for n in range(3):
@@ -58,12 +58,38 @@ class TestDistribute:
         workers = distribute(store, assignment)
         for m, w in enumerate(workers):
             for n in range(3):
-                rows, order, ptr = w.groups[n]
+                rows, order, ptr, _ = w.groups[n]
                 assert np.array_equal(rows, assignment.sets[m][n])
                 assert ptr[0] == 0 and ptr[-1] == order.size
                 for r, row in enumerate(rows):
                     local = order[ptr[r]:ptr[r + 1]]
                     assert np.array_equal(w.positions[local], store.bucket(n, int(row)))
+
+    @pytest.mark.parametrize("strategy", ["greedy", "sequential", "random"])
+    @pytest.mark.parametrize("lengths", [(11, 7), (9, 7, 5), (6, 5, 4, 3)])
+    def test_worker_groups_are_the_row_kernel_layout(self, rng, strategy, lengths):
+        # Each worker keeps, per mode, the row kernel's input: its owned rows'
+        # buckets at local positions, with the other modes' index columns.
+        store = random_store(rng, lengths, 150)
+        assignment = assign(store, strategy, 3, seed=5)
+        workers = distribute(store, assignment)
+        for m, w in enumerate(workers):
+            brute = np.zeros(store.nnz, dtype=bool)
+            for n in range(store.n_modes):
+                for row in assignment.sets[m][n]:
+                    brute[store.idx[:, n] == row] = True
+            assert np.array_equal(assignment.held(store, m), np.flatnonzero(brute))
+            assert assignment.union_loads[m] == w.positions.size
+            assert w.positions.dtype == store.mode_perm[0].dtype
+            for n in range(store.n_modes):
+                g = w.groups[n]
+                assert isinstance(g, RowGroups)
+                assert g.order.dtype == store.mode_perm[0].dtype
+                for k in range(store.n_modes):
+                    if k == n:
+                        assert g.cols[k] is None
+                    else:
+                        assert np.array_equal(g.cols[k], store.idx[w.positions[g.order], k])
 
 
 def _instance(rng, lengths=(10, 9, 8), nnz=300):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,17 +158,34 @@ class TestLoadStats:
         store = random_store(rng, (10, 9, 8), 150)
         a = greedy_assign(store, 3)
         for n in range(3):
-            owner = a.owner_map(n, store.mode_lengths[n])
+            owner = a.owners[n]
             for m in range(3):
                 brute = int((owner[store.idx[:, n]] == m).sum())
                 assert a.mode_loads[m, n] == brute
         # union loads: entry belongs to machine if any mode's row is owned
-        owners = [a.owner_map(n, store.mode_lengths[n]) for n in range(3)]
+        owners = a.owners
         for m in range(3):
             mask = np.zeros(store.nnz, dtype=bool)
             for n in range(3):
                 mask |= owners[n][store.idx[:, n]] == m
             assert a.union_loads[m] == int(mask.sum())
+
+
+class TestAssignmentMemory:
+    @pytest.mark.parametrize("strategy", ["greedy", "sequential", "random"])
+    def test_peak_does_not_grow_with_machine_count(self, strategy):
+        # The loads are counted one machine at a time, so no (nnz, M)
+        # temporary is made: 64 machines peak near 2 machines' bytes.
+        store = random_store(np.random.default_rng(0), (64, 64, 64), 1 << 15)
+        peaks = []
+        for n_machines in (2, 64):
+            tracemalloc.start()
+            try:
+                assign(store, strategy, n_machines, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestSerialization:

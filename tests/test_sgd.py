@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sals import sgd
 from sals.sgd import (
     SgdParams,
     factorize_psgd,
@@ -340,3 +341,18 @@ def test_wavefront_levels_keep_row_order(entries):
         # no level holds two entries that share a row, and sharing entries keep their order
         assert all(levels[j] < levels[k] for j in sharing)
         assert levels[k] == 1 + max((levels[j] for j in sharing), default=0)
+
+
+def test_wavefront_levels_span_conversion_chunks():
+    # The row ids are turned into Python ints a chunk at a time; on a shard
+    # longer than one chunk the levels are those of converting it at once.
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, 40, size=(2 * sgd._LEVEL_CHUNK + 123, 3)) + 40 * np.arange(3)
+    last = [0] * 120
+    want = []
+    for row in rows.tolist():
+        want.append(max(last[g] for g in row) + 1)
+        for g in row:
+            last[g] = want[-1]
+    assert max(want) > 100  # rows chain across the chunk boundaries
+    assert wavefront_levels(rows).tolist() == want

@@ -701,6 +701,53 @@ class TestIterationFlops:
         assert sum(r.flops for r in records) == stats.flops
 
 
+class TestExactCost:
+    """At lambda > 0 an outer iteration costs, summed over its column subsets
+    of c columns, c * [2 H N + T_in * sum_n (nnz (max(N - 2, 0) + c + 1)
+    + c^2 R_n)] flops: augment and write-back over the H entries the path
+    holds, the normal equations over every mode's entries and one c^3 solve
+    per non-empty row (R_n of them in mode n)."""
+
+    @staticmethod
+    def predicted(store, params, held):
+        n_modes, nnz = store.n_modes, store.nnz
+        nonempty = [int(np.count_nonzero(store.bucket_sizes(n))) for n in range(n_modes)]
+        total = 0
+        for start in range(0, params.rank, params.n_columns):
+            c = min(params.n_columns, params.rank - start)
+            total += c * (2 * held * n_modes + params.inner_iters * sum(
+                nnz * (max(n_modes - 2, 0) + c + 1) + c * c * r for r in nonempty))
+        return total
+
+    @pytest.mark.parametrize("path", ["serial", "cluster", "streaming"])
+    @pytest.mark.parametrize("regularization", ["plain", "weighted"])
+    @pytest.mark.parametrize("lengths,nnz,rank,n_columns", [
+        ((40,), 25, 4, 3), ((12, 30), 60, 6, 2), ((9, 8, 30), 60, 5, 2),
+        ((6, 5, 4, 60), 60, 4, 4),
+    ])
+    def test_flops_per_outer_iteration(self, rng, path, regularization, lengths, nnz, rank,
+                                       n_columns):
+        from sals import cluster, streaming
+        from sals.partition import greedy_assign
+
+        store = random_store(rng, lengths, nnz)  # the last mode keeps empty rows
+        assert any((store.bucket_sizes(n) == 0).any() for n in range(store.n_modes))
+        params = SolverParams(rank=rank, n_columns=n_columns, outer_iters=2, inner_iters=2,
+                              lam=0.1, regularization=regularization, seed=4)
+        records = []
+        if path == "serial":
+            factorize(store, params, on_iteration=records.append)
+            held = store.nnz
+        elif path == "cluster":
+            assignment = greedy_assign(store, 3)
+            cluster.run_distributed(store, params, assignment, on_iteration=records.append)
+            held = int(assignment.union_loads.sum())
+        else:  # every value pass rewrites all N modes' value caches
+            streaming.stream_factorize(store, params, on_iteration=records.append).cleanup()
+            held = store.n_modes * store.nnz
+        assert [r.flops for r in records] == [self.predicted(store, params, held)] * 2
+
+
 class TestLossRiseFlag:
     PATHS = ["serial", "cluster", "streaming"]
 
