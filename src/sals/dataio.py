@@ -4,12 +4,14 @@ COO text files carry one entry per line: N integer indices then a value,
 whitespace separated, 0- or 1-based.  The streaming cache of one mode holds
 that mode's residual entries grouped by row, as an (index file, value file)
 pair read in lockstep.  Each file is little-endian binary: a header (magic,
-version, 8-byte words per record, record count), fixed-width records and a
-CRC32 trailer.  An index record is N int64 indices, a value record one
-float64.  The index file is written once; the value file, the mode's one
-residual copy, is rewritten in place (into r-hat and back), so it keeps its
-size and no file is created after set-up.  Every read checks both files'
-lengths, and the record counts and CRCs their writers returned.
+version, words per record, bytes per word, record count), fixed-width
+records and a CRC32 trailer.  An index record is N indices in the store's
+column type (int32 while every mode is shorter than 2^31 rows, else int64),
+a value record one float64.  The index file is written once; the value
+file, the mode's one residual copy, is rewritten in place (into r-hat and
+back), so it keeps its size and no file is created after set-up.  Every
+read checks both files' lengths, and the record counts and CRCs their
+writers returned.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .tensor import (
     FactorModel,
     SparseTensorStore,
     as_coo,
+    column_dtype,
     predict_entries,
     store_from_arrays,
 )
@@ -262,9 +265,12 @@ def generate_zipf(
 # --- binary residual cache ------------------------------------------------
 
 CACHE_MAGIC = b"RTCACHE1"
-CACHE_VERSION = 2
-_HEADER = struct.Struct("<8sIIQ")  # magic, version, 8-byte words per record, record count
+CACHE_VERSION = 3
+# magic, version, words per record, bytes per word, record count
+_HEADER = struct.Struct("<8sIHHQ")
 _TRAILER = struct.Struct("<I")  # CRC32 of the records
+_INDEX_TYPES = {4: np.dtype("<i4"), 8: np.dtype("<i8")}  # index word types by size
+_VALUE_TYPE = np.dtype("<f8")
 
 
 class CacheError(ValueError):
@@ -272,21 +278,23 @@ class CacheError(ValueError):
 
 
 class _CacheFile:
-    """One cache file open for writing, records of ``width`` 8-byte words each.
+    """One cache file open for writing, records of ``width`` words of ``dtype``.
 
     The records go after the header's place; :meth:`close` appends the CRC32
     trailer and writes the header last, so each byte is written once.
     """
 
-    def __init__(self, path: Path, width: int, mode: str):
+    def __init__(self, path: Path, width: int, dtype: np.dtype, mode: str):
         self.path = path
         self.width = width
+        self.dtype = dtype
         self._fh = open(path, mode)
         self._fh.seek(_HEADER.size)
         self._crc = 0
         self.count = 0
 
-    def write(self, words: np.ndarray) -> None:
+    def write(self, records: np.ndarray) -> None:
+        words = np.ascontiguousarray(records, dtype=self.dtype).reshape(-1, self.width)
         self._crc = zlib.crc32(words, self._crc)
         self._fh.write(words)
         self.count += words.shape[0]
@@ -294,61 +302,78 @@ class _CacheFile:
     def close(self) -> dict:
         self._fh.write(_TRAILER.pack(self._crc))
         self._fh.seek(0)
-        self._fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.width, self.count))
+        self._fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.width,
+                                    self.dtype.itemsize, self.count))
         self._fh.close()
         return {"records": self.count, "crc32": self._crc}
+
+    def drop(self) -> None:
+        """Close the file unfinished; nothing happens after :meth:`close`."""
+        self._fh.close()
 
 
 class CacheWriter:
     """Sequential writer of one cache: a value file and, when new, its index file.
 
     :meth:`create` makes both files of an (index, value) pair anew and
-    :meth:`append` writes each record's N indices and its value.
-    :meth:`rewrite` opens an existing value file in place (``r+b``), so no
-    file is created and the file keeps its size; its :meth:`append` writes
-    the values only, and takes ``None`` for the indices, which the pair's
-    index file already holds.
+    :meth:`append` writes each record's N indices, as ``dtype``, and its
+    value.  :meth:`rewrite` opens an existing value file in place
+    (``r+b``), so no file is created and the file keeps its size; its
+    :meth:`append` writes the values only, and takes ``None`` for the
+    indices, which the pair's index file already holds.  Used as a context
+    manager, the writer closes on leaving every file that :meth:`close` did
+    not finish, so a pass that raises leaves no file open.
     """
 
     def __init__(self, values: _CacheFile, index: _CacheFile | None = None):
-        self._values = values
-        self._index = index
+        self._files = [values] if index is None else [index, values]
 
     @classmethod
-    def create(cls, pair, n_modes: int) -> "CacheWriter":
+    def create(cls, pair, n_modes: int, dtype=np.int64) -> "CacheWriter":
+        dtype = np.dtype(dtype)
+        if dtype.kind != "i" or dtype.itemsize not in _INDEX_TYPES:
+            raise ValueError(f"index records must be int32 or int64, not {dtype}")
         index_path, value_path = map(Path, pair)
-        return cls(_CacheFile(value_path, 1, "wb"), _CacheFile(index_path, n_modes, "wb"))
+        return cls(_CacheFile(value_path, 1, _VALUE_TYPE, "wb"),
+                   _CacheFile(index_path, n_modes, _INDEX_TYPES[dtype.itemsize], "wb"))
 
     @classmethod
     def rewrite(cls, path) -> "CacheWriter":
-        return cls(_CacheFile(Path(path), 1, "r+b"))
+        return cls(_CacheFile(Path(path), 1, _VALUE_TYPE, "r+b"))
 
     def append(self, idx: np.ndarray | None, values: np.ndarray) -> None:
-        if self._index is not None:
-            self._index.write(
-                np.ascontiguousarray(idx, dtype="<i8").reshape(-1, self._index.width))
-        self._values.write(np.ascontiguousarray(values, dtype="<f8").reshape(-1))
+        if len(self._files) == 2:  # a new pair: its index file comes first
+            self._files[0].write(idx)
+        self._files[-1].write(values)
 
     def close(self) -> dict[Path, dict]:
         """Finish every file written; returns its writer record by path."""
-        files = [self._values] if self._index is None else [self._index, self._values]
-        return {f.path: f.close() for f in files}
+        return {f.path: f.close() for f in self._files}
+
+    def __enter__(self) -> "CacheWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for f in self._files:
+            f.drop()
 
 
-def _read_header(fh, path: Path) -> tuple[int, int]:
-    """Check a cache file's header and exact length; returns (width, count)."""
+def _read_header(fh, path: Path) -> tuple[int, int, int]:
+    """Check a cache file's header and exact length; returns (width, word size, count)."""
     head = fh.read(_HEADER.size)
     if len(head) != _HEADER.size:
         raise CacheError(f"{path}: truncated header")
-    magic, version, width, count = _HEADER.unpack(head)
+    magic, version, width, word, count = _HEADER.unpack(head)
     if magic != CACHE_MAGIC or version != CACHE_VERSION:
         raise CacheError(f"{path}: bad magic or version")
-    size = _HEADER.size + count * width * 8 + _TRAILER.size
+    if word not in _INDEX_TYPES:
+        raise CacheError(f"{path}: {word}-byte words")
+    size = _HEADER.size + count * width * word + _TRAILER.size
     actual = os.fstat(fh.fileno()).st_size
     if actual != size:
         raise CacheError(f"{path}: {actual} bytes, but {count} records of {width} words "
                          f"take {size}")
-    return width, count
+    return width, word, count
 
 
 def stream_pass(
@@ -361,7 +386,8 @@ def stream_pass(
     """Fold ``visitor(idx_chunk, values_chunk, acc)`` over a cache pair.
 
     ``path`` is an (index file, value file) pair, read in lockstep in the
-    same chunks; records are visited in stored order exactly once.  Both
+    same chunks; records are visited in stored order exactly once, the
+    indices as a (records, N) array of the index file's word type.  Both
     files' lengths, CRCs and record counts are verified against their
     headers and trailers, their counts against each other and, when
     ``expected`` is given, each file against its writer's record there
@@ -371,20 +397,22 @@ def stream_pass(
     index_path, value_path = map(Path, path)
     acc = None
     with open(index_path, "rb") as ifh, open(value_path, "rb") as vfh:
-        n_modes, count = _read_header(ifh, index_path)
-        width, value_count = _read_header(vfh, value_path)
-        if width != 1:
-            raise CacheError(f"{value_path}: {width} words per record, not a value file")
+        n_modes, word, count = _read_header(ifh, index_path)
+        width, value_word, value_count = _read_header(vfh, value_path)
+        if width != 1 or value_word != _VALUE_TYPE.itemsize:
+            what = f"{width} words per record" if width != 1 else f"{value_word}-byte words"
+            raise CacheError(f"{value_path}: {what}, not a value file")
         if value_count != count:
             raise CacheError(
                 f"{index_path} holds {count} records but {value_path} holds {value_count}")
+        index_type = _INDEX_TYPES[word]
         icrc = vcrc = 0
         for start in range(0, count, chunk_records):
             take = min(chunk_records, count - start)
-            raw_idx, raw_values = ifh.read(take * n_modes * 8), vfh.read(take * 8)
+            raw_idx, raw_values = ifh.read(take * n_modes * word), vfh.read(take * 8)
             icrc, vcrc = zlib.crc32(raw_idx, icrc), zlib.crc32(raw_values, vcrc)
-            idx = np.frombuffer(raw_idx, dtype="<i8").reshape(take, n_modes)
-            acc = visitor(idx, np.frombuffer(raw_values, dtype="<f8"), acc)
+            idx = np.frombuffer(raw_idx, dtype=index_type).reshape(take, n_modes)
+            acc = visitor(idx, np.frombuffer(raw_values, dtype=_VALUE_TYPE), acc)
         for fh, file, crc in ((ifh, index_path, icrc), (vfh, value_path, vcrc)):
             (stored_crc,) = _TRAILER.unpack(fh.read(_TRAILER.size))
             if stored_crc != crc:
@@ -408,15 +436,21 @@ def write_residual_caches(
     """Cache the initial residual (= x) per mode, grouped by that mode's rows.
 
     Both files of every mode's :func:`cache_pair` are created anew: the
-    index file ``idx_m<n>.bin`` (written here only) and the value file
-    ``r_m<n>.bin``.  Each file's writer record goes into ``written`` under
-    its path, for :func:`stream_pass` to check on every read.
+    index file ``idx_m<n>.bin`` (written here only), its records in the
+    store's column type, and the value file ``r_m<n>.bin``.  Each file's
+    writer record goes into ``written`` under its path, for
+    :func:`stream_pass` to check on every read.
     """
     directory.mkdir(parents=True, exist_ok=True)
+    dtype = column_dtype(store.mode_lengths)
     for n in range(store.n_modes):
-        perm = store.mode_perm[n]
-        writer = CacheWriter.create(cache_pair(directory, n), store.n_modes)
-        for start in range(0, perm.size, chunk_records):
-            sel = perm[start:start + chunk_records]
-            writer.append(store.idx[sel], store.values[sel])
-        written.update(writer.close())
+        perm, cols = store.mode_perm[n], store.mode_cols[n]
+        with CacheWriter.create(cache_pair(directory, n), store.n_modes, dtype) as writer:
+            for start in range(0, perm.size, chunk_records):
+                sel = perm[start:start + chunk_records]
+                idx = np.empty((sel.size, store.n_modes), dtype)
+                for m, col in enumerate(cols):  # the other modes' columns are in this order
+                    idx[:, m] = (np.take(store.idx[:, m], sel) if col is None
+                                 else col[start:start + sel.size])
+                writer.append(idx, np.take(store.values, sel))
+            written.update(writer.close())

@@ -10,10 +10,15 @@ runs with steps that work on the caches: per column subset, augment
 rewrites each value file in place into r-hat, each refit streams one mode's
 r-hat and hands its complete row groups to the serial row kernel, write back
 rewrites r-hat in place into the residual, and close measures the residual
-in one pass over a value file.  A residency meter counts
-live factor-matrix values; its peak stays at C * sum(I_n) during the loop
-(plus a transient of one full factor per mode while the initial model is
-written out).
+in one pass over a value file.  Two of these passes ride on refits: mode
+0's augment on the subset's first refit, which augments each chunk as it
+reads it, and the last mode's write-back on the subset's last refit, which
+writes back each run of rows once it is refit.  A subset thus streams
+N * T_in + 2N - 2 passes, not N * (T_in + 2): one pass at N = 1 and
+T_in = 1.  A residency meter counts live factor-matrix values; its peak
+stays at C * sum(I_n) during the loop (plus a transient of one full factor
+per mode while the initial model is written out), as the fused passes hold
+no second set of slabs.
 
 The row groups keep canonical order within each row, so a streaming run
 reproduces the in-memory model bit for bit.
@@ -21,7 +26,7 @@ reproduces the in-memory model bit for bit.
 from __future__ import annotations
 
 import tempfile
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,25 +147,26 @@ def _value_pass(
     slabs: list[np.ndarray],
     stats: SolveStats,
     chunk_records: int,
+    modes,
 ) -> None:
-    """Rewrite each mode's value file in place by ``step``, :func:`compute_rhat`
+    """Rewrite the value files of ``modes`` in place by ``step``, :func:`compute_rhat`
     or :func:`update_residual`, applied to a copy of every chunk's values.
 
     Each chunk is read before it is overwritten and writes never get ahead
     of reads, so one file is both input and output; the index file is only read.
     """
-    for n in range(len(slabs)):
+    for n in modes:
         pair = cache_pair(cache, n)
-        writer = CacheWriter.rewrite(pair[1])
+        with CacheWriter.rewrite(pair[1]) as writer:
 
-        def visit(idx, values, acc):
-            values = values.copy()
-            step(values, slabs, idx, stats)
-            writer.append(None, values)
-            return acc
+            def visit(idx, values, acc):
+                values = values.copy()
+                step(values, slabs, idx, stats)
+                writer.append(None, values)
+                return acc
 
-        dataio.stream_pass(pair, visit, expected=written, chunk_records=chunk_records)
-        written.update(writer.close())
+            dataio.stream_pass(pair, visit, expected=written, chunk_records=chunk_records)
+            written.update(writer.close())
 
 
 def _update_mode_streaming(
@@ -173,6 +179,9 @@ def _update_mode_streaming(
     weighted: bool,
     stats: SolveStats,
     chunk_records: int,
+    *,
+    augment: bool = False,
+    write_back: bool = False,
 ) -> None:
     """One row-refit pass over a mode-grouped cache pair holding r-hat.
 
@@ -181,7 +190,17 @@ def _update_mode_streaming(
     carried over.  The ``absent`` rows, whose buckets are empty and so not
     cached, go to :func:`update_rows` at the end, which settles them
     without a batch.
+
+    With ``augment`` the value file still holds the residual: each chunk is
+    turned into r-hat by :func:`compute_rhat` as it is read.  A row is refit
+    only once all its entries are read, so the slabs still hold the values
+    the augment needs.  With ``write_back`` each run of refit rows is turned
+    back into the residual by :func:`update_residual` right after its refit,
+    which must then be the subset's last.  Either way the refit rows' values
+    are written back in place, behind the reads, and ``expected`` gets the
+    value file's new writer record.
     """
+    rewrite = augment or write_back
 
     def refit_groups(idx, values, end):
         rows = idx[:end, mode]
@@ -189,17 +208,28 @@ def _update_mode_streaming(
         cols = tuple(None if m == mode else idx[:end, m] for m in range(len(slabs)))
         groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end), cols)
         update_rows(slabs, values[:end], mode, groups, lam, weighted, stats)
+        if write_back:
+            update_residual(values[:end], slabs, idx[:end], stats)
+        if rewrite:
+            writer.append(None, values[:end])
 
     def visit(idx, values, carry):
+        if rewrite:
+            values = values.copy()
+            if augment:
+                compute_rhat(values, slabs, idx, stats)
         if carry is not None:
             idx, values = np.concatenate([carry[0], idx]), np.concatenate([carry[1], values])
         tail = int(np.searchsorted(idx[:, mode], idx[-1, mode]))
         refit_groups(idx, values, tail)
         return idx[tail:], values[tail:]
 
-    carry = dataio.stream_pass(path, visit, expected=expected, chunk_records=chunk_records)
-    if carry is not None:
-        refit_groups(*carry, carry[1].size)
+    with CacheWriter.rewrite(path[1]) if rewrite else nullcontext() as writer:
+        carry = dataio.stream_pass(path, visit, expected=expected, chunk_records=chunk_records)
+        if carry is not None:
+            refit_groups(*carry, carry[1].size)
+        if rewrite:
+            expected.update(writer.close())
     update_rows(slabs, np.empty(0), mode, absent, lam, weighted, stats)
 
 
@@ -242,18 +272,25 @@ def stream_factorize(
         absent = [store.groups(n, np.flatnonzero(store.bucket_sizes(n) == 0))
                   for n in range(store.n_modes)]
 
-        def augment(columns):
+        last = store.n_modes - 1
+
+        def augment(columns):  # mode 0's augment rides on its first refit
             slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
-            _value_pass(cache, written, compute_rhat, slabs, stats, chunk_records)
+            _value_pass(cache, written, compute_rhat, slabs, stats, chunk_records,
+                        range(1, store.n_modes))
             return slabs
 
         def refit(slabs, stamp):
             n = stamp.mode
-            _update_mode_streaming(cache_pair(cache, n), written, slabs, n, absent[n],
-                                   params.lam, weighted, stats, chunk_records)
+            _update_mode_streaming(
+                cache_pair(cache, n), written, slabs, n, absent[n], params.lam, weighted, stats,
+                chunk_records, augment=stamp.inner == 0 and n == 0,
+                write_back=stamp.inner == params.inner_iters - 1 and n == last,
+            )
 
-        def write_back(columns, slabs):
-            _value_pass(cache, written, update_residual, slabs, stats, chunk_records)
+        def write_back(columns, slabs):  # the last mode's write-back rode on its last refit
+            _value_pass(cache, written, update_residual, slabs, stats, chunk_records,
+                        range(last))
             for n in range(store.n_modes):
                 colstore.store_columns(n, columns, slabs[n])
                 colstore.release(slabs[n])

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 import warnings
 
 import numpy as np
@@ -279,9 +280,44 @@ class TestResidualCache:
         assert np.array_equal(values, store.values[perm])
         # grouped by the mode's rows in ascending order
         assert (np.diff(idx[:, 1]) >= 0).all()
-        # a value file holds 8 bytes a record
+        # a value file holds 8 bytes a record, an index file N int32 indices
         assert pair[1].stat().st_size == 24 + 8 * store.nnz + 4
-        assert pair[0].stat().st_size == 24 + 8 * 3 * store.nnz + 4
+        assert pair[0].stat().st_size == 24 + 4 * 3 * store.nnz + 4
+
+    @pytest.mark.parametrize("dtype, top", [(np.int32, 2**31 - 1), (np.int64, 2**63 - 1)])
+    def test_index_records_round_trip_in_their_type(self, tmp_path, dtype, top):
+        idx = np.array([[0, top, 5], [top, 1, top - 7], [3, 0, 2]], dtype=dtype)
+        values = np.array([np.pi, -0.0, 2.0 ** -1074])
+        pair = (tmp_path / "i.bin", tmp_path / "v.bin")
+        writer = CacheWriter.create(pair, 3, dtype)
+        writer.append(idx[:2], values[:2])
+        writer.append(idx[2:], values[2:])
+        info = writer.close()
+        word = np.dtype(dtype).itemsize
+        assert pair[0].stat().st_size == 24 + word * 3 * 3 + 4
+
+        def visit(i, v, acc):
+            return [*(acc or []), (i.copy(), v.copy())]
+
+        chunks = stream_pass(pair, visit, expected=info, chunk_records=2)
+        got_idx = np.concatenate([c[0] for c in chunks])
+        got_values = np.concatenate([c[1] for c in chunks])
+        assert [c[0].shape for c in chunks] == [(2, 3), (1, 3)]
+        assert got_idx.dtype == np.dtype(dtype) and np.array_equal(got_idx, idx)
+        assert got_values.tobytes() == values.tobytes()
+
+    def test_index_records_take_only_int32_or_int64(self, tmp_path):
+        for dtype in (np.int16, np.uint32, np.float64):
+            with pytest.raises(ValueError, match="int32 or int64"):
+                CacheWriter.create((tmp_path / "i.bin", tmp_path / "v.bin"), 2, dtype)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        pair, _ = _write_pair(tmp_path, np.array([[0, 1]]), np.array([3.0]))
+        # the version 2 header: magic, version, 8-byte words per record, count
+        raw = pair[0].read_bytes()
+        pair[0].write_bytes(struct.pack("<8sIIQ", b"RTCACHE1", 2, 2, 1) + raw[24:])
+        with pytest.raises(CacheError, match="i.bin: bad magic or version"):
+            stream_pass(pair, _visit_nothing)
 
     def test_empty_cache_never_visits(self, tmp_path):
         pair = (tmp_path / "i.bin", tmp_path / "v.bin")

@@ -25,6 +25,14 @@ CASES = [
     ((7, 7, 7), 200, 7, 3, 3, 2, 0.5, "plain", "random_per_outer", 6, "random", 31),
     ((10, 3), 25, 4, 1, 3, 2, 0.02, "weighted", "fixed", 3, "greedy", 7),
     ((6, 6, 6, 6), 400, 5, 5, 2, 1, 0.05, "weighted", "random_per_outer", 2, "sequential", 128),
+    # streaming fuses mode 0's augment into the subset's first refit and the
+    # last mode's write-back into its last: at N = 1 and T_in = 1 both in one
+    # pass, at T_in = 2 in separate ones (a row holds one entry here, and each
+    # chunk's last row is carried into the next)
+    ((40,), 30, 3, 1, 2, 1, 0.05, "plain", "fixed", 2, "sequential", 7),
+    ((25,), 20, 4, 2, 2, 2, 0.1, "weighted", "random_per_outer", 3, "greedy", 6),
+    # rows of every mode span several chunks
+    ((4, 3, 3, 3, 4), 300, 4, 2, 2, 1, 0.05, "plain", "random_per_outer", 3, "greedy", 29),
 ]
 
 

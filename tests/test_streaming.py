@@ -1,4 +1,6 @@
 import collections
+import gc
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -141,11 +143,11 @@ class TestStreamFactorize:
 
         monkeypatch.setattr(streaming, "write_residual_caches", set_up)
         stream_factorize(store, params, workdir=tmp_path, on_iteration=lambda r: None)
-        # Each outer iteration runs two column subsets; each subset's augment
-        # rewrites every mode's r_m<n>.bin into r-hat and its write-back
-        # rewrites it into r again.  A value pass writes header + 8 B per
-        # record + CRC trailer per mode, (N + 1) times fewer record bytes than
-        # N indices plus a value.
+        # Each outer iteration runs two column subsets; each subset rewrites
+        # every mode's r_m<n>.bin into r-hat and then into r again (mode 0's
+        # first rewrite rides on its first refit, the last mode's second on
+        # its last refit).  A rewrite writes header + 8 B per record + CRC
+        # trailer, and never an index.
         passes = params.outer_iters * 2 * 2
         assert sorted(index_files) == [f"idx_m{n}.bin" for n in range(3)]
         for n in range(3):
@@ -208,6 +210,64 @@ class TestStreamFactorize:
         with pytest.raises(ValueError, match=r"test entry 1: mode 0 index 5 outside \[1, 4\]"):
             stream_factorize(store, params, workdir=tmp_path / "run", test_entries=test)
         assert writes == [] and not (tmp_path / "run").exists()
+
+
+class TestPasses:
+    @pytest.mark.parametrize("t_in", [1, 2])
+    @pytest.mark.parametrize("lengths", [(40,), (9, 8), (7, 6, 5), (5, 4, 4, 3)])
+    def test_passes_per_subset(self, rng, tmp_path, monkeypatch, lengths, t_in):
+        store = random_store(rng, lengths, 30 if len(lengths) == 1 else 150)
+        params = SolverParams(rank=5, n_columns=2, outer_iters=2, inner_iters=t_in, lam=0.05,
+                              seed=4)
+        passes = collections.Counter()
+        real = dataio.stream_pass
+
+        def counting(path, *args, **kwargs):
+            passes[Path(path[1]).name] += 1
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "stream_pass", counting)
+        run = stream_factorize(store, params, workdir=tmp_path, chunk_records=13)
+        n, subsets = len(lengths), params.outer_iters * 3  # ceil(K / C) = 3
+        # augment and write-back stream N - 1 modes each: mode 0's augment
+        # rides on its first refit, the last mode's write-back on its last
+        assert sum(passes.values()) == subsets * (n * t_in + 2 * n - 2)
+        if n > 1:
+            assert passes["r_m0.bin"] == passes[f"r_m{n - 1}.bin"] == subsets * (t_in + 1)
+        expected = factorize(store, params)
+        assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
+                                                        run.load_model().matrices))
+
+
+class TestFailedPassesCloseFiles:
+    """A pass that raises leaves no cache file open."""
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.parametrize("target, call", [
+        ("compute_rhat", 3),      # mode 1's augment pass
+        ("compute_rhat", 8),      # mode 0's first refit, which augments
+        ("update_residual", 2),   # the last mode's last refit, which writes back
+        ("update_residual", 6),   # mode 0's write-back pass
+        ("CacheWriter.append", 2),  # set-up, writing mode 0's two files
+    ])
+    def test_failing_step_closes_its_writer(self, rng, tmp_path, monkeypatch, target, call):
+        store = random_store(rng, (6, 5, 4), 120)
+        params = SolverParams(rank=2, n_columns=2, outer_iters=1, lam=0.1, seed=1)
+        owner, name = (dataio.CacheWriter, "append") if "." in target else (streaming, target)
+        real, calls = getattr(owner, name), itertools.count(1)
+
+        def failing(*args):
+            if next(calls) == call:
+                raise RuntimeError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            stream_factorize(store, params, workdir=tmp_path, chunk_records=50)
+        assert next(calls) > call
+        gc.collect()
+        assert not list(tmp_path.iterdir())
 
 
 class TestEmptyRows:
