@@ -249,7 +249,7 @@ def _worker_loop(
         recorder.close(it, measure, int(log.flops.sum()), params_sent=int(rec["sent"].sum()),
                        params_received=int(rec["received"].sum()))
 
-    run_schedule(params, store, augment, refit, write_back, close)
+    run_schedule(params, n_modes, augment, refit, write_back, close)
     return stats
 
 

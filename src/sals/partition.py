@@ -148,7 +148,6 @@ class LoadReport:
 
     n_machines: int
     mode_loads: np.ndarray       # (M, N) entries per machine per mode
-    row_counts: np.ndarray       # (M, N) rows per machine per mode
     max_mode_load: np.ndarray    # (N,)
     mean_mode_load: np.ndarray   # (N,)
     imbalance: np.ndarray        # (N,) max / mean (1.0 when empty)
@@ -177,8 +176,7 @@ def load_stats(store: SparseTensorStore, assignment: RowAssignment) -> LoadRepor
     with np.errstate(divide="ignore", invalid="ignore"):
         imbalance = np.where(mean_mode > 0, max_mode / mean_mode, 1.0)
     return LoadReport(
-        n_machines, mode_loads, row_counts, max_mode, mean_mode,
-        imbalance, row_counts.max(axis=0),
+        n_machines, mode_loads, max_mode, mean_mode, imbalance, row_counts.max(axis=0),
     )
 
 

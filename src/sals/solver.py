@@ -139,14 +139,14 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(init_ss), np.random.default_rng(order_ss)
 
 
-def init_factors(store: SparseTensorStore, params: SolverParams) -> Iterator[np.ndarray]:
+def init_factors(mode_lengths: Sequence[int], params: SolverParams) -> Iterator[np.ndarray]:
     """Initial factors in mode order: zero first factor, uniform [0,1) others.
 
     Lazy, so a caller that writes each factor out holds one at a time.
     """
     init_rng, _ = rng_streams(params.seed)
-    yield np.zeros((store.mode_lengths[0], params.rank))
-    for length in store.mode_lengths[1:]:
+    yield np.zeros((mode_lengths[0], params.rank))
+    for length in mode_lengths[1:]:
         yield init_rng.random((length, params.rank))
 
 
@@ -154,7 +154,7 @@ def init_model(
     store: SparseTensorStore, params: SolverParams
 ) -> tuple[FactorModel, np.ndarray]:
     """The :func:`init_factors` model and its residual, a copy of x."""
-    model = FactorModel(params.rank, params.lam, list(init_factors(store, params)))
+    model = FactorModel(params.rank, params.lam, list(init_factors(store.mode_lengths, params)))
     return model, store.values.copy()
 
 
@@ -463,7 +463,7 @@ class Recorder:
     restarts the clock with :meth:`start` just before its loop.  ``flops``
     is the path's running total when the loop starts.  Subset-ALS records
     whose loss rose get ``loss_rose`` set; ``flag_rises=False`` (PSGD)
-    never flags.
+    never flags.  It reads the store's mode lengths, bucket sizes and ``sq_norm`` only.
     """
 
     def __init__(self, store: SparseTensorStore, lam: float, regularization: str, test_entries,
@@ -472,12 +472,12 @@ class Recorder:
             idx, values = as_coo(test_entries, store.n_modes, store.mode_lengths)
             test_entries = Coo(np.asfortranarray(idx), values)
         self.test = test_entries
-        self.store, self.lam, self.regularization = store, lam, regularization
-        self.on_iteration, self.flops = on_iteration, flops
+        self.lam, self.on_iteration, self.flops = lam, on_iteration, flops
+        self.weights = None if regularization == PLAIN else [
+            store.bucket_sizes(n) for n in range(store.n_modes)]
         self.rounding = self.last_loss = None  # rounding: loss_rose's floor, eps * ||x||^2
         if on_iteration is not None and flag_rises:
-            with np.errstate(over="ignore"):  # such data fails in the row kernel
-                self.rounding = np.finfo(np.float64).eps * float(store.values @ store.values)
+            self.rounding = np.finfo(np.float64).eps * store.sq_norm
         self.start()
 
     def start(self) -> None:
@@ -495,7 +495,7 @@ class Recorder:
             return
         start = time.perf_counter()
         record = IterationRecord(iteration, start - self.t0, *evaluate(
-            *measure(), self.store, self.lam, self.regularization, self.test,
+            *measure(), self.lam, self.weights, self.test,
         ), flops=flops - self.flops, **counters)
         record.eval_seconds = time.perf_counter() - start
         self.flops = flops
@@ -509,7 +509,7 @@ class Recorder:
 
 def run_schedule(
     params: SolverParams,
-    store: SparseTensorStore,
+    n_modes: int,
     augment: Callable[[np.ndarray], list[np.ndarray]],
     refit: Callable[[list[np.ndarray], Stamp], None],
     write_back: Callable[[np.ndarray, list[np.ndarray]], None],
@@ -528,7 +528,7 @@ def run_schedule(
         for si, columns in enumerate(choose_columns(params, order_rng)):
             slabs = augment(columns)
             for inner in range(params.inner_iters):
-                for n in range(store.n_modes):
+                for n in range(n_modes):
                     stamp = Stamp(it, si, inner, n)
                     try:
                         refit(slabs, stamp)
@@ -577,7 +577,7 @@ def factorize(
 
     recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration,
                         flops=stats.flops)
-    run_schedule(params, store, augment, refit, write_back,
+    run_schedule(params, store.n_modes, augment, refit, write_back,
                  lambda it: recorder.close(it, measure, stats.flops))
     return model
 

@@ -124,11 +124,9 @@ class ColumnStore:
 class StreamingRun:
     """Handle to a finished streaming run; the model stays on disk."""
 
-    workdir: Path
     column_store: ColumnStore
     lam: float
     peak_resident_values: int
-    stats: SolveStats
     _tmp: tempfile.TemporaryDirectory | None = None
 
     def load_model(self) -> FactorModel:
@@ -262,15 +260,15 @@ def stream_factorize(
     meter = ResidencyMeter()
     colstore = ColumnStore(factors, store.mode_lengths, params.rank, meter)
     try:
-        for n, matrix in enumerate(init_factors(store, params)):
+        for n, matrix in enumerate(init_factors(store.mode_lengths, params)):
             colstore.write_full(n, matrix)
 
         written: dict[Path, dict] = {}  # each cache file's writer record, checked on reads
         write_residual_caches(store, cache, written, chunk_records)
 
         weighted = params.regularization == WEIGHTED
-        absent = [store.groups(n, np.flatnonzero(store.bucket_sizes(n) == 0))
-                  for n in range(store.n_modes)]
+        empty = [np.flatnonzero(store.bucket_sizes(n) == 0) for n in range(store.n_modes)]
+        absent = [RowGroups(rows, rows[:0], np.zeros(rows.size + 1, int), ()) for rows in empty]
 
         last = store.n_modes - 1
 
@@ -303,7 +301,7 @@ def stream_factorize(
             return resid_sq or 0.0, colstore.blocks(params.n_columns)
 
         recorder.start()
-        run_schedule(params, store, augment, refit, write_back,
+        run_schedule(params, store.n_modes, augment, refit, write_back,
                      lambda it: recorder.close(it, measure, stats.flops))
     except BaseException:  # a failed run leaves no scratch files behind
         for n in range(store.n_modes):
@@ -315,7 +313,7 @@ def stream_factorize(
         if tmp is not None:
             tmp.cleanup()
         raise
-    return StreamingRun(workdir, colstore, params.lam, meter.peak, stats, _tmp=tmp)
+    return StreamingRun(colstore, params.lam, meter.peak, _tmp=tmp)
 
 
 def _sum_squares(idx, values, acc):

@@ -35,7 +35,7 @@ class RowGroups(NamedTuple):
 
 
 class Coo(NamedTuple):
-    """Observed cells as arrays: 0-based (nnz, N) int64 indices, float64 values."""
+    """Observed cells: 0-based (nnz, N) indices of any integer type, float64 values."""
 
     idx: np.ndarray
     values: np.ndarray
@@ -76,7 +76,8 @@ class SparseTensorStore:
 
     ``idx`` holds 0-based indices, shape (nnz, n_modes), canonical order,
     column-major (each mode's column is contiguous), in :func:`column_dtype`
-    of the mode lengths; positions are in that of nnz.  ``mode_perm[n]`` lists
+    of the mode lengths; positions are in that of nnz.  ``sq_norm`` is
+    ||x||^2, ``values @ values`` (inf if it overflows).  ``mode_perm[n]`` lists
     entry positions sorted by (row in mode n, canonical order) and
     ``mode_ptr[n]`` delimits each row's slice, so the bucket of row ``i`` in
     mode ``n`` is ``mode_perm[n][mode_ptr[n][i]:mode_ptr[n][i+1]]``.  Bucket
@@ -90,6 +91,7 @@ class SparseTensorStore:
     mode_lengths: tuple[int, ...]
     idx: np.ndarray
     values: np.ndarray
+    sq_norm: float
     mode_perm: tuple[np.ndarray, ...] = field(repr=False)
     mode_ptr: tuple[np.ndarray, ...] = field(repr=False)
     mode_cols: tuple[tuple[np.ndarray | None, ...], ...] = field(repr=False)
@@ -191,7 +193,10 @@ def store_from_arrays(
                   for m in range(n_modes)) for n in range(n_modes)]
     ptrs = [np.concatenate([[0], np.cumsum(np.bincount(idx[:, n], minlength=length))])
             for n, length in enumerate(mode_lengths)]
-    return SparseTensorStore(mode_lengths, idx, values, tuple(perms), tuple(ptrs), tuple(cols))
+    with np.errstate(over="ignore"):  # such data fails in the row kernel
+        sq_norm = float(values @ values)
+    return SparseTensorStore(mode_lengths, idx, values, sq_norm, tuple(perms), tuple(ptrs),
+                             tuple(cols))
 
 
 def build_store(data: Coo, mode_lengths: Sequence[int]) -> SparseTensorStore:
@@ -286,15 +291,16 @@ def regularization_penalty(
         raise ValueError(f"unknown regularization {regularization!r}")
     if regularization == "weighted" and store is None:
         raise ValueError("weighted regularization needs the store's row counts")
-    return evaluate(0.0, [model.matrices], store, model.lam, regularization, None)[0]
+    weights = None if regularization == "plain" else [
+        store.bucket_sizes(n) for n in range(store.n_modes)]
+    return evaluate(0.0, [model.matrices], model.lam, weights, None)[0]
 
 
 def evaluate(
     resid_sq: float,
     blocks: Iterable[Sequence[np.ndarray]],
-    store: SparseTensorStore | None,
     lam: float,
-    regularization: str,
+    weights: Sequence[np.ndarray] | None,
     test: Coo | None,
 ) -> tuple[float, float | None]:
     """Regularized loss and test RMSE of a model given as column blocks.
@@ -303,17 +309,17 @@ def evaluate(
     ``blocks`` yields every factor's slab over disjoint column sets that
     cover all K columns: the whole model at once in memory, C columns at a
     time out of core.  The penalty and the test prediction fold over them.
-    ``store`` supplies the row counts of weighted regularization.
+    ``weights[n]`` weighs mode n's rows in the penalty; ``None`` is plain.
     """
     penalty = 0.0
     pred = None if test is None else np.zeros(test.values.size)
     for slabs in blocks:
         for n, slab in enumerate(slabs):
             sq = slab * slab
-            if regularization == "weighted":
-                penalty += float((sq.sum(axis=1) * store.bucket_sizes(n)).sum())
-            else:
+            if weights is None:
                 penalty += float(sq.sum())
+            else:
+                penalty += float((sq.sum(axis=1) * weights[n]).sum())
         if pred is not None:
             pred += subset_products(slabs, test.idx)
     total = resid_sq + lam * penalty
@@ -341,6 +347,5 @@ def loss(
 
 def rmse(model: FactorModel, test: Coo) -> float:
     """Root mean square error of the model on held-out cells (see :func:`as_coo`)."""
-    idx, vals = as_coo(test, model.n_modes, [m.shape[0] for m in model.matrices])
-    err = vals - predict_entries(model, idx)
-    return float(np.sqrt((err @ err) / err.size))
+    test = as_coo(test, model.n_modes, [m.shape[0] for m in model.matrices])
+    return evaluate(0.0, [model.matrices], 0.0, None, test)[1]

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import itertools
 import tempfile
@@ -306,3 +307,61 @@ class TestEmptyRows:
                 assert (rows == 0.0).all() and not np.signbit(rows).any()
             elif n > 0:  # skipped: the initial uniform [0, 1) values stay
                 assert (rows > 0).all()
+
+
+class _FactsOnly:
+    """A store that gives its facts (mode lengths, bucket sizes, ||x||^2) and
+    fails the test on any read of its entries or their index."""
+
+    ENTRIES = ("idx", "values", "mode_perm", "mode_cols", "groups", "bucket")
+
+    def __init__(self, store):
+        self.store = store
+
+    def __getattr__(self, name):
+        if name in self.ENTRIES:
+            raise AssertionError(f"streaming loop read store.{name}")
+        return getattr(self.store, name)
+
+
+class TestStreamingReadsFactsOnly:
+    """Only the cache writer reads the entries: the schedule, the record
+    builder, the evaluator and the streaming loop read the tensor's facts."""
+
+    @pytest.mark.parametrize("lam, regularization", [
+        (0.05, "plain"), (0.05, "weighted"), (0.0, "plain"),
+    ])
+    def test_facts_only_run_matches_in_memory(self, tmp_path, monkeypatch, lam,
+                                              regularization):
+        rng = np.random.default_rng(21)
+        lengths = (8, 1, 9, 4)  # modes 0 and 2 have empty rows, mode 1 one row
+        cells = np.unravel_index(rng.choice(6 * 7 * 4, size=70, replace=False), (6, 7, 4))
+        idx = np.column_stack([cells[0], np.zeros(70, int), cells[1], cells[2]])
+        store = store_from_arrays(idx, rng.normal(size=70), lengths)
+        assert (store.bucket_sizes(0) == 0).sum() == 2 and (store.bucket_sizes(2) == 0).sum() == 2
+        test = Coo(np.column_stack([rng.integers(0, n, 12) for n in lengths]),
+                   rng.normal(size=12))
+        params = SolverParams(rank=3, n_columns=2, outer_iters=3, inner_iters=2, lam=lam,
+                              regularization=regularization, seed=6)
+        expected, expected_records = [], []
+        model = factorize(store, params, test_entries=test, on_iteration=expected.append)
+        run = stream_factorize(store, params, workdir=tmp_path / "store", test_entries=test,
+                               on_iteration=expected_records.append, chunk_records=7)
+
+        real = streaming.write_residual_caches
+        monkeypatch.setattr(streaming, "write_residual_caches",
+                            lambda facts, *args: real(facts.store, *args))
+        records = []
+        facts_run = stream_factorize(_FactsOnly(store), params, workdir=tmp_path / "facts",
+                                     test_entries=test, on_iteration=records.append,
+                                     chunk_records=7)
+        got = facts_run.load_model()
+        assert all(np.array_equal(a, b) for a, b in zip(model.matrices, got.matrices))
+        assert all(np.array_equal(a, b) for a, b in zip(run.load_model().matrices,
+                                                        got.matrices))
+        untimed = lambda r: dataclasses.replace(r, seconds=0.0, eval_seconds=0.0)  # noqa: E731
+        assert [untimed(r) for r in records] == [untimed(r) for r in expected_records]
+        assert [r.loss_rose for r in records] == [r.loss_rose for r in expected]
+        for a, b in zip(expected, records):
+            assert b.loss == pytest.approx(a.loss, rel=1e-12)
+            assert b.test_rmse == pytest.approx(a.test_rmse, rel=1e-12)

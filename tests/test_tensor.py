@@ -109,6 +109,19 @@ class TestBuildStore:
         assert np.array_equal(again.idx, store.idx)
         assert np.array_equal(again.values, store.values)
 
+    def test_sq_norm_is_the_values_squared_norm(self, rng):
+        store = random_store(rng, (6, 7, 5), 60)
+        assert type(store.sq_norm) is float
+        assert store.sq_norm == float(store.values @ store.values)
+        assert store_from_arrays(np.empty((0, 2)), [], (2, 3)).sq_norm == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sq_norm_overflows_to_inf_without_a_warning(self, rng):
+        store = random_store(rng, (6, 7, 5), 60, value_scale=1e300)
+        assert store.sq_norm == np.inf
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the guard is needed
+            store.values @ store.values
+
 
 @st.composite
 def layout_cases(draw):
