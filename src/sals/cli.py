@@ -45,12 +45,16 @@ def save_model(directory, model: FactorModel) -> None:
 
 def load_model(directory) -> FactorModel:
     directory = Path(directory)
-    paths = sorted(directory.glob("factor_*.txt"), key=lambda p: int(p.stem.split("_")[1]))
-    if not paths:
+    found = {path.name for path in directory.glob("factor_*.txt")}
+    if not found:
         raise dataio.DataFormatError(f"no factor files in {directory}")
+    names = [f"factor_{n}.txt" for n in range(1, len(found) + 1)]
+    stray = sorted(found.difference(names))
+    if stray:
+        raise dataio.DataFormatError(f"{directory / stray[0]}: not in {names[0]}..{names[-1]}")
     mats = []
     rank = None
-    for path in paths:
+    for path in (directory / name for name in names):
         with open(path, encoding="utf-8") as fh:
             head = fh.readline().split()
             if len(head) != 2:

@@ -86,7 +86,7 @@ def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[Work
         local[positions] = np.arange(positions.size, dtype=position)
         groups = []
         for n in range(store.n_modes):
-            g = store.groups(n, assignment.sets[m][n])
+            g = store.groups(n, assignment.rows(m, n))
             groups.append(g._replace(order=take_rows(local, g.order)))
         workers.append(WorkerState(
             m, positions, take_columns(store.idx, positions), store.values[positions], groups,

@@ -15,6 +15,7 @@ writers returned.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -134,6 +135,17 @@ class SyntheticPlan:
     beyond_desk_scale: bool
 
 
+def _feasible(mode_lengths: Sequence[int], nnz: int) -> tuple[int, ...]:
+    """``mode_lengths`` as ints, checked positive and with room for ``nnz`` distinct cells."""
+    mode_lengths = tuple(int(length) for length in mode_lengths)
+    if any(length < 1 for length in mode_lengths):
+        raise ValueError("mode lengths must be positive")
+    cells = math.prod(mode_lengths)
+    if not 0 <= nnz <= cells:
+        raise ValueError(f"nnz={nnz} infeasible for {cells} cells")
+    return mode_lengths
+
+
 def plan_synthetic(
     mode_lengths: Sequence[int],
     nnz: int,
@@ -143,14 +155,7 @@ def plan_synthetic(
     seed: int = 0,
 ) -> SyntheticPlan:
     """Validate generator parameters without generating anything."""
-    mode_lengths = tuple(int(length) for length in mode_lengths)
-    if any(length < 1 for length in mode_lengths):
-        raise ValueError("mode lengths must be positive")
-    cells = 1
-    for length in mode_lengths:
-        cells *= length
-    if not 0 <= nnz <= cells:
-        raise ValueError(f"nnz={nnz} infeasible for {cells} cells")
+    mode_lengths = _feasible(mode_lengths, nnz)
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if not 0 <= noise_sigma < np.inf:
@@ -182,9 +187,7 @@ def _distinct_rows(
 
 def _sample_tuples(rng: np.random.Generator, lengths: tuple[int, ...], count: int) -> np.ndarray:
     """``count`` distinct index tuples, uniform over the cell space."""
-    cells = 1
-    for length in lengths:
-        cells *= length
+    cells = math.prod(lengths)
     if cells > 1 << 63:  # cell ids overflow int64: draw each mode's index instead
         return _distinct_rows(lambda b: np.stack(
             [rng.integers(0, length, size=b) for length in lengths], axis=1,
@@ -247,7 +250,7 @@ def generate_zipf(
     seed: int = 0,
 ) -> SparseTensorStore:
     """Skewed benchmark tensor: per-mode row popularity follows a Zipf law."""
-    mode_lengths = tuple(int(length) for length in mode_lengths)
+    mode_lengths = _feasible(mode_lengths, nnz)
     rng = np.random.default_rng(seed)
     cdfs = []
     for length in mode_lengths:

@@ -1,11 +1,11 @@
 """Row-to-machine assignment strategies and load statistics.
 
-For every mode, each machine receives a subset of the factor rows; the
-machine then owns those rows' updates and holds every observed entry whose
-index touches one of them (:meth:`RowAssignment.held`, from each mode's
-owner array).  The greedy strategy balances per-mode entry counts under a
-hard cap of ceil(I_n / M) rows per machine; sequential and random
-assignment are the baselines it is compared against.
+For every mode, an owner array maps each factor row to one machine; those
+arrays are the assignment.  A machine owns its rows' updates
+(:meth:`RowAssignment.rows` reads them) and holds every observed entry whose
+index touches one of them (:meth:`RowAssignment.held`).  The greedy strategy
+balances per-mode entry counts under a cap of ceil(I_n / M) rows per machine;
+sequential and random assignment are its baselines.
 """
 from __future__ import annotations
 
@@ -19,23 +19,26 @@ from .tensor import SparseTensorStore, take_rows
 
 @dataclass
 class RowAssignment:
-    """Per-machine, per-mode row sets with derived load counts.
+    """Per-mode owner arrays with derived load counts.
 
-    ``sets[m][n]`` is the sorted 0-based row array of machine ``m`` in mode
-    ``n`` and ``owners[n]`` maps each row of mode ``n`` to its machine.
+    ``owners[n]`` maps each row of mode ``n`` to its machine; it is the
+    assignment, and :meth:`rows` reads a machine's rows from it.
     ``mode_loads[m, n]`` counts the entries of machine ``m``'s mode-``n``
     rows and ``union_loads[m]`` the distinct entries it holds overall.
     """
 
     n_machines: int
-    sets: list[list[np.ndarray]]
     owners: list[np.ndarray]
     mode_loads: np.ndarray
     union_loads: np.ndarray
 
     @property
     def n_modes(self) -> int:
-        return len(self.sets[0])
+        return len(self.owners)
+
+    def rows(self, machine: int, mode: int) -> np.ndarray:
+        """Ascending 0-based rows that ``machine`` owns in ``mode``."""
+        return np.flatnonzero(self.owners[mode] == machine)
 
     def held(self, store: SparseTensorStore, machine: int) -> np.ndarray:
         """Ascending positions of the entries that touch a row ``machine``
@@ -46,18 +49,12 @@ class RowAssignment:
         return np.flatnonzero(mask)
 
 
-def _finalize(store: SparseTensorStore, sets: list[list[np.ndarray]]) -> RowAssignment:
-    n_machines = len(sets)
+def _finalize(store: SparseTensorStore, n_machines: int,
+              owners: list[np.ndarray]) -> RowAssignment:
     mode_loads = np.zeros((n_machines, store.n_modes), dtype=np.int64)
-    owners = []
     for n in range(store.n_modes):
-        sizes = store.bucket_sizes(n)
-        owner = np.full(store.mode_lengths[n], -1, dtype=np.int64)
-        for m in range(n_machines):
-            owner[sets[m][n]] = m
-            mode_loads[m, n] = int(sizes[sets[m][n]].sum())
-        owners.append(owner)
-    assignment = RowAssignment(n_machines, sets, owners, mode_loads,
+        np.add.at(mode_loads[:, n], owners[n], store.bucket_sizes(n))
+    assignment = RowAssignment(n_machines, owners, mode_loads,
                                np.zeros(n_machines, dtype=np.int64))
     assignment.union_loads[:] = [assignment.held(store, m).size for m in range(n_machines)]
     return assignment
@@ -74,7 +71,7 @@ def greedy_assign(store: SparseTensorStore, n_machines: int) -> RowAssignment:
     if n_machines < 1:
         raise ValueError("n_machines must be >= 1")
     total_load = [0] * n_machines  # running sum of bucket sizes across modes
-    sets: list[list[np.ndarray]] = [[] for _ in range(n_machines)]
+    owners = []
     for n in range(store.n_modes):
         length = store.mode_lengths[n]
         cap = -(-length // n_machines)
@@ -82,7 +79,7 @@ def greedy_assign(store: SparseTensorStore, n_machines: int) -> RowAssignment:
         order = np.lexsort((np.arange(length), -sizes))
         mode_load = [0] * n_machines
         row_count = [0] * n_machines
-        rows_of: list[list[int]] = [[] for _ in range(n_machines)]
+        owner = np.empty(length, dtype=np.int64)
         # heap keyed by the tie-break chain; stale items are lazily skipped
         heap = [(0, 0, total_load[m], m) for m in range(n_machines)]
         heapq.heapify(heap)
@@ -91,30 +88,26 @@ def greedy_assign(store: SparseTensorStore, n_machines: int) -> RowAssignment:
                 load, count, total, m = heapq.heappop(heap)
                 if load == mode_load[m] and count == row_count[m] and total == total_load[m]:
                     break
-            rows_of[m].append(int(row))
+            owner[row] = m
             size = int(sizes[row])
             mode_load[m] += size
             row_count[m] += 1
             total_load[m] += size
             if row_count[m] < cap:
                 heapq.heappush(heap, (mode_load[m], row_count[m], total_load[m], m))
-        for m in range(n_machines):
-            sets[m].append(np.sort(np.asarray(rows_of[m], dtype=np.int64)))
-    return _finalize(store, sets)
+        owners.append(owner)
+    return _finalize(store, n_machines, owners)
 
 
 def sequential_assign(store: SparseTensorStore, n_machines: int) -> RowAssignment:
     """Contiguous index ranges: machine m takes rows in (I_n*m/M, I_n*(m+1)/M]."""
     if n_machines < 1:
         raise ValueError("n_machines must be >= 1")
-    sets: list[list[np.ndarray]] = [[] for _ in range(n_machines)]
-    for n in range(store.n_modes):
-        length = store.mode_lengths[n]
-        for m in range(n_machines):
-            lo = length * m // n_machines
-            hi = length * (m + 1) // n_machines
-            sets[m].append(np.arange(lo, hi, dtype=np.int64))
-    return _finalize(store, sets)
+    owners = []
+    for length in store.mode_lengths:
+        bounds = length * np.arange(n_machines + 1, dtype=np.int64) // n_machines
+        owners.append(np.repeat(np.arange(n_machines, dtype=np.int64), np.diff(bounds)))
+    return _finalize(store, n_machines, owners)
 
 
 def random_assign(store: SparseTensorStore, n_machines: int, seed: int) -> RowAssignment:
@@ -122,12 +115,10 @@ def random_assign(store: SparseTensorStore, n_machines: int, seed: int) -> RowAs
     if n_machines < 1:
         raise ValueError("n_machines must be >= 1")
     rng = np.random.default_rng(seed)
-    sets: list[list[np.ndarray]] = [[] for _ in range(n_machines)]
-    for n in range(store.n_modes):
-        perm = rng.permutation(store.mode_lengths[n])
-        for m in range(n_machines):
-            sets[m].append(np.sort(perm[m::n_machines]).astype(np.int64))
-    return _finalize(store, sets)
+    owners = [np.empty(length, dtype=np.int64) for length in store.mode_lengths]
+    for owner in owners:
+        owner[rng.permutation(owner.size)] = np.arange(owner.size) % n_machines
+    return _finalize(store, n_machines, owners)
 
 
 def assign(store: SparseTensorStore, strategy: str, n_machines: int, seed: int = 0) -> RowAssignment:
@@ -166,17 +157,16 @@ class LoadReport:
 
 
 def load_stats(store: SparseTensorStore, assignment: RowAssignment) -> LoadReport:
-    """Load statistics of the assignment's row sets and entry loads."""
+    """Load statistics of the assignment's owner arrays and entry loads."""
     n_machines = assignment.n_machines
     mode_loads = assignment.mode_loads
-    row_counts = np.array([[rows.size for rows in sets] for sets in assignment.sets],
-                          dtype=np.int64)
+    row_counts = [np.bincount(owner, minlength=n_machines) for owner in assignment.owners]
     max_mode = mode_loads.max(axis=0)
     mean_mode = np.full(store.n_modes, store.nnz / n_machines)
     with np.errstate(divide="ignore", invalid="ignore"):
         imbalance = np.where(mean_mode > 0, max_mode / mean_mode, 1.0)
     return LoadReport(
-        n_machines, mode_loads, max_mode, mean_mode, imbalance, row_counts.max(axis=0),
+        n_machines, mode_loads, max_mode, mean_mode, imbalance, np.max(row_counts, axis=1),
     )
 
 
@@ -185,5 +175,5 @@ def write_assignment(path, assignment: RowAssignment) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for m in range(assignment.n_machines):
             for n in range(assignment.n_modes):
-                rows = " ".join(str(int(r) + 1) for r in assignment.sets[m][n])
+                rows = " ".join(str(int(r) + 1) for r in assignment.rows(m, n))
                 fh.write(f"{m + 1} {n + 1} {rows}\n".rstrip() + "\n")

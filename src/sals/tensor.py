@@ -160,10 +160,8 @@ def store_from_arrays(
     n_modes = len(mode_lengths)
     if any(length < 0 for length in mode_lengths):
         raise ValueError("mode lengths must be nonnegative")
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1, n_modes)
-    values = np.ascontiguousarray(np.asarray(values, dtype=np.float64).reshape(-1))
-    if idx.shape[0] != values.shape[0]:
-        raise ValueError("index and value counts differ")
+    idx, values = as_coo(Coo(np.asarray(idx, dtype=np.int64),
+                             np.asarray(values, dtype=np.float64)), n_modes)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         p = int(bad[0])
@@ -274,9 +272,11 @@ def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
 
 
 def predict_entries(model: FactorModel, idx: np.ndarray) -> np.ndarray:
-    """Model reconstruction for a batch of 0-based index rows."""
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1, model.n_modes)
-    return subset_products(model.matrices, idx)
+    """Model reconstruction for (m, N) 0-based index rows, or for one length-N cell."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim not in (1, 2) or idx.shape[-1] != model.n_modes:
+        raise ValueError(f"expected (m, {model.n_modes}) indices, got {idx.shape}")
+    return subset_products(model.matrices, idx.reshape(-1, model.n_modes))
 
 
 def regularization_penalty(

@@ -304,10 +304,10 @@ def test_criterion_08_greedy_assignment():
     for name, a in (("greedy", greedy), ("sequential", sequential), ("random", rand)):
         for n in range(3):
             cap = -(-store.mode_lengths[n] // 8)
-            rows = np.concatenate([a.sets[m][n] for m in range(8)])
+            rows = np.concatenate([a.rows(m, n) for m in range(8)])
             if sorted(rows.tolist()) != list(range(2000)):
                 problems.append(f"{name}: mode {n} not a partition")
-            if any(a.sets[m][n].size > cap for m in range(8)):
+            if any(a.rows(m, n).size > cap for m in range(8)):
                 problems.append(f"{name}: row cap exceeded in mode {n}")
     g = sals.load_stats(store, greedy)
     s = sals.load_stats(store, sequential)
@@ -326,8 +326,8 @@ def test_criterion_08_greedy_assignment():
             col += 1
     tiny = store_from_arrays(np.asarray(rows), np.ones(len(rows)), (4, col))
     hand = sals.greedy_assign(tiny, 2)
-    if hand.sets[0][0].tolist() != [0, 3] or hand.sets[1][0].tolist() != [1, 2]:
-        problems.append(f"hand example mismatch: {hand.sets[0][0]}, {hand.sets[1][0]}")
+    if hand.rows(0, 0).tolist() != [0, 3] or hand.rows(1, 0).tolist() != [1, 2]:
+        problems.append(f"hand example mismatch: {hand.rows(0, 0)}, {hand.rows(1, 0)}")
 
     ok = not problems
     report(

@@ -495,6 +495,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"factor_2.txt: {message}" in err, err
 
+    @pytest.mark.parametrize("files,stray", [
+        (("factor_1.txt", "factor_3.txt"), "factor_3.txt"),
+        (("factor_1.txt", "factor_2.txt", "factor_3.txt", "factor_notes.txt"), "factor_notes.txt"),
+        (("factor_0.txt", "factor_1.txt", "factor_2.txt", "factor_3.txt"), "factor_0.txt"),
+    ], ids=["gap", "notes", "zero"])
+    def test_factor_files_must_be_one_to_n(self, tmp_path, capsys, files, stray):
+        (tmp_path / "model").mkdir()
+        for name in files:
+            (tmp_path / "model" / name).write_text("2 1\n1.0\n1.0\n")
+        (tmp_path / "test.coo").write_text("1 1 1 1.0\n")
+        code = main(["evaluate", "--model", str(tmp_path / "model"),
+                     "--test", str(tmp_path / "test.coo")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{stray}: not in factor_1.txt..factor_{len(files)}.txt" in err, err
+
     def test_empty_test_file_is_io_error(self, rng, tmp_path):
         store = random_store(rng, (4, 4), 6)
         model = random_model(rng, store, rank=2)

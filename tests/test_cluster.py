@@ -59,7 +59,7 @@ class TestDistribute:
         for m, w in enumerate(workers):
             for n in range(3):
                 rows, order, ptr, _ = w.groups[n]
-                assert np.array_equal(rows, assignment.sets[m][n])
+                assert np.array_equal(rows, assignment.rows(m, n))
                 assert ptr[0] == 0 and ptr[-1] == order.size
                 for r, row in enumerate(rows):
                     local = order[ptr[r]:ptr[r + 1]]
@@ -76,7 +76,7 @@ class TestDistribute:
         for m, w in enumerate(workers):
             brute = np.zeros(store.nnz, dtype=bool)
             for n in range(store.n_modes):
-                for row in assignment.sets[m][n]:
+                for row in assignment.rows(m, n):
                     brute[store.idx[:, n] == row] = True
             assert np.array_equal(assignment.held(store, m), np.flatnonzero(brute))
             assert assignment.union_loads[m] == w.positions.size
@@ -229,7 +229,7 @@ class TestRunDistributed:
         store = _instance(rng, (8, 8), 40)
         params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=1)
         assignment = sequential_assign(store, 2)
-        foreign = int(np.setdiff1d(np.arange(8), assignment.sets[1][0])[0])
+        foreign = int(np.setdiff1d(np.arange(8), assignment.rows(1, 0))[0])
         current = []
         update_rows = cluster.update_rows
 

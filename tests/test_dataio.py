@@ -241,6 +241,15 @@ class TestGenerateZipf:
         sizes = store.bucket_sizes(0)
         assert sizes[0] > sizes[100:].mean() * 3
 
+    @pytest.mark.parametrize("nnz", [5, -1])
+    def test_infeasible_nnz_rejected(self, nnz):
+        # 5 distinct cells among 4 would be drawn for ever
+        with pytest.raises(ValueError, match=f"nnz={nnz} infeasible for 4 cells"):
+            generate_zipf((2, 2), nnz)
+
+    def test_every_cell(self):
+        assert generate_zipf((2, 2), 4).nnz == 4
+
 
 def _write_pair(tmp_path, idx, values):
     """A two-file cache in ``tmp_path``: returns its (index, value) pair and writer records."""

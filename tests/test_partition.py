@@ -47,34 +47,34 @@ def ladder_store(counts):
 def check_partition_invariants(store, assignment):
     for n in range(store.n_modes):
         cap = -(-store.mode_lengths[n] // assignment.n_machines)
-        all_rows = np.concatenate([assignment.sets[m][n] for m in range(assignment.n_machines)])
+        all_rows = np.concatenate([assignment.rows(m, n) for m in range(assignment.n_machines)])
         assert sorted(all_rows.tolist()) == list(range(store.mode_lengths[n]))
         for m in range(assignment.n_machines):
-            assert assignment.sets[m][n].size <= cap
+            assert assignment.rows(m, n).size <= cap
 
 
 class TestGreedy:
     def test_hand_simulated_example(self):
         store = ladder_store([5, 3, 2, 1])
         a = greedy_assign(store, 2)
-        assert a.sets[0][0].tolist() == [0, 3]   # rows 1 and 4
-        assert a.sets[1][0].tolist() == [1, 2]   # rows 2 and 3
+        assert a.rows(0, 0).tolist() == [0, 3]   # rows 1 and 4
+        assert a.rows(1, 0).tolist() == [1, 2]   # rows 2 and 3
         assert a.mode_loads[0, 0] == 6
         assert a.mode_loads[1, 0] == 5
 
     def test_all_empty_rows_round_robin(self):
         store = store_from_arrays(np.empty((0, 2), dtype=np.int64), np.empty(0), (5, 4))
         a = greedy_assign(store, 2)
-        assert a.sets[0][0].size <= 3 and a.sets[1][0].size <= 3
+        assert a.rows(0, 0).size <= 3 and a.rows(1, 0).size <= 3
         check_partition_invariants(store, a)
         # ties resolve by machine id, alternating as row counts grow
-        assert a.sets[0][0].tolist() == [0, 2, 4]
-        assert a.sets[1][0].tolist() == [1, 3]
+        assert a.rows(0, 0).tolist() == [0, 2, 4]
+        assert a.rows(1, 0).tolist() == [1, 3]
 
     def test_single_machine(self, rng):
         store = random_store(rng, (7, 6), 20)
         a = greedy_assign(store, 1)
-        assert a.sets[0][0].tolist() == list(range(7))
+        assert a.rows(0, 0).tolist() == list(range(7))
         assert a.mode_loads[0, 0] == store.nnz
 
     def test_invariants_random_instances(self, rng):
@@ -88,19 +88,19 @@ class TestSequential:
     def test_even_split(self, rng):
         store = random_store(rng, (4, 4), 6)
         a = sequential_assign(store, 2)
-        assert a.sets[0][0].tolist() == [0, 1]
-        assert a.sets[1][0].tolist() == [2, 3]
+        assert a.rows(0, 0).tolist() == [0, 1]
+        assert a.rows(1, 0).tolist() == [2, 3]
 
     def test_uneven_split(self, rng):
         store = random_store(rng, (5, 5), 6)
         a = sequential_assign(store, 2)
-        assert a.sets[0][0].tolist() == [0, 1]
-        assert a.sets[1][0].tolist() == [2, 3, 4]
+        assert a.rows(0, 0).tolist() == [0, 1]
+        assert a.rows(1, 0).tolist() == [2, 3, 4]
 
     def test_single_machine(self, rng):
         store = random_store(rng, (6, 4), 8)
         a = sequential_assign(store, 1)
-        assert a.sets[0][0].tolist() == list(range(6))
+        assert a.rows(0, 0).tolist() == list(range(6))
 
     def test_invariants(self, rng):
         store = random_store(rng, (17, 8, 5), 120)
@@ -115,12 +115,12 @@ class TestRandom:
         b = random_assign(store, 3, seed=42)
         for m in range(3):
             for n in range(2):
-                assert np.array_equal(a.sets[m][n], b.sets[m][n])
+                assert np.array_equal(a.rows(m, n), b.rows(m, n))
 
     def test_single_machine(self, rng):
         store = random_store(rng, (5, 5), 10)
         a = random_assign(store, 1, seed=0)
-        assert a.sets[0][1].tolist() == list(range(5))
+        assert a.rows(0, 1).tolist() == list(range(5))
 
     def test_exact_division(self):
         store = store_from_arrays(
@@ -128,7 +128,7 @@ class TestRandom:
             np.ones(1000), (1000, 1),
         )
         a = random_assign(store, 4, seed=7)
-        assert all(a.sets[m][0].size == 250 for m in range(4))
+        assert all(a.rows(m, 0).size == 250 for m in range(4))
         check_partition_invariants(store, a)
 
 
@@ -197,7 +197,7 @@ class TestSerialization:
         sets = read_assignment(path, 3, 2)
         for m in range(3):
             for n in range(2):
-                assert np.array_equal(sets[m][n], a.sets[m][n])
+                assert np.array_equal(sets[m][n], a.rows(m, n))
 
     def test_unknown_strategy_rejected(self, rng):
         store = random_store(rng, (4, 4), 5)

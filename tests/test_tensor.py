@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,16 @@ class TestBuildStore:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError, match="indices"):
             build_store(cells([[0, 0, 0]], [1.0]), (2, 2))
+
+    @pytest.mark.parametrize("idx", [
+        [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]],  # (6, 2) would reshape to (4, 3)
+        [0, 1, 2],
+        [[[0, 1, 2]]],
+    ], ids=["narrow", "flat", "3-d"])
+    def test_arrays_of_wrong_shape_rejected(self, idx):
+        shape = np.shape(idx)
+        with pytest.raises(ValueError, match=re.escape(f"expected (nnz, 3) indices, got {shape}")):
+            store_from_arrays(idx, np.ones(4), (3, 3, 3))
 
     def test_strided_index_view_builds_the_same_store(self, rng):
         # an index that is neither C- nor F-contiguous: the first three
@@ -328,6 +339,13 @@ class TestReconstruct:
         model = random_model(rng, random_store(rng, (2, 2), 2), rank=1)
         with pytest.raises(IndexError):
             predict_entries(model, [2, 0])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2,), (6,), (), (1, 3, 1), (2, 4)])
+    def test_cells_of_wrong_shape_rejected(self, shape):
+        model = FactorModel(2, 0.0, [np.ones((3, 2)) for _ in range(3)])
+        with pytest.raises(ValueError, match=re.escape(f"expected (m, 3) indices, got {shape}")):
+            predict_entries(model, np.zeros(shape, dtype=np.int64))
+        assert predict_entries(model, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
 class TestLoss:
