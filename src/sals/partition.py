@@ -76,26 +76,25 @@ def greedy_assign(store: SparseTensorStore, n_machines: int) -> RowAssignment:
         length = store.mode_lengths[n]
         cap = -(-length // n_machines)
         sizes = store.bucket_sizes(n)
-        order = np.lexsort((np.arange(length), -sizes))
+        order = np.argsort(-sizes, kind="stable")
+        sizes = sizes.tolist()
         mode_load = [0] * n_machines
         row_count = [0] * n_machines
-        owner = np.empty(length, dtype=np.int64)
-        # heap keyed by the tie-break chain; stale items are lazily skipped
+        owner = [0] * length
+        # heap keyed by the tie-break chain, one item per machine with spare
+        # capacity; only the popped machine's keys change, so none goes stale
         heap = [(0, 0, total_load[m], m) for m in range(n_machines)]
         heapq.heapify(heap)
-        for row in order:
-            while True:
-                load, count, total, m = heapq.heappop(heap)
-                if load == mode_load[m] and count == row_count[m] and total == total_load[m]:
-                    break
+        for row in order.tolist():
+            m = heapq.heappop(heap)[3]
             owner[row] = m
-            size = int(sizes[row])
+            size = sizes[row]
             mode_load[m] += size
             row_count[m] += 1
             total_load[m] += size
             if row_count[m] < cap:
                 heapq.heappush(heap, (mode_load[m], row_count[m], total_load[m], m))
-        owners.append(owner)
+        owners.append(np.array(owner, dtype=np.int64))
     return _finalize(store, n_machines, owners)
 
 

@@ -146,6 +146,16 @@ def take_columns(idx: np.ndarray, positions: np.ndarray, dtype=None) -> np.ndarr
     return out
 
 
+def _digits(col: np.ndarray, length: int) -> list[np.ndarray]:
+    """An in-range index column of a mode of ``length`` rows as 16-bit
+    digits, least significant first: ``np.lexsort`` of them is the stable
+    ascending order of ``col``.  numpy radix-sorts keys of 16 bits or fewer
+    in its stable sorts, so each digit's pass is linear, where an int64
+    key takes a comparison sort."""
+    return [(col >> s if s else col).astype(np.uint16)
+            for s in range(0, max(length - 1, 1).bit_length(), 16)]
+
+
 def store_from_arrays(
     idx: np.ndarray, values: np.ndarray, mode_lengths: Sequence[int]
 ) -> SparseTensorStore:
@@ -169,7 +179,8 @@ def store_from_arrays(
     _check_range(idx, mode_lengths)
 
     nnz = idx.shape[0]
-    order = np.lexsort(tuple(idx[:, n] for n in range(n_modes - 1, -1, -1)))
+    order = np.lexsort([d for n in range(n_modes - 1, -1, -1)
+                        for d in _digits(idx[:, n], mode_lengths[n])])
     idx = take_columns(idx, order, column_dtype(mode_lengths))
     values = values[order]
     del order
@@ -186,7 +197,8 @@ def store_from_arrays(
     # so its buckets are in it and its columns are idx's own.
     position = column_dtype((nnz,))
     perms = [np.arange(nnz, dtype=position)] + [
-        np.argsort(idx[:, n], kind="stable").astype(position) for n in range(1, n_modes)]
+        np.lexsort(_digits(idx[:, n], mode_lengths[n])).astype(position)
+        for n in range(1, n_modes)]
     cols = [tuple(None if m == n else idx[:, m] if n == 0 else np.take(idx[:, m], perms[n])
                   for m in range(n_modes)) for n in range(n_modes)]
     ptrs = [np.concatenate([[0], np.cumsum(np.bincount(idx[:, n], minlength=length))])

@@ -84,6 +84,47 @@ class TestGreedy:
                 check_partition_invariants(store, greedy_assign(store, m))
 
 
+def reference_greedy(store, n_machines):
+    """Owner arrays of greedy assignment, by its definition: rows by
+    (-size, row), each to the machine with spare capacity that is smallest
+    by (mode load, row count, running total, id)."""
+    total = [0] * n_machines
+    owners = []
+    for n, length in enumerate(store.mode_lengths):
+        cap = -(-length // n_machines)
+        sizes = store.bucket_sizes(n).tolist()
+        load, count = [0] * n_machines, [0] * n_machines
+        owner = np.empty(length, dtype=np.int64)
+        for row in sorted(range(length), key=lambda r: (-sizes[r], r)):
+            m = min((m for m in range(n_machines) if count[m] < cap),
+                    key=lambda m: (load[m], count[m], total[m], m))
+            owner[row] = m
+            load[m] += sizes[row]
+            count[m] += 1
+            total[m] += sizes[row]
+        owners.append(owner)
+    return owners
+
+
+class TestGreedyReference:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        stores = [generate_zipf((120, 80, 60, 6), 300, seed=seed),
+                  random_store(rng, (17, 9, 23, 5), 60)]
+        for store in stores:
+            sizes = [store.bucket_sizes(n) for n in range(store.n_modes)]
+            # the instances hold empty rows and nonzero size ties
+            assert any((s == 0).any() for s in sizes)
+            assert any(np.unique(s[s > 0], return_counts=True)[1].max() > 1 for s in sizes)
+            for n_machines in (1, 2, 3, 8):
+                got = greedy_assign(store, n_machines).owners
+                want = reference_greedy(store, n_machines)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestSequential:
     def test_even_split(self, rng):
         store = random_store(rng, (4, 4), 6)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sals.tensor import (
     Coo,
     FactorModel,
+    _digits,
     as_coo,
     build_store,
     column_dtype,
@@ -176,17 +177,22 @@ class TestLayout:
         assert column_dtype((2**31,)) == np.int64
         assert column_dtype((5, 2**31)) == np.int64
 
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    def test_build_memory(self, layout):
+    @pytest.mark.parametrize("layout, lengths", [
+        pytest.param(layout, lengths, id=layout + suffix)
+        for lengths, suffix in (((300, 200, 100, 50), ""), ((70_000, 80_000, 90_000), "-two-digits"))
+        for layout in ("C", "F", "strided")])
+    def test_build_memory(self, layout, lengths):
         # The store holds at most HEAD's row-major layout (int64 indices,
         # values and every mode's int64 permutation) plus the column copies,
         # 4 (N-1)^2 nnz bytes, and the pointers: its indices and positions
         # are int32 here.  Above that, the build's peak is its transients:
         # the canonical columns are gathered one at a time, so no second
         # (nnz, N) int64 copy of the indices is ever held, whatever the
-        # input's layout; a sort's keys and output, two int64 columns, are
-        # the most.
-        lengths, nnz = (300, 200, 100, 50), 200_000
+        # input's layout.  A sort's keys are 16-bit digits, one per 16 bits
+        # of its mode's length (two per mode in the second case), and its
+        # output is one int64 column; the transients stay within two int64
+        # columns.
+        nnz = 200_000
         n_modes = len(lengths)
         rng = np.random.default_rng(0)
         flat = rng.choice(int(np.prod(lengths)), nnz, replace=False)
@@ -211,6 +217,55 @@ class TestLayout:
         pointers = 8 * (sum(lengths) + n_modes)
         assert held <= sum(a.nbytes for a in kept) + pointers + (1 << 14), held
         assert peak - held <= 2 * 8 * nnz + (1 << 16) < 8 * n_modes * nnz, peak - held
+
+
+def reference_store_arrays(idx, values, lengths):
+    """A store's arrays built with int64 sort keys: ``np.lexsort`` of the
+    index columns, then a stable ``argsort`` of each mode's column."""
+    order = np.lexsort(idx.T[::-1])
+    canon = np.asfortranarray(idx[order].astype(column_dtype(lengths)))
+    perms = [np.argsort(canon[:, n].astype(np.int64), kind="stable")
+             .astype(column_dtype((len(values),))) for n in range(len(lengths))]
+    ptrs = [np.searchsorted(np.sort(canon[:, n]), np.arange(length + 1)).astype(np.int64)
+            for n, length in enumerate(lengths)]
+    cols = [None if m == n else np.ascontiguousarray(canon[perms[n], m])
+            for n in range(len(lengths)) for m in range(len(lengths))]
+    return [canon, values[order], *perms, *ptrs, *cols]
+
+
+class TestSortKeys:
+    @pytest.mark.parametrize("length", [1, 2, 256, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**62])
+    def test_digit_order_is_the_stable_argsort(self, rng, length):
+        # few distinct values, so most keys tie, plus both ends of the range
+        distinct = np.concatenate([[0, length - 1], rng.integers(0, length, 300)])
+        col = rng.choice(distinct, 5000)
+        want = np.argsort(col, kind="stable")
+        for dtype in {np.dtype(np.int64), column_dtype((length,))}:
+            keys = _digits(col.astype(dtype), length)
+            assert all(k.dtype == np.uint16 for k in keys)
+            assert len(keys) == -(-max(length - 1, 1).bit_length() // 16)
+            assert np.array_equal(np.lexsort(keys), want)
+
+    @pytest.mark.parametrize("lengths", [
+        (65_537, 3, 65_536), (2**16 - 1, 2**17 + 3, 5, 2**16 + 1), (7, 200_003), (2**16,)])
+    def test_store_matches_int64_sort_reference(self, rng, lengths):
+        cells = int(np.prod(lengths))
+        nnz = min(cells, 20_000)
+        # both corner cells, the rest distinct and in random order
+        flat = np.concatenate([[cells - 1, 0], rng.choice(cells - 2, nnz - 2, replace=False) + 1])
+        idx = np.stack(np.unravel_index(rng.permutation(flat), lengths), axis=1).astype(np.int64)
+        values = rng.normal(size=nnz)
+        store = store_from_arrays(idx, values, lengths)
+        got = [store.idx, store.values, *store.mode_perm, *store.mode_ptr,
+               *(c for cols in store.mode_cols for c in cols)]
+        want = reference_store_arrays(idx, values, lengths)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert store.idx.flags.f_contiguous
 
 
 class TestAsCoo:
