@@ -272,9 +272,13 @@ def _cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec = dataio.CooFileSpec(len(lengths), args.index_base)
     dataio.write_coo(out / "train.coo", Coo(train_store.idx, train_store.values), spec)
-    dataio.write_coo(out / "test.coo", test, spec)
+    if test.values.size:  # factorize --test and evaluate reject an empty file
+        dataio.write_coo(out / "test.coo", test, spec)
+        held_out = f"{test.values.size} test entries"
+    else:
+        held_out = "no test entries (no test.coo)"
     save_model(out / "truth", truth)
-    print(f"wrote {train_store.nnz} train / {test.values.size} test entries to {out}")
+    print(f"wrote {train_store.nnz} train / {held_out} to {out}")
     return EXIT_OK
 
 

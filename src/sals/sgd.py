@@ -3,12 +3,15 @@
 Each epoch randomly splits the observed entries into M shards; every shard
 runs sequential SGD on a private model copy and the shard models are
 averaged entrywise afterwards.  The epoch-t learning rate is 2*eta0/(1+t).
-Within a shard, entries that share no factor row commute, so the sweep runs
-as wavefronts of such entries, one vectorised step each, bitwise equal to
-visiting the entries one at a time.
+Within a shard, entries that share no factor row commute, so a shard runs
+as wavefronts of such entries, bitwise equal to visiting the entries one at
+a time.  The shards write private copies, so one sweep runs the l-th
+wavefront of every shard as one vectorised step, and an epoch takes as many
+steps as its longest shard has wavefronts.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +19,9 @@ import numpy as np
 from .solver import PLAIN, ProgressHook, Recorder, update_residual
 from .tensor import FactorModel, SparseTensorStore
 
-# Entries whose row ids wavefront_levels turns into Python ints at a time:
-# a whole shard at once would hold N int objects per entry.
+# Entries whose row ids wavefront_levels turns into Python ints at a time
+# (a whole shard at once would hold N int objects per entry), and the size
+# of the windows of whole levels whose entries the sweep gathers at a time.
 _LEVEL_CHUNK = 4096
 
 
@@ -78,45 +82,72 @@ def _wavefront_sweep(
     rows: np.ndarray,
     values: np.ndarray,
     degrees: np.ndarray,
+    positions: np.ndarray,
+    sizes: list[int],
     eta: float,
     lam: float,
 ) -> None:
-    """Sequential SGD over one shard's entries, in place on ``stacked``.
+    """Sequential SGD over every shard's entries at once, in place on ``stacked``.
 
-    ``stacked`` holds every factor row, mode after mode; ``rows`` (m, N) are
-    the shard's entries as row ids into it, in visit order, with ``values``
-    beside them, and ``degrees`` is every row's entry count.  Each level of
-    :func:`wavefront_levels` runs as one vectorised step that repeats the
+    ``stacked`` holds M private copies of every factor row, mode after mode,
+    one copy per shard; ``rows`` (nnz, N) are the store's entries as row ids
+    into one copy, with ``values`` beside them, and ``degrees`` is every
+    row's entry count.  ``positions`` is the shards' visit orders one after
+    another, ``sizes`` their lengths.  Each entry keeps its shard's
+    :func:`wavefront_levels` level, and step l runs level l of every shard
+    as one vectorised step: shards share no row of ``stacked``, so each row
+    still gets its shard's updates in visit order.  A step repeats the
     scalar one-entry update's operations in its order, so the result is
-    bitwise that of visiting the entries one by one.
+    bitwise that of visiting each shard's entries one by one.  The entries'
+    row ids, degrees and values are gathered one window of whole levels
+    (about ``_LEVEL_CHUNK`` entries, or one larger level) at a time.
     """
-    m, n_modes = rows.shape
+    n_modes = rows.shape[1]
     rank = stacked.shape[1]
-    levels = wavefront_levels(rows)
+    n_rows = stacked.shape[0] // len(sizes)
+    starts = np.cumsum([0, *sizes])
+    levels = np.concatenate([
+        wavefront_levels(np.take(rows, positions[s:e], axis=0))
+        for s, e in zip(starts[:-1], starts[1:])
+    ])
     order = np.argsort(levels, kind="stable")
-    bounds = np.cumsum(np.bincount(levels)).tolist()
-    flat = np.take(rows, order, axis=0).ravel()
-    deg = np.take(degrees, flat).reshape(m, n_modes, 1)
-    vq = np.empty((m, rank + 1))  # [value, q_0 .. q_{K-1}] per entry
-    vq[:, 0] = np.take(values, order)
+    bounds = np.cumsum(np.bincount(levels, minlength=1)).tolist()
+    del levels
+    take = stacked.take
     two_eta = 2.0 * eta
+    first = 0
     # Silent like the scalar floats: a zero divisor's quotient is replaced,
     # and psgd_epoch checks the averaged factors for non-finite results.
     with np.errstate(all="ignore"):
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            at = flat[s * n_modes:e * n_modes]
-            old = np.take(stacked, at, axis=0).reshape(e - s, n_modes, rank)
-            full = np.multiply.reduce(old, axis=1, out=vq[s:e, 1:])
-            r = np.subtract.reduce(vq[s:e], axis=1)
-            g = full[:, None, :] / old
-            if np.count_nonzero(old) < old.size:
-                _zero_factor_products(old, g)
-            step = old * lam
-            step /= deg[s:e]
-            g *= r[:, None, None]
-            step -= g
-            step *= two_eta
-            stacked[at] = (old - step).reshape(-1, rank)
+        while first < len(bounds) - 1:
+            # whole levels: up to _LEVEL_CHUNK entries, but at least one level
+            last = max(bisect_right(bounds, bounds[first] + _LEVEL_CHUNK) - 1, first + 1)
+            window = order[bounds[first]:bounds[last]]
+            pos = positions.take(window)
+            flat = np.take(rows, pos, axis=0)
+            deg = degrees.take(flat).reshape(-1, n_modes, 1)
+            # each entry's row ids into its own shard's copy
+            flat += ((np.searchsorted(starts, window, side="right") - 1) * n_rows)[:, None]
+            flat = flat.ravel()
+            vq = np.empty((window.size, rank + 1))  # [value, q_0 .. q_{K-1}] per entry
+            vq[:, 0] = values.take(pos)
+            local = [b - bounds[first] for b in bounds[first:last + 1]]
+            for s, e in zip(local[:-1], local[1:]):
+                at = flat[s * n_modes:e * n_modes]
+                old = take(at, axis=0).reshape(e - s, n_modes, rank)
+                full = np.multiply.reduce(old, axis=1, out=vq[s:e, 1:])
+                r = np.subtract.reduce(vq[s:e], axis=1)
+                g = full[:, None, :] / old
+                if not old.all():
+                    _zero_factor_products(old, g)
+                step = old * lam
+                step /= deg[s:e]
+                g *= r[:, None, None]
+                step -= g
+                step *= two_eta
+                old -= step
+                stacked[at] = old.reshape(-1, rank)
+            first = last
 
 
 def _zero_factor_products(old: np.ndarray, g: np.ndarray) -> None:
@@ -139,39 +170,37 @@ def psgd_epoch(
     epoch: int,
     partition: list[np.ndarray] | None = None,
 ) -> FactorModel:
-    """One averaged epoch: shard the entries, run SGD per shard, average.
+    """One averaged epoch: shard the entries, sweep all shards, average.
 
     The partition and visit order come from a per-epoch seeded shuffle
     (shard j takes the j-th slice of one permutation, so the shard-to-data
     mapping is fixed by the seed alone).  ``partition`` overrides the
-    shuffle with explicit position arrays, mainly for tests.  A non-finite
+    shuffle with explicit position arrays, mainly for tests; a shard that
+    is not a 1-D integer array is a ValueError naming it.  A non-finite
     averaged factor raises ValueError naming the epoch (1-based, as in the
     iteration records), the mode and the first such row.
     """
     if partition is None:
-        rng = _epoch_rng(params.seed, epoch)
-        perm = rng.permutation(store.nnz)
-        partition = np.array_split(perm, params.n_shards)
+        positions = _epoch_rng(params.seed, epoch).permutation(store.nnz)
+        sizes = [shard.size for shard in np.array_split(positions, params.n_shards)]
     else:
         partition = [_shard_positions(j, order, store.nnz) for j, order in enumerate(partition)]
-    if not partition:
-        raise ValueError("partition has no shards")
+        if not partition:
+            raise ValueError("partition has no shards")
+        sizes = [shard.size for shard in partition]
+        positions = np.concatenate(partition)
     eta = learning_rate(params.eta0, epoch)
     offsets = np.cumsum([0, *store.mode_lengths])
     rows = np.add(store.idx, offsets[:-1], order="C")  # row-major: np.take gathers rows
     degrees = np.concatenate(
         [store.bucket_sizes(n) for n in range(store.n_modes)], dtype=np.float64)
-    start = np.concatenate(model.matrices, dtype=np.float64)
-    shards = [start.copy() for _ in partition]
-    for stacked, positions in zip(shards, partition):
-        _wavefront_sweep(
-            stacked, np.take(rows, positions, axis=0), np.take(store.values, positions),
-            degrees, eta, params.lam,
-        )
-    total = shards[0]
-    for stacked in shards[1:]:
-        total += stacked
-    total /= len(shards)
+    stacked = np.tile(np.concatenate(model.matrices, dtype=np.float64), (len(sizes), 1))
+    _wavefront_sweep(stacked, rows, store.values, degrees, positions, sizes, eta, params.lam)
+    shards = stacked.reshape(len(sizes), offsets[-1], model.rank)
+    total = shards[0].copy()  # the model must not keep all M copies alive
+    for shard in shards[1:]:
+        total += shard
+    total /= len(sizes)
     bad = np.flatnonzero(~np.isfinite(total).all(axis=1))
     if bad.size:
         n = int(np.searchsorted(offsets, bad[0], side="right")) - 1
@@ -183,13 +212,18 @@ def psgd_epoch(
 def _shard_positions(shard: int, order, nnz: int) -> np.ndarray:
     """An explicit shard's visit order, checked to name entries of the store."""
     positions = np.asarray(order)
-    if positions.size == 0:
+    if positions.ndim != 1:
+        raise ValueError(f"partition shard {shard}: visit order is {positions.ndim}-D, not 1-D")
+    if positions.size == 0:  # an empty list reads as float64
         return np.zeros(0, dtype=np.int64)
+    if positions.dtype.kind not in "iu":
+        raise ValueError(
+            f"partition shard {shard}: positions of dtype {positions.dtype}, not integer")
     bad = (positions < 0) | (positions >= nnz)
     if bad.any():
         raise ValueError(
             f"partition shard {shard}: position {positions[bad][0]} outside [0, {nnz})")
-    return positions
+    return positions.astype(np.int64, copy=False)
 
 
 def init_sgd_model(store: SparseTensorStore, params: SgdParams) -> FactorModel:

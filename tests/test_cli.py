@@ -346,7 +346,8 @@ class TestConfigValues:
 
         def written(out):
             rank = (out / "truth" / "factor_1.txt").read_text().splitlines()[0]
-            return rank, len((out / "test.coo").read_text().splitlines())
+            test = out / "test.coo"
+            return rank, len(test.read_text().splitlines()) if test.exists() else None
 
         assert main([*common, "--config", str(conf), "--out", str(tmp_path / "conf")]) == 0
         assert written(tmp_path / "conf") == ("6 2", 10)
@@ -354,13 +355,24 @@ class TestConfigValues:
                      "--k-true", "3", "--noise", "0", "--test-fraction", "0.25"]) == 0
         assert written(tmp_path / "flags") == ("6 3", 5)
         assert main([*common, "--out", str(tmp_path / "plain")]) == 0
-        assert written(tmp_path / "plain") == ("6 5", 0)
+        assert written(tmp_path / "plain") == ("6 5", None)  # no test set, no test.coo
         # noise 0 from a flag writes what the noise-free default writes
         assert main([*common, "--config", str(conf), "--out", str(tmp_path / "quiet"),
                      "--k-true", "5", "--noise", "0", "--test-fraction", "0"]) == 0
-        for name in ("train.coo", "test.coo"):
-            assert ((tmp_path / "quiet" / name).read_bytes()
-                    == (tmp_path / "plain" / name).read_bytes())
+        assert written(tmp_path / "quiet") == ("6 5", None)
+        assert ((tmp_path / "quiet" / "train.coo").read_bytes()
+                == (tmp_path / "plain" / "train.coo").read_bytes())
+
+    def test_default_fraction_output_factorizes(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--lengths", "6,5,4", "--nnz", "40",
+                     "--k-true", "2", "--seed", "3"]) == 0
+        assert "wrote 40 train / no test entries (no test.coo)" in capsys.readouterr().out
+        assert sorted(p.name for p in data.iterdir()) == ["train.coo", "truth"]
+        assert main(["factorize", "--train", str(data / "train.coo"), "--out",
+                     str(tmp_path / "run"), "-K", "2", "--t-out", "1"]) == 0
+        assert main(["evaluate", "--model", str(tmp_path / "run" / "model"),
+                     "--test", str(data / "train.coo")]) == 0
 
     def test_values_are_typed_like_flags(self, tmp_path):
         conf = tmp_path / "gen.conf"

@@ -1,3 +1,4 @@
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -259,6 +260,72 @@ class TestExplicitPartition:
         with pytest.raises(ValueError, match="no shards"):
             psgd_epoch(store, model, params, 0, partition=[])
 
+    @pytest.mark.parametrize("bad,message", [
+        (np.ones(15, dtype=bool), "positions of dtype bool, not integer"),
+        (np.array([0.0, 3.0]), "positions of dtype float64, not integer"),
+        (np.array([[0, 1], [2, 3]]), "visit order is 2-D, not 1-D"),
+        (np.int64(3), "visit order is 0-D, not 1-D"),
+    ])
+    def test_order_not_a_list_of_positions_rejected(self, rng, bad, message):
+        store = random_store(rng, (5, 5), 15)
+        params = SgdParams(rank=2, lam=0.1, eta0=0.05, n_shards=3, seed=3)
+        model = init_sgd_model(store, params)
+        with pytest.raises(ValueError, match=rf"^partition shard 2: {message}"):
+            psgd_epoch(store, model, params, 0, partition=[np.arange(4), [], bad])
+
+    def test_empty_list_and_unsigned_positions_accepted(self, rng):
+        store = random_store(rng, (5, 5), 15)
+        params = SgdParams(rank=2, lam=0.1, eta0=0.05, n_shards=2, seed=3)
+        model = init_sgd_model(store, params)
+        signed = psgd_epoch(store, model, params, 0, partition=[np.arange(15), np.zeros(0, int)])
+        unsigned = psgd_epoch(store, model, params, 0,
+                              partition=[np.arange(15, dtype=np.uint64), []])
+        for a, b in zip(signed.matrices, unsigned.matrices):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_windows_of_whole_levels(self, rng, monkeypatch, chunk):
+        # The sweep gathers its entries one window of whole levels at a time;
+        # with windows of a few entries, levels wider than a window, a long
+        # chain and empty shards between full ones, it still equals the
+        # straight line bitwise.
+        store = random_store(rng, (4, 3, 5), 40)
+        mats = [rng.normal(size=(length, 3)) for length in store.mode_lengths]
+        mats[1][0] = 0.0
+        model = FactorModel(3, 0.05, mats)
+        chain = np.tile(store.bucket(1, 1), 3)
+        partition = [np.arange(store.nnz), np.zeros(0, np.int64), chain,
+                     np.zeros(0, np.int64), rng.permutation(store.nnz)[:7]]
+        params = SgdParams(rank=3, lam=0.05, eta0=0.02, n_shards=len(partition))
+        monkeypatch.setattr(sgd, "_LEVEL_CHUNK", chunk)
+        got = psgd_epoch(store, model, params, 1, partition=partition)
+        want = straight_line_epoch(store, model, partition, learning_rate(0.02, 1), 0.05)
+        for a, b in zip(got.matrices, want):
+            assert np.array_equal(a, b)
+
+    def test_peak_memory_grows_only_by_the_model_copies(self):
+        # All shards run in one sweep over M stacked model copies; the other
+        # per-entry arrays it holds are the same for any M, and the entries'
+        # row ids, degrees and values are gathered one bounded window at a
+        # time.  Gathering them for every entry up front would add
+        # 16N + 8(K + 1) = 88 B per entry here.
+        store = random_store(np.random.default_rng(5), (300, 200, 100), 40_000)
+        rank = 4
+        excess = {}
+        for n_shards in (1, 4):
+            params = SgdParams(rank=rank, lam=0.05, eta0=0.01, n_shards=n_shards, seed=2)
+            model = init_sgd_model(store, params)
+            tracemalloc.start()
+            try:
+                psgd_epoch(store, model, params, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            copies = (n_shards + 1) * sum(store.mode_lengths) * rank * 8
+            excess[n_shards] = peak - copies
+        assert excess[4] <= excess[1] + 64 * 1024, excess
+        assert excess[4] / store.nnz < 80, excess
+
 
 def straight_line_epoch(store, model, partition, eta, lam):
     """Per shard, the scalar single-entry ops in visit order; then the average."""
@@ -295,8 +362,8 @@ def explicit_epochs(draw):
         mat[rng.random(mat.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = -0.0
         mat[rng.random(mat.shape) < 0.1] = 0.0
     partition = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["any", "empty", "one row", "disjoint"]))
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["any", "empty", "one row", "disjoint", "long chain"]))
         if kind == "any":
             order = draw(st.lists(st.integers(0, nnz - 1), max_size=2 * nnz))
         elif kind == "empty":
@@ -304,6 +371,10 @@ def explicit_epochs(draw):
         elif kind == "one row":  # one entry per level
             mode = draw(st.integers(0, n_modes - 1))
             order = rng.permutation(store.bucket(mode, int(store.idx[0, mode]))).tolist()
+        elif kind == "long chain":  # one row's bucket revisited: outlasts the other shards
+            mode = draw(st.integers(0, n_modes - 1))
+            bucket = store.bucket(mode, int(np.argmax(store.bucket_sizes(mode))))
+            order = rng.permutation(np.tile(bucket, draw(st.integers(2, 4)))).tolist()
         else:  # pairwise-disjoint rows: a single level
             order, used = [], set()
             for p in rng.permutation(nnz).tolist():
