@@ -7,7 +7,10 @@ Within a shard, entries that share no factor row commute, so a shard runs
 as wavefronts of such entries, bitwise equal to visiting the entries one at
 a time.  The shards write private copies, so one sweep runs the l-th
 wavefront of every shard as one vectorised step, and an epoch takes as many
-steps as its longest shard has wavefronts.
+steps as its longest shard has wavefronts.  The wavefronts are found in one
+of two ways: by Kahn's topological layering, vectorised per wavefront, when
+the shards' entries make wide wavefronts, or by a Python pass per entry
+when a hot row strings most entries into a chain of narrow ones.
 """
 from __future__ import annotations
 
@@ -17,12 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import PLAIN, ProgressHook, Recorder, update_residual
-from .tensor import FactorModel, SparseTensorStore
+from .tensor import FactorModel, SparseTensorStore, _digits, column_dtype
 
 # Entries whose row ids wavefront_levels turns into Python ints at a time
-# (a whole shard at once would hold N int objects per entry), and the size
-# of the windows of whole levels whose entries the sweep gathers at a time.
+# (all at once would hold N int objects per entry), and the size of the
+# windows of whole levels whose entries the sweep gathers at a time.
 _LEVEL_CHUNK = 4096
+# The sweep takes layered_levels when its entries are at least _WIDE times
+# the busiest row's count in a shard, else wavefront_levels.  Layering wins
+# once levels average about 13-17 entries: on one core of an AVX-512 x86
+# machine (numpy 2.4) it costs 7-9 us per level plus 0.1 us per entry, and
+# the Python pass 0.5-0.6 us per entry.  The busiest count bounds the levels
+# from below; the levels are about 1-1.6x it on Zipf rows but 4-6x on
+# uniform rows, so the break-even ratio is about 15-20 on the former and
+# 65-85 on the latter.  32 sits between the two, which keeps a wrong pick
+# on either kind within about 1.8x of the faster pass.
+_WIDE = 32
 
 
 @dataclass(frozen=True)
@@ -57,13 +70,17 @@ def learning_rate(eta0: float, epoch: int) -> float:
 
 
 def wavefront_levels(rows: np.ndarray) -> np.ndarray:
-    """Level of each entry of a shard, given its (m, N) row ids in visit order.
+    """Level of each entry, given the (m, N) row ids of entries in visit order.
 
     Entry j's level is 1 + the highest level of an earlier entry that shares
-    one of its rows (row ids must be distinct across modes).  Entries of one
-    level share no row, and an entry's earlier neighbours on each of its rows
-    sit at lower levels, so running the levels in order applies every row's
-    updates in visit order.
+    one of its rows.  Row ids must be distinct across modes, and across
+    shards when ``rows`` holds several shards' entries: each entry then gets
+    its own shard's level.  Entries of one level share no row, and an
+    entry's earlier neighbours on each of its rows sit at lower levels, so
+    running the levels in order applies every row's updates in visit order.
+
+    This is the Python pass: about 0.6 us per entry, whatever the levels'
+    widths.  :func:`layered_levels` gives the same levels.
     """
     last = [0] * (int(rows.max()) + 1 if rows.size else 0)
     get = last.__getitem__
@@ -74,44 +91,88 @@ def wavefront_levels(rows: np.ndarray) -> np.ndarray:
             for g in row:
                 last[g] = level
             levels.append(level)
-    return np.array(levels, dtype=np.int64)
+    return np.array(levels, dtype=column_dtype([rows.shape[0]]))
+
+
+def layered_levels(rows: np.ndarray) -> np.ndarray:
+    """:func:`wavefront_levels` by Kahn's topological layering, a few numpy
+    calls per level: about 7-9 us per level and 0.1 us per entry.
+
+    The entries are the nodes of a DAG with an edge from each entry to the
+    next entry in visit order on each of its rows.  Level 1 is the entries
+    without a predecessor, and level l + 1 the entries whose last pending
+    predecessor is in level l, which is 1 + the highest level of their
+    predecessors.  Each mode's successors come from a radix sort of that
+    mode's row ids.
+    """
+    m, n_modes = rows.shape
+    dtype = column_dtype([m])
+    # succ[e, n]: the next entry on e's mode-n row, or e itself if there is
+    # none; when e is levelled, that self-edge takes its pending count below
+    # zero, so e is never ready again.
+    succ = np.repeat(np.arange(m, dtype=dtype)[:, None], n_modes, axis=1)
+    pending = np.zeros(m, np.min_scalar_type(-n_modes))  # predecessors not levelled yet
+    bound = int(rows.max()) + 1 if m else 1
+    for n in range(n_modes):
+        order = np.lexsort(_digits(rows[:, n], bound))
+        key = rows[:, n].take(order)
+        same = key[1:] == key[:-1]
+        del key
+        succ[order[:-1], n] = np.where(same, order[1:], order[:-1])
+        pending[order[1:]] += same
+    levels = np.zeros(m, dtype)
+    one = pending.dtype.type(1)  # a Python 1 takes ufunc.at's slow path
+    frontier = np.flatnonzero(pending == 0)
+    level = 0
+    while frontier.size:
+        level += 1
+        levels[frontier] = level
+        # intp, not the stored type: the slow paths of ufunc.at and fancy
+        # indexing take twice as long on int32 indices
+        cand = succ.take(frontier, axis=0).astype(np.intp).ravel()
+        np.subtract.at(pending, cand, one)
+        ready = cand[pending[cand] == 0]
+        ready.sort()  # an entry that two edges reach is there twice
+        frontier = np.concatenate((ready[:1], ready[1:][ready[1:] != ready[:-1]]))
+    return levels
 
 
 def _wavefront_sweep(
     stacked: np.ndarray,
-    rows: np.ndarray,
+    ids: np.ndarray,
     values: np.ndarray,
     degrees: np.ndarray,
     positions: np.ndarray,
-    sizes: list[int],
     eta: float,
     lam: float,
 ) -> None:
     """Sequential SGD over every shard's entries at once, in place on ``stacked``.
 
     ``stacked`` holds M private copies of every factor row, mode after mode,
-    one copy per shard; ``rows`` (nnz, N) are the store's entries as row ids
-    into one copy, with ``values`` beside them, and ``degrees`` is every
-    row's entry count.  ``positions`` is the shards' visit orders one after
-    another, ``sizes`` their lengths.  Each entry keeps its shard's
-    :func:`wavefront_levels` level, and step l runs level l of every shard
-    as one vectorised step: shards share no row of ``stacked``, so each row
-    still gets its shard's updates in visit order.  A step repeats the
-    scalar one-entry update's operations in its order, so the result is
-    bitwise that of visiting each shard's entries one by one.  The entries'
-    row ids, degrees and values are gathered one window of whole levels
-    (about ``_LEVEL_CHUNK`` entries, or one larger level) at a time.
+    one copy per shard.  ``ids`` (entries, N) are the shards' entries in
+    visit order, one shard after another, as row ids into their own shard's
+    copy; ``positions`` are the same entries' positions in ``values``, and
+    ``degrees`` is the entry count of every row of one copy.  Each entry
+    keeps its shard's level (:func:`wavefront_levels`), and step l runs
+    level l of every shard as one vectorised step: shards share no row of
+    ``stacked``, so each row still gets its shard's updates in visit order.
+    A step repeats the scalar one-entry update's operations in its order,
+    so the result is bitwise that of visiting each shard's entries one by
+    one.  The entries' row ids, degrees and values are gathered one window
+    of whole levels (about ``_LEVEL_CHUNK`` entries, or one larger level) at
+    a time.
+
+    The levels come from :func:`layered_levels` when the entries are at
+    least ``_WIDE`` times the busiest row's count in a shard, which bounds
+    the number of levels from below, and from :func:`wavefront_levels`
+    otherwise.
     """
-    n_modes = rows.shape[1]
+    n_modes = ids.shape[1]
     rank = stacked.shape[1]
-    n_rows = stacked.shape[0] // len(sizes)
-    starts = np.cumsum([0, *sizes])
-    levels = np.concatenate([
-        wavefront_levels(np.take(rows, positions[s:e], axis=0))
-        for s, e in zip(starts[:-1], starts[1:])
-    ])
-    order = np.argsort(levels, kind="stable")
+    busiest = max(int(np.bincount(ids[:, n]).max()) for n in range(n_modes)) if ids.size else 0
+    levels = (layered_levels if ids.shape[0] >= _WIDE * busiest else wavefront_levels)(ids)
     bounds = np.cumsum(np.bincount(levels, minlength=1)).tolist()
+    order = np.lexsort(_digits(levels, len(bounds)))
     del levels
     take = stacked.take
     two_eta = 2.0 * eta
@@ -123,14 +184,11 @@ def _wavefront_sweep(
             # whole levels: up to _LEVEL_CHUNK entries, but at least one level
             last = max(bisect_right(bounds, bounds[first] + _LEVEL_CHUNK) - 1, first + 1)
             window = order[bounds[first]:bounds[last]]
-            pos = positions.take(window)
-            flat = np.take(rows, pos, axis=0)
-            deg = degrees.take(flat).reshape(-1, n_modes, 1)
-            # each entry's row ids into its own shard's copy
-            flat += ((np.searchsorted(starts, window, side="right") - 1) * n_rows)[:, None]
-            flat = flat.ravel()
+            flat = ids.take(window, axis=0).astype(np.intp).ravel()
+            # "wrap" takes each id modulo sum(I_n): the row's id in one copy
+            deg = degrees.take(flat, mode="wrap").reshape(-1, n_modes, 1)
             vq = np.empty((window.size, rank + 1))  # [value, q_0 .. q_{K-1}] per entry
-            vq[:, 0] = values.take(pos)
+            vq[:, 0] = values.take(positions.take(window))
             local = [b - bounds[first] for b in bounds[first:last + 1]]
             for s, e in zip(local[:-1], local[1:]):
                 at = flat[s * n_modes:e * n_modes]
@@ -190,12 +248,19 @@ def psgd_epoch(
         sizes = [shard.size for shard in partition]
         positions = np.concatenate(partition)
     eta = learning_rate(params.eta0, epoch)
-    offsets = np.cumsum([0, *store.mode_lengths])
-    rows = np.add(store.idx, offsets[:-1], order="C")  # row-major: np.take gathers rows
+    offsets = np.cumsum([0, *store.mode_lengths]).tolist()
+    # each visited entry's row ids into its own shard's copy of the rows
+    ids = np.empty((positions.size, store.n_modes), column_dtype([len(sizes) * offsets[-1]]))
+    for n in range(store.n_modes):
+        np.add(store.idx[:, n].take(positions), offsets[n], out=ids[:, n], dtype=ids.dtype)
+    start = 0
+    for j, size in enumerate(sizes):
+        ids[start:start + size] += j * offsets[-1]
+        start += size
     degrees = np.concatenate(
         [store.bucket_sizes(n) for n in range(store.n_modes)], dtype=np.float64)
     stacked = np.tile(np.concatenate(model.matrices, dtype=np.float64), (len(sizes), 1))
-    _wavefront_sweep(stacked, rows, store.values, degrees, positions, sizes, eta, params.lam)
+    _wavefront_sweep(stacked, ids, store.values, degrees, positions, eta, params.lam)
     shards = stacked.reshape(len(sizes), offsets[-1], model.rank)
     total = shards[0].copy()  # the model must not keep all M copies alive
     for shard in shards[1:]:

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sals import sgd
+from sals.dataio import generate_zipf
 from sals.sgd import (
     SgdParams,
     factorize_psgd,
     init_sgd_model,
+    layered_levels,
     learning_rate,
     psgd_epoch,
     wavefront_levels,
@@ -298,12 +300,14 @@ class TestExplicitPartition:
                      np.zeros(0, np.int64), rng.permutation(store.nnz)[:7]]
         params = SgdParams(rank=3, lam=0.05, eta0=0.02, n_shards=len(partition))
         monkeypatch.setattr(sgd, "_LEVEL_CHUNK", chunk)
-        got = psgd_epoch(store, model, params, 1, partition=partition)
         want = straight_line_epoch(store, model, partition, learning_rate(0.02, 1), 0.05)
-        for a, b in zip(got.matrices, want):
-            assert np.array_equal(a, b)
+        for wide in PASSES:
+            monkeypatch.setattr(sgd, "_WIDE", wide)
+            got = psgd_epoch(store, model, params, 1, partition=partition)
+            for a, b in zip(got.matrices, want):
+                assert np.array_equal(a, b)
 
-    def test_peak_memory_grows_only_by_the_model_copies(self):
+    def test_peak_memory_grows_only_by_the_model_copies(self, monkeypatch):
         # All shards run in one sweep over M stacked model copies; the other
         # per-entry arrays it holds are the same for any M, and the entries'
         # row ids, degrees and values are gathered one bounded window at a
@@ -312,6 +316,7 @@ class TestExplicitPartition:
         store = random_store(np.random.default_rng(5), (300, 200, 100), 40_000)
         rank = 4
         excess = {}
+        taken = spy_level_passes(monkeypatch)
         for n_shards in (1, 4):
             params = SgdParams(rank=rank, lam=0.05, eta0=0.01, n_shards=n_shards, seed=2)
             model = init_sgd_model(store, params)
@@ -323,8 +328,39 @@ class TestExplicitPartition:
                 tracemalloc.stop()
             copies = (n_shards + 1) * sum(store.mode_lengths) * rank * 8
             excess[n_shards] = peak - copies
+        assert taken == ["layered_levels"] * 2  # the bound covers the layering
         assert excess[4] <= excess[1] + 64 * 1024, excess
         assert excess[4] / store.nnz < 80, excess
+
+    @pytest.mark.parametrize("kind,want", [
+        ("uniform", "layered_levels"), ("zipf", "wavefront_levels")])
+    def test_level_pass_follows_the_width(self, monkeypatch, kind, want):
+        # Uniform rows make levels of about 20 entries; a Zipf mode of 50
+        # rows puts about a quarter of the entries on one row, a chain of
+        # levels of a few entries each.
+        if kind == "uniform":
+            store = random_store(np.random.default_rng(3), (60, 60, 60), 10_000)
+        else:
+            store = generate_zipf((200, 200, 200, 50), 5_000, seed=3)
+        params = SgdParams(rank=2, lam=0.05, eta0=0.01, n_shards=2, seed=4)
+        taken = spy_level_passes(monkeypatch)
+        psgd_epoch(store, init_sgd_model(store, params), params, 0)
+        assert taken == [want]
+
+
+# _WIDE values that force the sweep's level pass: layering, then the Python one
+PASSES = (0, float("inf"))
+
+
+def spy_level_passes(monkeypatch) -> list[str]:
+    """The names of the level passes that the sweep calls, in call order."""
+    taken = []
+    for name in ("wavefront_levels", "layered_levels"):
+        def spy(rows, real=getattr(sgd, name), name=name):
+            taken.append(name)
+            return real(rows)
+        monkeypatch.setattr(sgd, name, spy)
+    return taken
 
 
 def straight_line_epoch(store, model, partition, eta, lam):
@@ -392,21 +428,25 @@ def explicit_epochs(draw):
 @given(explicit_epochs())
 def test_epoch_equals_straight_line(case):
     store, model, params, partition, epoch = case
-    got = psgd_epoch(store, model, params, epoch, partition=partition)
     want = straight_line_epoch(
         store, model, partition, learning_rate(params.eta0, epoch), params.lam)
-    for a, b in zip(got.matrices, want):
-        assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+    for wide in PASSES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sgd, "_WIDE", wide)
+            got = psgd_epoch(store, model, params, epoch, partition=partition)
+        for a, b in zip(got.matrices, want):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n_modes: st.lists(
-    st.tuples(*[st.integers(0, 3)] * n_modes), max_size=40)))
-def test_wavefront_levels_keep_row_order(entries):
+    st.tuples(*[st.integers(0, 3)] * n_modes), max_size=40)),
+    st.sampled_from([wavefront_levels, layered_levels]))
+def test_wavefront_levels_keep_row_order(entries, level_pass):
     n_modes = len(entries[0]) if entries else 1
     rows = np.array(entries, dtype=np.int64).reshape(-1, n_modes) + 4 * np.arange(n_modes)
-    levels = wavefront_levels(rows).tolist()
+    levels = level_pass(rows).tolist()
     for k in range(len(rows)):
         sharing = [j for j in range(k) if np.any(rows[j] == rows[k])]
         # no level holds two entries that share a row, and sharing entries keep their order
@@ -427,3 +467,41 @@ def test_wavefront_levels_span_conversion_chunks():
             last[g] = want[-1]
     assert max(want) > 100  # rows chain across the chunk boundaries
     assert wavefront_levels(rows).tolist() == want
+
+
+@st.composite
+def sharded_rows(draw):
+    """Several shards' entries as row ids distinct across modes and shards.
+
+    Entries repeat (the same entry twice in a row, or later) and share two
+    rows with their predecessor, so one entry can reach the next by several
+    edges; shards may be empty, and so may the whole input."""
+    n_modes = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 4))
+    entry = st.tuples(*[st.integers(0, length - 1)] * n_modes)
+    shards = []
+    for _ in range(draw(st.integers(0, 4))):
+        shard = []
+        for _ in range(draw(st.integers(0, 30))):
+            how = draw(st.sampled_from(["new", "repeat", "share two"])) if shard else "new"
+            if how == "new":
+                shard.append(draw(entry))
+            elif how == "repeat":
+                shard.append(shard[draw(st.integers(0, len(shard) - 1))])
+            else:
+                row = list(draw(entry))
+                row[:2] = shard[-1][:2]
+                shard.append(tuple(row))
+        shards.append(np.array(shard, dtype=np.int64).reshape(-1, n_modes))
+    mode_offsets = length * np.arange(n_modes)
+    return np.concatenate(
+        [np.empty((0, n_modes), np.int64)]
+        + [shard + mode_offsets + j * n_modes * length for j, shard in enumerate(shards)])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(sharded_rows())
+def test_level_passes_agree(rows):
+    levels = layered_levels(rows)
+    assert np.array_equal(levels, wavefront_levels(rows))
+    assert levels.shape == (rows.shape[0],)
