@@ -52,8 +52,9 @@ from .solver import (
     solve_row,
     update_residual,
 )
-from .streaming import ColumnStore, StreamingRun, stream_factorize
+from .streaming import StreamingRun, stream_factorize
 from .tensor import (
+    ColumnStore,
     Coo,
     FactorModel,
     SparseTensorStore,

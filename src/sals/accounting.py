@@ -28,8 +28,8 @@ class SolveStats:
 class ResidencyMeter:
     """Tracks how many factor values are resident at once.
 
-    The streaming engine routes every factor-column load/release through
-    one meter, so ``peak`` bounds the live factor-value footprint.
+    A :class:`~sals.tensor.ColumnStore` routes every slab load and release
+    through its meter, so ``peak`` bounds the live slab values.
     """
 
     current: int = 0

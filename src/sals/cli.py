@@ -83,18 +83,9 @@ def write_convergence_csv(path, records) -> None:
             ["iteration", "seconds", "loss", "rmse", "sent", "received", "flops", "eval_seconds"]
         )
         for r in records:
-            writer.writerow(
-                [
-                    r.iteration,
-                    repr(r.seconds),
-                    repr(r.loss),
-                    "" if r.test_rmse is None else repr(r.test_rmse),
-                    r.params_sent,
-                    r.params_received,
-                    r.flops,
-                    repr(r.eval_seconds),
-                ]
-            )
+            writer.writerow([r.iteration, repr(r.seconds), repr(r.loss),
+                             "" if r.test_rmse is None else repr(r.test_rmse),
+                             r.params_sent, r.params_received, r.flops, repr(r.eval_seconds)])
 
 
 def _sniff_n_modes(path) -> int:
@@ -214,8 +205,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     gen.add_argument("--noise", type=_finite_float, default=0.0)
     gen.add_argument("--test-fraction", dest="test_fraction", type=_finite_float, default=0.0)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
-    gen.add_argument("--config", default=None)
 
     fac = sub.add_parser("factorize", help="factorize a COO tensor file")
     fac.add_argument("--train", default=None)
@@ -234,25 +223,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     fac.add_argument("--assign", choices=("greedy", "sequential", "random"), default="greedy")
     fac.add_argument("--mode", choices=("in-memory", "streaming"), default="in-memory")
     fac.add_argument("--seed", type=int, default=0)
-    fac.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
     fac.add_argument("--column-order", dest="column_order",
                      choices=("fixed", "random"), default=None)
     fac.add_argument("--workdir", default=None, help="scratch directory for streaming mode")
-    fac.add_argument("--config", default=None)
 
     par = sub.add_parser("partition-stats", help="compare row-assignment strategies")
     par.add_argument("--train", default=None)
     par.add_argument("-M", dest="m", type=_positive_int, default=1)
     par.add_argument("--seed", type=int, default=0)
-    par.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
     par.add_argument("--out", default=None, help="directory for serialized assignments")
-    par.add_argument("--config", default=None)
 
     ev = sub.add_parser("evaluate", help="RMSE of a saved model on a test file")
     ev.add_argument("--model", required=True, help="model directory")
     ev.add_argument("--test", default=None)
-    ev.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1), default=1)
-    ev.add_argument("--config", default=None)
+    for command in sub.choices.values():
+        command.add_argument("--index-base", dest="index_base", type=int, choices=(0, 1),
+                             default=1)
+        command.add_argument("--config", default=None)
     return parser, sub.choices
 
 
@@ -297,9 +284,7 @@ def _run_params(args) -> solver.SolverParams | sgd.SgdParams:
             rank=args.k, lam=args.lam, eta0=args.eta0,
             outer_iters=args.t_out, n_shards=args.m, seed=args.seed,
         )
-    k = args.k
-    c = args.c
-    t_in = args.t_in
+    k, c, t_in = args.k, args.c, args.t_in
     order = args.column_order or ("fixed" if args.alg == "cdtf" else "random")
     if args.alg == "als":
         if c is not None and c != k:
@@ -413,8 +398,7 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("--test is required")
     model = load_model(args.model)
     test = _read_test(args.test, args.index_base, [m.shape[0] for m in model.matrices])
-    value = rmse(model, test)
-    print(f"RMSE {value!r}")
+    print(f"RMSE {rmse(model, test)!r}")
     return EXIT_OK
 
 
@@ -427,15 +411,9 @@ def main(argv=None) -> int:
             args = _with_config(args, commands[args.command], argv)
         if getattr(args, "seed", 0) < 0:
             raise UsageError(f"--seed {args.seed} is negative")
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "factorize":
-            return _cmd_factorize(args)
-        if args.command == "partition-stats":
-            return _cmd_partition_stats(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return {"generate": _cmd_generate, "factorize": _cmd_factorize,
+                "partition-stats": _cmd_partition_stats,
+                "evaluate": _cmd_evaluate}[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

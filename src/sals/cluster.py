@@ -41,12 +41,13 @@ from .solver import (
     Stamp,
     WEIGHTED,
     compute_rhat,
-    init_model,
+    init_columns,
     run_schedule,
     update_residual,
     update_rows,
 )
 from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
+    ColumnStore,
     FactorModel,
     RowGroups,
     SparseTensorStore,
@@ -76,8 +77,14 @@ def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[Work
     """Replicate entries to every machine whose row sets touch them.
 
     A worker's groups are the store's groups of its owned rows, with their
-    entry positions mapped to the worker's local ones.
+    entry positions mapped to the worker's local ones.  An assignment made
+    for a store of another shape raises ``ValueError``.
     """
+    if assignment.n_modes != store.n_modes:
+        raise ValueError(f"assignment has {assignment.n_modes} modes, the store {store.n_modes}")
+    for n, (owners, length) in enumerate(zip(assignment.owners, store.mode_lengths)):
+        if owners.size != length:
+            raise ValueError(f"mode {n}: assignment has {owners.size} rows, the store {length}")
     position = column_dtype((store.nnz,))
     local = np.empty(store.nnz, dtype=position)  # global -> local, per worker
     workers = []
@@ -166,7 +173,7 @@ def _worker_loop(
     store: SparseTensorStore,
     params: SolverParams,
     workers: list[WorkerState],
-    master: FactorModel,
+    master: ColumnStore,
     master_residual: np.ndarray,
     log: CommLog,
     recorder: Recorder,
@@ -188,7 +195,7 @@ def _worker_loop(
         replicas = []
         for ws in workers:
             with _blame(ws.machine):
-                slabs = [master.matrices[n][:, columns] for n in range(n_modes)]
+                slabs = [master.load_columns(n, columns) for n in range(n_modes)]
                 compute_rhat(ws.residual, slabs, ws.idx, stats[ws.machine])
             replicas.append(slabs)
         return replicas
@@ -220,24 +227,27 @@ def _worker_loop(
 
     def measure():
         merge_residual()
-        return float(master_residual @ master_residual), [master.matrices]
+        return float(master_residual @ master_residual), master.blocks(params.rank)
 
     def write_back(columns, replicas):
         for ws, slabs in zip(workers, replicas):
             with _blame(ws.machine):
                 update_residual(ws.residual, slabs, ws.idx, stats[ws.machine])
         for n in range(n_modes):
-            master.matrices[n][:, columns] = replicas[0][n]
+            master.store_columns(n, columns, replicas[0][n])
         if check_replicas:
             merge_residual()
             for ws, slabs in zip(workers, replicas):
                 for n in range(n_modes):
-                    if not np.array_equal(slabs[n], master.matrices[n][:, columns]):
+                    if not np.array_equal(slabs[n], replicas[0][n]):
                         raise ClusterError(
                             f"worker {ws.machine}: column replica diverged, mode {n}"
                         )
                 if not np.array_equal(ws.residual, master_residual[ws.positions]):
                     raise ClusterError(f"worker {ws.machine}: residual replica diverged")
+        for slabs in replicas:
+            for slab in slabs:
+                master.release(slab)
 
     def close(it):
         log.flops[:] = [s.flops for s in stats]
@@ -274,7 +284,7 @@ def run_distributed(
     # checks the test set before the entries are replicated
     recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration)
     workers = distribute(store, assignment)
-    master, residual = init_model(store, params)
+    master, residual = init_columns(store.mode_lengths, params), store.values.copy()
     log = CommLog.empty(
         assignment.n_machines, params.rank, params.inner_iters, sum(store.mode_lengths)
     )
@@ -285,4 +295,4 @@ def run_distributed(
     if stats is not None:
         for ws_stats in worker_stats:
             stats.merge(ws_stats)
-    return master, log
+    return master.read_model(params.lam), log

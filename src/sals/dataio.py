@@ -379,6 +379,12 @@ def _read_header(fh, path: Path) -> tuple[int, int, int]:
     return width, word, count
 
 
+def check_chunk_records(chunk_records) -> None:
+    """Reject a cache chunk size that is not a positive int."""
+    if not isinstance(chunk_records, (int, np.integer)) or chunk_records < 1:
+        raise ValueError(f"chunk_records must be a positive int, got {chunk_records!r}")
+
+
 def stream_pass(
     path,
     visitor: Callable,
@@ -397,6 +403,7 @@ def stream_pass(
     (a mapping from path to the :meth:`CacheWriter.close` result).
     Returns the final accumulator (None for an empty cache).
     """
+    check_chunk_records(chunk_records)
     index_path, value_path = map(Path, path)
     acc = None
     with open(index_path, "rb") as ifh, open(value_path, "rb") as vfh:
@@ -444,6 +451,7 @@ def write_residual_caches(
     writer record goes into ``written`` under its path, for
     :func:`stream_pass` to check on every read.
     """
+    check_chunk_records(chunk_records)
     directory.mkdir(parents=True, exist_ok=True)
     dtype = column_dtype(store.mode_lengths)
     for n in range(store.n_modes):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .accounting import SolveStats
 from .tensor import (
+    ColumnStore,
     Coo,
     FactorModel,
     RowGroups,
@@ -139,23 +140,21 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(init_ss), np.random.default_rng(order_ss)
 
 
-def init_factors(mode_lengths: Sequence[int], params: SolverParams) -> Iterator[np.ndarray]:
-    """Initial factors in mode order: zero first factor, uniform [0,1) others.
-
-    Lazy, so a caller that writes each factor out holds one at a time.
+def init_columns(mode_lengths: Sequence[int], params: SolverParams, directory=None) -> ColumnStore:
+    """The initial factors in a :class:`ColumnStore`, in memory or under ``directory``:
+    a zero first factor and uniform [0,1) others, drawn in mode order.
     """
     init_rng, _ = rng_streams(params.seed)
-    yield np.zeros((mode_lengths[0], params.rank))
-    for length in mode_lengths[1:]:
-        yield init_rng.random((length, params.rank))
+    colstore = ColumnStore(mode_lengths, params.rank, directory)
+    for n, length in enumerate(colstore.mode_lengths):
+        colstore.write_full(n, init_rng.random((length, params.rank)) if n
+                            else np.zeros((length, params.rank)))
+    return colstore
 
 
-def init_model(
-    store: SparseTensorStore, params: SolverParams
-) -> tuple[FactorModel, np.ndarray]:
-    """The :func:`init_factors` model and its residual, a copy of x."""
-    model = FactorModel(params.rank, params.lam, list(init_factors(store.mode_lengths, params)))
-    return model, store.values.copy()
+def init_model(store: SparseTensorStore, params: SolverParams) -> tuple[FactorModel, np.ndarray]:
+    """The :func:`init_columns` model and its residual, a copy of x."""
+    return init_columns(store.mode_lengths, params).read_model(params.lam), store.values.copy()
 
 
 def choose_columns(
@@ -553,12 +552,12 @@ def factorize(
     fires after each outer iteration with the regularized loss (and test
     RMSE when a test set is supplied).
     """
-    model, vals = init_model(store, params)
+    colstore, vals = init_columns(store.mode_lengths, params), store.values.copy()
     stats = stats if stats is not None else SolveStats()
     weighted = params.regularization == WEIGHTED
 
     def augment(columns):
-        slabs = [m[:, columns] for m in model.matrices]
+        slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
         compute_rhat(vals, slabs, store.idx, stats)
         return slabs
 
@@ -568,18 +567,19 @@ def factorize(
         )
 
     def write_back(columns, slabs):
-        for n in range(store.n_modes):
-            model.matrices[n][:, columns] = slabs[n]
         update_residual(vals, slabs, store.idx, stats)
+        for n in range(store.n_modes):
+            colstore.store_columns(n, columns, slabs[n])
+            colstore.release(slabs[n])
 
     def measure():
-        return float(vals @ vals), [model.matrices]
+        return float(vals @ vals), colstore.blocks(params.rank)
 
     recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration,
                         flops=stats.flops)
     run_schedule(params, store.n_modes, augment, refit, write_back,
                  lambda it: recorder.close(it, measure, stats.flops))
-    return model
+    return colstore.read_model(params.lam)
 
 
 def factorize_cdtf(

@@ -1,24 +1,24 @@
 """Out-of-core execution of the subset-ALS schedule.
 
 Residual entries live in per-mode binary caches on disk (grouped by the
-mode's rows) and factor matrices live in a column-addressable store; only
-the active C columns of each factor are held in memory at a time.  Per mode
-``n`` the cache directory holds ``idx_m<n>.bin``, the entries' indices,
-written once at set-up, and ``r_m<n>.bin``, the mode's one copy of the
-residual values.  The shared schedule driver (:func:`sals.solver.run_schedule`)
-runs with steps that work on the caches: per column subset, augment
-rewrites each value file in place into r-hat, each refit streams one mode's
-r-hat and hands its complete row groups to the serial row kernel, write back
-rewrites r-hat in place into the residual, and close measures the residual
-in one pass over a value file.  Two of these passes ride on refits: mode
-0's augment on the subset's first refit, which augments each chunk as it
-reads it, and the last mode's write-back on the subset's last refit, which
-writes back each run of rows once it is refit.  A subset thus streams
-N * T_in + 2N - 2 passes, not N * (T_in + 2): one pass at N = 1 and
-T_in = 1.  A residency meter counts live factor-matrix values; its peak
-stays at C * sum(I_n) during the loop (plus a transient of one full factor
-per mode while the initial model is written out), as the fused passes hold
-no second set of slabs.
+mode's rows) and the factors in a :class:`~sals.tensor.ColumnStore` mapped
+from ``factors/factor_<n>.bin``; only the active C columns of each factor
+are loaded as slabs at a time.  Per mode ``n`` the cache directory holds
+``idx_m<n>.bin``, the entries' indices, written once at set-up, and
+``r_m<n>.bin``, the mode's one copy of the residual values.  The shared
+schedule driver (:func:`sals.solver.run_schedule`) runs with steps that work
+on the caches: per column subset, augment rewrites each value file in place
+into r-hat, each refit streams one mode's r-hat and hands its complete row
+groups to the serial row kernel, write back rewrites r-hat in place into the
+residual, and close measures the residual in one pass over a value file.
+Two of these passes ride on refits: mode 0's augment on the subset's first
+refit, which augments each chunk as it reads it, and the last mode's
+write-back on the subset's last refit, which writes back each run of rows
+once it is refit.  A subset thus streams N * T_in + 2N - 2 passes, not
+N * (T_in + 2): one pass at N = 1 and T_in = 1.  The column store's meter
+counts the loaded slabs' values; its peak stays at C * sum(I_n) during the
+loop (plus a transient of one full factor per mode while the initial model
+is written out), as the fused passes hold no second set of slabs.
 
 The row groups keep canonical order within each row, so a streaming run
 reproduces the in-memory model bit for bit.
@@ -33,15 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .accounting import ResidencyMeter, SolveStats
-from .dataio import CacheWriter, cache_pair, write_residual_caches
+from .accounting import SolveStats
+from .dataio import CacheWriter, cache_pair, check_chunk_records, write_residual_caches
 from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented by perfbench
     ProgressHook,
     Recorder,
     SolverParams,
     WEIGHTED,
     compute_rhat,
-    init_factors,
+    init_columns,
     normal_eq_arrays,
     run_schedule,
     solve_row,
@@ -49,75 +49,12 @@ from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented 
     update_rows,
 )
 from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
+    ColumnStore,
     FactorModel,
     RowGroups,
     SparseTensorStore,
     subset_products,
 )
-
-
-class ColumnStore:
-    """Factor matrices on disk, one column-major file per mode.
-
-    Columns are contiguous on disk, so loading or storing the active subset
-    touches exactly C * I_n values per mode.  All loads and releases run
-    through one :class:`ResidencyMeter`.
-    """
-
-    def __init__(self, directory, mode_lengths, rank: int, meter: ResidencyMeter):
-        self.directory = Path(directory)
-        self.mode_lengths = tuple(mode_lengths)
-        self.rank = rank
-        self.meter = meter
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, mode: int) -> Path:
-        return self.directory / f"factor_{mode}.bin"
-
-    def write_full(self, mode: int, matrix: np.ndarray) -> None:
-        """Write one full factor matrix (init only; metered transiently)."""
-        length = self.mode_lengths[mode]
-        self.meter.add(length * self.rank)
-        with open(self._path(mode), "wb") as fh:
-            fh.write(np.asfortranarray(matrix, dtype="<f8").tobytes(order="F"))
-        self.meter.release(length * self.rank)
-
-    def load_columns(self, mode: int, columns: np.ndarray) -> np.ndarray:
-        length = self.mode_lengths[mode]
-        slab = np.empty((length, columns.size))
-        with open(self._path(mode), "rb") as fh:
-            for j, k in enumerate(columns):
-                fh.seek(int(k) * length * 8)
-                slab[:, j] = np.frombuffer(fh.read(length * 8), dtype="<f8")
-        self.meter.add(slab.size)
-        return slab
-
-    def store_columns(self, mode: int, columns: np.ndarray, slab: np.ndarray) -> None:
-        length = self.mode_lengths[mode]
-        with open(self._path(mode), "r+b") as fh:
-            for j, k in enumerate(columns):
-                fh.seek(int(k) * length * 8)
-                fh.write(np.ascontiguousarray(slab[:, j], dtype="<f8").tobytes())
-
-    def release(self, slab: np.ndarray) -> None:
-        self.meter.release(slab.size)
-
-    def blocks(self, width: int):
-        """Yield every factor's slab ``width`` columns at a time, released after use."""
-        for start in range(0, self.rank, width):
-            cols = np.arange(start, min(start + width, self.rank))
-            slabs = [self.load_columns(n, cols) for n in range(len(self.mode_lengths))]
-            yield slabs
-            for slab in slabs:
-                self.release(slab)
-
-    def read_model(self, lam: float) -> FactorModel:
-        """Materialize the full model; meant for use after the metered loop."""
-        mats = []
-        for n, length in enumerate(self.mode_lengths):
-            raw = np.frombuffer(self._path(n).read_bytes(), dtype="<f8")
-            mats.append(np.ascontiguousarray(raw.reshape(length, self.rank, order="F")))
-        return FactorModel(self.rank, lam, mats)
 
 
 @dataclass
@@ -250,19 +187,16 @@ def stream_factorize(
     and directories it made, the temporary directory included.
     """
     stats = stats if stats is not None else SolveStats()
-    # checks the test set before any file is written
+    # checks the chunk size and the test set before any file is written
+    check_chunk_records(chunk_records)
     recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration,
                         flops=stats.flops)
     tmp = None if workdir is not None else tempfile.TemporaryDirectory(prefix="sals-stream-")
     workdir = Path(workdir if tmp is None else tmp.name)
     factors, cache = workdir / "factors", workdir / "cache"
     made = [d for d in (workdir, factors, cache) if not d.exists()]
-    meter = ResidencyMeter()
-    colstore = ColumnStore(factors, store.mode_lengths, params.rank, meter)
     try:
-        for n, matrix in enumerate(init_factors(store.mode_lengths, params)):
-            colstore.write_full(n, matrix)
-
+        colstore = init_columns(store.mode_lengths, params, factors)
         written: dict[Path, dict] = {}  # each cache file's writer record, checked on reads
         write_residual_caches(store, cache, written, chunk_records)
 
@@ -305,7 +239,7 @@ def stream_factorize(
                      lambda it: recorder.close(it, measure, stats.flops))
     except BaseException:  # a failed run leaves no scratch files behind
         for n in range(store.n_modes):
-            for path in (colstore._path(n), *cache_pair(cache, n)):
+            for path in (factors / f"factor_{n}.bin", *cache_pair(cache, n)):
                 path.unlink(missing_ok=True)
         for directory in reversed(made):
             with suppress(OSError):  # holds files this run did not write
@@ -313,7 +247,7 @@ def stream_factorize(
         if tmp is not None:
             tmp.cleanup()
         raise
-    return StreamingRun(colstore, params.lam, meter.peak, _tmp=tmp)
+    return StreamingRun(colstore, params.lam, colstore.meter.peak, _tmp=tmp)
 
 
 def _sum_squares(idx, values, acc):

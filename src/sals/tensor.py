@@ -8,14 +8,19 @@ modes' index columns in that order, which the row kernel slices.  Observed
 cells have one in-memory form, a :class:`Coo` of 0-based arrays, from file
 to store, test set and evaluator; indices are 1-based only in text files
 and in the error messages that quote them.
+A subset-ALS run holds its factors in one :class:`ColumnStore`, column-major
+in memory or mapped from disk, and works on C-ordered slabs of C columns.
 :func:`evaluate` is the one loss and RMSE evaluator of every solver path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from .accounting import ResidencyMeter
 
 
 class RowGroups(NamedTuple):
@@ -240,6 +245,68 @@ class FactorModel:
 
     def copy(self) -> "FactorModel":
         return FactorModel(self.rank, self.lam, [m.copy() for m in self.matrices])
+
+
+class ColumnStore:
+    """The factors of a subset-ALS run, one column-major (I_n, K) float64 array per mode.
+
+    Loading or storing the active subset touches exactly C * I_n values per
+    mode.  Loads hand out C-ordered (I_n, C) slabs, which :func:`take_rows`
+    gathers from without copying them whole.  With a ``directory``, factor n
+    is mapped from ``factor_<n>.bin``: its raw little-endian column-major
+    values, no header.  One :class:`ResidencyMeter` counts the loaded slabs.
+    """
+
+    def __init__(self, mode_lengths: Sequence[int], rank: int, directory=None):
+        self.mode_lengths, self.rank = tuple(mode_lengths), rank
+        self.directory = None if directory is None else Path(directory)
+        self.meter = ResidencyMeter()
+        self.factors: list[np.ndarray] = [None] * len(self.mode_lengths)
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+
+    def write_full(self, mode: int, matrix: np.ndarray) -> None:
+        """Set one full factor matrix (init only; metered transiently)."""
+        shape = (self.mode_lengths[mode], self.rank)
+        self.meter.add(shape[0] * self.rank)
+        if self.directory is not None:
+            path = self.directory / f"factor_{mode}.bin"
+            path.unlink(missing_ok=True)  # an earlier run's mapping keeps its own file
+            path.touch()
+        if self.directory is None or not shape[0]:  # numpy maps an empty file only by writing it
+            factor = np.empty(shape, order="F")
+        else:
+            factor = np.memmap(path, "<f8", "r+", shape=shape, order="F")
+        self.factors[mode] = factor
+        factor[:] = matrix
+        self.meter.release(shape[0] * self.rank)
+
+    def load_columns(self, mode: int, columns: np.ndarray) -> np.ndarray:
+        factor = self.factors[mode]
+        slab = np.empty((factor.shape[0], columns.size))
+        for j, k in enumerate(columns):  # contiguous column copies beat a strided cut
+            slab[:, j] = factor[:, k]
+        self.meter.add(slab.size)
+        return slab
+
+    def store_columns(self, mode: int, columns: np.ndarray, slab: np.ndarray) -> None:
+        self.factors[mode][:, columns] = slab
+
+    def release(self, slab: np.ndarray) -> None:
+        self.meter.release(slab.size)
+
+    def blocks(self, width: int):
+        """Yield every factor's slab ``width`` columns at a time, released after use."""
+        for start in range(0, self.rank, width):
+            cols = np.arange(start, min(start + width, self.rank))
+            slabs = [self.load_columns(n, cols) for n in range(len(self.mode_lengths))]
+            yield slabs
+            for slab in slabs:
+                self.release(slab)
+
+    def read_model(self, lam: float) -> FactorModel:
+        """The model as row-major copies; meant for use after the metered loop."""
+        return FactorModel(self.rank, lam, [np.array(f, order="C") for f in self.factors])
 
 
 def take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:

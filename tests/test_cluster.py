@@ -243,6 +243,18 @@ class TestRunDistributed:
             run_distributed(store, params, assignment, check_replicas=True,
                             fault_hook=lambda m, stamp: current.append(m))
 
+    @pytest.mark.parametrize("lengths, message", [
+        ((6, 5), "assignment has 2 modes, the store 3"),          # too few modes
+        ((6, 5, 3), "mode 2: assignment has 3 rows, the store 4"),  # the store's mode is longer
+        ((6, 7, 4), "mode 1: assignment has 7 rows, the store 5"),  # ... or shorter
+    ])
+    def test_assignment_of_another_shape_is_rejected(self, rng, lengths, message):
+        store = _instance(rng, (6, 5, 4), 60)
+        assignment = greedy_assign(_instance(rng, lengths, 40), 2)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            run_distributed(store, params, assignment)
+
     def test_bad_test_set_fails_before_distribution(self, rng, monkeypatch):
         from sals import cluster
 

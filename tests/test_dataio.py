@@ -293,6 +293,19 @@ class TestResidualCache:
         assert pair[1].stat().st_size == 24 + 8 * store.nnz + 4
         assert pair[0].stat().st_size == 24 + 4 * 3 * store.nnz + 4
 
+    @pytest.mark.parametrize("chunk_records", [-3, 0, 2.5])
+    def test_chunk_records_must_be_a_positive_int(self, rng, tmp_path, chunk_records):
+        store = random_store(rng, (4, 3), 8)
+        written = {}
+        write_residual_caches(store, tmp_path, written)
+        with pytest.raises(ValueError, match="chunk_records must be a positive int"):
+            write_residual_caches(store, tmp_path, written, chunk_records)
+        with pytest.raises(ValueError, match="chunk_records must be a positive int"):
+            stream_pass(cache_pair(tmp_path, 0), lambda i, v, acc: acc, expected=written,
+                        chunk_records=chunk_records)
+        assert stream_pass(cache_pair(tmp_path, 0), lambda i, v, acc: (acc or 0) + v.size,
+                           expected=written, chunk_records=np.int64(3)) == store.nnz
+
     @pytest.mark.parametrize("dtype, top", [(np.int32, 2**31 - 1), (np.int64, 2**63 - 1)])
     def test_index_records_round_trip_in_their_type(self, tmp_path, dtype, top):
         idx = np.array([[0, top, 5], [top, 1, top - 7], [3, 0, 2]], dtype=dtype)

@@ -2,8 +2,8 @@
 
 Serial, distributed (any machine count / assignment), and streaming runs
 share row kernels and consume identical seeded streams, so their final
-models must match bit for bit; the fused coordinate-descent path must
-match the general path at C=1 with fixed order.  Their progress records
+models must match bit for bit; coordinate descent, a wrapper of the
+general path, must match it at C=1 with fixed order.  Their progress records
 agree too: bitwise for the cluster, and to rounding for streaming, whose
 penalty folds over C-column blocks.
 """

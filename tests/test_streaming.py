@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sals import dataio, streaming
-from sals.accounting import ResidencyMeter
 from sals.solver import SolverParams, factorize
 from sals.streaming import ColumnStore, stream_factorize
 from sals.tensor import Coo, store_from_arrays
@@ -41,24 +40,42 @@ class _CountingFile:
 
 
 class TestColumnStore:
-    def test_round_trip(self, rng, tmp_path):
-        meter = ResidencyMeter()
-        cs = ColumnStore(tmp_path, (6, 4), rank=5, meter=meter)
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "directory"])
+    def test_round_trip(self, rng, tmp_path, on_disk):
+        cs = ColumnStore((6, 4), rank=5, directory=tmp_path if on_disk else None)
         mats = [rng.random((6, 5)), rng.random((4, 5))]
         for n, m in enumerate(mats):
             cs.write_full(n, m)
         cols = np.array([0, 3])
         slab = cs.load_columns(0, cols)
+        assert slab.flags.c_contiguous
         assert np.array_equal(slab, mats[0][:, cols])
-        assert meter.current == slab.size
+        assert cs.meter.current == slab.size
         slab[:, 1] = 7.0
         cs.store_columns(0, cols, slab)
         cs.release(slab)
-        assert meter.current == 0
+        assert cs.meter.current == 0
+        mats[0][:, 3] = 7.0
+        for n, expected in enumerate(mats):
+            path = tmp_path / f"factor_{n}.bin"
+            if on_disk:
+                assert path.read_bytes() == np.asfortranarray(expected, "<f8").tobytes("F")
+            else:
+                assert not path.exists()
+        for block in cs.blocks(2):
+            assert all(b.flags.c_contiguous for b in block)
+        assert cs.meter.current == 0
         model = cs.read_model(0.0)
-        assert np.array_equal(model.matrices[1], mats[1])
-        assert (model.matrices[0][:, 3] == 7.0).all()
-        assert np.array_equal(model.matrices[0][:, 1], mats[0][:, 1])
+        assert all(m.flags.c_contiguous for m in model.matrices)
+        assert all(np.array_equal(a, b) for a, b in zip(model.matrices, mats))
+
+    def test_empty_factor_keeps_an_empty_file(self, tmp_path):
+        cs = ColumnStore((0, 3), rank=2, directory=tmp_path)
+        cs.write_full(0, np.zeros((0, 2)))
+        cs.write_full(1, np.ones((3, 2)))
+        assert (tmp_path / "factor_0.bin").read_bytes() == b""
+        assert cs.load_columns(0, np.array([1])).shape == (0, 1)
+        assert cs.read_model(0.0).matrices[0].shape == (0, 2)
 
 
 CONFIGS = [
@@ -114,6 +131,30 @@ class TestStreamFactorize:
         expected = factorize(store, params)
         run = stream_factorize(store, params, workdir=tmp_path)
         assert max_model_diff(expected, run.load_model()) <= 1e-12
+
+    def test_zero_length_mode(self, tmp_path):
+        store = store_from_arrays(np.empty((0, 2), int), np.empty(0), (0, 3))
+        params = SolverParams(rank=2, n_columns=1, outer_iters=2, lam=0.1, seed=3)
+        run = stream_factorize(store, params, workdir=tmp_path)
+        assert (tmp_path / "factors" / "factor_0.bin").read_bytes() == b""
+        got, expected = run.load_model(), factorize(store, params)
+        assert [m.shape for m in got.matrices] == [(0, 2), (3, 2)]
+        assert all(np.array_equal(a, b) for a, b in zip(expected.matrices, got.matrices))
+
+    @pytest.mark.parametrize("chunk_records", [-3, 0, 2.5, "7", None])
+    def test_bad_chunk_records_fails_before_any_file_is_written(self, rng, tmp_path,
+                                                                chunk_records):
+        store = random_store(rng, (4, 3), 8)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=0)
+        keep = tmp_path / "notes.txt"
+        keep.write_text("not the run's")
+        for workdir in (tmp_path, tmp_path / "run"):
+            with pytest.raises(ValueError, match="chunk_records must be a positive int"):
+                stream_factorize(store, params, workdir=workdir, chunk_records=chunk_records)
+            assert sorted(tmp_path.rglob("*")) == [keep]
+        with pytest.raises(ValueError, match="chunk_records"):
+            dataio.write_residual_caches(store, tmp_path / "cache", {}, chunk_records)
+        assert sorted(tmp_path.rglob("*")) == [keep]
 
     def test_workdir_holds_only_factors_and_caches(self, rng, tmp_path):
         store = random_store(rng, (6, 5, 4), 60)
