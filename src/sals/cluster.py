@@ -7,12 +7,13 @@ slabs of every factor matrix.  One run of the shared schedule driver
 step (augment, refit of one mode, write-back, close) runs on every
 worker's replica before the next step starts, which is the ordering a
 barrier between machines would give; there are no threads.  After every
-worker has refit mode n, each worker's owned rows are copied into every
-other worker's slab; these copies are the only communication, and
-:class:`CommLog` counts them.  The master model plays the role of the
-shared file system: workers read the active columns from it at the start
-of a subset and the lead worker's slabs are written back at the end;
-neither transfer counts as communication.
+worker has refit mode n, each worker's owned rows, empty ones included, are
+copied into every other worker's slab; these copies are the only
+communication, and :class:`CommLog` counts them.  The master column store
+plays the role of the shared file system: the driver reads the active
+columns from it once at the start of a subset, as the lead worker's slabs,
+the other workers copy them, and the driver writes the lead worker's slabs
+back at the end; neither transfer counts as communication.
 
 Each worker holds the entries its rows touch in any mode (the assignment's
 :meth:`~sals.partition.RowAssignment.held` positions) and, built once per
@@ -190,17 +191,17 @@ def _worker_loop(
     stats = [SolveStats() for _ in workers]
     counters = ("sent", "received", "flops")
     marks = dict.fromkeys(counters, 0)  # the totals at the last close
+    # per worker and mode, the rows it broadcasts: all it owns, empty ones included
+    owned = [[np.concatenate([g.rows, g.empty]) for g in ws.groups] for ws in workers]
+    replicas = []  # per worker, the active slabs; the lead worker's are the driver's
 
-    def augment(columns):
-        replicas = []
-        for ws in workers:
+    def augment(slabs):
+        replicas[:] = [slabs] + [[slab.copy() for slab in slabs] for _ in workers[1:]]
+        for ws, replica in zip(workers, replicas):
             with _blame(ws.machine):
-                slabs = [master.load_columns(n, columns) for n in range(n_modes)]
-                compute_rhat(ws.residual, slabs, ws.idx, stats[ws.machine])
-            replicas.append(slabs)
-        return replicas
+                compute_rhat(ws.residual, replica, ws.idx, stats[ws.machine])
 
-    def refit(replicas, stamp):
+    def refit(_, stamp):
         n = stamp.mode
         for ws, slabs in zip(workers, replicas):
             with _blame(ws.machine, stamp):
@@ -211,11 +212,11 @@ def _worker_loop(
         if len(workers) == 1:
             return
         for ws, slabs in zip(workers, replicas):  # broadcast every worker's owned rows
-            owned = ws.groups[n].rows
-            payload = take_rows(slabs[n], owned)
+            rows = owned[ws.machine][n]
+            payload = take_rows(slabs[n], rows)
             for other, other_slabs in zip(workers, replicas):
                 if other is not ws:
-                    other_slabs[n][owned] = payload
+                    other_slabs[n][rows] = payload
                     log.received[other.machine] += payload.size
             log.sent[ws.machine] += payload.size
             log.events[ws.machine] += 1
@@ -229,12 +230,10 @@ def _worker_loop(
         merge_residual()
         return float(master_residual @ master_residual), master.blocks(params.rank)
 
-    def write_back(columns, replicas):
+    def write_back(_):
         for ws, slabs in zip(workers, replicas):
             with _blame(ws.machine):
                 update_residual(ws.residual, slabs, ws.idx, stats[ws.machine])
-        for n in range(n_modes):
-            master.store_columns(n, columns, replicas[0][n])
         if check_replicas:
             merge_residual()
             for ws, slabs in zip(workers, replicas):
@@ -245,9 +244,6 @@ def _worker_loop(
                         )
                 if not np.array_equal(ws.residual, master_residual[ws.positions]):
                     raise ClusterError(f"worker {ws.machine}: residual replica diverged")
-        for slabs in replicas:
-            for slab in slabs:
-                master.release(slab)
 
     def close(it):
         log.flops[:] = [s.flops for s in stats]
@@ -259,7 +255,7 @@ def _worker_loop(
         recorder.close(it, measure, int(log.flops.sum()), params_sent=int(rec["sent"].sum()),
                        params_received=int(rec["received"].sum()))
 
-    run_schedule(params, n_modes, augment, refit, write_back, close)
+    run_schedule(params, master, augment, refit, write_back, close)
     return stats
 
 

@@ -7,10 +7,12 @@ written back.  C=1 with a fixed column order is the coordinate-descent
 specialization (see :func:`factorize_cdtf`); C=K with T_in=1 is classic ALS.
 
 :func:`run_schedule` owns that schedule for every execution path: the
-column-order draws, the loops and the (outer, subset, inner, mode) stamp.
-A path supplies only the steps that depend on where the residual lives
-(augment, refit one mode, write back, close the outer iteration); the
-serial path here keeps it in an in-memory array.  Every path refits rows
+column-order draws, the loops, the (outer, subset, inner, mode) stamp and
+each subset's slabs, which it loads from the run's
+:class:`~sals.tensor.ColumnStore`, stores back and releases.  A path
+supplies only the steps that depend on where the residual lives (augment,
+refit one mode, write back, close the outer iteration); the serial path
+here keeps it in an in-memory array.  Every path refits rows
 through :func:`update_rows` on identically ordered arrays and records
 through one :class:`Recorder`, which is what makes distributed and
 streaming runs reproduce serial results bitwise.
@@ -388,7 +390,7 @@ def update_rows(
     weighted: bool,
     stats: SolveStats | None = None,
 ) -> int:
-    """Refit the rows ``groups.rows`` of ``slabs[mode]`` in place; returns skip count.
+    """Refit the rows of ``groups`` in ``slabs[mode]`` in place; returns skip count.
 
     ``groups.order`` indexes ``rhat_vals``, and ``groups.cols`` gives the
     entries' index columns in the same order.  Rows go through
@@ -398,10 +400,10 @@ def update_rows(
     the other modes' slabs, so neither the order nor the batching of rows
     affects the values.
 
-    Empty buckets stay out of the batches.  Under plain lambda > 0 their
-    solution is exactly +0.0, which is written directly; such a row counts
-    in ``rows_updated`` but adds no flops, as nothing is solved.  Otherwise
-    (lambda' = 0) they are skipped.
+    The rows with empty buckets, ``groups.empty``, never reach a batch.
+    Under plain lambda > 0 their solution is exactly +0.0, which is written
+    directly; such a row counts in ``rows_updated`` but adds no flops, as
+    nothing is solved.  Otherwise (lambda' = 0) they are skipped.
 
     A row whose lambda' is 0 is skipped before factoring when fewer than C
     of its entries have a nonzero product row g (in particular when its
@@ -409,18 +411,15 @@ def update_rows(
     C, so it is singular in exact arithmetic whether or not a rounded
     factorization succeeds.
     """
-    rows, order, ptr, cols = groups
+    rows, order, ptr, cols, empty = groups
     slab = slabs[mode]
     c_cols = slab.shape[1]
     skipped = updated = 0
-    empty = np.diff(ptr) == 0
-    if empty.any():
-        if lam > 0 and not weighted:
-            slab[rows[empty]] = 0.0
-            updated += int(empty.sum())
-        else:
-            skipped += int(empty.sum())
-        rows, ptr = rows[~empty], np.append(ptr[:-1][~empty], ptr[-1])
+    if lam > 0 and not weighted:
+        slab[empty] = 0.0
+        updated += empty.size
+    else:
+        skipped += empty.size
     for r0, r1 in _batches(ptr, c_cols):
         lo, hi = ptr[r0], ptr[r1]
         seg = ptr[r0:r1 + 1] - lo
@@ -508,32 +507,38 @@ class Recorder:
 
 def run_schedule(
     params: SolverParams,
-    n_modes: int,
-    augment: Callable[[np.ndarray], list[np.ndarray]],
+    colstore: ColumnStore,
+    augment: Callable[[list[np.ndarray]], None],
     refit: Callable[[list[np.ndarray], Stamp], None],
-    write_back: Callable[[np.ndarray, list[np.ndarray]], None],
+    write_back: Callable[[list[np.ndarray]], None],
     close: Callable[[int], None],
 ) -> None:
     """Drive the subset-ALS schedule through one execution path's steps.
 
-    Per column subset, ``augment(columns)`` turns the residual into r-hat
-    and returns the active slabs, ``refit(slabs, stamp)`` refits mode
-    ``stamp.mode`` (T_in sweeps over all modes), and ``write_back(columns,
-    slabs)`` stores the slabs and restores the residual.  ``close(outer)``
+    Per column subset the driver loads every mode's slab of the active
+    columns from ``colstore``; ``augment(slabs)`` turns the residual into
+    r-hat, ``refit(slabs, stamp)`` refits mode ``stamp.mode`` (T_in sweeps
+    over all modes) and ``write_back(slabs)`` restores the residual; then
+    the driver stores the slabs back and releases them.  ``close(outer)``
     ends each outer iteration, through :meth:`Recorder.close`.
     """
     _, order_rng = rng_streams(params.seed)
+    modes = range(len(colstore.mode_lengths))
     for it in range(1, params.outer_iters + 1):
         for si, columns in enumerate(choose_columns(params, order_rng)):
-            slabs = augment(columns)
+            slabs = [colstore.load_columns(n, columns) for n in modes]
+            augment(slabs)
             for inner in range(params.inner_iters):
-                for n in range(n_modes):
+                for n in modes:
                     stamp = Stamp(it, si, inner, n)
                     try:
                         refit(slabs, stamp)
                     except (ValueError, ArithmeticError) as exc:
                         raise type(exc)(f"{stamp}: {exc}") from exc
-            write_back(columns, slabs)
+            write_back(slabs)
+            for n in modes:
+                colstore.store_columns(n, columns, slabs[n])
+                colstore.release(slabs[n])
         close(it)
 
 
@@ -555,29 +560,18 @@ def factorize(
     colstore, vals = init_columns(store.mode_lengths, params), store.values.copy()
     stats = stats if stats is not None else SolveStats()
     weighted = params.regularization == WEIGHTED
-
-    def augment(columns):
-        slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
-        compute_rhat(vals, slabs, store.idx, stats)
-        return slabs
+    groups = [store.groups(n) for n in range(store.n_modes)]
 
     def refit(slabs, stamp):
-        update_rows(
-            slabs, vals, stamp.mode, store.groups(stamp.mode), params.lam, weighted, stats,
-        )
-
-    def write_back(columns, slabs):
-        update_residual(vals, slabs, store.idx, stats)
-        for n in range(store.n_modes):
-            colstore.store_columns(n, columns, slabs[n])
-            colstore.release(slabs[n])
+        update_rows(slabs, vals, stamp.mode, groups[stamp.mode], params.lam, weighted, stats)
 
     def measure():
         return float(vals @ vals), colstore.blocks(params.rank)
 
     recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration,
                         flops=stats.flops)
-    run_schedule(params, store.n_modes, augment, refit, write_back,
+    run_schedule(params, colstore, lambda slabs: compute_rhat(vals, slabs, store.idx, stats),
+                 refit, lambda slabs: update_residual(vals, slabs, store.idx, stats),
                  lambda it: recorder.close(it, measure, stats.flops))
     return colstore.read_model(params.lam)
 

@@ -122,9 +122,9 @@ def _update_mode_streaming(
 
     Each chunk's complete row groups go to :func:`update_rows`, delimited by
     their row heads; the last group may continue in the next chunk and is
-    carried over.  The ``absent`` rows, whose buckets are empty and so not
-    cached, go to :func:`update_rows` at the end, which settles them
-    without a batch.
+    carried over.  The ``absent`` group's ``empty`` rows, whose buckets are
+    empty and so not cached, go to :func:`update_rows` at the end, which
+    settles them without a batch.
 
     With ``augment`` the value file still holds the residual: each chunk is
     turned into r-hat by :func:`compute_rhat` as it is read.  A row is refit
@@ -141,7 +141,7 @@ def _update_mode_streaming(
         rows = idx[:end, mode]
         heads = np.flatnonzero(np.diff(rows, prepend=-1))
         cols = tuple(None if m == mode else idx[:end, m] for m in range(len(slabs)))
-        groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end), cols)
+        groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end), cols, rows[:0])
         update_rows(slabs, values[:end], mode, groups, lam, weighted, stats)
         if write_back:
             update_residual(values[:end], slabs, idx[:end], stats)
@@ -202,15 +202,13 @@ def stream_factorize(
 
         weighted = params.regularization == WEIGHTED
         empty = [np.flatnonzero(store.bucket_sizes(n) == 0) for n in range(store.n_modes)]
-        absent = [RowGroups(rows, rows[:0], np.zeros(rows.size + 1, int), ()) for rows in empty]
+        absent = [RowGroups(rows[:0], rows[:0], np.zeros(1, int), (), rows) for rows in empty]
 
         last = store.n_modes - 1
 
-        def augment(columns):  # mode 0's augment rides on its first refit
-            slabs = [colstore.load_columns(n, columns) for n in range(store.n_modes)]
+        def augment(slabs):  # mode 0's augment rides on its first refit
             _value_pass(cache, written, compute_rhat, slabs, stats, chunk_records,
                         range(1, store.n_modes))
-            return slabs
 
         def refit(slabs, stamp):
             n = stamp.mode
@@ -220,12 +218,9 @@ def stream_factorize(
                 write_back=stamp.inner == params.inner_iters - 1 and n == last,
             )
 
-        def write_back(columns, slabs):  # the last mode's write-back rode on its last refit
+        def write_back(slabs):  # the last mode's write-back rode on its last refit
             _value_pass(cache, written, update_residual, slabs, stats, chunk_records,
                         range(last))
-            for n in range(store.n_modes):
-                colstore.store_columns(n, columns, slabs[n])
-                colstore.release(slabs[n])
 
         def measure():
             resid_sq = dataio.stream_pass(
@@ -235,7 +230,7 @@ def stream_factorize(
             return resid_sq or 0.0, colstore.blocks(params.n_columns)
 
         recorder.start()
-        run_schedule(params, store.n_modes, augment, refit, write_back,
+        run_schedule(params, colstore, augment, refit, write_back,
                      lambda it: recorder.close(it, measure, stats.flops))
     except BaseException:  # a failed run leaves no scratch files behind
         for n in range(store.n_modes):

@@ -53,17 +53,26 @@ class TestDistribute:
         assert workers[1].positions.tolist() == [1]
 
     def test_owned_buckets_are_complete(self, rng):
-        store = random_store(rng, (8, 6, 7), 100)
-        assignment = greedy_assign(store, 3)
-        workers = distribute(store, assignment)
-        for m, w in enumerate(workers):
-            for n in range(3):
-                rows, order, ptr, _ = w.groups[n]
-                assert np.array_equal(rows, assignment.rows(m, n))
-                assert ptr[0] == 0 and ptr[-1] == order.size
-                for r, row in enumerate(rows):
-                    local = order[ptr[r]:ptr[r + 1]]
-                    assert np.array_equal(w.positions[local], store.bucket(n, int(row)))
+        # The second store has empty rows in every mode: a worker's groups
+        # split them out, and its filled and empty rows are the rows it owns.
+        n_empty = 0
+        for lengths in ((8, 6, 7), (50, 50, 50)):
+            store = random_store(rng, lengths, 100)
+            assignment = greedy_assign(store, 3)
+            workers = distribute(store, assignment)
+            for m, w in enumerate(workers):
+                for n in range(3):
+                    rows, order, ptr, _, empty = w.groups[n]
+                    assert np.array_equal(np.sort(np.concatenate([rows, empty])),
+                                          assignment.rows(m, n))
+                    assert (store.bucket_sizes(n)[empty] == 0).all()
+                    n_empty += empty.size
+                    assert ptr[0] == 0 and ptr[-1] == order.size
+                    for r, row in enumerate(rows):
+                        local = order[ptr[r]:ptr[r + 1]]
+                        assert local.size > 0
+                        assert np.array_equal(w.positions[local], store.bucket(n, int(row)))
+        assert n_empty > 0
 
     @pytest.mark.parametrize("strategy", ["greedy", "sequential", "random"])
     @pytest.mark.parametrize("lengths", [(11, 7), (9, 7, 5), (6, 5, 4, 3)])

@@ -1,18 +1,27 @@
-"""Every row gather on the solver paths reads a C-contiguous source.
+"""Call-site guards on every subset-ALS path: what the solvers hand each other.
 
-``np.take`` copies a strided source whole before it gathers (see
-:func:`sals.tensor.take_rows`), so one F-ordered slab turns each gather of
-a refit into a copy of all I_n rows.  Each test wraps every module binding
-of ``take_rows`` for one run of a path.  The check lives here, not in the
-library: tests elsewhere feed ``take_rows`` strided input on purpose.
+- Every row gather reads a C-contiguous source.  ``np.take`` copies a
+  strided source whole before it gathers (see :func:`sals.tensor.take_rows`),
+  so one F-ordered slab turns each gather of a refit into a copy of all I_n
+  rows.
+- Only the schedule driver (and the column store's own ``blocks``) loads,
+  stores and releases slabs, once per mode and subset.
+- No refit hands the row kernel an empty bucket: row groups split the
+  empty rows out once.
+
+Each test wraps every module binding of one name for a run of a path.  The
+checks live here, not in the library: tests elsewhere feed ``take_rows``
+strided input on purpose.
 """
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sals import cluster, partition, solver, streaming, tensor
-from sals.tensor import Coo
+from sals.tensor import Coo, store_from_arrays
 from conftest import random_store
 
 STORE = random_store(np.random.default_rng(9), (50, 50, 50), 3000)
@@ -20,6 +29,23 @@ TEST = Coo(np.random.default_rng(10).integers(0, 50, (200, 3)),
            np.random.default_rng(11).normal(size=200))
 PARAMS = solver.SolverParams(rank=6, n_columns=4, outer_iters=2, lam=0.05, seed=4)
 HOOKED = dict(test_entries=TEST, on_iteration=lambda record: None)
+# Entries in the first 40 rows of every mode: rows 40..49 are empty in each.
+_CUBE = random_store(np.random.default_rng(12), (40, 40, 40), 3000)
+EMPTY_ROWS = store_from_arrays(_CUBE.idx, _CUBE.values, (50, 50, 50))
+
+OWNERS = (tensor, solver, cluster, streaming, partition, tensor.ColumnStore)
+
+
+def spy(monkeypatch, real, note):
+    """Rebind every binding of ``real`` in ``OWNERS`` to a wrapper that
+    calls ``note`` with the arguments before the call."""
+    def wrapper(*args, **kwargs):
+        note(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    for owner in OWNERS:
+        if getattr(owner, real.__name__, None) is real:
+            monkeypatch.setattr(owner, real.__name__, wrapper)
 
 
 @pytest.fixture
@@ -27,19 +53,13 @@ def sources(monkeypatch):
     """(shape, C-contiguous) of the source of every ``take_rows`` call made while
     the test runs."""
     seen = []
-    real = tensor.take_rows
-
-    def recording(a, index):
-        seen.append((a.shape, a.flags.c_contiguous))
-        return real(a, index)
-
-    for module in (tensor, solver, cluster, partition):
-        monkeypatch.setattr(module, "take_rows", recording)
+    spy(monkeypatch, tensor.take_rows,
+        lambda a, index: seen.append((a.shape, a.flags.c_contiguous)))
     return seen
 
 
-def _stream():
-    run = streaming.stream_factorize(STORE, PARAMS, chunk_records=500, **HOOKED)
+def _stream(store, params, **kwargs):
+    run = streaming.stream_factorize(store, params, chunk_records=500, **kwargs)
     try:
         return run.load_model()
     finally:
@@ -47,17 +67,18 @@ def _stream():
 
 
 RUNS = {
-    "sals": lambda: solver.factorize(STORE, PARAMS, **HOOKED),
-    "cdtf": lambda: solver.factorize_cdtf(STORE, replace(PARAMS, n_columns=1), **HOOKED),
-    "cluster": lambda: cluster.run_distributed(
-        STORE, PARAMS, partition.greedy_assign(STORE, 3), check_replicas=True, **HOOKED)[0],
+    "sals": solver.factorize,
+    "cdtf": lambda store, params, **kwargs: solver.factorize_cdtf(
+        store, replace(params, n_columns=1), **kwargs),
+    "cluster": lambda store, params, **kwargs: cluster.run_distributed(
+        store, params, partition.greedy_assign(store, 3), check_replicas=True, **kwargs)[0],
     "streaming": _stream,
 }
 
 
 @pytest.mark.parametrize("path", sorted(RUNS))
 def test_path_gathers_from_c_contiguous_sources(sources, path):
-    RUNS[path]()
+    RUNS[path](STORE, PARAMS, **HOOKED)
     assert sources
     assert [shape for shape, contiguous in sources if not contiguous] == []
 
@@ -68,3 +89,45 @@ def test_rmse_gathers_from_c_contiguous_sources(sources):
     tensor.rmse(model, TEST)
     assert sources
     assert [shape for shape, contiguous in sources if not contiguous] == []
+
+
+@pytest.mark.parametrize("path", sorted(RUNS))
+def test_driver_owns_the_slabs(monkeypatch, path):
+    # Without a hook nothing is measured, so every slab is the driver's:
+    # one load, store and release per mode and column subset.
+    calls, callers, stores = Counter(), set(), set()
+
+    def note(name):
+        def noted(colstore, *args):
+            calls[name] += 1
+            frame = sys._getframe(2)  # past the spy's wrapper
+            while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+                frame = frame.f_back
+            callers.add(frame.f_code.co_name)
+            stores.add(colstore)
+        return noted
+
+    for name in ("load_columns", "store_columns", "release"):
+        spy(monkeypatch, getattr(tensor.ColumnStore, name), note(name))
+    RUNS[path](STORE, PARAMS)
+    c_cols = 1 if path == "cdtf" else PARAMS.n_columns
+    subsets = -(-PARAMS.rank // c_cols) * PARAMS.outer_iters
+    assert calls == dict.fromkeys(("load_columns", "store_columns", "release"),
+                                  STORE.n_modes * subsets)
+    assert callers == {"run_schedule"}
+    assert len(stores) == 1 and next(iter(stores)).meter.current == 0
+
+
+@pytest.mark.parametrize("lam, regularization", [
+    (0.05, "plain"), (0.05, "weighted"), (0.0, "plain"),
+])
+@pytest.mark.parametrize("path", sorted(RUNS))
+def test_no_refit_gets_an_empty_bucket(monkeypatch, path, lam, regularization):
+    for n in range(EMPTY_ROWS.n_modes):
+        assert np.array_equal(np.flatnonzero(EMPTY_ROWS.bucket_sizes(n) == 0), np.arange(40, 50))
+    sizes = []
+    spy(monkeypatch, solver.update_rows,
+        lambda slabs, rhat_vals, mode, groups, *args: sizes.append(np.diff(groups.ptr)))
+    RUNS[path](EMPTY_ROWS, replace(PARAMS, lam=lam, regularization=regularization))
+    assert sizes
+    assert [s for s in sizes if not (s > 0).all()] == []

@@ -160,7 +160,13 @@ class TestLayout:
             assert len(cols) == n_modes and cols[n] is None
             rows = rng.permutation(lengths[n])[:rng.integers(0, lengths[n] + 1)]
             whole, some = store.groups(n), store.groups(n, rows)
-            assert whole.cols is cols
+            assert whole.cols is cols and whole.order is store.mode_perm[n]
+            sizes = store.bucket_sizes(n)
+            for g, asked in ((whole, np.arange(lengths[n])), (some, rows)):
+                # rows and empty partition the asked rows, in their order
+                assert np.array_equal(g.empty, asked[sizes[asked] == 0])
+                assert np.array_equal(g.rows, asked[sizes[asked] > 0])
+                assert np.array_equal(np.diff(g.ptr), sizes[g.rows])
             for m in range(n_modes):
                 if m == n:
                     continue
