@@ -261,10 +261,17 @@ def normal_eq_arrays(
     A bucket below ``_SEGMENTED_BELOW[C]`` entries (``_SMALL_BUCKET`` above
     C = 2) is summed by segmented reductions over the batch, which build
     the summed rows' systems as one compact block; a larger one takes one
-    BLAS product of its own.  Either way a row's sums read only its own
-    entries, and the choice depends only on C and the bucket's size, so a
-    row's bits do not depend on the other rows.  Overflow is silent here: :func:`update_rows`
-    checks the systems and names the row.
+    BLAS product of its own.  The segmented sums run along contiguous rows:
+    the summed entries' G is copied once to (C, P), and each of the
+    C(C+1)/2 pair products and C products with r-hat is one P-long multiply
+    into one reused buffer, whose ``np.add.reduceat`` writes the segment
+    sums straight into B (mirrored) or c.  ``reduceat`` adds a segment as
+    its first value plus the pairwise sum of the rest at any stride, so
+    these are the bits of the summation over (P, C) columns.  Either way a
+    row's sums read only its own entries, and the choice depends only on C
+    and the bucket's size, so a row's bits do not depend on the other rows.
+    Overflow is silent here: :func:`update_rows` checks the systems and
+    names the row.
     """
     n_modes = len(slabs)
     c_cols = slabs[mode].shape[1]
@@ -283,11 +290,12 @@ def normal_eq_arrays(
             keep = np.repeat(small, sizes)
             Gs, rs = np.compress(keep, G, axis=0), np.compress(keep, rhat_vals)
             starts = (np.cumsum(sizes * small) - sizes * small)[summed]
-        for a in range(c_cols):  # row a of B and, mirrored, column a
-            sums = np.add.reduceat(Gs[:, a:a + 1] * Gs[:, a:], starts, axis=0)
-            Bs[:, a, a:] = sums
-            Bs[:, a + 1:, a] = sums[:, 1:]
-        np.add.reduceat(Gs * rs[:, None], starts, axis=0, out=cs)
+        Gt, buf = np.ascontiguousarray(Gs.T), np.empty(rs.size)
+        for a in range(c_cols):  # row a of B and, mirrored, column a; then c[a]
+            for b in range(a, c_cols):
+                np.add.reduceat(np.multiply(Gt[a], Gt[b], out=buf), starts, out=Bs[:, a, b])
+            Bs[:, a + 1:, a] = Bs[:, a, a + 1:]
+            np.add.reduceat(np.multiply(Gt[a], rs, out=buf), starts, out=cs[:, a])
     if summed.size == sizes.size:
         B, c = Bs, cs
     else:
@@ -368,17 +376,19 @@ def _cholesky_solve(L: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve L L^T x = c per stacked system by forward and back substitution.
 
     Every step is elementwise over the systems, so each solution's bits
-    depend only on its own system.
+    depend only on its own system.  The steps run on a (C, C, R) copy of L
+    and a (C, R) copy of c, one long contiguous loop each; the solutions
+    come back as an (R, C) view.
     """
-    x = c.copy()
+    L, x = L.transpose(1, 2, 0).copy(), c.T.copy()
     c_cols = c.shape[1]
     for j in range(c_cols):
-        x[:, j] /= L[:, j, j]
-        x[:, j + 1:] -= L[:, j + 1:, j] * x[:, j:j + 1]
+        x[j] /= L[j, j]
+        x[j + 1:] -= L[j + 1:, j] * x[j]
     for j in reversed(range(c_cols)):
-        x[:, j] /= L[:, j, j]
-        x[:, :j] -= L[:, j, :j] * x[:, j:j + 1]
-    return x
+        x[j] /= L[j, j]
+        x[:j] -= L[j, :j] * x[j]
+    return x.T
 
 
 def update_rows(

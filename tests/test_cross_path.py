@@ -72,10 +72,12 @@ def test_paths_agree_bitwise(case):
     assert_same(factorize(store, cd), factorize_cdtf(store, cd))
 
 
-@pytest.mark.parametrize("c_cols", [1, 2, 4])
+@pytest.mark.parametrize("c_cols", [1, 2, 3, 4, 8])
 def test_paths_agree_bitwise_across_bucket_limits(c_cols):
+    # C = K = 8 is the benchmark's als path.
     store = kernel_store(np.random.default_rng(c_cols), 3, LIMIT_SIZES)
-    params = SolverParams(rank=4, n_columns=c_cols, outer_iters=2, lam=0.05, seed=c_cols)
+    params = SolverParams(rank=max(4, c_cols), n_columns=c_cols, outer_iters=2, lam=0.05,
+                          seed=c_cols)
     serial = factorize(store, params)
     dist, _ = sals.run_distributed(store, params, sals.assign(store, "greedy", 2, seed=3),
                                    check_replicas=True)

@@ -8,12 +8,14 @@
   stores and releases slabs, once per mode and subset.
 - No refit hands the row kernel an empty bucket: row groups split the
   empty rows out once.
+- One refit's transient memory follows its batches, not its mode lengths.
 
-Each test wraps every module binding of one name for a run of a path.  The
-checks live here, not in the library: tests elsewhere feed ``take_rows``
-strided input on purpose.
+Each call-site test wraps every module binding of one name for a run of a
+path.  The checks live here, not in the library: tests elsewhere feed
+``take_rows`` strided input on purpose.
 """
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -131,3 +133,37 @@ def test_no_refit_gets_an_empty_bucket(monkeypatch, path, lam, regularization):
     RUNS[path](EMPTY_ROWS, replace(PARAMS, lam=lam, regularization=regularization))
     assert sizes
     assert [s for s in sizes if not (s > 0).all()] == []
+
+
+def refit_peak(store, c_cols, lam=0.05, weighted=False):
+    """``tracemalloc`` peak of one ``update_rows`` call on mode 0, C-ordered slabs."""
+    rng = np.random.default_rng(1)
+    slabs = [rng.random((length, c_cols)) for length in store.mode_lengths]
+    rhat, groups = rng.normal(size=store.nnz), store.groups(0)
+    tracemalloc.start()
+    try:
+        solver.update_rows(slabs, rhat, 0, groups, lam, weighted)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("lam, weighted", [(0.05, False), (0.05, True), (0.0, False)])
+def test_refit_peak_does_not_grow_with_mode_length(lam, weighted):
+    # The same entries under modes of 10^4 and 10^5 rows: only empty rows are
+    # added.  A strided gather would copy a whole (I_n, C) slab, 8 C bytes per
+    # added row; the bound is one column's 8 bytes per added row.
+    c_cols = 4
+    small = random_store(np.random.default_rng(4), (10 ** 4,) * 3, 1 << 16)
+    large = store_from_arrays(small.idx, small.values, (10 ** 5,) * 3)
+    peaks = [refit_peak(store, c_cols, lam, weighted) for store in (small, large)]
+    assert peaks[1] - peaks[0] <= 8 * (10 ** 5 - 10 ** 4), peaks
+
+
+@pytest.mark.parametrize("c_cols", [1, 8])
+def test_refit_peak_stays_per_batch(c_cols):
+    # 2^19 entries in buckets of about 16, summed by segments: sixteen
+    # batches.  G, its (C, P) copy, the product buffer and the systems are
+    # per batch, so the peak is a few batches' (P, C) blocks.
+    store = random_store(np.random.default_rng(5), (1 << 15, 64, 64), 1 << 19)
+    assert refit_peak(store, c_cols) <= 6 * solver._BATCH_ENTRIES * c_cols * 8

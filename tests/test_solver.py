@@ -455,6 +455,74 @@ class TestRowKernel:
             single, solved = solve_row(one(B[r], c[r]), lam[r])
             assert solved[0] == ok[r] and np.array_equal(single[0], x[r])
 
+    @pytest.mark.parametrize("c_cols", range(1, 9))
+    def test_kernel_bits_match_the_strided_formulas(self, c_cols):
+        # The kernel's bits are pinned to the formulas over (P, C) columns,
+        # which no cross-path test can see as every path shares the kernel:
+        # the axis-0 segmented sums of G_a * G_a: and G * r-hat, and the
+        # substitution over (R, C) rows.  Buckets fall on both sides of C's
+        # limit, so the summed ones are compressed out of the batch; C = 1
+        # and C = 2 add buckets long enough for numpy's pairwise recursion.
+        rng = np.random.default_rng(2800 + c_cols)
+        limit = solver._SEGMENTED_BELOW.get(c_cols, solver._SMALL_BUCKET)
+        sizes = [0, 1, 2, 3, 8, 9, 17, 0, 40, 63, 64, 65, 130, 5]
+        sizes += {1: [1500, 4, 6000, 1], 2: [511, 512, 600, 3]}.get(c_cols, [limit - 1, limit])
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+
+        def spread(shape):  # signed magnitudes across 1e+-8, with zeros and -0.0
+            x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            x[rng.random(shape) < 0.05] = 0.0
+            x[rng.random(shape) < 0.05] = -0.0
+            return x
+
+        slabs = [spread((300, c_cols)) for _ in range(3)]
+        cols = [None] + [rng.integers(0, 300, ptr[-1]).astype(np.int32) for _ in range(2)]
+        rhat = spread(ptr[-1])
+        neq = solver.normal_eq_arrays(slabs, cols, rhat, ptr, 0)
+
+        G = solver._products(slabs, cols, 0)
+        sizes = np.diff(ptr)
+        small = sizes < limit
+        summed = np.flatnonzero(small & (sizes > 0))
+        keep = np.repeat(small, sizes)
+        Gs, rs = G[keep], rhat[keep]
+        starts = (np.cumsum(sizes * small) - sizes * small)[summed]
+        B = np.zeros((sizes.size, c_cols, c_cols))
+        c = np.zeros((sizes.size, c_cols))
+        for a in range(c_cols):
+            sums = np.add.reduceat(Gs[:, a:a + 1] * Gs[:, a:], starts, axis=0)
+            B[summed, a, a:] = sums
+            B[summed, a + 1:, a] = sums[:, 1:]
+        c[summed] = np.add.reduceat(Gs * rs[:, None], starts, axis=0)
+        for r in np.flatnonzero(~small):
+            g = G[ptr[r]:ptr[r + 1]]
+            B[r], c[r] = g.T @ g, g.T @ rhat[ptr[r]:ptr[r + 1]]
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        assert np.array_equal(bits(neq.B), bits(B)) and np.array_equal(bits(neq.c), bits(c))
+
+        lam = 0.05 * np.maximum(sizes, 1)
+        x, ok = solve_row(neq, lam)
+        A = B.copy()
+        A[:, range(c_cols), range(c_cols)] += lam[:, None]
+        L, chol_ok = solver._cholesky(A)
+        assert np.array_equal(ok, chol_ok) and ok.any()
+        ref = np.zeros_like(c)
+        if c_cols == 1:
+            ref[ok] = c[ok] / A[ok, 0]
+        else:
+            y = c[ok]
+            for j in range(c_cols):
+                y[:, j] /= L[ok, j, j]
+                y[:, j + 1:] -= L[ok, j + 1:, j] * y[:, j:j + 1]
+            for j in reversed(range(c_cols)):
+                y[:, j] /= L[ok, j, j]
+                y[:, :j] -= L[ok, j, :j] * y[:, j:j + 1]
+            ref[ok] = y
+        assert np.array_equal(bits(x), bits(ref))
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNumericalErrorContext:
