@@ -25,7 +25,6 @@ from .dataio import (
     DataFormatError,
     generate_synthetic,
     generate_zipf,
-    plan_synthetic,
     read_coo,
     stream_pass,
     write_coo,
@@ -106,7 +105,6 @@ __all__ = [
     "learning_rate",
     "load_stats",
     "loss",
-    "plan_synthetic",
     "psgd_epoch",
     "random_assign",
     "read_coo",

@@ -119,22 +119,6 @@ def write_coo(path, data: Coo, spec: CooFileSpec) -> None:
         fh.writelines(map(line.format, *(idx + spec.index_base).T.tolist(), values.tolist()))
 
 
-DESK_SCALE_VALUES = 50_000_000
-
-
-@dataclass(frozen=True)
-class SyntheticPlan:
-    """Validated generator parameters plus a desk-scale flag."""
-
-    mode_lengths: tuple[int, ...]
-    nnz: int
-    rank: int
-    noise_sigma: float
-    test_fraction: float
-    seed: int
-    beyond_desk_scale: bool
-
-
 def _feasible(mode_lengths: Sequence[int], nnz: int) -> tuple[int, ...]:
     """``mode_lengths`` as ints, checked positive and with room for ``nnz`` distinct cells."""
     mode_lengths = tuple(int(length) for length in mode_lengths)
@@ -144,29 +128,6 @@ def _feasible(mode_lengths: Sequence[int], nnz: int) -> tuple[int, ...]:
     if not 0 <= nnz <= cells:
         raise ValueError(f"nnz={nnz} infeasible for {cells} cells")
     return mode_lengths
-
-
-def plan_synthetic(
-    mode_lengths: Sequence[int],
-    nnz: int,
-    rank: int,
-    noise_sigma: float = 0.0,
-    test_fraction: float = 0.0,
-    seed: int = 0,
-) -> SyntheticPlan:
-    """Validate generator parameters without generating anything."""
-    mode_lengths = _feasible(mode_lengths, nnz)
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if not 0 <= noise_sigma < np.inf:
-        raise ValueError("noise_sigma must be finite and nonnegative")
-    if not 0 <= test_fraction < 1:
-        raise ValueError("test_fraction must be in [0, 1)")
-    footprint = nnz * (len(mode_lengths) + 1) + rank * sum(mode_lengths)
-    return SyntheticPlan(
-        mode_lengths, nnz, rank, noise_sigma, test_fraction, seed,
-        beyond_desk_scale=footprint > DESK_SCALE_VALUES,
-    )
 
 
 def _distinct_rows(
@@ -219,19 +180,16 @@ def generate_synthetic(
     ground-truth model has ``lam = 0``, so :func:`sals.loss` of it is the
     bare squared error; rebuild it with a run's lambda to compare losses.
     """
-    plan = plan_synthetic(mode_lengths, nnz, rank, noise_sigma, test_fraction, seed)
-    if plan.beyond_desk_scale:
-        warnings.warn(
-            f"synthetic request needs ~{nnz * (len(plan.mode_lengths) + 1)} stored values; "
-            "beyond desk-scale defaults",
-            ResourceWarning,
-            stacklevel=2,
-        )
+    mode_lengths = _feasible(mode_lengths, nnz)
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError("noise_sigma must be finite and nonnegative")
+    if not 0 <= test_fraction < 1:
+        raise ValueError("test_fraction must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    truth = FactorModel(
-        rank, 0.0, [rng.random((length, rank)) for length in plan.mode_lengths]
-    )
-    idx = _sample_tuples(rng, plan.mode_lengths, nnz)
+    truth = FactorModel(rank, 0.0, [rng.random((length, rank)) for length in mode_lengths])
+    idx = _sample_tuples(rng, mode_lengths, nnz)
     values = predict_entries(truth, idx)
     if noise_sigma > 0:
         values = values + rng.normal(0.0, noise_sigma, size=nnz)
@@ -239,7 +197,7 @@ def generate_synthetic(
     test_pos = rng.choice(nnz, size=n_test, replace=False)
     test_mask = np.zeros(nnz, dtype=bool)
     test_mask[test_pos] = True
-    train_store = store_from_arrays(idx[~test_mask], values[~test_mask], plan.mode_lengths)
+    train_store = store_from_arrays(idx[~test_mask], values[~test_mask], mode_lengths)
     return train_store, Coo(idx[test_mask], values[test_mask]), truth
 
 

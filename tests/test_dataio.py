@@ -1,6 +1,5 @@
 import hashlib
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from sals.dataio import (
     cache_pair,
     generate_synthetic,
     generate_zipf,
-    plan_synthetic,
     read_coo,
     stream_pass,
     write_coo,
@@ -208,24 +206,20 @@ class TestGenerateSynthetic:
         again, _, _ = generate_synthetic(lengths, 1000, 2, 0.0, 0.1, seed=3)
         assert np.array_equal(again.idx, store.idx)
 
-    def test_large_scale_accepted_but_flagged(self):
-        # the default synthetic scale from the scaled-up benchmark family:
-        # accepted as parameters, flagged as beyond desk scale
-        plan = plan_synthetic((10**6,) * 3, 10**8, 100, 0.1, 0.0, seed=1)
-        assert plan.beyond_desk_scale
-
-    def test_infeasible_nnz_rejected(self):
-        with pytest.raises(ValueError, match="infeasible"):
-            plan_synthetic((3, 3), 10, 2)
-
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
-    def test_bad_noise_rejected(self, sigma):
-        with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
-            plan_synthetic((3, 3), 4, 2, noise_sigma=sigma)
-
-    def test_desk_scale_not_flagged(self):
-        plan = plan_synthetic((50, 50, 50), 40000, 5, 0.1, 0.1, seed=0)
-        assert not plan.beyond_desk_scale
+    @pytest.mark.parametrize("lengths, nnz, rank, sigma, fraction, message", [
+        ((3, 3), 10, 2, 0.0, 0.0, "nnz=10 infeasible for 9 cells"),
+        ((3, 0), 0, 2, 0.0, 0.0, "mode lengths must be positive"),
+        ((3, 3), 4, 0, 0.0, 0.0, "rank must be >= 1"),
+        ((3, 3), 4, 2, np.nan, 0.0, "noise_sigma must be finite and nonnegative"),
+        ((3, 3), 4, 2, np.inf, 0.0, "noise_sigma must be finite and nonnegative"),
+        ((3, 3), 4, 2, -0.1, 0.0, "noise_sigma must be finite and nonnegative"),
+        ((3, 3), 4, 2, 0.0, -0.1, r"test_fraction must be in \[0, 1\)"),
+        ((3, 3), 4, 2, 0.0, 1.0, r"test_fraction must be in \[0, 1\)"),
+    ], ids=["nnz", "length", "rank", "noise-nan", "noise-inf", "noise-negative",
+            "fraction-negative", "fraction-one"])
+    def test_bad_arguments_rejected(self, lengths, nnz, rank, sigma, fraction, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_synthetic(lengths, nnz, rank, sigma, fraction)
 
 
 class TestGenerateZipf:

@@ -33,6 +33,11 @@ CASES = [
     ((25,), 20, 4, 2, 2, 2, 0.1, "weighted", "random_per_outer", 3, "greedy", 6),
     # rows of every mode span several chunks
     ((4, 3, 3, 3, 4), 300, 4, 2, 2, 1, 0.05, "plain", "random_per_outer", 3, "greedy", 29),
+    # long, mostly empty modes: both exceed 2^16 rows (two radix digits), and
+    # 94 % and 92 % of their rows hold no entry, under weighted and zero lambda
+    ((100_000, 70_000, 3), 6000, 8, 4, 2, 1, 0.05, "weighted", "random_per_outer", 3, "greedy",
+     997),
+    ((100_000, 70_000, 3), 6000, 8, 4, 2, 1, 0.0, "plain", "random_per_outer", 3, "greedy", 997),
 ]
 
 
