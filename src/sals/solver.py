@@ -44,7 +44,8 @@ FIXED = "fixed"
 RANDOM_PER_OUTER = "random_per_outer"
 
 _CHUNK = 1 << 16
-_BATCH_ENTRIES = 1 << 15  # entries a row-kernel batch gathers at once
+_BATCH_ENTRIES = 1 << 15  # a row-kernel batch's floor of entries (see _batch_entries)
+_BATCH_VALUES = 1 << 17   # ... and its (P, C) values at small C
 # Per C, the bucket size from which a row's sums take one BLAS product of
 # their own instead of the batch's segmented reductions, measured per entry
 # (see README); _SMALL_BUCKET holds above C = 2.
@@ -211,18 +212,29 @@ def update_residual(
         stats.flops += idx.shape[0] * slabs[0].shape[1] * len(slabs)
 
 
-def _batches(ptr: np.ndarray, c_cols: int) -> Iterator[tuple[int, int]]:
-    """Row ranges ``[r0, r1)`` of at most about ``_BATCH_ENTRIES`` entries.
+def _batch_entries(c_cols: int) -> int:
+    """The most entries a batch of C-column rows gathers: max(2^15, 2^17 / C).
 
-    A batch also holds at most ``_BATCH_ENTRIES // C`` rows, so its stacked
-    systems stay about as large as its gathered entries; a bucket larger
-    than the cap is a batch of its own.
+    A batch's G and its copies are (P, C) blocks, so small C gets larger
+    batches and pays its fixed per-batch costs less often; the README gives
+    the sweep of caps that set both numbers.
+    """
+    return max(_BATCH_ENTRIES, _BATCH_VALUES // c_cols)
+
+
+def _batches(ptr: np.ndarray, c_cols: int) -> Iterator[tuple[int, int]]:
+    """Row ranges ``[r0, r1)`` of at most :func:`_batch_entries` entries.
+
+    A batch also holds at most that cap / C rows, so its stacked systems
+    stay about as large as its gathered entries; a bucket larger than the
+    cap is a batch of its own.
     """
     n_rows = ptr.size - 1
-    max_rows = max(1, _BATCH_ENTRIES // c_cols)
+    cap = _batch_entries(c_cols)
+    max_rows = max(1, cap // c_cols)
     r0 = 0
     while r0 < n_rows:
-        fit = int(np.searchsorted(ptr, ptr[r0] + _BATCH_ENTRIES, side="right")) - 1
+        fit = int(np.searchsorted(ptr, ptr[r0] + cap, side="right")) - 1
         r1 = min(max(fit, r0 + 1), r0 + max_rows, n_rows)
         yield r0, r1
         r0 = r1
@@ -316,21 +328,27 @@ def normal_eq_arrays(
 
 
 def solve_row(
-    neq: NormalEq, lam_eff: float | np.ndarray, stats: SolveStats | None = None
+    neq: NormalEq, lam_eff: float | np.ndarray, stats: SolveStats | None = None,
+    *, checked: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (B + lambda' I) a = c for a stack of systems by Cholesky factorization.
 
     ``neq.B`` is (R, C, C), ``neq.c`` (R, C) and ``lam_eff`` a scalar or one
     value per system.  Returns ``(solutions, solved)``.  A singular system
     (possible only when lambda' = 0) gets zeros and ``solved`` False, so the
-    caller can keep the row's previous values.
+    caller can keep the row's previous values.  A negative lambda' or a
+    non-finite system raises ``ValueError``; ``checked=False`` skips both
+    checks, for :func:`update_rows`, which has made them per batch already
+    (and calls this function, not a private core, so that a span on
+    ``solve_row`` still times every solve).
     """
     B, c = neq.B, neq.c
     lam = np.broadcast_to(np.asarray(lam_eff, dtype=np.float64), c.shape[:1])
-    if (lam < 0).any():
-        raise ValueError("lam_eff must be nonnegative")
-    if not (np.isfinite(B).all() and np.isfinite(c).all()):
-        raise ValueError("non-finite normal equations")
+    if checked:
+        if (lam < 0).any():
+            raise ValueError("lam_eff must be nonnegative")
+        if not (np.isfinite(B).all() and np.isfinite(c).all()):
+            raise ValueError("non-finite normal equations")
     c_cols = c.shape[1]
     A = B.copy()
     diag = np.arange(c_cols)
@@ -405,10 +423,13 @@ def update_rows(
     ``groups.order`` indexes ``rhat_vals``, and ``groups.cols`` gives the
     entries' index columns in the same order.  Rows go through
     :func:`normal_eq_arrays` and :func:`solve_row` in batches split on row
-    boundaries; a batch slices its entries' index columns and gathers only
-    their r-hat values.  Each solve reads only the row's own entries and
-    the other modes' slabs, so neither the order nor the batching of rows
-    affects the values.
+    boundaries (see :func:`_batches`); a batch slices its entries' index
+    columns and gathers only their r-hat values, or slices those too when
+    ``groups.order`` is ``None``.  Each batch's systems are checked for
+    non-finite values once, which names the row, before the unchecked
+    solve.  Each solve reads only the row's own entries and the other
+    modes' slabs, so neither the order nor the batching of rows affects
+    the values.  A negative ``lam`` raises ``ValueError``.
 
     The rows with empty buckets, ``groups.empty``, never reach a batch.
     Under plain lambda > 0 their solution is exactly +0.0, which is written
@@ -421,6 +442,8 @@ def update_rows(
     C, so it is singular in exact arithmetic whether or not a rounded
     factorization succeeds.
     """
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
     rows, order, ptr, cols, empty = groups
     slab = slabs[mode]
     c_cols = slab.shape[1]
@@ -435,7 +458,8 @@ def update_rows(
         seg = ptr[r0:r1 + 1] - lo
         neq = normal_eq_arrays(
             slabs, [None if col is None else col[lo:hi] for col in cols],
-            take_rows(rhat_vals, order[lo:hi]), seg, mode, stats, count_nonzero=not lam > 0,
+            rhat_vals[lo:hi] if order is None else take_rows(rhat_vals, order[lo:hi]),
+            seg, mode, stats, count_nonzero=not lam > 0,
         )
         if not (np.isfinite(neq.B).all() and np.isfinite(neq.c).all()):
             finite = np.isfinite(neq.B).all(axis=(1, 2)) & np.isfinite(neq.c).all(axis=1)
@@ -449,7 +473,7 @@ def update_rows(
             fit |= neq.nonzero >= c_cols
         if not fit.all():
             neq, lam_eff, batch = NormalEq(neq.B[fit], neq.c[fit]), lam_eff[fit], batch[fit]
-        x, ok = solve_row(neq, lam_eff, stats)
+        x, ok = solve_row(neq, lam_eff, stats, checked=False)
         if not ok.all():
             x, batch = np.compress(ok, x, axis=0), np.compress(ok, batch)
         slab[batch] = x

@@ -141,7 +141,7 @@ def _update_mode_streaming(
         rows = idx[:end, mode]
         heads = np.flatnonzero(np.diff(rows, prepend=-1))
         cols = tuple(None if m == mode else idx[:end, m] for m in range(len(slabs)))
-        groups = RowGroups(rows[heads], np.arange(end), np.append(heads, end), cols, rows[:0])
+        groups = RowGroups(rows[heads], None, np.append(heads, end), cols, rows[:0])
         update_rows(slabs, values[:end], mode, groups, lam, weighted, stats)
         if write_back:
             update_residual(values[:end], slabs, idx[:end], stats)

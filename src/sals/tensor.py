@@ -28,14 +28,17 @@ class RowGroups(NamedTuple):
 
     Row ``rows[r]``'s entry positions are ``order[ptr[r]:ptr[r + 1]]``, in
     canonical order, and ``cols[m]`` holds those entries' mode-m indices in
-    the same order; the mode's own entry is ``None``.  Every bucket in
-    ``ptr`` has entries: the rows of the set whose buckets are empty are
-    ``empty``.  This is the input layout of the row kernel: a batch of rows
-    reads its entries' index columns as slices.
+    the same order; the mode's own entry is ``None``.  ``order`` is ``None``
+    where the positions are ``ptr[r]:ptr[r + 1]`` themselves, the entries
+    already in the residual's own order (mode 0's whole-mode groups and
+    streaming chunks).  Every bucket in ``ptr`` has entries: the rows of the
+    set whose buckets are empty are ``empty``.  This is the input layout of
+    the row kernel: a batch of rows reads its entries' index columns as
+    slices.
     """
 
     rows: np.ndarray
-    order: np.ndarray
+    order: np.ndarray | None
     ptr: np.ndarray
     cols: tuple[np.ndarray | None, ...]
     empty: np.ndarray
@@ -119,7 +122,9 @@ class SparseTensorStore:
     def groups(self, mode: int, rows: np.ndarray | None = None) -> RowGroups:
         """The buckets of ``rows`` of ``mode`` (default: every row, in order),
         the rows whose buckets are empty split out into ``empty``.  Asked for
-        every row, ``order`` and ``cols`` are the store's own arrays, not copies."""
+        every row, ``order`` and ``cols`` are the store's own arrays, not
+        copies, and mode 0's ``order`` is ``None``: its bucket order is the
+        canonical order."""
         ptr = self.mode_ptr[mode]
         whole = rows is None
         rows = np.arange(self.mode_lengths[mode]) if whole else np.asarray(rows, dtype=np.int64)
@@ -128,7 +133,8 @@ class SparseTensorStore:
         rows, empty, sizes = rows[filled], rows[~filled], sizes[filled]
         sub_ptr = np.concatenate([[0], np.cumsum(sizes)])
         if whole:
-            return RowGroups(rows, self.mode_perm[mode], sub_ptr, self.mode_cols[mode], empty)
+            return RowGroups(rows, self.mode_perm[mode] if mode else None, sub_ptr,
+                             self.mode_cols[mode], empty)
         at = np.arange(sub_ptr[-1]) + np.repeat(ptr[rows] - sub_ptr[:-1], sizes)
         return RowGroups(rows, self.mode_perm[mode][at], sub_ptr,
                          tuple(None if c is None else take_rows(c, at)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sals import solver
 from sals.solver import NormalEq, compute_rhat, normal_eq_arrays, update_rows
 from sals.tensor import FactorModel, SparseTensorStore, store_from_arrays
 
@@ -55,6 +56,12 @@ def kernel_store(rng, n_modes, sizes=KERNEL_SIZES) -> SparseTensorStore:
         idx.append(np.column_stack([np.full(size, row), tail]))
     idx = np.concatenate(idx).astype(np.int64)
     return store_from_arrays(idx, rng.normal(size=len(idx)), (len(sizes), *others))
+
+
+def shrink_batches(monkeypatch, cap: int) -> None:
+    """Cap every row-kernel batch at ``cap`` entries, whatever C is."""
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", cap)
+    monkeypatch.setattr(solver, "_BATCH_VALUES", cap)
 
 
 def random_model(

@@ -6,7 +6,8 @@ updates and skips, and coordinate descent must match subset-ALS at C=1
 with fixed order, for 1 to 5 modes, empty buckets, empty tensors, C not
 dividing K, more machines than rows and stream chunks down to a single
 record.  A fixed store adds buckets of 0 to 600 entries, across the row
-kernel's limits between segmented sums and per-row BLAS products.
+kernel's limits between segmented sums and per-row BLAS products, and runs
+them again with every mode split into many row-kernel batches.
 """
 from dataclasses import replace
 
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sals
+from sals import solver
 from sals.solver import SolverParams, factorize, factorize_cdtf
-from conftest import LIMIT_SIZES, kernel_store, random_store
+from conftest import LIMIT_SIZES, kernel_store, random_store, shrink_batches
 
 
 @st.composite
@@ -87,3 +89,32 @@ def test_paths_agree_bitwise_across_bucket_limits(c_cols):
         assert_same(serial, run.load_model())
     finally:
         run.cleanup()
+
+
+@pytest.mark.parametrize("c_cols, lam, regularization", [
+    (1, 0.05, "plain"), (2, 0.0, "plain"), (3, 0.05, "weighted"),
+])
+def test_paths_agree_bitwise_across_split_batches(monkeypatch, c_cols, lam, regularization):
+    # At its default cap every test store is one batch at C = 1, so a cap of
+    # 61 entries splits each mode into many batches, on every path.
+    store = kernel_store(np.random.default_rng(20 + c_cols), 3, LIMIT_SIZES)
+    params = SolverParams(rank=4, n_columns=c_cols, outer_iters=2, lam=lam,
+                          regularization=regularization, seed=c_cols)
+    whole = factorize(store, params)
+    shrink_batches(monkeypatch, 61)
+    for n in range(store.n_modes):
+        assert len(list(solver._batches(store.groups(n).ptr, c_cols))) > 3
+    serial = factorize(store, params)
+    assert_same(whole, serial)
+    for machines in (2, 3):
+        dist, _ = sals.run_distributed(store, params, sals.assign(store, "greedy", machines, seed=3),
+                                       check_replicas=True)
+        assert_same(serial, dist)
+    run = sals.stream_factorize(store, params, chunk_records=97)
+    try:
+        assert_same(serial, run.load_model())
+    finally:
+        run.cleanup()
+    if c_cols == 1:
+        cd = replace(params, column_order="fixed")
+        assert_same(factorize(store, cd), factorize_cdtf(store, cd))

@@ -4,6 +4,8 @@
   strided source whole before it gathers (see :func:`sals.tensor.take_rows`),
   so one F-ordered slab turns each gather of a refit into a copy of all I_n
   rows.
+- No gather of r-hat runs through the identity: where a row group's
+  entries already sit in r-hat's order, the row kernel slices it.
 - Only the schedule driver (and the column store's own ``blocks``) loads,
   stores and releases slabs, once per mode and subset.
 - No refit hands the row kernel an empty bucket: row groups split the
@@ -85,6 +87,24 @@ def test_path_gathers_from_c_contiguous_sources(sources, path):
     assert [shape for shape, contiguous in sources if not contiguous] == []
 
 
+@pytest.mark.parametrize("path", ["cdtf", "sals", "streaming"])
+def test_no_rhat_gather_through_the_identity(monkeypatch, path):
+    # Mode 0's whole-mode groups and every streaming chunk hold their
+    # entries in r-hat's own order, so a batch's r-hat is a slice of it.
+    gathers, identity = [], []
+
+    def note(a, index):
+        if a.ndim == 1:
+            gathers.append(index.size)
+            if index.size and np.array_equal(index, np.arange(index[0], index[0] + index.size)):
+                identity.append((int(index[0]), index.size))
+
+    spy(monkeypatch, tensor.take_rows, note)
+    RUNS[path](STORE, PARAMS, **HOOKED)
+    assert identity == []
+    assert bool(gathers) == (path != "streaming")  # modes 1 and 2 gather in memory
+
+
 def test_rmse_gathers_from_c_contiguous_sources(sources):
     model = solver.factorize(STORE, PARAMS)
     sources.clear()
@@ -162,8 +182,9 @@ def test_refit_peak_does_not_grow_with_mode_length(lam, weighted):
 
 @pytest.mark.parametrize("c_cols", [1, 8])
 def test_refit_peak_stays_per_batch(c_cols):
-    # 2^19 entries in buckets of about 16, summed by segments: sixteen
-    # batches.  G, its (C, P) copy, the product buffer and the systems are
-    # per batch, so the peak is a few batches' (P, C) blocks.
+    # 2^19 entries in buckets of about 16, summed by segments: four batches
+    # at C = 1 and sixteen at C = 8.  G, its (C, P) copy, the product buffer
+    # and the systems are per batch, so the peak is a few batches' (P, C)
+    # blocks.
     store = random_store(np.random.default_rng(5), (1 << 15, 64, 64), 1 << 19)
-    assert refit_peak(store, c_cols) <= 6 * solver._BATCH_ENTRIES * c_cols * 8
+    assert refit_peak(store, c_cols) <= 6 * solver._batch_entries(c_cols) * c_cols * 8

@@ -29,7 +29,7 @@ from sals.tensor import (
 )
 from conftest import (
     KERNEL_SIZES, LIMIT_SIZES, augmented, kernel_store, random_model, random_store, refit_mode,
-    row_normal_eq,
+    row_normal_eq, shrink_batches,
 )
 
 
@@ -197,8 +197,36 @@ class TestSolveRow:
         assert ok.tolist() == [False] and not x.any()
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite normal equations"):
             solve_row(one([[np.nan]], [1.0]), 0.1)
+
+    @pytest.mark.parametrize("lam", [-0.1, np.array([0.1, -1e-300])])
+    def test_negative_lambda_rejected(self, lam):
+        stack = NormalEq(np.stack([np.eye(2)] * 2), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="lam_eff must be nonnegative"):
+            solve_row(stack, lam)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c_cols", [1, 2, 3])
+    def test_non_finite_system_names_mode_and_row(self, rng, c_cols):
+        # update_rows checks each batch once and solves unchecked; the check
+        # names the first row whose system is not finite.
+        store = kernel_store(rng, 3)
+        slabs = [rng.normal(size=(length, c_cols)) for length in store.mode_lengths]
+        rhat = rng.normal(size=store.nnz)
+        entry = store.bucket(0, 3)[0]
+        rhat[entry] = np.inf
+        for mode in (0, 1):
+            row = int(store.idx[entry, mode])
+            with pytest.raises(ValueError,
+                               match=rf"^mode {mode}, row {row}: non-finite normal equations$"):
+                update_rows(slabs, rhat, mode, store.groups(mode), 0.1, False)
+
+    def test_update_rows_rejects_negative_lambda(self, rng):
+        store = kernel_store(rng, 3)
+        slabs = [rng.normal(size=(length, 2)) for length in store.mode_lengths]
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            update_rows(slabs, rng.normal(size=store.nnz), 0, store.groups(0), -0.1, False)
 
 
 class TestUpdateMode:
@@ -310,7 +338,7 @@ class TestRowKernel:
             variants = []
             for cap in (1, 7, 61):  # one row per batch, then prime caps
                 with monkeypatch.context() as mp:
-                    mp.setattr(solver, "_BATCH_ENTRIES", cap)
+                    shrink_batches(mp, cap)
                     variants.append(refit(mode, [store.groups(mode)]))
             perm = rng.permutation(store.mode_lengths[mode])
             variants.append(refit(mode, [store.groups(mode, p) for p in np.array_split(perm, 3)]))
@@ -327,7 +355,7 @@ class TestRowKernel:
 
     @pytest.mark.parametrize("cap", [1, 1 << 15])
     def test_singular_rows_keep_values_at_lambda_zero(self, monkeypatch, cap):
-        monkeypatch.setattr(solver, "_BATCH_ENTRIES", cap)
+        shrink_batches(monkeypatch, cap)
         # mode-1 factor rows seen by the mode-0 rows below
         other = np.array(
             [[1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [2.0, 3.0], [3.0, 0.0]]
@@ -412,7 +440,7 @@ class TestRowKernel:
 
         monkeypatch.setattr(solver, "_products", counting_products)
         monkeypatch.setattr(solver, "normal_eq_arrays", counting_normal_eq)
-        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 61)
+        shrink_batches(monkeypatch, 61)
         rng = np.random.default_rng(4)
         store = kernel_store(rng, 3)
         for c_cols in (1, 2, 3):
