@@ -41,7 +41,6 @@ from .partition import (
 from .sgd import SgdParams, factorize_psgd, learning_rate, psgd_epoch
 from .solver import (
     IterationRecord,
-    NormalEq,
     SolverParams,
     choose_columns,
     compute_rhat,
@@ -78,7 +77,6 @@ __all__ = [
     "FactorModel",
     "IterationRecord",
     "LoadReport",
-    "NormalEq",
     "ResidencyMeter",
     "RowAssignment",
     "SgdParams",

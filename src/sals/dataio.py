@@ -232,6 +232,7 @@ _HEADER = struct.Struct("<8sIHHQ")
 _TRAILER = struct.Struct("<I")  # CRC32 of the records
 _INDEX_TYPES = {4: np.dtype("<i4"), 8: np.dtype("<i8")}  # index word types by size
 _VALUE_TYPE = np.dtype("<f8")
+_CHUNK_RECORDS = 1 << 16  # records per chunk of every cache pass, read at call time
 
 
 class CacheError(ValueError):
@@ -337,31 +338,18 @@ def _read_header(fh, path: Path) -> tuple[int, int, int]:
     return width, word, count
 
 
-def check_chunk_records(chunk_records) -> None:
-    """Reject a cache chunk size that is not a positive int."""
-    if not isinstance(chunk_records, (int, np.integer)) or chunk_records < 1:
-        raise ValueError(f"chunk_records must be a positive int, got {chunk_records!r}")
-
-
-def stream_pass(
-    path,
-    visitor: Callable,
-    *,
-    expected: dict | None = None,
-    chunk_records: int = 1 << 16,
-):
+def stream_pass(path, visitor: Callable, *, expected: dict):
     """Fold ``visitor(idx_chunk, values_chunk, acc)`` over a cache pair.
 
-    ``path`` is an (index file, value file) pair, read in lockstep in the
-    same chunks; records are visited in stored order exactly once, the
-    indices as a (records, N) array of the index file's word type.  Both
-    files' lengths, CRCs and record counts are verified against their
-    headers and trailers, their counts against each other and, when
-    ``expected`` is given, each file against its writer's record there
-    (a mapping from path to the :meth:`CacheWriter.close` result).
-    Returns the final accumulator (None for an empty cache).
+    ``path`` is an (index file, value file) pair, read in lockstep in
+    chunks of ``_CHUNK_RECORDS`` records; records are visited in stored
+    order exactly once, the indices as a (records, N) array of the index
+    file's word type.  Both files' lengths, CRCs and record counts are
+    verified against their headers and trailers, their counts against each
+    other, and each file against its writer's record in ``expected`` (a
+    mapping from path to the :meth:`CacheWriter.close` result).  Returns
+    the final accumulator (None for an empty cache).
     """
-    check_chunk_records(chunk_records)
     index_path, value_path = map(Path, path)
     acc = None
     with open(index_path, "rb") as ifh, open(value_path, "rb") as vfh:
@@ -375,8 +363,8 @@ def stream_pass(
                 f"{index_path} holds {count} records but {value_path} holds {value_count}")
         index_type = _INDEX_TYPES[word]
         icrc = vcrc = 0
-        for start in range(0, count, chunk_records):
-            take = min(chunk_records, count - start)
+        for start in range(0, count, _CHUNK_RECORDS):
+            take = min(_CHUNK_RECORDS, count - start)
             raw_idx, raw_values = ifh.read(take * n_modes * word), vfh.read(take * 8)
             icrc, vcrc = zlib.crc32(raw_idx, icrc), zlib.crc32(raw_values, vcrc)
             idx = np.frombuffer(raw_idx, dtype=index_type).reshape(take, n_modes)
@@ -385,7 +373,7 @@ def stream_pass(
             (stored_crc,) = _TRAILER.unpack(fh.read(_TRAILER.size))
             if stored_crc != crc:
                 raise CacheError(f"{file}: checksum mismatch")
-            if expected is not None and expected.get(file) != {"records": count, "crc32": crc}:
+            if expected.get(file) != {"records": count, "crc32": crc}:
                 raise CacheError(f"{file}: does not match its writer's record")
     return acc
 
@@ -399,7 +387,6 @@ def write_residual_caches(
     store: SparseTensorStore,
     directory: Path,
     written: dict[Path, dict],
-    chunk_records: int = 1 << 16,
 ) -> None:
     """Cache the initial residual (= x) per mode, grouped by that mode's rows.
 
@@ -409,14 +396,13 @@ def write_residual_caches(
     writer record goes into ``written`` under its path, for
     :func:`stream_pass` to check on every read.
     """
-    check_chunk_records(chunk_records)
     directory.mkdir(parents=True, exist_ok=True)
     dtype = column_dtype(store.mode_lengths)
     for n in range(store.n_modes):
         perm, cols = store.mode_perm[n], store.mode_cols[n]
         with CacheWriter.create(cache_pair(directory, n), store.n_modes, dtype) as writer:
-            for start in range(0, perm.size, chunk_records):
-                sel = perm[start:start + chunk_records]
+            for start in range(0, perm.size, _CHUNK_RECORDS):
+                sel = perm[start:start + _CHUNK_RECORDS]
                 idx = np.empty((sel.size, store.n_modes), dtype)
                 for m, col in enumerate(cols):  # the other modes' columns are in this order
                     idx[:, m] = (np.take(store.idx[:, m], sel) if col is None

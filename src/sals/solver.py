@@ -85,20 +85,6 @@ class SolverParams:
 
 
 @dataclass
-class NormalEq:
-    """The C x C systems (B + lambda' I) a = c of row updates.
-
-    B is (R, C, C) and c is (R, C) for a stack of R rows.  ``nonzero``,
-    when asked for, counts each row's entries whose product row g is
-    nonzero, which the rank test at lambda' = 0 reads.
-    """
-
-    B: np.ndarray
-    c: np.ndarray
-    nonzero: np.ndarray | None = None
-
-
-@dataclass
 class IterationRecord:
     """Progress snapshot emitted after each outer iteration.
 
@@ -262,14 +248,17 @@ def normal_eq_arrays(
     mode: int,
     stats: SolveStats | None = None,
     count_nonzero: bool = False,
-) -> NormalEq:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Stacked normal equations of a run of rows from their entries' index columns.
 
     ``cols[m]`` holds the mode-m indices of the rows' bucket entries back
     to back, each bucket in canonical order (``cols[mode]`` is not read),
     ``rhat_vals`` the matching r-hat values, and row r's entries are
-    ``ptr[r]:ptr[r+1]``.  Returns B as (R, C, C) and c as (R, C), plus
-    ``nonzero`` when ``count_nonzero``; empty buckets give zero systems.
+    ``ptr[r]:ptr[r+1]``.  Returns ``(B, c, nonzero)``, the systems
+    (B + lambda' I) a = c with B as (R, C, C) and c as (R, C); ``nonzero``
+    is ``None`` unless ``count_nonzero``, when it counts each row's entries
+    whose product row g is nonzero, for the rank test at lambda' = 0.
+    Empty buckets give zero systems.
     A bucket below ``_SEGMENTED_BELOW[C]`` entries (``_SMALL_BUCKET`` above
     C = 2) is summed by segmented reductions over the batch, which build
     the summed rows' systems as one compact block; a larger one takes one
@@ -324,16 +313,16 @@ def normal_eq_arrays(
     if stats is not None:
         p = rhat_vals.shape[0]
         stats.flops += p * c_cols * max(n_modes - 2, 0) + p * c_cols * c_cols + p * c_cols
-    return NormalEq(B, c, nonzero)
+    return B, c, nonzero
 
 
 def solve_row(
-    neq: NormalEq, lam_eff: float | np.ndarray, stats: SolveStats | None = None,
-    *, checked: bool = True,
+    B: np.ndarray, c: np.ndarray, lam_eff: float | np.ndarray,
+    stats: SolveStats | None = None, *, checked: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (B + lambda' I) a = c for a stack of systems by Cholesky factorization.
 
-    ``neq.B`` is (R, C, C), ``neq.c`` (R, C) and ``lam_eff`` a scalar or one
+    ``B`` is (R, C, C), ``c`` (R, C) and ``lam_eff`` a scalar or one
     value per system.  Returns ``(solutions, solved)``.  A singular system
     (possible only when lambda' = 0) gets zeros and ``solved`` False, so the
     caller can keep the row's previous values.  A negative lambda' or a
@@ -342,7 +331,6 @@ def solve_row(
     (and calls this function, not a private core, so that a span on
     ``solve_row`` still times every solve).
     """
-    B, c = neq.B, neq.c
     lam = np.broadcast_to(np.asarray(lam_eff, dtype=np.float64), c.shape[:1])
     if checked:
         if (lam < 0).any():
@@ -456,24 +444,24 @@ def update_rows(
     for r0, r1 in _batches(ptr, c_cols):
         lo, hi = ptr[r0], ptr[r1]
         seg = ptr[r0:r1 + 1] - lo
-        neq = normal_eq_arrays(
+        B, c, nonzero = normal_eq_arrays(
             slabs, [None if col is None else col[lo:hi] for col in cols],
             rhat_vals[lo:hi] if order is None else take_rows(rhat_vals, order[lo:hi]),
             seg, mode, stats, count_nonzero=not lam > 0,
         )
-        if not (np.isfinite(neq.B).all() and np.isfinite(neq.c).all()):
-            finite = np.isfinite(neq.B).all(axis=(1, 2)) & np.isfinite(neq.c).all(axis=1)
+        if not (np.isfinite(B).all() and np.isfinite(c).all()):
+            finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(c).all(axis=1)
             row = int(rows[r0 + int(np.argmin(finite))])
             raise ValueError(f"mode {mode}, row {row}: non-finite normal equations")
         sizes = np.diff(seg)
         lam_eff = lam * sizes if weighted else np.full(sizes.size, float(lam))
         batch = rows[r0:r1]
         fit = lam_eff > 0
-        if neq.nonzero is not None:  # lambda' = 0: the rank test
-            fit |= neq.nonzero >= c_cols
+        if nonzero is not None:  # lambda' = 0: the rank test
+            fit |= nonzero >= c_cols
         if not fit.all():
-            neq, lam_eff, batch = NormalEq(neq.B[fit], neq.c[fit]), lam_eff[fit], batch[fit]
-        x, ok = solve_row(neq, lam_eff, stats, checked=False)
+            B, c, lam_eff, batch = B[fit], c[fit], lam_eff[fit], batch[fit]
+        x, ok = solve_row(B, c, lam_eff, stats, checked=False)
         if not ok.all():
             x, batch = np.compress(ok, x, axis=0), np.compress(ok, batch)
         slab[batch] = x

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dataio
 from .accounting import SolveStats
-from .dataio import CacheWriter, cache_pair, check_chunk_records, write_residual_caches
+from .dataio import CacheWriter, cache_pair, write_residual_caches
 from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented by perfbench
     ProgressHook,
     Recorder,
@@ -81,7 +81,6 @@ def _value_pass(
     step,
     slabs: list[np.ndarray],
     stats: SolveStats,
-    chunk_records: int,
     modes,
 ) -> None:
     """Rewrite the value files of ``modes`` in place by ``step``, :func:`compute_rhat`
@@ -100,7 +99,7 @@ def _value_pass(
                 writer.append(None, values)
                 return acc
 
-            dataio.stream_pass(pair, visit, expected=written, chunk_records=chunk_records)
+            dataio.stream_pass(pair, visit, expected=written)
             written.update(writer.close())
 
 
@@ -113,7 +112,6 @@ def _update_mode_streaming(
     lam: float,
     weighted: bool,
     stats: SolveStats,
-    chunk_records: int,
     *,
     augment: bool = False,
     write_back: bool = False,
@@ -160,7 +158,7 @@ def _update_mode_streaming(
         return idx[tail:], values[tail:]
 
     with CacheWriter.rewrite(path[1]) if rewrite else nullcontext() as writer:
-        carry = dataio.stream_pass(path, visit, expected=expected, chunk_records=chunk_records)
+        carry = dataio.stream_pass(path, visit, expected=expected)
         if carry is not None:
             refit_groups(*carry, carry[1].size)
         if rewrite:
@@ -176,7 +174,6 @@ def stream_factorize(
     test_entries=None,
     on_iteration: ProgressHook | None = None,
     stats: SolveStats | None = None,
-    chunk_records: int = 1 << 16,
 ) -> StreamingRun:
     """Run the full schedule out of core and leave the model on disk.
 
@@ -187,8 +184,7 @@ def stream_factorize(
     and directories it made, the temporary directory included.
     """
     stats = stats if stats is not None else SolveStats()
-    # checks the chunk size and the test set before any file is written
-    check_chunk_records(chunk_records)
+    # checks the test set before any file is written
     recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration,
                         flops=stats.flops)
     tmp = None if workdir is not None else tempfile.TemporaryDirectory(prefix="sals-stream-")
@@ -198,7 +194,7 @@ def stream_factorize(
     try:
         colstore = init_columns(store.mode_lengths, params, factors)
         written: dict[Path, dict] = {}  # each cache file's writer record, checked on reads
-        write_residual_caches(store, cache, written, chunk_records)
+        write_residual_caches(store, cache, written)
 
         weighted = params.regularization == WEIGHTED
         empty = [np.flatnonzero(store.bucket_sizes(n) == 0) for n in range(store.n_modes)]
@@ -207,26 +203,21 @@ def stream_factorize(
         last = store.n_modes - 1
 
         def augment(slabs):  # mode 0's augment rides on its first refit
-            _value_pass(cache, written, compute_rhat, slabs, stats, chunk_records,
-                        range(1, store.n_modes))
+            _value_pass(cache, written, compute_rhat, slabs, stats, range(1, store.n_modes))
 
         def refit(slabs, stamp):
             n = stamp.mode
             _update_mode_streaming(
                 cache_pair(cache, n), written, slabs, n, absent[n], params.lam, weighted, stats,
-                chunk_records, augment=stamp.inner == 0 and n == 0,
+                augment=stamp.inner == 0 and n == 0,
                 write_back=stamp.inner == params.inner_iters - 1 and n == last,
             )
 
         def write_back(slabs):  # the last mode's write-back rode on its last refit
-            _value_pass(cache, written, update_residual, slabs, stats, chunk_records,
-                        range(last))
+            _value_pass(cache, written, update_residual, slabs, stats, range(last))
 
         def measure():
-            resid_sq = dataio.stream_pass(
-                cache_pair(cache, 0), _sum_squares, expected=written,
-                chunk_records=chunk_records,
-            )
+            resid_sq = dataio.stream_pass(cache_pair(cache, 0), _sum_squares, expected=written)
             return resid_sq or 0.0, colstore.blocks(params.n_columns)
 
         recorder.start()

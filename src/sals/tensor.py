@@ -62,21 +62,30 @@ def _check_range(idx: np.ndarray, mode_lengths: Sequence[int], what: str = "entr
 
 
 def as_coo(data: Coo, n_modes: int, mode_lengths: Sequence[int] | None = None) -> Coo:
-    """``data`` checked as observed cells: (nnz, ``n_modes``) indices, nnz values.
+    """``data`` checked as observed cells: (nnz, ``n_modes``) indices of an
+    integer type (any type while nnz is 0), nnz finite values.
 
     A test set gives its model's ``mode_lengths``: it must then be nonempty
-    and every index in range.
+    and every index in range.  A bad value or index is named by its entry
+    (its test entry in a test set).
     """
     if not isinstance(data, Coo):
         raise TypeError(f"expected observed cells as a Coo, got {type(data).__name__}")
     if data.idx.ndim != 2 or data.idx.shape[1] != n_modes:
         raise ValueError(f"expected (nnz, {n_modes}) indices, got {data.idx.shape}")
+    if data.idx.size and data.idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be of an integer type, not {data.idx.dtype}")
     if data.values.shape != (data.idx.shape[0],):
         raise ValueError(f"{data.idx.shape[0]} index rows but {data.values.size} values")
+    what = "entry" if mode_lengths is None else "test entry"
+    bad = np.flatnonzero(~np.isfinite(data.values))
+    if bad.size:
+        p = int(bad[0])
+        raise ValueError(f"{what} {p}: value {data.values[p]} is not finite")
     if mode_lengths is not None:
         if data.values.size == 0:
             raise ValueError("empty test set")
-        _check_range(data.idx, mode_lengths, "test entry")
+        _check_range(data.idx, mode_lengths, what)
     return data
 
 
@@ -178,22 +187,18 @@ def store_from_arrays(
 ) -> SparseTensorStore:
     """Build a store from 0-based index/value arrays.
 
-    Sorts into canonical order, rejects non-finite values, out-of-range
-    indices and duplicate tuples, and builds the per-mode grouped indexes
-    and index columns.  No second full copy of the indices is made: the
+    Sorts into canonical order, rejects what :func:`as_coo` rejects,
+    out-of-range indices and duplicate tuples, and builds the per-mode
+    grouped indexes and index columns.  No second full copy of the indices is made: the
     canonical columns are gathered from ``idx`` one at a time.
     """
     mode_lengths = tuple(int(length) for length in mode_lengths)
     n_modes = len(mode_lengths)
     if any(length < 0 for length in mode_lengths):
         raise ValueError("mode lengths must be nonnegative")
-    idx, values = as_coo(Coo(np.asarray(idx, dtype=np.int64),
-                             np.asarray(values, dtype=np.float64)), n_modes)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        p = int(bad[0])
-        raise ValueError(f"entry {p}: value {values[p]} is not finite")
+    idx, values = as_coo(Coo(np.asarray(idx), np.asarray(values, dtype=np.float64)), n_modes)
     _check_range(idx, mode_lengths)
+    idx = idx.astype(np.int64, copy=False)
 
     nnz = idx.shape[0]
     order = np.lexsort([d for n in range(n_modes - 1, -1, -1)
@@ -363,11 +368,19 @@ def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
 
 
 def predict_entries(model: FactorModel, idx: np.ndarray) -> np.ndarray:
-    """Model reconstruction for (m, N) 0-based index rows, or for one length-N cell."""
-    idx = np.asarray(idx, dtype=np.int64)
+    """Model reconstruction for (m, N) 0-based index rows, or for one length-N cell.
+
+    The indices must be of an integer type and inside the model's mode
+    lengths; a bad cell is named with its mode and 1-based index.
+    """
+    idx = np.asarray(idx)
     if idx.ndim not in (1, 2) or idx.shape[-1] != model.n_modes:
         raise ValueError(f"expected (m, {model.n_modes}) indices, got {idx.shape}")
-    return subset_products(model.matrices, idx.reshape(-1, model.n_modes))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be of an integer type, not {idx.dtype}")
+    idx = idx.reshape(-1, model.n_modes)
+    _check_range(idx, [m.shape[0] for m in model.matrices], "cell")
+    return subset_products(model.matrices, idx.astype(np.int64, copy=False))
 
 
 def regularization_penalty(

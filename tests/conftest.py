@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sals import solver
-from sals.solver import NormalEq, compute_rhat, normal_eq_arrays, update_rows
+from sals import dataio, solver
+from sals.solver import compute_rhat, normal_eq_arrays, update_rows
 from sals.tensor import FactorModel, SparseTensorStore, store_from_arrays
 
 # Tests that start ``python -m sals`` need the source tree importable there
@@ -64,6 +64,11 @@ def shrink_batches(monkeypatch, cap: int) -> None:
     monkeypatch.setattr(solver, "_BATCH_VALUES", cap)
 
 
+def shrink_chunks(monkeypatch, records: int) -> None:
+    """Run every cache pass in chunks of ``records`` records."""
+    monkeypatch.setattr(dataio, "_CHUNK_RECORDS", records)
+
+
 def random_model(
     rng: np.random.Generator, store: SparseTensorStore, rank: int, lam: float = 0.0
 ) -> FactorModel:
@@ -94,8 +99,8 @@ def refit_mode(store, rhat, model, mode, columns, params, stats=None) -> int:
     return skipped
 
 
-def row_normal_eq(store, rhat, model, mode, row, columns) -> NormalEq:
-    """The normal equations of one row over ``columns``, as a stack of one."""
+def row_normal_eq(store, rhat, model, mode, row, columns):
+    """The normal equations ``(B, c, nonzero)`` of one row over ``columns``, as a stack of one."""
     pos = store.bucket(mode, row)
     slabs = [m[:, columns] for m in model.matrices]
     cols = store.idx[pos].T

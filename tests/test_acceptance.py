@@ -11,7 +11,6 @@ import pytest
 import sals
 from sals.accounting import SolveStats
 from sals.solver import (
-    NormalEq,
     SolverParams,
     choose_columns,
     compute_rhat,
@@ -44,7 +43,7 @@ def test_criterion_01_row_solve_oracle():
         B = half.T @ half + 0.05 * np.eye(c_cols)
         c = rng.normal(size=c_cols)
         lam = float([0.0, 0.1, 1.0][trial % 3])
-        x, solved = solve_row(NormalEq(B[np.newaxis], c[np.newaxis]), lam)
+        x, solved = solve_row(B[np.newaxis], c[np.newaxis], lam)
         x = x[0]
         if not solved[0]:
             failures += 1
@@ -101,11 +100,11 @@ def test_criterion_02_normal_equation_oracle():
         rhat = augmented(store, residual, model, columns)
         for mode in range(n_modes):
             for row in range(lengths[mode]):
-                neq = row_normal_eq(store, rhat, model, mode, row, columns)
+                B, c, _ = row_normal_eq(store, rhat, model, mode, row, columns)
                 Bo, co = _brute_normal_eq(store, rhat, model.matrices, mode, row, columns)
                 scale = max(1.0, float(np.max(np.abs(Bo))), float(np.max(np.abs(co))))
                 diff = max(
-                    float(np.max(np.abs(neq.B[0] - Bo))), float(np.max(np.abs(neq.c[0] - co)))
+                    float(np.max(np.abs(B[0] - Bo))), float(np.max(np.abs(c[0] - co)))
                 )
                 worst = max(worst, diff / scale)
     elapsed = time.perf_counter() - t0

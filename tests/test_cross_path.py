@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import sals
 from sals import solver
 from sals.solver import SolverParams, factorize, factorize_cdtf
-from conftest import LIMIT_SIZES, kernel_store, random_store, shrink_batches
+from conftest import LIMIT_SIZES, kernel_store, random_store, shrink_batches, shrink_chunks
 
 
 @st.composite
@@ -62,7 +62,9 @@ def test_paths_agree_bitwise(case):
                                    stats=stats[1])
     assert_same(serial, dist)
 
-    run = sals.stream_factorize(store, params, chunk_records=chunk, stats=stats[2])
+    with pytest.MonkeyPatch.context() as mp:
+        shrink_chunks(mp, chunk)
+        run = sals.stream_factorize(store, params, stats=stats[2])
     try:
         assert_same(serial, run.load_model())
     finally:
@@ -75,7 +77,7 @@ def test_paths_agree_bitwise(case):
 
 
 @pytest.mark.parametrize("c_cols", [1, 2, 3, 4, 8])
-def test_paths_agree_bitwise_across_bucket_limits(c_cols):
+def test_paths_agree_bitwise_across_bucket_limits(monkeypatch, c_cols):
     # C = K = 8 is the benchmark's als path.
     store = kernel_store(np.random.default_rng(c_cols), 3, LIMIT_SIZES)
     params = SolverParams(rank=max(4, c_cols), n_columns=c_cols, outer_iters=2, lam=0.05,
@@ -84,7 +86,8 @@ def test_paths_agree_bitwise_across_bucket_limits(c_cols):
     dist, _ = sals.run_distributed(store, params, sals.assign(store, "greedy", 2, seed=3),
                                    check_replicas=True)
     assert_same(serial, dist)
-    run = sals.stream_factorize(store, params, chunk_records=97)
+    shrink_chunks(monkeypatch, 97)
+    run = sals.stream_factorize(store, params)
     try:
         assert_same(serial, run.load_model())
     finally:
@@ -110,7 +113,8 @@ def test_paths_agree_bitwise_across_split_batches(monkeypatch, c_cols, lam, regu
         dist, _ = sals.run_distributed(store, params, sals.assign(store, "greedy", machines, seed=3),
                                        check_replicas=True)
         assert_same(serial, dist)
-    run = sals.stream_factorize(store, params, chunk_records=97)
+    shrink_chunks(monkeypatch, 97)
+    run = sals.stream_factorize(store, params)
     try:
         assert_same(serial, run.load_model())
     finally:

@@ -21,7 +21,7 @@ from sals.dataio import (
 )
 from sals.dataio import _read_coo_lines
 from sals.tensor import Coo, predict_entries
-from conftest import random_store
+from conftest import random_store, shrink_chunks
 
 
 class TestCooFiles:
@@ -258,7 +258,7 @@ def _visit_nothing(idx, values, acc):
 
 
 class TestResidualCache:
-    def test_write_read_round_trip(self, rng, tmp_path):
+    def test_write_read_round_trip(self, rng, tmp_path, monkeypatch):
         store = random_store(rng, (7, 6, 5), 80)
         written = {}
         cache = tmp_path / "cache"
@@ -274,7 +274,8 @@ class TestResidualCache:
             chunks.append((idx.copy(), values.copy()))
             return (0 if acc is None else acc) + idx.shape[0]
 
-        total = stream_pass(pair, visit, expected=written, chunk_records=17)
+        shrink_chunks(monkeypatch, 17)
+        total = stream_pass(pair, visit, expected=written)
         assert total == store.nnz
         idx = np.concatenate([c[0] for c in chunks])
         values = np.concatenate([c[1] for c in chunks])
@@ -287,21 +288,8 @@ class TestResidualCache:
         assert pair[1].stat().st_size == 24 + 8 * store.nnz + 4
         assert pair[0].stat().st_size == 24 + 4 * 3 * store.nnz + 4
 
-    @pytest.mark.parametrize("chunk_records", [-3, 0, 2.5])
-    def test_chunk_records_must_be_a_positive_int(self, rng, tmp_path, chunk_records):
-        store = random_store(rng, (4, 3), 8)
-        written = {}
-        write_residual_caches(store, tmp_path, written)
-        with pytest.raises(ValueError, match="chunk_records must be a positive int"):
-            write_residual_caches(store, tmp_path, written, chunk_records)
-        with pytest.raises(ValueError, match="chunk_records must be a positive int"):
-            stream_pass(cache_pair(tmp_path, 0), lambda i, v, acc: acc, expected=written,
-                        chunk_records=chunk_records)
-        assert stream_pass(cache_pair(tmp_path, 0), lambda i, v, acc: (acc or 0) + v.size,
-                           expected=written, chunk_records=np.int64(3)) == store.nnz
-
     @pytest.mark.parametrize("dtype, top", [(np.int32, 2**31 - 1), (np.int64, 2**63 - 1)])
-    def test_index_records_round_trip_in_their_type(self, tmp_path, dtype, top):
+    def test_index_records_round_trip_in_their_type(self, tmp_path, monkeypatch, dtype, top):
         idx = np.array([[0, top, 5], [top, 1, top - 7], [3, 0, 2]], dtype=dtype)
         values = np.array([np.pi, -0.0, 2.0 ** -1074])
         pair = (tmp_path / "i.bin", tmp_path / "v.bin")
@@ -315,7 +303,8 @@ class TestResidualCache:
         def visit(i, v, acc):
             return [*(acc or []), (i.copy(), v.copy())]
 
-        chunks = stream_pass(pair, visit, expected=info, chunk_records=2)
+        shrink_chunks(monkeypatch, 2)
+        chunks = stream_pass(pair, visit, expected=info)
         got_idx = np.concatenate([c[0] for c in chunks])
         got_values = np.concatenate([c[1] for c in chunks])
         assert [c[0].shape for c in chunks] == [(2, 3), (1, 3)]
@@ -328,12 +317,12 @@ class TestResidualCache:
                 CacheWriter.create((tmp_path / "i.bin", tmp_path / "v.bin"), 2, dtype)
 
     def test_version_2_file_rejected(self, tmp_path):
-        pair, _ = _write_pair(tmp_path, np.array([[0, 1]]), np.array([3.0]))
+        pair, info = _write_pair(tmp_path, np.array([[0, 1]]), np.array([3.0]))
         # the version 2 header: magic, version, 8-byte words per record, count
         raw = pair[0].read_bytes()
         pair[0].write_bytes(struct.pack("<8sIIQ", b"RTCACHE1", 2, 2, 1) + raw[24:])
         with pytest.raises(CacheError, match="i.bin: bad magic or version"):
-            stream_pass(pair, _visit_nothing)
+            stream_pass(pair, _visit_nothing, expected=info)
 
     def test_empty_cache_never_visits(self, tmp_path):
         pair = (tmp_path / "i.bin", tmp_path / "v.bin")
@@ -344,12 +333,12 @@ class TestResidualCache:
 
     def test_checksum_detects_corruption(self, tmp_path):
         for k, offset in ((0, 8), (1, 12)):  # a bit inside the last record of each file
-            pair, _ = _write_pair(tmp_path, np.array([[0, 1], [1, 0]]), np.array([1.5, -2.5]))
+            pair, info = _write_pair(tmp_path, np.array([[0, 1], [1, 0]]), np.array([1.5, -2.5]))
             raw = bytearray(pair[k].read_bytes())
             raw[len(raw) - offset] ^= 0xFF
             pair[k].write_bytes(bytes(raw))
             with pytest.raises(CacheError, match=f"{pair[k].name}: checksum"):
-                stream_pass(pair, _visit_nothing)
+                stream_pass(pair, _visit_nothing, expected=info)
 
     def test_manifest_mismatch_detected(self, tmp_path):
         pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
@@ -365,33 +354,33 @@ class TestResidualCache:
 
     def test_truncated_file_detected(self, tmp_path):
         for k in range(2):
-            pair, _ = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+            pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
             raw = pair[k].read_bytes()
             for cut in (5, len(raw) - 10):
                 pair[k].write_bytes(raw[:-cut])
                 with pytest.raises(CacheError, match=pair[k].name):
-                    stream_pass(pair, _visit_nothing)
+                    stream_pass(pair, _visit_nothing, expected=info)
 
     def test_junk_after_trailer_detected(self, tmp_path):
         for k in range(2):
-            pair, _ = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+            pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
             with open(pair[k], "ab") as fh:
                 fh.write(b"\0" * 8)
             with pytest.raises(CacheError, match=rf"{pair[k].name}: \d+ bytes, but 1 records"):
-                stream_pass(pair, _visit_nothing)
+                stream_pass(pair, _visit_nothing, expected=info)
 
     def test_index_and_value_counts_must_agree(self, tmp_path):
-        pair, _ = _write_pair(tmp_path, np.array([[0, 0], [1, 1]]), np.array([3.0, 4.0]))
+        pair, info = _write_pair(tmp_path, np.array([[0, 0], [1, 1]]), np.array([3.0, 4.0]))
         (tmp_path / "one").mkdir()
         (_, one_value), _ = _write_pair(tmp_path / "one", np.array([[0, 0]]), np.array([3.0]))
         pair[1].write_bytes(one_value.read_bytes())
         with pytest.raises(CacheError, match="i.bin holds 2 records but .*v.bin holds 1"):
-            stream_pass(pair, _visit_nothing)
+            stream_pass(pair, _visit_nothing, expected=info)
 
     def test_index_file_is_not_a_value_file(self, tmp_path):
-        pair, _ = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+        pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
         with pytest.raises(CacheError, match="i.bin: 2 words per record, not a value file"):
-            stream_pass((pair[1], pair[0]), _visit_nothing)
+            stream_pass((pair[1], pair[0]), _visit_nothing, expected=info)
 
     def test_rewrite_in_place_keeps_size_and_indices(self, tmp_path):
         pair, info = _write_pair(tmp_path, np.array([[0, 1], [2, 3]]), np.array([1.0, 2.0]))
@@ -410,11 +399,11 @@ class TestResidualCache:
 
     def test_values_bit_exact(self, tmp_path):
         vals = np.array([np.pi, -0.0, 1e-300, 2.0 ** 1000])
-        pair, _ = _write_pair(tmp_path, np.arange(4).reshape(-1, 1), vals)
+        pair, info = _write_pair(tmp_path, np.arange(4).reshape(-1, 1), vals)
 
         def visit(idx, values, acc):
             return values.copy()
 
-        out = stream_pass(pair, visit)
+        out = stream_pass(pair, visit, expected=info)
         assert np.array_equal(out, vals)
         assert np.signbit(out[1])

@@ -13,7 +13,7 @@ import pytest
 import sals
 from sals.solver import SolverParams, factorize, factorize_cdtf
 from sals.tensor import Coo
-from conftest import random_store
+from conftest import random_store, shrink_chunks
 
 CASES = [
     # (lengths, nnz, K, C, T_out, T_in, lam, reg, order, M, strategy, chunk)
@@ -42,7 +42,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("i, case", list(enumerate(CASES)), ids=[f"case{i}" for i in range(len(CASES))])
-def test_all_paths_bitwise_identical(i, case, tmp_path):
+def test_all_paths_bitwise_identical(i, case, tmp_path, monkeypatch):
     lengths, nnz, k, c, t_out, t_in, lam, reg, order, m, strategy, chunk = case
     rng = np.random.default_rng(900 + i)
     store = random_store(rng, lengths, nnz)
@@ -64,8 +64,8 @@ def test_all_paths_bitwise_identical(i, case, tmp_path):
     for a, b in zip(serial.matrices, dist.matrices):
         assert np.array_equal(a, b)
 
-    run = sals.stream_factorize(store, params, workdir=tmp_path, chunk_records=chunk,
-                                **hooks("streaming"))
+    shrink_chunks(monkeypatch, chunk)
+    run = sals.stream_factorize(store, params, workdir=tmp_path, **hooks("streaming"))
     stream = run.load_model()
     for a, b in zip(serial.matrices, stream.matrices):
         assert np.array_equal(a, b)

@@ -26,7 +26,7 @@ import pytest
 
 from sals import cluster, partition, solver, streaming, tensor
 from sals.tensor import Coo, store_from_arrays
-from conftest import random_store
+from conftest import random_store, shrink_chunks
 
 STORE = random_store(np.random.default_rng(9), (50, 50, 50), 3000)
 TEST = Coo(np.random.default_rng(10).integers(0, 50, (200, 3)),
@@ -63,7 +63,9 @@ def sources(monkeypatch):
 
 
 def _stream(store, params, **kwargs):
-    run = streaming.stream_factorize(store, params, chunk_records=500, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        shrink_chunks(mp, 500)
+        run = streaming.stream_factorize(store, params, **kwargs)
     try:
         return run.load_model()
     finally:

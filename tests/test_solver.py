@@ -9,7 +9,6 @@ import pytest
 from sals import solver
 from sals.accounting import SolveStats
 from sals.solver import (
-    NormalEq,
     SolverParams,
     choose_columns,
     compute_rhat,
@@ -29,7 +28,7 @@ from sals.tensor import (
 )
 from conftest import (
     KERNEL_SIZES, LIMIT_SIZES, augmented, kernel_store, random_model, random_store, refit_mode,
-    row_normal_eq, shrink_batches,
+    row_normal_eq, shrink_batches, shrink_chunks,
 )
 
 
@@ -51,7 +50,7 @@ def residual_error(residual, store, model):
 
 def one(B, c):
     """A single system as a stack of one."""
-    return NormalEq(np.asarray(B)[np.newaxis], np.asarray(c)[np.newaxis])
+    return np.asarray(B)[np.newaxis], np.asarray(c)[np.newaxis]
 
 
 class TestSolverParams:
@@ -137,15 +136,15 @@ class TestBuildNormalEq:
     def test_single_entry_manual(self):
         store = store_from_arrays([[0, 0]], [9.0], (1, 1))
         model = FactorModel(1, 0.0, [np.array([[2.0]]), np.array([[3.0]])])
-        neq = row_normal_eq(store, np.array([6.0]), model, 0, 0, np.array([0]))
-        assert neq.B[0, 0, 0] == 9.0
-        assert neq.c[0, 0] == 18.0
+        B, c, _ = row_normal_eq(store, np.array([6.0]), model, 0, 0, np.array([0]))
+        assert B[0, 0, 0] == 9.0
+        assert c[0, 0] == 18.0
 
     def test_empty_row_zero_system(self, rng):
         store = store_from_arrays([[0, 0]], [2.0], (2, 1))
         model = random_model(rng, store, rank=2)
-        neq = row_normal_eq(store, np.array([2.0]), model, 0, 1, np.array([0, 1]))
-        assert not neq.B.any() and not neq.c.any()
+        B, c, _ = row_normal_eq(store, np.array([2.0]), model, 0, 1, np.array([0, 1]))
+        assert not B.any() and not c.any()
 
     def test_matches_brute_force(self, rng):
         store = random_store(rng, (6, 5, 7), 90)
@@ -155,7 +154,7 @@ class TestBuildNormalEq:
         rhat = augmented(store, residual, model, columns)
         for mode in range(3):
             for row in range(store.mode_lengths[mode]):
-                neq = row_normal_eq(store, rhat, model, mode, row, columns)
+                got_B, got_c, _ = row_normal_eq(store, rhat, model, mode, row, columns)
                 B = np.zeros((3, 3))
                 c = np.zeros(3)
                 for pos in store.bucket(mode, row):
@@ -168,17 +167,17 @@ class TestBuildNormalEq:
                         for c2 in range(3):
                             B[c1, c2] += g[c1] * g[c2]
                         c[c1] += rhat[pos] * g[c1]
-                assert np.allclose(neq.B[0], B, rtol=1e-12, atol=1e-12)
-                assert np.allclose(neq.c[0], c, rtol=1e-12, atol=1e-12)
+                assert np.allclose(got_B[0], B, rtol=1e-12, atol=1e-12)
+                assert np.allclose(got_c[0], c, rtol=1e-12, atol=1e-12)
 
 
 class TestSolveRow:
     def test_identity_zero_rhs(self):
-        x, ok = solve_row(one(np.eye(3), np.zeros(3)), 0.0)
+        x, ok = solve_row(*one(np.eye(3), np.zeros(3)), 0.0)
         assert ok.tolist() == [True] and not x.any()
 
     def test_scalar_with_ridge(self):
-        x, ok = solve_row(one([[1.0]], [1.0]), 1.0)
+        x, ok = solve_row(*one([[1.0]], [1.0]), 1.0)
         assert ok.tolist() == [True] and x[0, 0] == pytest.approx(0.5)
 
     def test_matches_inverse_oracle(self, rng):
@@ -187,24 +186,23 @@ class TestSolveRow:
             B = half.T @ half + 0.05 * np.eye(5)
             c = rng.normal(size=5)
             lam = float(rng.choice([0.0, 0.1, 1.0]))
-            x, ok = solve_row(one(B, c), lam)
+            x, ok = solve_row(*one(B, c), lam)
             assert ok.tolist() == [True]
             expected = np.linalg.inv(B + lam * np.eye(5)) @ c
             assert np.linalg.norm(x[0] - expected) <= 1e-10 * max(np.linalg.norm(expected), 1e-30)
 
     def test_singular_flagged(self):
-        x, ok = solve_row(one(np.zeros((2, 2)), np.ones(2)), 0.0)
+        x, ok = solve_row(*one(np.zeros((2, 2)), np.ones(2)), 0.0)
         assert ok.tolist() == [False] and not x.any()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite normal equations"):
-            solve_row(one([[np.nan]], [1.0]), 0.1)
+            solve_row(*one([[np.nan]], [1.0]), 0.1)
 
     @pytest.mark.parametrize("lam", [-0.1, np.array([0.1, -1e-300])])
     def test_negative_lambda_rejected(self, lam):
-        stack = NormalEq(np.stack([np.eye(2)] * 2), np.ones((2, 2)))
         with pytest.raises(ValueError, match="lam_eff must be nonnegative"):
-            solve_row(stack, lam)
+            solve_row(np.stack([np.eye(2)] * 2), np.ones((2, 2)), lam)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("c_cols", [1, 2, 3])
@@ -477,10 +475,10 @@ class TestRowKernel:
         B[2] = 0.0  # singular at lambda' = 0
         c = rng.normal(size=(6, 4))
         lam = np.array([0.1, 0.0, 0.0, 1.0, 0.0, 0.3])
-        x, ok = solve_row(NormalEq(B, c), lam)
+        x, ok = solve_row(B, c, lam)
         assert ok.tolist() == [True, True, False, True, True, True]
         for r in range(6):
-            single, solved = solve_row(one(B[r], c[r]), lam[r])
+            single, solved = solve_row(*one(B[r], c[r]), lam[r])
             assert solved[0] == ok[r] and np.array_equal(single[0], x[r])
 
     @pytest.mark.parametrize("c_cols", range(1, 9))
@@ -506,7 +504,7 @@ class TestRowKernel:
         slabs = [spread((300, c_cols)) for _ in range(3)]
         cols = [None] + [rng.integers(0, 300, ptr[-1]).astype(np.int32) for _ in range(2)]
         rhat = spread(ptr[-1])
-        neq = solver.normal_eq_arrays(slabs, cols, rhat, ptr, 0)
+        got_B, got_c, _ = solver.normal_eq_arrays(slabs, cols, rhat, ptr, 0)
 
         G = solver._products(slabs, cols, 0)
         sizes = np.diff(ptr)
@@ -529,10 +527,10 @@ class TestRowKernel:
         def bits(a):
             return np.ascontiguousarray(a).view(np.uint64)
 
-        assert np.array_equal(bits(neq.B), bits(B)) and np.array_equal(bits(neq.c), bits(c))
+        assert np.array_equal(bits(got_B), bits(B)) and np.array_equal(bits(got_c), bits(c))
 
         lam = 0.05 * np.maximum(sizes, 1)
-        x, ok = solve_row(neq, lam)
+        x, ok = solve_row(got_B, got_c, lam)
         A = B.copy()
         A[:, range(c_cols), range(c_cols)] += lam[:, None]
         L, chol_ok = solver._cholesky(A)
@@ -860,9 +858,9 @@ class TestLossRiseFlag:
                 store, params, greedy_assign(store, 2), on_iteration=records.append
             )
         elif path == "streaming":
-            streaming.stream_factorize(
-                store, params, on_iteration=records.append, chunk_records=17
-            ).cleanup()
+            with pytest.MonkeyPatch.context() as mp:
+                shrink_chunks(mp, 17)
+                streaming.stream_factorize(store, params, on_iteration=records.append).cleanup()
         else:
             sgd_params = sgd.SgdParams(rank=params.rank, outer_iters=params.outer_iters)
             sgd.factorize_psgd(store, sgd_params, on_iteration=records.append)

@@ -12,7 +12,7 @@ from sals import dataio, streaming
 from sals.solver import SolverParams, factorize
 from sals.streaming import ColumnStore, stream_factorize
 from sals.tensor import Coo, store_from_arrays
-from conftest import random_store
+from conftest import random_store, shrink_chunks
 
 
 def max_model_diff(a, b):
@@ -90,13 +90,29 @@ CONFIGS = [
 
 class TestStreamFactorize:
     @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_matches_in_memory(self, rng, tmp_path, cfg):
+    def test_matches_in_memory(self, rng, tmp_path, monkeypatch, cfg):
         store = random_store(rng, (9, 8, 7), 160)
         params = SolverParams(**cfg)
         expected = factorize(store, params)
-        run = stream_factorize(store, params, workdir=tmp_path, chunk_records=37)
+        shrink_chunks(monkeypatch, 37)
+        run = stream_factorize(store, params, workdir=tmp_path)
         got = run.load_model()
         assert max_model_diff(expected, got) <= 1e-12
+
+    @pytest.mark.parametrize("records, lengths, nnz", [
+        (1, (9, 8, 7), 160), (7, (9, 8, 7), 160), (1 << 16, (300, 300, 2), 70_000),
+    ])
+    def test_rows_spanning_chunks_match_in_memory(self, rng, tmp_path, monkeypatch, records,
+                                                  lengths, nnz):
+        store = random_store(rng, lengths, nnz)
+        for ptr in store.mode_ptr:  # some row of every mode straddles a chunk boundary
+            assert (ptr[:-1] // records < (ptr[1:] - 1) // records).any()
+        params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.05, seed=4)
+        expected = factorize(store, params)
+        shrink_chunks(monkeypatch, records)
+        run = stream_factorize(store, params, workdir=tmp_path)
+        assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
+                                                        run.load_model().matrices))
 
     def test_resident_bound(self, rng, tmp_path):
         store = random_store(rng, (12, 10, 9), 200)
@@ -140,21 +156,6 @@ class TestStreamFactorize:
         got, expected = run.load_model(), factorize(store, params)
         assert [m.shape for m in got.matrices] == [(0, 2), (3, 2)]
         assert all(np.array_equal(a, b) for a, b in zip(expected.matrices, got.matrices))
-
-    @pytest.mark.parametrize("chunk_records", [-3, 0, 2.5, "7", None])
-    def test_bad_chunk_records_fails_before_any_file_is_written(self, rng, tmp_path,
-                                                                chunk_records):
-        store = random_store(rng, (4, 3), 8)
-        params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=0)
-        keep = tmp_path / "notes.txt"
-        keep.write_text("not the run's")
-        for workdir in (tmp_path, tmp_path / "run"):
-            with pytest.raises(ValueError, match="chunk_records must be a positive int"):
-                stream_factorize(store, params, workdir=workdir, chunk_records=chunk_records)
-            assert sorted(tmp_path.rglob("*")) == [keep]
-        with pytest.raises(ValueError, match="chunk_records"):
-            dataio.write_residual_caches(store, tmp_path / "cache", {}, chunk_records)
-        assert sorted(tmp_path.rglob("*")) == [keep]
 
     def test_workdir_holds_only_factors_and_caches(self, rng, tmp_path):
         store = random_store(rng, (6, 5, 4), 60)
@@ -269,7 +270,8 @@ class TestPasses:
             return real(path, *args, **kwargs)
 
         monkeypatch.setattr(dataio, "stream_pass", counting)
-        run = stream_factorize(store, params, workdir=tmp_path, chunk_records=13)
+        shrink_chunks(monkeypatch, 13)
+        run = stream_factorize(store, params, workdir=tmp_path)
         n, subsets = len(lengths), params.outer_iters * 3  # ceil(K / C) = 3
         # augment and write-back stream N - 1 modes each: mode 0's augment
         # rides on its first refit, the last mode's write-back on its last
@@ -305,8 +307,9 @@ class TestFailedPassesCloseFiles:
             return real(*args)
 
         monkeypatch.setattr(owner, name, failing)
+        shrink_chunks(monkeypatch, 50)
         with pytest.raises(RuntimeError, match="injected"):
-            stream_factorize(store, params, workdir=tmp_path, chunk_records=50)
+            stream_factorize(store, params, workdir=tmp_path)
         assert next(calls) > call
         gc.collect()
         assert not list(tmp_path.iterdir())
@@ -316,7 +319,7 @@ class TestEmptyRows:
     @pytest.mark.parametrize("lam, regularization", [
         (0.05, "plain"), (0.0, "plain"), (0.05, "weighted"),
     ])
-    def test_paths_agree_bitwise_with_many_empty_rows(self, lam, regularization):
+    def test_paths_agree_bitwise_with_many_empty_rows(self, monkeypatch, lam, regularization):
         from sals.cluster import run_distributed
         from sals.partition import greedy_assign
         from sals.accounting import SolveStats
@@ -334,7 +337,8 @@ class TestEmptyRows:
         serial = factorize(store, params, stats=stats[0])
         dist, _ = run_distributed(store, params, greedy_assign(store, 3), check_replicas=True,
                                   stats=stats[1])
-        run = stream_factorize(store, params, chunk_records=7, stats=stats[2])
+        shrink_chunks(monkeypatch, 7)
+        run = stream_factorize(store, params, stats=stats[2])
         try:
             streamed = run.load_model()
         finally:
@@ -386,16 +390,16 @@ class TestStreamingReadsFactsOnly:
                               regularization=regularization, seed=6)
         expected, expected_records = [], []
         model = factorize(store, params, test_entries=test, on_iteration=expected.append)
+        shrink_chunks(monkeypatch, 7)
         run = stream_factorize(store, params, workdir=tmp_path / "store", test_entries=test,
-                               on_iteration=expected_records.append, chunk_records=7)
+                               on_iteration=expected_records.append)
 
         real = streaming.write_residual_caches
         monkeypatch.setattr(streaming, "write_residual_caches",
                             lambda facts, *args: real(facts.store, *args))
         records = []
         facts_run = stream_factorize(_FactsOnly(store), params, workdir=tmp_path / "facts",
-                                     test_entries=test, on_iteration=records.append,
-                                     chunk_records=7)
+                                     test_entries=test, on_iteration=records.append)
         got = facts_run.load_model()
         assert all(np.array_equal(a, b) for a, b in zip(model.matrices, got.matrices))
         assert all(np.array_equal(a, b) for a, b in zip(run.load_model().matrices,

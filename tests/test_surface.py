@@ -1,4 +1,5 @@
-"""The package surface: exported names resolve, and no module imports a name it never uses.
+"""The package surface: exported names resolve, every name the benchmark
+rebinds exists, and no module imports a name it never uses.
 
 No linter runs on this tree, so the unused-import check walks each module's
 syntax tree.  An import the module keeps for another reason (perfbench
@@ -14,6 +15,7 @@ import pytest
 import sals
 
 MODULES = sorted(Path(sals.__file__).parent.glob("*.py"))
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
 def test_all_names_resolve_once():
@@ -50,3 +52,28 @@ def test_no_unused_imports(path):
 def test_unused_import_is_named():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: tau"]
+
+
+def trace_targets(source: str) -> list[tuple[str, str]]:
+    """The (owner, name) pairs that ``trace_targets`` in ``source`` returns, each
+    owner as written there (``streaming.ColumnStore``, ``sals.sgd``)."""
+    tree = ast.parse(source)
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "trace_targets")
+    returned = next(node for node in func.body if isinstance(node, ast.Return)).value
+    return [(ast.unparse(pair.elts[0]), pair.elts[1].value) for pair in returned.elts]
+
+
+def test_benchmark_rebinding_targets_resolve():
+    # perfbench rebinds these names to trace them; read without importing or
+    # running it, as a missing name would fail only the traced self-test
+    targets = trace_targets(CHILD.read_text(encoding="utf-8"))
+    assert targets
+    missing = []
+    for owner, name in targets:
+        obj = sals
+        for part in owner.removeprefix("sals.").split("."):
+            obj = getattr(obj, part, None)
+        if not hasattr(obj, name):
+            missing.append(f"{owner}.{name}")
+    assert missing == []

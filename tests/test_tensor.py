@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sals.solver import SolverParams, factorize
 from sals.tensor import (
     Coo,
     FactorModel,
@@ -301,6 +302,38 @@ class TestAsCoo:
             with pytest.raises(ValueError, match=rf"4 index rows but {values.size} values"):
                 as_coo(Coo(idx, values), 2)
 
+    @pytest.mark.parametrize("idx", [[[0.7, 1.2], [1.5, 0.0]], [[True, False], [False, True]]])
+    def test_non_integer_indices_rejected_naming_the_type(self, idx):
+        # a float index was truncated, a bool one taken as 0/1
+        kind = np.asarray(idx).dtype
+        with pytest.raises(ValueError, match=f"indices must be of an integer type, not {kind}"):
+            store_from_arrays(idx, [1.0, 2.0], (2, 2))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_any_integer_type_accepted(self, dtype):
+        idx = np.array([[1, 0], [0, 2]])
+        store = store_from_arrays(idx.astype(dtype), [1.0, 2.0], (2, 3))
+        assert store.idx.tolist() == [[0, 2], [1, 0]] and store.values.tolist() == [2.0, 1.0]
+
+    def test_float_test_set_rejected_at_the_edge(self, rng):
+        store = random_store(rng, (3, 4), 8)
+        model = random_model(rng, store, rank=2)
+        test = Coo(np.array([[0.0, 1.0]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="integer type, not float64"):
+            rmse(model, test)
+        with pytest.raises(ValueError, match="integer type, not float64"):
+            factorize(store, SolverParams(rank=2), test_entries=test)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_test_value_rejected_naming_the_entry(self, rng, bad):
+        store = random_store(rng, (3, 4), 8)
+        model = random_model(rng, store, rank=2)
+        test = cells([[0, 1], [2, 3]], [1.0, bad])
+        with pytest.raises(ValueError, match=f"test entry 1: value {bad} is not finite"):
+            rmse(model, test)
+        with pytest.raises(ValueError, match=f"test entry 1: value {bad} is not finite"):
+            factorize(store, SolverParams(rank=2), test_entries=test)
+
 
 class TestTakeRows:
     @pytest.mark.parametrize("c_cols", [1, 2, 4, 8])
@@ -342,7 +375,8 @@ class TestTakeRows:
         for n in range(3):
             idx = np.zeros((3, 3), dtype=np.int64)
             idx[1, n] = store.mode_lengths[n]
-            with pytest.raises(IndexError):
+            with pytest.raises(ValueError, match=rf"cell 1: mode {n} index "
+                                                 rf"{store.mode_lengths[n] + 1} outside"):
                 predict_entries(model, idx)
 
 
@@ -399,8 +433,22 @@ class TestReconstruct:
 
     def test_bounds_checked(self, rng):
         model = random_model(rng, random_store(rng, (2, 2), 2), rank=1)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=re.escape("cell 0: mode 0 index 3 outside [1, 2]")):
             predict_entries(model, [2, 0])
+
+    def test_float_cell_rejected_not_truncated(self):
+        model = FactorModel(2, 0.0, [np.arange(6.0).reshape(3, 2), np.ones((2, 2))])
+        with pytest.raises(ValueError, match="indices must be of an integer type, not float64"):
+            predict_entries(model, [[0.7, 1.2]])  # was read as [[0, 1]]
+
+    def test_negative_index_rejected_not_wrapped(self):
+        # np.take wraps -1 to the last row, so [-1, 0] would read row 2's 9.0
+        model = FactorModel(2, 0.0, [np.arange(6.0).reshape(3, 2), np.ones((2, 2))])
+        assert predict_entries(model, [[2, 0]]).tolist() == [9.0]
+        for cell, mode in (([-1, 0], 0), ([0, -2], 1)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"cell 0: mode {mode} index {cell[mode] + 1} outside")):
+                predict_entries(model, [cell])
 
     @pytest.mark.parametrize("shape", [(3, 2), (2,), (6,), (), (1, 3, 1), (2, 4)])
     def test_cells_of_wrong_shape_rejected(self, shape):
