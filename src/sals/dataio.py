@@ -5,13 +5,13 @@ whitespace separated, 0- or 1-based.  The streaming cache of one mode holds
 that mode's residual entries grouped by row, as an (index file, value file)
 pair read in lockstep.  Each file is little-endian binary: a header (magic,
 version, words per record, bytes per word, record count), fixed-width
-records and a CRC32 trailer.  An index record is N indices in the store's
-column type (int32 while every mode is shorter than 2^31 rows, else int64),
-a value record one float64.  The index file is written once; the value
-file, the mode's one residual copy, is rewritten in place (into r-hat and
-back), so it keeps its size and no file is created after set-up.  Every
-read checks both files' lengths, and the record counts and CRCs their
-writers returned.
+records and a CRC32 trailer.  An index record is N indices, int16 while
+every mode is shorter than 2^15 rows, else int32 below 2^31 rows, else
+int64; a value record is one float64.  The index file is written once;
+the value file, the mode's one residual copy, is rewritten in place (into
+r-hat and back), so it keeps its size and no file is created after
+set-up.  Every read checks both files' lengths, and the record counts and
+CRCs their writers returned.
 """
 from __future__ import annotations
 
@@ -230,7 +230,7 @@ CACHE_VERSION = 3
 # magic, version, words per record, bytes per word, record count
 _HEADER = struct.Struct("<8sIHHQ")
 _TRAILER = struct.Struct("<I")  # CRC32 of the records
-_INDEX_TYPES = {4: np.dtype("<i4"), 8: np.dtype("<i8")}  # index word types by size
+_INDEX_TYPES = {2: np.dtype("<i2"), 4: np.dtype("<i4"), 8: np.dtype("<i8")}  # by size
 _VALUE_TYPE = np.dtype("<f8")
 _CHUNK_RECORDS = 1 << 16  # records per chunk of every cache pass, read at call time
 
@@ -294,7 +294,7 @@ class CacheWriter:
     def create(cls, pair, n_modes: int, dtype=np.int64) -> "CacheWriter":
         dtype = np.dtype(dtype)
         if dtype.kind != "i" or dtype.itemsize not in _INDEX_TYPES:
-            raise ValueError(f"index records must be int32 or int64, not {dtype}")
+            raise ValueError(f"index records must be int16, int32 or int64, not {dtype}")
         index_path, value_path = map(Path, pair)
         return cls(_CacheFile(value_path, 1, _VALUE_TYPE, "wb"),
                    _CacheFile(index_path, n_modes, _INDEX_TYPES[dtype.itemsize], "wb"))
@@ -391,13 +391,14 @@ def write_residual_caches(
     """Cache the initial residual (= x) per mode, grouped by that mode's rows.
 
     Both files of every mode's :func:`cache_pair` are created anew: the
-    index file ``idx_m<n>.bin`` (written here only), its records in the
-    store's column type, and the value file ``r_m<n>.bin``.  Each file's
-    writer record goes into ``written`` under its path, for
-    :func:`stream_pass` to check on every read.
+    index file ``idx_m<n>.bin`` (written here only), its records int16
+    below 2^15 rows, else the store's column type, and the value file
+    ``r_m<n>.bin``.  Each file's writer record goes into ``written`` under
+    its path, for :func:`stream_pass` to check on every read.
     """
     directory.mkdir(parents=True, exist_ok=True)
-    dtype = column_dtype(store.mode_lengths)
+    short = max(store.mode_lengths, default=0) < 1 << 15  # a row head's diff from -1 fits
+    dtype = np.dtype(np.int16) if short else column_dtype(store.mode_lengths)
     for n in range(store.n_modes):
         perm, cols = store.mode_perm[n], store.mode_cols[n]
         with CacheWriter.create(cache_pair(directory, n), store.n_modes, dtype) as writer:

@@ -32,6 +32,7 @@ from .tensor import (
     FactorModel,
     RowGroups,
     SparseTensorStore,
+    _entry_blocks,
     as_coo,
     evaluate,
     subset_products,
@@ -43,7 +44,6 @@ WEIGHTED = "weighted"
 FIXED = "fixed"
 RANDOM_PER_OUTER = "random_per_outer"
 
-_CHUNK = 1 << 16
 _BATCH_ENTRIES = 1 << 15  # a row-kernel batch's floor of entries (see _batch_entries)
 _BATCH_VALUES = 1 << 17   # ... and its (P, C) values at small C
 # Per C, the bucket size from which a row's sums take one BLAS product of
@@ -173,11 +173,12 @@ def compute_rhat(
     """Augment the residual to r-hat in place: r-hat = r + the slabs' reconstruction.
 
     ``slabs`` are the active columns of every factor and ``idx`` the (nnz, N)
-    entry indices.  Chunked, so no buffer of the residual's length is
-    allocated.
+    entry indices.  One :func:`subset_products` call per block of 2^16 / C
+    entries (:func:`sals.tensor._entry_blocks`) keeps each block's gathers
+    in cache, and no buffer of the residual's length is allocated.
     """
-    for start in range(0, idx.shape[0], _CHUNK):
-        residual[start:start + _CHUNK] += subset_products(slabs, idx[start:start + _CHUNK])
+    for block in _entry_blocks(idx.shape[0], slabs[0].shape[1]):
+        residual[block] += subset_products(slabs, idx[block])
     if stats is not None:
         stats.flops += idx.shape[0] * slabs[0].shape[1] * len(slabs)
 
@@ -190,10 +191,10 @@ def update_residual(
 ) -> None:
     """Write the residual back in place: r = r-hat - the refit slabs' reconstruction.
 
-    The inverse of :func:`compute_rhat`, chunked the same way.
+    The inverse of :func:`compute_rhat`, in the same blocks.
     """
-    for start in range(0, idx.shape[0], _CHUNK):
-        rhat[start:start + _CHUNK] -= subset_products(slabs, idx[start:start + _CHUNK])
+    for block in _entry_blocks(idx.shape[0], slabs[0].shape[1]):
+        rhat[block] -= subset_products(slabs, idx[block])
     if stats is not None:
         stats.flops += idx.shape[0] * slabs[0].shape[1] * len(slabs)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sals import dataio, solver
+from sals import dataio, solver, tensor
 from sals.solver import compute_rhat, normal_eq_arrays, update_rows
 from sals.tensor import FactorModel, SparseTensorStore, store_from_arrays
 
@@ -62,6 +62,11 @@ def shrink_batches(monkeypatch, cap: int) -> None:
     """Cap every row-kernel batch at ``cap`` entries, whatever C is."""
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", cap)
     monkeypatch.setattr(solver, "_BATCH_VALUES", cap)
+
+
+def shrink_blocks(monkeypatch, values: int) -> None:
+    """Run every pass over entries' products in blocks of ``values`` // C entries (at least one)."""
+    monkeypatch.setattr(tensor, "_BLOCK_VALUES", values)
 
 
 def shrink_chunks(monkeypatch, records: int) -> None:

@@ -7,7 +7,8 @@ with fixed order, for 1 to 5 modes, empty buckets, empty tensors, C not
 dividing K, more machines than rows and stream chunks down to a single
 record.  A fixed store adds buckets of 0 to 600 entries, across the row
 kernel's limits between segmented sums and per-row BLAS products, and runs
-them again with every mode split into many row-kernel batches.
+them again with every mode split into many row-kernel batches, and with
+every pass over the entries' products split into blocks of a few entries.
 """
 from dataclasses import replace
 
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 import sals
 from sals import solver
 from sals.solver import SolverParams, factorize, factorize_cdtf
-from conftest import LIMIT_SIZES, kernel_store, random_store, shrink_batches, shrink_chunks
+from conftest import (
+    LIMIT_SIZES, kernel_store, random_store, shrink_batches, shrink_blocks, shrink_chunks,
+)
 
 
 @st.composite
@@ -122,3 +125,35 @@ def test_paths_agree_bitwise_across_split_batches(monkeypatch, c_cols, lam, regu
     if c_cols == 1:
         cd = replace(params, column_order="fixed")
         assert_same(factorize(store, cd), factorize_cdtf(store, cd))
+
+
+@pytest.mark.parametrize("c_cols", [1, 3, 4])
+def test_paths_agree_bitwise_across_entry_blocks(monkeypatch, c_cols):
+    # A budget of 7 values takes the entries one (C >= 4) to seven (C = 1)
+    # at a time in every augment, write-back and evaluation, on every path.
+    store = kernel_store(np.random.default_rng(40 + c_cols), 3, LIMIT_SIZES)
+    test = sals.Coo(store.idx[::7], store.values[::7] + 0.25)
+    params = SolverParams(rank=4, n_columns=c_cols, outer_iters=2, lam=0.05, seed=c_cols)
+
+    def run(path):
+        records = []
+        hook = lambda r: records.append((r.loss, r.test_rmse))  # noqa: E731
+        if path == "serial":
+            model = factorize(store, params, test_entries=test, on_iteration=hook)
+        elif path == "cluster":
+            model, _ = sals.run_distributed(store, params, sals.assign(store, "greedy", 2, seed=3),
+                                            test_entries=test, on_iteration=hook)
+        else:
+            streamed = sals.stream_factorize(store, params, test_entries=test, on_iteration=hook)
+            model = streamed.load_model()
+            streamed.cleanup()
+        return model, records
+
+    shrink_chunks(monkeypatch, 97)
+    paths = ("serial", "cluster", "streaming")
+    default = {path: run(path) for path in paths}
+    shrink_blocks(monkeypatch, 7)
+    for path in paths:
+        model, records = run(path)
+        assert_same(default["serial"][0], model)
+        assert records == default[path][1], path

@@ -284,11 +284,14 @@ class TestResidualCache:
         assert np.array_equal(values, store.values[perm])
         # grouped by the mode's rows in ascending order
         assert (np.diff(idx[:, 1]) >= 0).all()
-        # a value file holds 8 bytes a record, an index file N int32 indices
+        # a value file holds 8 bytes a record, an index file N int16 indices
+        # (every mode is shorter than 2^15 rows)
+        assert idx.dtype == np.int16
         assert pair[1].stat().st_size == 24 + 8 * store.nnz + 4
-        assert pair[0].stat().st_size == 24 + 4 * 3 * store.nnz + 4
+        assert pair[0].stat().st_size == 24 + 2 * 3 * store.nnz + 4
 
-    @pytest.mark.parametrize("dtype, top", [(np.int32, 2**31 - 1), (np.int64, 2**63 - 1)])
+    @pytest.mark.parametrize("dtype, top", [(np.int32, 2**31 - 1), (np.int64, 2**63 - 1),
+                                            (np.int16, 2**15 - 1)])
     def test_index_records_round_trip_in_their_type(self, tmp_path, monkeypatch, dtype, top):
         idx = np.array([[0, top, 5], [top, 1, top - 7], [3, 0, 2]], dtype=dtype)
         values = np.array([np.pi, -0.0, 2.0 ** -1074])
@@ -311,10 +314,12 @@ class TestResidualCache:
         assert got_idx.dtype == np.dtype(dtype) and np.array_equal(got_idx, idx)
         assert got_values.tobytes() == values.tobytes()
 
-    def test_index_records_take_only_int32_or_int64(self, tmp_path):
-        for dtype in (np.int16, np.uint32, np.float64):
-            with pytest.raises(ValueError, match="int32 or int64"):
+    def test_index_records_take_only_int16_int32_or_int64(self, tmp_path):
+        for dtype in (np.uint32, np.int8, np.float64):
+            with pytest.raises(ValueError, match="int16, int32 or int64"):
                 CacheWriter.create((tmp_path / "i.bin", tmp_path / "v.bin"), 2, dtype)
+        for dtype in (np.int16, np.int32, np.int64):
+            CacheWriter.create((tmp_path / "i.bin", tmp_path / "v.bin"), 2, dtype).close()
 
     def test_version_2_file_rejected(self, tmp_path):
         pair, info = _write_pair(tmp_path, np.array([[0, 1]]), np.array([3.0]))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sals import solver
+from sals import solver, tensor
 from sals.accounting import SolveStats
 from sals.solver import (
     SolverParams,
@@ -25,10 +26,11 @@ from sals.tensor import (
     predict_entries,
     regularization_penalty,
     store_from_arrays,
+    subset_products,
 )
 from conftest import (
     KERNEL_SIZES, LIMIT_SIZES, augmented, kernel_store, random_model, random_store, refit_mode,
-    row_normal_eq, shrink_batches, shrink_chunks,
+    row_normal_eq, shrink_batches, shrink_blocks, shrink_chunks,
 )
 
 
@@ -130,6 +132,71 @@ class TestComputeRhat:
         compute_rhat(residual, [np.array([[2.0]]), np.array([[3.0]])], store.idx, stats)
         assert residual[0] == 7.0  # in place
         assert stats.flops == 2  # nnz * C * N
+
+
+class TestEntryBlocks:
+    """compute_rhat, update_residual and predict_entries take entries in
+    blocks of ``_BLOCK_VALUES // C``; the bits must not depend on the blocks."""
+
+    @pytest.mark.parametrize("values, nnz", [(1, 700), (7, 2000), (None, 70000)])
+    @pytest.mark.parametrize("c_cols", [1, 3, 4, 8])
+    def test_blocks_do_not_change_bits(self, monkeypatch, values, nnz, c_cols):
+        rng = np.random.default_rng(nnz + c_cols)
+        store = random_store(rng, (50, 40, 40), nnz)
+        model = random_model(rng, store, rank=8)
+        slabs = [m[:, :c_cols] for m in model.matrices]
+        products = subset_products(slabs, store.idx)  # the whole pass as one block
+        residual = rng.normal(size=store.nnz)
+        residual[::5] = -products[::5]  # sums of exactly zero, whose sign must hold too
+        if values is not None:
+            shrink_blocks(monkeypatch, values)
+        assert store.nnz > tensor._BLOCK_VALUES // c_cols  # more than one block
+        rhat = residual.copy()
+        compute_rhat(rhat, slabs, store.idx)
+        assert rhat.tobytes() == (residual + products).tobytes()
+        back = rhat.copy()
+        update_residual(back, slabs, store.idx)
+        assert back.tobytes() == (rhat - products).tobytes()
+        full = FactorModel(c_cols, 0.0, slabs)
+        for idx in (store.idx, np.ascontiguousarray(store.idx, dtype=np.int64)):
+            assert predict_entries(full, idx).tobytes() == products.tobytes()
+
+    @pytest.mark.parametrize("c_cols", [1, 4, 8])
+    def test_one_pass_calls_subset_products_once_per_block(self, monkeypatch, c_cols):
+        # perfbench's solver.subset_products span must see every block.
+        rng = np.random.default_rng(c_cols)
+        nnz = 100_000
+        idx = np.asfortranarray(rng.integers(0, 50, size=(nnz, 3), dtype=np.int32))
+        slabs = [rng.random((50, c_cols)) for _ in range(3)]
+        calls, original = [], solver.subset_products
+
+        def spy(slabs, idx):
+            calls.append(idx.shape[0])
+            return original(slabs, idx)
+
+        monkeypatch.setattr(solver, "subset_products", spy)
+        for step in (compute_rhat, update_residual):
+            calls.clear()
+            step(np.zeros(nnz), slabs, idx)
+            assert len(calls) == math.ceil(nnz / (2**16 // c_cols)), step.__name__
+            assert sum(calls) == nnz and max(calls) == 2**16 // c_cols
+
+    def test_rhat_peak_does_not_grow_with_nnz(self):
+        peaks = []
+        for nnz in (1 << 18, 1 << 19):
+            rng = np.random.default_rng(nnz)
+            idx = np.asfortranarray(rng.integers(0, 1000, size=(nnz, 3), dtype=np.int32))
+            slabs = [rng.random((1000, 4)) for _ in range(3)]
+            residual = np.zeros(nnz)
+            tracemalloc.start()
+            try:
+                compute_rhat(residual, slabs, idx)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one block's gathers at C = 4 are about 2^16 values, 512 KB
+        assert peaks[1] <= peaks[0] + 4096, peaks
+        assert peaks[1] <= 4 * tensor._BLOCK_VALUES * 8, peaks
 
 
 class TestBuildNormalEq:

@@ -114,6 +114,26 @@ class TestStreamFactorize:
         assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
                                                         run.load_model().matrices))
 
+    @pytest.mark.parametrize("length, word", [(2**15 - 1, 2), (2**15, 4), (2**15 + 1, 4)])
+    def test_index_words_at_the_int16_boundary(self, tmp_path, monkeypatch, length, word):
+        # Index records are int16 while every mode is shorter than 2^15 rows;
+        # the top rows start chunks, so a row head's difference from -1 is
+        # taken at the largest row index.
+        rng = np.random.default_rng(length)
+        rows = np.concatenate([[0, length - 2, length - 1] * 4, rng.integers(0, length, 300)])
+        idx = np.column_stack([rows, rng.integers(0, 5, rows.size), rng.integers(0, 3, rows.size)])
+        idx = np.unique(idx, axis=0)
+        store = store_from_arrays(idx, rng.normal(size=len(idx)), (length, 5, 3))
+        params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.05, seed=4)
+        expected = factorize(store, params)
+        shrink_chunks(monkeypatch, 5)
+        run = stream_factorize(store, params, workdir=tmp_path)
+        for n in range(store.n_modes):
+            header = (tmp_path / "cache" / f"idx_m{n}.bin").read_bytes()[:dataio._HEADER.size]
+            assert dataio._HEADER.unpack(header)[2:] == (3, word, store.nnz)
+        assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
+                                                        run.load_model().matrices))
+
     def test_resident_bound(self, rng, tmp_path):
         store = random_store(rng, (12, 10, 9), 200)
         params = SolverParams(rank=6, n_columns=2, outer_iters=2, inner_iters=1,

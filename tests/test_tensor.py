@@ -507,6 +507,23 @@ class TestLoss:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+    def test_peak_stays_per_block_and_bits_hold(self):
+        # The prediction is filled block by block and the error is formed in
+        # its place, so loss holds one nnz-long vector, not an int64 copy of
+        # the index and (nnz, K) products; its bits are the whole-array formula's.
+        store = random_store(np.random.default_rng(17), (64, 64, 64), 1 << 17)
+        model = random_model(np.random.default_rng(18), store, rank=8, lam=0.1)
+        tracemalloc.start()
+        try:
+            got = loss(model, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * store.nnz, peak / store.nnz
+        err = store.values - subset_products(model.matrices, store.idx.astype(np.int64))
+        assert got == float(err @ err) + regularization_penalty(model)
+
+
 class TestRmse:
     def test_perfect_model(self, rng):
         model = random_model(rng, random_store(rng, (3, 3), 4), rank=2)
