@@ -8,7 +8,7 @@ the same schedule on simulated workers with exact communication accounting,
 and the streaming module runs it out of core.
 """
 
-from .accounting import ResidencyMeter, SolveStats
+from .accounting import SolveStats
 from .cluster import (
     ClusterError,
     CommLog,
@@ -77,7 +77,6 @@ __all__ = [
     "FactorModel",
     "IterationRecord",
     "LoadReport",
-    "ResidencyMeter",
     "RowAssignment",
     "SgdParams",
     "SolveStats",

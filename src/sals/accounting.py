@@ -1,4 +1,4 @@
-"""Operation, allocation, and memory instrumentation shared by the solvers.
+"""Operation counters shared by the solvers.
 
 Counters are plain objects passed explicitly.  In the multi-worker
 simulation each worker owns a private ``SolveStats``, and
@@ -23,22 +23,3 @@ class SolveStats:
         self.rows_updated += other.rows_updated
         self.rows_skipped += other.rows_skipped
 
-
-@dataclass
-class ResidencyMeter:
-    """Tracks how many factor values are resident at once.
-
-    A :class:`~sals.tensor.ColumnStore` routes every slab load and release
-    through its meter, so ``peak`` bounds the live slab values.
-    """
-
-    current: int = 0
-    peak: int = 0
-
-    def add(self, count: int) -> None:
-        self.current += count
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def release(self, count: int) -> None:
-        self.current -= count

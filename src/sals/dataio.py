@@ -207,7 +207,8 @@ def generate_zipf(
     exponent: float = 1.2,
     seed: int = 0,
 ) -> SparseTensorStore:
-    """Skewed benchmark tensor: per-mode row popularity follows a Zipf law."""
+    """A store of ``nnz`` distinct cells, values uniform in [1, 5), whose rows follow
+    a Zipf law in every mode: row i is drawn with weight 1 / (i + 1)^``exponent``."""
     mode_lengths = _feasible(mode_lengths, nnz)
     rng = np.random.default_rng(seed)
     cdfs = []
@@ -291,7 +292,7 @@ class CacheWriter:
         self._files = [values] if index is None else [index, values]
 
     @classmethod
-    def create(cls, pair, n_modes: int, dtype=np.int64) -> "CacheWriter":
+    def create(cls, pair, n_modes: int, dtype) -> "CacheWriter":
         dtype = np.dtype(dtype)
         if dtype.kind != "i" or dtype.itemsize not in _INDEX_TYPES:
             raise ValueError(f"index records must be int16, int32 or int64, not {dtype}")

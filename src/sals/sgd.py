@@ -222,31 +222,27 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 
 
 def psgd_epoch(
-    store: SparseTensorStore,
-    model: FactorModel,
-    params: SgdParams,
-    epoch: int,
-    partition: list[np.ndarray] | None = None,
+    store: SparseTensorStore, model: FactorModel, params: SgdParams, epoch: int
 ) -> FactorModel:
     """One averaged epoch: shard the entries, sweep all shards, average.
 
     The partition and visit order come from a per-epoch seeded shuffle
     (shard j takes the j-th slice of one permutation, so the shard-to-data
-    mapping is fixed by the seed alone).  ``partition`` overrides the
-    shuffle with explicit position arrays, mainly for tests; a shard that
-    is not a 1-D integer array is a ValueError naming it.  A non-finite
-    averaged factor raises ValueError naming the epoch (1-based, as in the
-    iteration records), the mode and the first such row.
+    mapping is fixed by the seed alone).  A non-finite averaged factor
+    raises ValueError naming the epoch (1-based, as in the iteration
+    records), the mode and the first such row.
     """
-    if partition is None:
-        positions = _epoch_rng(params.seed, epoch).permutation(store.nnz)
-        sizes = [shard.size for shard in np.array_split(positions, params.n_shards)]
-    else:
-        partition = [_shard_positions(j, order, store.nnz) for j, order in enumerate(partition)]
-        if not partition:
-            raise ValueError("partition has no shards")
-        sizes = [shard.size for shard in partition]
-        positions = np.concatenate(partition)
+    positions = _epoch_rng(params.seed, epoch).permutation(store.nnz)
+    sizes = [shard.size for shard in np.array_split(positions, params.n_shards)]
+    return _sharded_epoch(store, model, params, epoch, positions, sizes)
+
+
+def _sharded_epoch(
+    store: SparseTensorStore, model: FactorModel, params: SgdParams, epoch: int,
+    positions: np.ndarray, sizes: list[int],
+) -> FactorModel:
+    """:func:`psgd_epoch` over given shards: shard j visits the next ``sizes[j]``
+    of ``positions``, int64 positions of the store's entries."""
     eta = learning_rate(params.eta0, epoch)
     offsets = np.cumsum([0, *store.mode_lengths]).tolist()
     # each visited entry's row ids into its own shard's copy of the rows
@@ -272,23 +268,6 @@ def psgd_epoch(
         raise ValueError(
             f"epoch {epoch + 1}: mode {n}, row {bad[0] - offsets[n]}: non-finite factor entries")
     return FactorModel(model.rank, model.lam, np.split(total, offsets[1:-1]))
-
-
-def _shard_positions(shard: int, order, nnz: int) -> np.ndarray:
-    """An explicit shard's visit order, checked to name entries of the store."""
-    positions = np.asarray(order)
-    if positions.ndim != 1:
-        raise ValueError(f"partition shard {shard}: visit order is {positions.ndim}-D, not 1-D")
-    if positions.size == 0:  # an empty list reads as float64
-        return np.zeros(0, dtype=np.int64)
-    if positions.dtype.kind not in "iu":
-        raise ValueError(
-            f"partition shard {shard}: positions of dtype {positions.dtype}, not integer")
-    bad = (positions < 0) | (positions >= nnz)
-    if bad.any():
-        raise ValueError(
-            f"partition shard {shard}: position {positions[bad][0]} outside [0, {nnz})")
-    return positions.astype(np.int64, copy=False)
 
 
 def init_sgd_model(store: SparseTensorStore, params: SgdParams) -> FactorModel:

@@ -15,8 +15,8 @@ Two of these passes ride on refits: mode 0's augment on the subset's first
 refit, which augments each chunk as it reads it, and the last mode's
 write-back on the subset's last refit, which writes back each run of rows
 once it is refit.  A subset thus streams N * T_in + 2N - 2 passes, not
-N * (T_in + 2): one pass at N = 1 and T_in = 1.  The column store's meter
-counts the loaded slabs' values; its peak stays at C * sum(I_n) during the
+N * (T_in + 2): one pass at N = 1 and T_in = 1.  The column store counts
+the loaded slabs' values; their peak stays at C * sum(I_n) during the
 loop (plus a transient of one full factor per mode while the initial model
 is written out), as the fused passes hold no second set of slabs.
 
@@ -119,10 +119,11 @@ def _update_mode_streaming(
     """One row-refit pass over a mode-grouped cache pair holding r-hat.
 
     Each chunk's complete row groups go to :func:`update_rows`, delimited by
-    their row heads; the last group may continue in the next chunk and is
-    carried over.  The ``absent`` group's ``empty`` rows, whose buckets are
-    empty and so not cached, go to :func:`update_rows` at the end, which
-    settles them without a batch.
+    their row heads; the last group may continue in the next chunks and is
+    carried over as a list of its chunks, joined once where the row ends, so
+    a row spanning k chunks is copied once.  The ``absent`` group's ``empty``
+    rows, whose buckets are empty and so not cached, go to
+    :func:`update_rows` at the end, which settles them without a batch.
 
     With ``augment`` the value file still holds the residual: each chunk is
     turned into r-hat by :func:`compute_rhat` as it is read.  A row is refit
@@ -146,21 +147,28 @@ def _update_mode_streaming(
         if rewrite:
             writer.append(None, values[:end])
 
+    def joined(chunks):
+        return chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
+
     def visit(idx, values, carry):
         if rewrite:
             values = values.copy()
             if augment:
                 compute_rhat(values, slabs, idx, stats)
-        if carry is not None:
-            idx, values = np.concatenate([carry[0], idx]), np.concatenate([carry[1], values])
+        carry = carry or []
+        carry.append((idx, values))
+        if idx[0, mode] == idx[-1, mode] == carry[0][0][-1, mode]:
+            return carry  # the row goes on
+        idx, values = joined(carry)
         tail = int(np.searchsorted(idx[:, mode], idx[-1, mode]))
         refit_groups(idx, values, tail)
-        return idx[tail:], values[tail:]
+        return [(idx[tail:], values[tail:])]
 
     with CacheWriter.rewrite(path[1]) if rewrite else nullcontext() as writer:
         carry = dataio.stream_pass(path, visit, expected=expected)
         if carry is not None:
-            refit_groups(*carry, carry[1].size)
+            idx, values = joined(carry)
+            refit_groups(idx, values, values.size)
         if rewrite:
             expected.update(writer.close())
     update_rows(slabs, np.empty(0), mode, absent, lam, weighted, stats)
@@ -233,7 +241,7 @@ def stream_factorize(
         if tmp is not None:
             tmp.cleanup()
         raise
-    return StreamingRun(colstore, params.lam, colstore.meter.peak, _tmp=tmp)
+    return StreamingRun(colstore, params.lam, colstore.peak, _tmp=tmp)
 
 
 def _sum_squares(idx, values, acc):

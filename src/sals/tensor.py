@@ -20,8 +20,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .accounting import ResidencyMeter
-
 
 class RowGroups(NamedTuple):
     """Rows of one mode with their buckets laid out back to back.
@@ -271,21 +269,22 @@ class ColumnStore:
     mode.  Loads hand out C-ordered (I_n, C) slabs, which :func:`take_rows`
     gathers from without copying them whole.  With a ``directory``, factor n
     is mapped from ``factor_<n>.bin``: its raw little-endian column-major
-    values, no header.  One :class:`ResidencyMeter` counts the loaded slabs.
+    values, no header.  ``resident`` counts the loaded slabs' values and
+    ``peak`` its highest count.
     """
 
     def __init__(self, mode_lengths: Sequence[int], rank: int, directory=None):
         self.mode_lengths, self.rank = tuple(mode_lengths), rank
         self.directory = None if directory is None else Path(directory)
-        self.meter = ResidencyMeter()
+        self.resident = self.peak = 0
         self.factors: list[np.ndarray] = [None] * len(self.mode_lengths)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
     def write_full(self, mode: int, matrix: np.ndarray) -> None:
-        """Set one full factor matrix (init only; metered transiently)."""
+        """Set one full factor matrix (init only; counted resident transiently)."""
         shape = (self.mode_lengths[mode], self.rank)
-        self.meter.add(shape[0] * self.rank)
+        self.peak = max(self.peak, self.resident + shape[0] * self.rank)
         if self.directory is not None:
             path = self.directory / f"factor_{mode}.bin"
             path.unlink(missing_ok=True)  # an earlier run's mapping keeps its own file
@@ -296,21 +295,21 @@ class ColumnStore:
             factor = np.memmap(path, "<f8", "r+", shape=shape, order="F")
         self.factors[mode] = factor
         factor[:] = matrix
-        self.meter.release(shape[0] * self.rank)
 
     def load_columns(self, mode: int, columns: np.ndarray) -> np.ndarray:
         factor = self.factors[mode]
         slab = np.empty((factor.shape[0], columns.size))
         for j, k in enumerate(columns):  # contiguous column copies beat a strided cut
             slab[:, j] = factor[:, k]
-        self.meter.add(slab.size)
+        self.resident += slab.size
+        self.peak = max(self.peak, self.resident)
         return slab
 
     def store_columns(self, mode: int, columns: np.ndarray, slab: np.ndarray) -> None:
         self.factors[mode][:, columns] = slab
 
     def release(self, slab: np.ndarray) -> None:
-        self.meter.release(slab.size)
+        self.resident -= slab.size
 
     def blocks(self, width: int):
         """Yield every factor's slab ``width`` columns at a time, released after use."""
@@ -401,17 +400,13 @@ def predict_entries(model: FactorModel, idx: np.ndarray) -> np.ndarray:
 
 
 def regularization_penalty(
-    model: FactorModel, store: SparseTensorStore | None = None,
-    regularization: str = "plain",
+    model: FactorModel, store: SparseTensorStore, regularization: str
 ) -> float:
-    """lambda * sum of squared factor norms, plain or row-weighted by |Omega^(n)_i|.
-
-    lambda is ``model.lam``.
+    """lambda * sum of squared factor norms, plain or row-weighted by the store's
+    |Omega^(n)_i|.  lambda is ``model.lam``.
     """
     if regularization not in ("plain", "weighted"):
         raise ValueError(f"unknown regularization {regularization!r}")
-    if regularization == "weighted" and store is None:
-        raise ValueError("weighted regularization needs the store's row counts")
     weights = None if regularization == "plain" else [
         store.bucket_sizes(n) for n in range(store.n_modes)]
     return evaluate(0.0, [model.matrices], model.lam, weights, None)[0]

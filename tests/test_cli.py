@@ -701,3 +701,83 @@ class TestModelFiles:
         code, out, err = run_cli("--help")
         assert code == 0
         assert "factorize" in out
+
+
+def assert_one_line_failure(capsys, argv, code, message):
+    """``main(argv)`` exits with ``code`` and one stderr line holding ``message``."""
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0], err
+
+
+class TestConfigLines:
+    def test_comment_and_blank_lines_are_skipped(self, dataset, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"# one iteration\n\nt_out=1  # inline\ntrain={dataset / 'train.coo'}\n")
+        assert main(["factorize", "-K", "2", "--config", str(conf),
+                     "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_csv(tmp_path / "x" / "convergence.csv")) == 1
+
+    def test_line_without_equals_names_file_and_line(self, dataset, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("# header\nk 4\n")
+        assert_one_line_failure(capsys, ["factorize", "--config", str(conf),
+                                         "--train", str(dataset / "train.coo"),
+                                         "--out", str(tmp_path / "x")],
+                                EXIT_IO, f"{conf}:2: expected key=value")
+
+    def test_non_integer_seed_names_the_key(self, dataset, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed=abc\n")
+        assert_one_line_failure(capsys, ["factorize", "--config", str(conf),
+                                         "--train", str(dataset / "train.coo"),
+                                         "--out", str(tmp_path / "x")],
+                                EXIT_USAGE, "config key 'seed': invalid value 'abc'")
+
+
+class TestModelDirectory:
+    @pytest.mark.parametrize("files,message", [
+        ({}, "no factor files in"),
+        ({"factor_1.txt": "2\n1.0\n1.0\n"}, "factor_1.txt: bad header"),
+        ({"factor_1.txt": "1 2\n1.0 2.0\n", "factor_2.txt": "1 1\n1.0\n"},
+         "factor_2.txt: rank 1 != 2"),
+        ({"factor_1.txt": "2 1\n1.0\n"}, "factor_1.txt: expected (2, 1), got (1, 1)"),
+    ], ids=["no-files", "header", "rank", "shape"])
+    def test_bad_model_is_io_error_naming_the_file(self, tmp_path, capsys, files, message):
+        model = tmp_path / "model"
+        model.mkdir()
+        for name, body in files.items():
+            (model / name).write_text(body)
+        (tmp_path / "test.coo").write_text("1 1 1.0\n")
+        assert_one_line_failure(capsys, ["evaluate", "--model", str(model),
+                                         "--test", str(tmp_path / "test.coo")],
+                                EXIT_IO, message)
+
+
+class TestTrainFileShape:
+    @pytest.mark.parametrize("body,message", [
+        ("\n7\n1 2 3.0\n", "train.coo: too few fields"),
+        ("", "train.coo: empty file, cannot infer dimension"),
+    ], ids=["one-field", "empty"])
+    def test_undecidable_order_is_io_error(self, tmp_path, capsys, body, message):
+        (tmp_path / "train.coo").write_text(body)
+        assert_one_line_failure(capsys, ["factorize", "--train", str(tmp_path / "train.coo"),
+                                         "--out", str(tmp_path / "x")], EXIT_IO, message)
+        assert not (tmp_path / "x").exists()
+
+
+class TestRequiredFlags:
+    @pytest.mark.parametrize("argv,message", [
+        (["factorize", "--alg", "als", "--t-in", "2", "--out", "x"], "--alg als requires --t-in 1"),
+        (["factorize", "--alg", "cdtf", "-C", "2", "--out", "x"], "--alg cdtf requires C == 1"),
+        (["factorize"], "--out is required"),
+        (["partition-stats"], "--train is required"),
+        (["evaluate", "--model", "x"], "--test is required"),
+    ], ids=["als-t-in", "cdtf-c", "factorize-out", "partition-stats-train", "evaluate-test"])
+    def test_usage_error_names_the_flag(self, dataset, tmp_path, monkeypatch, capsys,
+                                        argv, message):
+        monkeypatch.chdir(tmp_path)
+        train = ["--train", str(dataset / "train.coo")] if argv[0] == "factorize" else []
+        assert_one_line_failure(capsys, [*argv, *train], EXIT_USAGE, f"usage error: {message}")
+        assert list(tmp_path.iterdir()) == []

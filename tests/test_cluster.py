@@ -252,6 +252,27 @@ class TestRunDistributed:
             run_distributed(store, params, assignment, check_replicas=True,
                             fault_hook=lambda m, stamp: current.append(m))
 
+    def test_diverged_residual_is_reported(self, rng, monkeypatch):
+        # worker 1 corrupts its residual replica after its first write-back.
+        # The merged residual takes each entry from its mode-0 row's owner, so
+        # worker 0's copies of entries whose mode-0 row worker 1 owns differ.
+        from sals import cluster
+
+        store = _instance(rng, (8, 8), 40)
+        params = SolverParams(rank=2, n_columns=1, outer_iters=1, lam=0.1, seed=1)
+        residuals = []
+        update_residual = cluster.update_residual
+
+        def corrupting(residual, *args):
+            update_residual(residual, *args)
+            residuals.append(residual)
+            if len(residuals) == 2:
+                residual += 1.0
+
+        monkeypatch.setattr(cluster, "update_residual", corrupting)
+        with pytest.raises(ClusterError, match="^worker 0: residual replica diverged$"):
+            run_distributed(store, params, sequential_assign(store, 2), check_replicas=True)
+
     @pytest.mark.parametrize("lengths, message", [
         ((6, 5), "assignment has 2 modes, the store 3"),          # too few modes
         ((6, 5, 3), "mode 2: assignment has 3 rows, the store 4"),  # the store's mode is longer

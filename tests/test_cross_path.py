@@ -58,22 +58,37 @@ def test_paths_agree_bitwise(case):
     lengths, nnz, params, machines, strategy, chunk, store_seed = case
     store = random_store(np.random.default_rng(store_seed), lengths, nnz)
     stats = [sals.SolveStats() for _ in range(3)]
-    serial = factorize(store, params, stats=stats[0])
+    records = [[] for _ in range(3)]
+    serial = factorize(store, params, stats=stats[0], on_iteration=records[0].append)
 
     assignment = sals.assign(store, strategy, machines, seed=3)
-    dist, _ = sals.run_distributed(store, params, assignment, check_replicas=True,
-                                   stats=stats[1])
+    dist, log = sals.run_distributed(store, params, assignment, check_replicas=True,
+                                     stats=stats[1], on_iteration=records[1].append)
     assert_same(serial, dist)
+    # each worker sends its rows and receives the others': K * T_in * sum(I_n)
+    exchange = 0 if machines == 1 else params.rank * params.inner_iters * sum(lengths)
+    for rec in log.iterations:
+        assert (rec["sent"] + rec["received"] == exchange).all(), rec
 
     with pytest.MonkeyPatch.context() as mp:
         shrink_chunks(mp, chunk)
-        run = sals.stream_factorize(store, params, stats=stats[2])
+        run = sals.stream_factorize(store, params, stats=stats[2],
+                                    on_iteration=records[2].append)
     try:
         assert_same(serial, run.load_model())
     finally:
         run.cleanup()
+    assert run.peak_resident_values <= max(params.n_columns * sum(lengths),
+                                           params.rank * max(lengths))
     counts = {(s.rows_updated, s.rows_skipped) for s in stats}
     assert len(counts) == 1, counts
+    assert not any(r.loss_rose for r in records[0])
+    assert [(r.loss, r.loss_rose) for r in records[1]] == [(r.loss, r.loss_rose)
+                                                          for r in records[0]]
+    # streaming measures in C-column blocks and sums ||r||^2 per chunk
+    assert len(records[2]) == len(records[0])
+    for got, want in zip(records[2], records[0]):
+        assert abs(got.loss - want.loss) <= 1e-12 * abs(want.loss), (got.loss, want.loss)
 
     cd = replace(params, n_columns=1, column_order="fixed")
     assert_same(factorize(store, cd), factorize_cdtf(store, cd))

@@ -25,6 +25,12 @@ from conftest import random_store, shrink_chunks
 
 
 class TestCooFiles:
+    @pytest.mark.parametrize("n_modes, index_base, message", [
+        (0, 1, "n_modes must be >= 1"), (2, 2, "index_base must be 0 or 1")])
+    def test_bad_spec_rejected(self, n_modes, index_base, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CooFileSpec(n_modes, index_base)
+
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "t.coo"
         path.write_text("1 1 5.0\n2 2 3.0\n")
@@ -248,7 +254,7 @@ class TestGenerateZipf:
 def _write_pair(tmp_path, idx, values):
     """A two-file cache in ``tmp_path``: returns its (index, value) pair and writer records."""
     pair = (tmp_path / "i.bin", tmp_path / "v.bin")
-    writer = CacheWriter.create(pair, idx.shape[1])
+    writer = CacheWriter.create(pair, idx.shape[1], np.int64)
     writer.append(idx, values)
     return pair, writer.close()
 
@@ -329,9 +335,18 @@ class TestResidualCache:
         with pytest.raises(CacheError, match="i.bin: bad magic or version"):
             stream_pass(pair, _visit_nothing, expected=info)
 
+    @pytest.mark.parametrize("word", [1, 3, 16])
+    def test_header_word_size_outside_2_4_8_rejected(self, tmp_path, word):
+        pair, info = _write_pair(tmp_path, np.array([[0, 1]]), np.array([3.0]))
+        raw = pair[0].read_bytes()
+        magic, version, width, _, count = struct.unpack("<8sIHHQ", raw[:24])
+        pair[0].write_bytes(struct.pack("<8sIHHQ", magic, version, width, word, count) + raw[24:])
+        with pytest.raises(CacheError, match=f"i.bin: {word}-byte words$"):
+            stream_pass(pair, _visit_nothing, expected=info)
+
     def test_empty_cache_never_visits(self, tmp_path):
         pair = (tmp_path / "i.bin", tmp_path / "v.bin")
-        info = CacheWriter.create(pair, 2).close()
+        info = CacheWriter.create(pair, 2, np.int64).close()
         called = []
         out = stream_pass(pair, lambda i, v, a: called.append(1), expected=info)
         assert out is None and not called

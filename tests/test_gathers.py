@@ -139,7 +139,7 @@ def test_driver_owns_the_slabs(monkeypatch, path):
     assert calls == dict.fromkeys(("load_columns", "store_columns", "release"),
                                   STORE.n_modes * subsets)
     assert callers == {"run_schedule"}
-    assert len(stores) == 1 and next(iter(stores)).meter.current == 0
+    assert len(stores) == 1 and next(iter(stores)).resident == 0
 
 
 @pytest.mark.parametrize("lam, regularization", [

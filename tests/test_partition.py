@@ -53,6 +53,12 @@ def check_partition_invariants(store, assignment):
             assert assignment.rows(m, n).size <= cap
 
 
+@pytest.mark.parametrize("strategy", ["greedy", "sequential", "random"])
+def test_no_machines_rejected(rng, strategy):
+    with pytest.raises(ValueError, match="^n_machines must be >= 1$"):
+        assign(random_store(rng, (4, 4), 6), strategy, 0)
+
+
 class TestGreedy:
     def test_hand_simulated_example(self):
         store = ladder_store([5, 3, 2, 1])

@@ -188,7 +188,7 @@ class TestPsgdEpoch:
         store = store_from_arrays(idx, values, (6, 5))
         params = SgdParams(rank=1, lam=0.0, eta0=0.05, n_shards=2, seed=1)
         halves = [np.arange(0, 15), np.arange(15, 30)]
-        out = psgd_epoch(store, model, params, epoch=0, partition=halves)
+        out = explicit_epoch(store, model, params, 0, halves)
         for x, y in zip(out.matrices, model.matrices):
             assert np.array_equal(x, y)
 
@@ -209,7 +209,7 @@ class TestPsgdEpoch:
         model.matrices[2][0, 0] = 1e308
         empty = [np.zeros(0, dtype=np.int64)] * 2
         with pytest.raises(ValueError, match=r"^epoch 3: mode 1, row 3: non-finite factor"):
-            psgd_epoch(store, model, params, epoch=2, partition=empty)
+            explicit_epoch(store, model, params, 2, empty)
 
 class TestFactorizePsgd:
     def test_deterministic(self, rng):
@@ -244,6 +244,17 @@ def _toy_problem(rng):
 
 
 class TestSgdParams:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rank": 0}, "rank must be >= 1"),
+        ({"lam": -0.1}, "lam must be nonnegative"),
+        ({"eta0": 0.0}, "eta0 must be positive"),
+        ({"outer_iters": 0}, "outer_iters must be >= 1"),
+        ({"n_shards": 0}, "n_shards must be >= 1"),
+    ])
+    def test_bad_field_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SgdParams(**{"rank": 2, **kwargs})
+
     @pytest.mark.parametrize("field", ["lam", "eta0"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, field, value):
@@ -252,39 +263,6 @@ class TestSgdParams:
 
 
 class TestExplicitPartition:
-    @pytest.mark.parametrize("bad", [-1, 15])
-    def test_position_outside_store_rejected(self, rng, bad):
-        store = random_store(rng, (5, 5), 15)
-        params = SgdParams(rank=2, lam=0.1, eta0=0.05, n_shards=2, seed=3)
-        model = init_sgd_model(store, params)
-        with pytest.raises(ValueError, match=rf"shard 1: position {bad} outside \[0, 15\)"):
-            psgd_epoch(store, model, params, 0, partition=[np.arange(15), np.array([3, bad])])
-        with pytest.raises(ValueError, match="no shards"):
-            psgd_epoch(store, model, params, 0, partition=[])
-
-    @pytest.mark.parametrize("bad,message", [
-        (np.ones(15, dtype=bool), "positions of dtype bool, not integer"),
-        (np.array([0.0, 3.0]), "positions of dtype float64, not integer"),
-        (np.array([[0, 1], [2, 3]]), "visit order is 2-D, not 1-D"),
-        (np.int64(3), "visit order is 0-D, not 1-D"),
-    ])
-    def test_order_not_a_list_of_positions_rejected(self, rng, bad, message):
-        store = random_store(rng, (5, 5), 15)
-        params = SgdParams(rank=2, lam=0.1, eta0=0.05, n_shards=3, seed=3)
-        model = init_sgd_model(store, params)
-        with pytest.raises(ValueError, match=rf"^partition shard 2: {message}"):
-            psgd_epoch(store, model, params, 0, partition=[np.arange(4), [], bad])
-
-    def test_empty_list_and_unsigned_positions_accepted(self, rng):
-        store = random_store(rng, (5, 5), 15)
-        params = SgdParams(rank=2, lam=0.1, eta0=0.05, n_shards=2, seed=3)
-        model = init_sgd_model(store, params)
-        signed = psgd_epoch(store, model, params, 0, partition=[np.arange(15), np.zeros(0, int)])
-        unsigned = psgd_epoch(store, model, params, 0,
-                              partition=[np.arange(15, dtype=np.uint64), []])
-        for a, b in zip(signed.matrices, unsigned.matrices):
-            assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("chunk", [1, 2, 5])
     def test_windows_of_whole_levels(self, rng, monkeypatch, chunk):
         # The sweep gathers its entries one window of whole levels at a time;
@@ -303,7 +281,7 @@ class TestExplicitPartition:
         want = straight_line_epoch(store, model, partition, learning_rate(0.02, 1), 0.05)
         for wide in PASSES:
             monkeypatch.setattr(sgd, "_WIDE", wide)
-            got = psgd_epoch(store, model, params, 1, partition=partition)
+            got = explicit_epoch(store, model, params, 1, partition)
             for a, b in zip(got.matrices, want):
                 assert np.array_equal(a, b)
 
@@ -361,6 +339,14 @@ def spy_level_passes(monkeypatch) -> list[str]:
             return real(rows)
         monkeypatch.setattr(sgd, name, spy)
     return taken
+
+
+def explicit_epoch(store, model, params, epoch, partition):
+    """:func:`psgd_epoch`'s sweep and average over explicit shards: shard j
+    visits ``partition[j]``, positions of the store's entries, in order."""
+    shards = [np.asarray(order, dtype=np.int64) for order in partition]
+    return sgd._sharded_epoch(store, model, params, epoch, np.concatenate(shards),
+                              [shard.size for shard in shards])
 
 
 def straight_line_epoch(store, model, partition, eta, lam):
@@ -433,7 +419,7 @@ def test_epoch_equals_straight_line(case):
     for wide in PASSES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sgd, "_WIDE", wide)
-            got = psgd_epoch(store, model, params, epoch, partition=partition)
+            got = explicit_epoch(store, model, params, epoch, partition)
         for a, b in zip(got.matrices, want):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))

@@ -56,6 +56,17 @@ def one(B, c):
 
 
 class TestSolverParams:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rank": 0}, "rank must be >= 1"),
+        ({"rank": 2, "n_columns": 3}, r"n_columns must satisfy 1 <= C <= rank"),
+        ({"rank": 2, "inner_iters": 0}, "iteration counts must be >= 1"),
+        ({"rank": 2, "lam": -0.5}, "lam must be nonnegative"),
+        ({"rank": 2, "column_order": "shuffled"}, "unknown column order 'shuffled'"),
+    ])
+    def test_bad_field_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolverParams(**kwargs)
+
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="lam must be finite"):

@@ -39,6 +39,21 @@ class _CountingFile:
         self._fh.close()
 
 
+class _CountingNumpy:
+    """numpy, counting the elements of the arrays that ``concatenate`` returns."""
+
+    def __init__(self):
+        self.joined = 0
+
+    def concatenate(self, *args, **kwargs):
+        out = np.concatenate(*args, **kwargs)
+        self.joined += out.size
+        return out
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestColumnStore:
     @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "directory"])
     def test_round_trip(self, rng, tmp_path, on_disk):
@@ -50,11 +65,11 @@ class TestColumnStore:
         slab = cs.load_columns(0, cols)
         assert slab.flags.c_contiguous
         assert np.array_equal(slab, mats[0][:, cols])
-        assert cs.meter.current == slab.size
+        assert cs.resident == slab.size
         slab[:, 1] = 7.0
         cs.store_columns(0, cols, slab)
         cs.release(slab)
-        assert cs.meter.current == 0
+        assert cs.resident == 0
         mats[0][:, 3] = 7.0
         for n, expected in enumerate(mats):
             path = tmp_path / f"factor_{n}.bin"
@@ -64,7 +79,7 @@ class TestColumnStore:
                 assert not path.exists()
         for block in cs.blocks(2):
             assert all(b.flags.c_contiguous for b in block)
-        assert cs.meter.current == 0
+        assert cs.resident == 0
         model = cs.read_model(0.0)
         assert all(m.flags.c_contiguous for m in model.matrices)
         assert all(np.array_equal(a, b) for a, b in zip(model.matrices, mats))
@@ -113,6 +128,30 @@ class TestStreamFactorize:
         run = stream_factorize(store, params, workdir=tmp_path)
         assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
                                                         run.load_model().matrices))
+
+    def test_row_spanning_many_chunks_is_joined_once(self, tmp_path, monkeypatch):
+        # Mode 0's row 0 holds 4,000 entries, so 40-record chunks split it
+        # 100 ways.  Its chunks are joined once, where it ends: the elements
+        # that streaming concatenates grow with the row, not with the square
+        # of its chunk count (6.3x from 400- to 40-record chunks when each
+        # chunk was joined onto the carried part).
+        rng = np.random.default_rng(8)
+        idx = np.concatenate([
+            np.column_stack([np.full(size, i), *np.divmod(rng.choice(10_000, size, False), 100)])
+            for i, size in enumerate((4000, 200, 200, 200))])
+        store = store_from_arrays(idx, rng.normal(size=len(idx)), (4, 100, 100))
+        params = SolverParams(rank=4, n_columns=2, outer_iters=1, lam=0.05, seed=4)
+        expected = factorize(store, params)
+        joined = {}
+        for records in (400, 40):
+            counting = _CountingNumpy()
+            monkeypatch.setattr(streaming, "np", counting)
+            shrink_chunks(monkeypatch, records)
+            run = stream_factorize(store, params, workdir=tmp_path / str(records))
+            joined[records] = counting.joined
+            assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
+                                                            run.load_model().matrices))
+        assert joined[40] <= 2 * joined[400], joined
 
     @pytest.mark.parametrize("length, word", [(2**15 - 1, 2), (2**15, 4), (2**15 + 1, 4)])
     def test_index_words_at_the_int16_boundary(self, tmp_path, monkeypatch, length, word):

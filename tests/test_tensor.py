@@ -35,6 +35,10 @@ def small_matrix_store():
 
 
 class TestBuildStore:
+    def test_negative_mode_length_rejected(self):
+        with pytest.raises(ValueError, match="^mode lengths must be nonnegative$"):
+            store_from_arrays(np.zeros((0, 2), np.int64), np.zeros(0), (3, -1))
+
     def test_three_entries_of_2x2(self):
         store = small_matrix_store()
         assert store.nnz == 3
@@ -403,6 +407,22 @@ class TestSubsetProducts:
         assert not np.signbit(got[0])  # -0.0 terms sum onto numpy's identity +0.0
 
 
+class TestFactorModel:
+    @pytest.mark.parametrize("rank, lam, shapes, message", [
+        (0, 0.0, [(3, 0)], "rank must be >= 1"),
+        (2, -0.1, [(3, 2)], "lam must be nonnegative"),
+        (2, 0.0, [(3, 2), (4, 3)], r"factor 1 is not \(I_n, 2\)"),
+        (2, 0.0, [(3, 2), (6,)], r"factor 1 is not \(I_n, 2\)"),
+    ])
+    def test_bad_model_rejected(self, rank, lam, shapes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FactorModel(rank, lam, [np.ones(shape) for shape in shapes])
+
+    def test_non_finite_factor_rejected(self):
+        with pytest.raises(ValueError, match="^factor 0 has non-finite entries$"):
+            FactorModel(1, 0.0, [np.array([[1.0], [np.nan]])])
+
+
 class TestReconstruct:
     def test_all_ones_k2(self):
         mats = [np.ones((2, 2)) for _ in range(3)]
@@ -459,6 +479,14 @@ class TestReconstruct:
 
 
 class TestLoss:
+    def test_bad_call_rejected(self, rng):
+        store = random_store(rng, (4, 5), 12)
+        model = random_model(rng, store, rank=2)
+        with pytest.raises(ValueError, match="^model and store dimensions differ$"):
+            loss(model, random_store(rng, (4, 5, 3), 12))
+        with pytest.raises(ValueError, match="^unknown regularization 'ridge'$"):
+            loss(model, store, "ridge")
+
     def test_zero_first_factor_gives_sum_of_squares(self, rng):
         store = random_store(rng, (4, 5), 12)
         model = FactorModel(2, 0.0, [np.zeros((4, 2)), rng.random((5, 2))])
@@ -483,7 +511,7 @@ class TestLoss:
     def test_lower_bound_is_penalty(self, rng):
         store = random_store(rng, (4, 4), 10)
         model = random_model(rng, store, rank=2, lam=0.7)
-        assert loss(model, store) >= regularization_penalty(model) - 1e-12
+        assert loss(model, store) >= regularization_penalty(model, store, "plain") - 1e-12
 
     def test_lower_bound_tight_iff_residuals_zero(self, rng):
         # equality exactly when every residual is zero
@@ -491,9 +519,9 @@ class TestLoss:
         dense = np.einsum("ik,jk,lk->ijl", *model.matrices)
         idx = np.argwhere(np.ones((3, 4, 2), dtype=bool))[:6]
         store = store_from_arrays(idx, dense[tuple(idx.T)], (3, 4, 2))
-        assert loss(model, store) == regularization_penalty(model)
+        assert loss(model, store) == regularization_penalty(model, store, "plain")
         bumped = store_from_arrays(idx, dense[tuple(idx.T)] + 0.5, (3, 4, 2))
-        assert loss(model, bumped) > regularization_penalty(model)
+        assert loss(model, bumped) > regularization_penalty(model, store, "plain")
 
     def test_weighted_penalty(self, rng):
         store = random_store(rng, (4, 3), 8)
@@ -521,7 +549,7 @@ class TestLoss:
             tracemalloc.stop()
         assert peak <= 24 * store.nnz, peak / store.nnz
         err = store.values - subset_products(model.matrices, store.idx.astype(np.int64))
-        assert got == float(err @ err) + regularization_penalty(model)
+        assert got == float(err @ err) + regularization_penalty(model, store, "plain")
 
 
 class TestRmse:
