@@ -233,7 +233,6 @@ _HEADER = struct.Struct("<8sIHHQ")
 _TRAILER = struct.Struct("<I")  # CRC32 of the records
 _INDEX_TYPES = {2: np.dtype("<i2"), 4: np.dtype("<i4"), 8: np.dtype("<i8")}  # by size
 _VALUE_TYPE = np.dtype("<f8")
-_CHUNK_RECORDS = 1 << 16  # records per chunk of every cache pass, read at call time
 
 
 class CacheError(ValueError):
@@ -339,17 +338,18 @@ def _read_header(fh, path: Path) -> tuple[int, int, int]:
     return width, word, count
 
 
-def stream_pass(path, visitor: Callable, *, expected: dict):
+def stream_pass(path, visitor: Callable, *, expected: dict, chunks: Sequence[int]):
     """Fold ``visitor(idx_chunk, values_chunk, acc)`` over a cache pair.
 
     ``path`` is an (index file, value file) pair, read in lockstep in
-    chunks of ``_CHUNK_RECORDS`` records; records are visited in stored
-    order exactly once, the indices as a (records, N) array of the index
-    file's word type.  Both files' lengths, CRCs and record counts are
-    verified against their headers and trailers, their counts against each
-    other, and each file against its writer's record in ``expected`` (a
-    mapping from path to the :meth:`CacheWriter.close` result).  Returns
-    the final accumulator (None for an empty cache).
+    chunks of ``chunks`` records each, which must add up to the files'
+    record count; records are visited in stored order exactly once, the
+    indices as a (records, N) array of the index file's word type.  Both
+    files' lengths, CRCs and record counts are verified against their
+    headers and trailers, their counts against each other, and each file
+    against its writer's record in ``expected`` (a mapping from path to the
+    :meth:`CacheWriter.close` result).  Returns the final accumulator (None
+    for an empty cache).
     """
     index_path, value_path = map(Path, path)
     acc = None
@@ -362,10 +362,11 @@ def stream_pass(path, visitor: Callable, *, expected: dict):
         if value_count != count:
             raise CacheError(
                 f"{index_path} holds {count} records but {value_path} holds {value_count}")
+        if sum(chunks) != count:
+            raise CacheError(f"{index_path}: {count} records, but the chunks hold {sum(chunks)}")
         index_type = _INDEX_TYPES[word]
         icrc = vcrc = 0
-        for start in range(0, count, _CHUNK_RECORDS):
-            take = min(_CHUNK_RECORDS, count - start)
+        for take in chunks:
             raw_idx, raw_values = ifh.read(take * n_modes * word), vfh.read(take * 8)
             icrc, vcrc = zlib.crc32(raw_idx, icrc), zlib.crc32(raw_values, vcrc)
             idx = np.frombuffer(raw_idx, dtype=index_type).reshape(take, n_modes)
@@ -388,14 +389,16 @@ def write_residual_caches(
     store: SparseTensorStore,
     directory: Path,
     written: dict[Path, dict],
+    chunks: Sequence[Sequence[int]],
 ) -> None:
     """Cache the initial residual (= x) per mode, grouped by that mode's rows.
 
     Both files of every mode's :func:`cache_pair` are created anew: the
     index file ``idx_m<n>.bin`` (written here only), its records int16
     below 2^15 rows, else the store's column type, and the value file
-    ``r_m<n>.bin``.  Each file's writer record goes into ``written`` under
-    its path, for :func:`stream_pass` to check on every read.
+    ``r_m<n>.bin``, both written in chunks of ``chunks[n]`` records.  Each
+    file's writer record goes into ``written`` under its path, for
+    :func:`stream_pass` to check on every read.
     """
     directory.mkdir(parents=True, exist_ok=True)
     short = max(store.mode_lengths, default=0) < 1 << 15  # a row head's diff from -1 fits
@@ -403,11 +406,13 @@ def write_residual_caches(
     for n in range(store.n_modes):
         perm, cols = store.mode_perm[n], store.mode_cols[n]
         with CacheWriter.create(cache_pair(directory, n), store.n_modes, dtype) as writer:
-            for start in range(0, perm.size, _CHUNK_RECORDS):
-                sel = perm[start:start + _CHUNK_RECORDS]
-                idx = np.empty((sel.size, store.n_modes), dtype)
+            start = 0
+            for take in chunks[n]:
+                sel = perm[start:start + take]
+                idx = np.empty((take, store.n_modes), dtype)
                 for m, col in enumerate(cols):  # the other modes' columns are in this order
                     idx[:, m] = (np.take(store.idx[:, m], sel) if col is None
-                                 else col[start:start + sel.size])
+                                 else col[start:start + take])
                 writer.append(idx, np.take(store.values, sel))
+                start += take
             written.update(writer.close())

@@ -8,17 +8,17 @@ are loaded as slabs at a time.  Per mode ``n`` the cache directory holds
 ``r_m<n>.bin``, the mode's one copy of the residual values.  The shared
 schedule driver (:func:`sals.solver.run_schedule`) runs with steps that work
 on the caches: per column subset, augment rewrites each value file in place
-into r-hat, each refit streams one mode's r-hat and hands its complete row
-groups to the serial row kernel, write back rewrites r-hat in place into the
-residual, and close measures the residual in one pass over a value file.
-Two of these passes ride on refits: mode 0's augment on the subset's first
-refit, which augments each chunk as it reads it, and the last mode's
-write-back on the subset's last refit, which writes back each run of rows
-once it is refit.  A subset thus streams N * T_in + 2N - 2 passes, not
-N * (T_in + 2): one pass at N = 1 and T_in = 1.  The column store counts
-the loaded slabs' values; their peak stays at C * sum(I_n) during the
-loop (plus a transient of one full factor per mode while the initial model
-is written out), as the fused passes hold no second set of slabs.
+into r-hat, each refit streams one mode's r-hat to the serial row kernel,
+write back rewrites r-hat in place into the residual, and close measures
+the residual in one pass over a value file.  Every pass over mode n's cache
+reads it in the row kernel's own batches of the mode's rows.  Two of these
+passes ride on refits: mode 0's augment on the subset's first refit and the
+last mode's write-back on the subset's last refit, each done chunk by chunk.
+A subset thus streams N * T_in + 2N - 2 passes, not N * (T_in + 2): one
+pass at N = 1 and T_in = 1.  The column store counts the loaded slabs'
+values; their peak stays at C * sum(I_n) during the loop (plus a
+transient of one full factor per mode while the initial model is written
+out), as the fused passes hold no second set of slabs.
 
 The row groups keep canonical order within each row, so a streaming run
 reproduces the in-memory model bit for bit.
@@ -40,6 +40,7 @@ from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented 
     Recorder,
     SolverParams,
     WEIGHTED,
+    _batches,
     compute_rhat,
     init_columns,
     normal_eq_arrays,
@@ -78,13 +79,15 @@ class StreamingRun:
 def _value_pass(
     cache: Path,
     written: dict[Path, dict],
+    chunks: list[list[int]],
     step,
     slabs: list[np.ndarray],
     stats: SolveStats,
     modes,
 ) -> None:
     """Rewrite the value files of ``modes`` in place by ``step``, :func:`compute_rhat`
-    or :func:`update_residual`, applied to a copy of every chunk's values.
+    or :func:`update_residual`, applied to a copy of every chunk's values;
+    mode n's file is read in ``chunks[n]``.
 
     Each chunk is read before it is overwritten and writes never get ahead
     of reads, so one file is both input and output; the index file is only read.
@@ -99,13 +102,14 @@ def _value_pass(
                 writer.append(None, values)
                 return acc
 
-            dataio.stream_pass(pair, visit, expected=written)
+            dataio.stream_pass(pair, visit, expected=written, chunks=chunks[n])
             written.update(writer.close())
 
 
 def _update_mode_streaming(
     path: tuple[Path, Path],
     expected: dict[Path, dict],
+    chunks: list[int],
     slabs: list[np.ndarray],
     mode: int,
     absent: RowGroups,
@@ -118,57 +122,39 @@ def _update_mode_streaming(
 ) -> None:
     """One row-refit pass over a mode-grouped cache pair holding r-hat.
 
-    Each chunk's complete row groups go to :func:`update_rows`, delimited by
-    their row heads; the last group may continue in the next chunks and is
-    carried over as a list of its chunks, joined once where the row ends, so
-    a row spanning k chunks is copied once.  The ``absent`` group's ``empty``
-    rows, whose buckets are empty and so not cached, go to
-    :func:`update_rows` at the end, which settles them without a batch.
+    The pair is read in ``chunks``, the row kernel's own batches, so each
+    chunk holds whole rows and goes to :func:`update_rows` as one group,
+    delimited by its row heads.  The ``absent`` group's ``empty`` rows,
+    whose buckets are empty and so not cached, go to :func:`update_rows` at
+    the end, which settles them without a batch.
 
     With ``augment`` the value file still holds the residual: each chunk is
-    turned into r-hat by :func:`compute_rhat` as it is read.  A row is refit
-    only once all its entries are read, so the slabs still hold the values
-    the augment needs.  With ``write_back`` each run of refit rows is turned
-    back into the residual by :func:`update_residual` right after its refit,
-    which must then be the subset's last.  Either way the refit rows' values
-    are written back in place, behind the reads, and ``expected`` gets the
-    value file's new writer record.
+    turned into r-hat by :func:`compute_rhat` before its refit.  With
+    ``write_back`` each chunk is turned back into the residual by
+    :func:`update_residual` right after its refit, which must then be the
+    subset's last.  Either way the chunk's values are written back in place,
+    behind the reads, and ``expected`` gets the value file's new writer record.
     """
     rewrite = augment or write_back
 
-    def refit_groups(idx, values, end):
-        rows = idx[:end, mode]
-        heads = np.flatnonzero(np.diff(rows, prepend=-1))
-        cols = tuple(None if m == mode else idx[:end, m] for m in range(len(slabs)))
-        groups = RowGroups(rows[heads], None, np.append(heads, end), cols, rows[:0])
-        update_rows(slabs, values[:end], mode, groups, lam, weighted, stats)
-        if write_back:
-            update_residual(values[:end], slabs, idx[:end], stats)
-        if rewrite:
-            writer.append(None, values[:end])
-
-    def joined(chunks):
-        return chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
-
-    def visit(idx, values, carry):
+    def visit(idx, values, acc):
         if rewrite:
             values = values.copy()
             if augment:
                 compute_rhat(values, slabs, idx, stats)
-        carry = carry or []
-        carry.append((idx, values))
-        if idx[0, mode] == idx[-1, mode] == carry[0][0][-1, mode]:
-            return carry  # the row goes on
-        idx, values = joined(carry)
-        tail = int(np.searchsorted(idx[:, mode], idx[-1, mode]))
-        refit_groups(idx, values, tail)
-        return [(idx[tail:], values[tail:])]
+        rows = idx[:, mode]
+        heads = np.flatnonzero(np.diff(rows, prepend=-1))
+        cols = tuple(None if m == mode else idx[:, m] for m in range(len(slabs)))
+        groups = RowGroups(rows[heads], None, np.append(heads, rows.size), cols, rows[:0])
+        update_rows(slabs, values, mode, groups, lam, weighted, stats)
+        if write_back:
+            update_residual(values, slabs, idx, stats)
+        if rewrite:
+            writer.append(None, values)
+        return acc
 
     with CacheWriter.rewrite(path[1]) if rewrite else nullcontext() as writer:
-        carry = dataio.stream_pass(path, visit, expected=expected)
-        if carry is not None:
-            idx, values = joined(carry)
-            refit_groups(idx, values, values.size)
+        dataio.stream_pass(path, visit, expected=expected, chunks=chunks)
         if rewrite:
             expected.update(writer.close())
     update_rows(slabs, np.empty(0), mode, absent, lam, weighted, stats)
@@ -201,31 +187,36 @@ def stream_factorize(
     made = [d for d in (workdir, factors, cache) if not d.exists()]
     try:
         colstore = init_columns(store.mode_lengths, params, factors)
+        sizes = [store.bucket_sizes(n) for n in range(store.n_modes)]
+        chunks = []  # each mode's cache chunks: the record counts of the row kernel's batches
+        for size in sizes:
+            ptr = np.append(0, np.cumsum(size[size > 0]))
+            chunks.append([int(ptr[r1] - ptr[r0]) for r0, r1 in _batches(ptr, params.n_columns)])
         written: dict[Path, dict] = {}  # each cache file's writer record, checked on reads
-        write_residual_caches(store, cache, written)
+        write_residual_caches(store, cache, written, chunks)
 
-        weighted = params.regularization == WEIGHTED
-        empty = [np.flatnonzero(store.bucket_sizes(n) == 0) for n in range(store.n_modes)]
+        weighted, last = params.regularization == WEIGHTED, store.n_modes - 1
+        empty = [np.flatnonzero(size == 0) for size in sizes]
         absent = [RowGroups(rows[:0], rows[:0], np.zeros(1, int), (), rows) for rows in empty]
 
-        last = store.n_modes - 1
-
         def augment(slabs):  # mode 0's augment rides on its first refit
-            _value_pass(cache, written, compute_rhat, slabs, stats, range(1, store.n_modes))
+            _value_pass(cache, written, chunks, compute_rhat, slabs, stats, range(1, last + 1))
 
         def refit(slabs, stamp):
             n = stamp.mode
             _update_mode_streaming(
-                cache_pair(cache, n), written, slabs, n, absent[n], params.lam, weighted, stats,
+                cache_pair(cache, n), written, chunks[n], slabs, n, absent[n], params.lam,
+                weighted, stats,
                 augment=stamp.inner == 0 and n == 0,
                 write_back=stamp.inner == params.inner_iters - 1 and n == last,
             )
 
         def write_back(slabs):  # the last mode's write-back rode on its last refit
-            _value_pass(cache, written, update_residual, slabs, stats, range(last))
+            _value_pass(cache, written, chunks, update_residual, slabs, stats, range(last))
 
         def measure():
-            resid_sq = dataio.stream_pass(cache_pair(cache, 0), _sum_squares, expected=written)
+            resid_sq = dataio.stream_pass(cache_pair(cache, 0), _sum_squares, expected=written,
+                                          chunks=chunks[0])
             return resid_sq or 0.0, colstore.blocks(params.n_columns)
 
         recorder.start()

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sals import dataio, solver, tensor
+from sals import solver, tensor
 from sals.solver import compute_rhat, normal_eq_arrays, update_rows
 from sals.tensor import FactorModel, SparseTensorStore, store_from_arrays
 
@@ -59,7 +59,8 @@ def kernel_store(rng, n_modes, sizes=KERNEL_SIZES) -> SparseTensorStore:
 
 
 def shrink_batches(monkeypatch, cap: int) -> None:
-    """Cap every row-kernel batch at ``cap`` entries, whatever C is."""
+    """Cap every row-kernel batch, and so every streaming cache chunk, at ``cap``
+    entries (or one larger row), whatever C is."""
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", cap)
     monkeypatch.setattr(solver, "_BATCH_VALUES", cap)
 
@@ -67,11 +68,6 @@ def shrink_batches(monkeypatch, cap: int) -> None:
 def shrink_blocks(monkeypatch, values: int) -> None:
     """Run every pass over entries' products in blocks of ``values`` // C entries (at least one)."""
     monkeypatch.setattr(tensor, "_BLOCK_VALUES", values)
-
-
-def shrink_chunks(monkeypatch, records: int) -> None:
-    """Run every cache pass in chunks of ``records`` records."""
-    monkeypatch.setattr(dataio, "_CHUNK_RECORDS", records)
 
 
 def random_model(

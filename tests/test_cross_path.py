@@ -4,11 +4,12 @@ Complements the fixed ``CASES`` of ``test_equivalence.py``: serial,
 distributed and streaming runs must agree bitwise and count the same row
 updates and skips, and coordinate descent must match subset-ALS at C=1
 with fixed order, for 1 to 5 modes, empty buckets, empty tensors, C not
-dividing K, more machines than rows and stream chunks down to a single
-record.  A fixed store adds buckets of 0 to 600 entries, across the row
-kernel's limits between segmented sums and per-row BLAS products, and runs
-them again with every mode split into many row-kernel batches, and with
-every pass over the entries' products split into blocks of a few entries.
+dividing K, more machines than rows and streaming batches (and so cache
+chunks) down to a single entry.  A fixed store adds buckets of 0 to 600
+entries, across the row kernel's limits between segmented sums and
+per-row BLAS products, and runs them again with every mode split into many
+row-kernel batches, and with every pass over the entries' products split
+into blocks of a few entries.
 """
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ import sals
 from sals import solver
 from sals.solver import SolverParams, factorize, factorize_cdtf
 from conftest import (
-    LIMIT_SIZES, kernel_store, random_store, shrink_batches, shrink_blocks, shrink_chunks,
+    LIMIT_SIZES, kernel_store, random_store, shrink_batches, shrink_blocks,
 )
 
 
@@ -43,9 +44,9 @@ def cases(draw):
     )
     machines = draw(st.integers(1, max(lengths) + 2))
     strategy = draw(st.sampled_from(["greedy", "sequential", "random"]))
-    chunk = draw(st.integers(1, 16))
+    cap = draw(st.integers(1, 16))  # streaming's batch cap
     store_seed = draw(st.integers(0, 1000))
-    return lengths, nnz, params, machines, strategy, chunk, store_seed
+    return lengths, nnz, params, machines, strategy, cap, store_seed
 
 
 def assert_same(a, b):
@@ -55,7 +56,7 @@ def assert_same(a, b):
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(cases())
 def test_paths_agree_bitwise(case):
-    lengths, nnz, params, machines, strategy, chunk, store_seed = case
+    lengths, nnz, params, machines, strategy, cap, store_seed = case
     store = random_store(np.random.default_rng(store_seed), lengths, nnz)
     stats = [sals.SolveStats() for _ in range(3)]
     records = [[] for _ in range(3)]
@@ -71,7 +72,7 @@ def test_paths_agree_bitwise(case):
         assert (rec["sent"] + rec["received"] == exchange).all(), rec
 
     with pytest.MonkeyPatch.context() as mp:
-        shrink_chunks(mp, chunk)
+        shrink_batches(mp, cap)
         run = sals.stream_factorize(store, params, stats=stats[2],
                                     on_iteration=records[2].append)
     try:
@@ -104,7 +105,7 @@ def test_paths_agree_bitwise_across_bucket_limits(monkeypatch, c_cols):
     dist, _ = sals.run_distributed(store, params, sals.assign(store, "greedy", 2, seed=3),
                                    check_replicas=True)
     assert_same(serial, dist)
-    shrink_chunks(monkeypatch, 97)
+    shrink_batches(monkeypatch, 97)
     run = sals.stream_factorize(store, params)
     try:
         assert_same(serial, run.load_model())
@@ -131,7 +132,6 @@ def test_paths_agree_bitwise_across_split_batches(monkeypatch, c_cols, lam, regu
         dist, _ = sals.run_distributed(store, params, sals.assign(store, "greedy", machines, seed=3),
                                        check_replicas=True)
         assert_same(serial, dist)
-    shrink_chunks(monkeypatch, 97)
     run = sals.stream_factorize(store, params)
     try:
         assert_same(serial, run.load_model())
@@ -164,7 +164,7 @@ def test_paths_agree_bitwise_across_entry_blocks(monkeypatch, c_cols):
             streamed.cleanup()
         return model, records
 
-    shrink_chunks(monkeypatch, 97)
+    shrink_batches(monkeypatch, 97)
     paths = ("serial", "cluster", "streaming")
     default = {path: run(path) for path in paths}
     shrink_blocks(monkeypatch, 7)

@@ -21,7 +21,7 @@ from sals.dataio import (
 )
 from sals.dataio import _read_coo_lines
 from sals.tensor import Coo, predict_entries
-from conftest import random_store, shrink_chunks
+from conftest import random_store
 
 
 class TestCooFiles:
@@ -263,12 +263,17 @@ def _visit_nothing(idx, values, acc):
     return acc
 
 
+def _runs(count, size):
+    """Chunks of ``size`` records, the last one shorter, that cover ``count`` records."""
+    return [min(size, count - start) for start in range(0, count, size)]
+
+
 class TestResidualCache:
-    def test_write_read_round_trip(self, rng, tmp_path, monkeypatch):
+    def test_write_read_round_trip(self, rng, tmp_path):
         store = random_store(rng, (7, 6, 5), 80)
         written = {}
         cache = tmp_path / "cache"
-        write_residual_caches(store, cache, written)
+        write_residual_caches(store, cache, written, [_runs(store.nnz, 17)] * 3)
         pair = cache_pair(cache, 1)
         assert pair == (cache / "idx_m1.bin", cache / "r_m1.bin")
         assert sorted(written) == sorted(p for n in range(3) for p in cache_pair(cache, n))
@@ -280,8 +285,7 @@ class TestResidualCache:
             chunks.append((idx.copy(), values.copy()))
             return (0 if acc is None else acc) + idx.shape[0]
 
-        shrink_chunks(monkeypatch, 17)
-        total = stream_pass(pair, visit, expected=written)
+        total = stream_pass(pair, visit, expected=written, chunks=_runs(store.nnz, 17))
         assert total == store.nnz
         idx = np.concatenate([c[0] for c in chunks])
         values = np.concatenate([c[1] for c in chunks])
@@ -298,7 +302,7 @@ class TestResidualCache:
 
     @pytest.mark.parametrize("dtype, top", [(np.int32, 2**31 - 1), (np.int64, 2**63 - 1),
                                             (np.int16, 2**15 - 1)])
-    def test_index_records_round_trip_in_their_type(self, tmp_path, monkeypatch, dtype, top):
+    def test_index_records_round_trip_in_their_type(self, tmp_path, dtype, top):
         idx = np.array([[0, top, 5], [top, 1, top - 7], [3, 0, 2]], dtype=dtype)
         values = np.array([np.pi, -0.0, 2.0 ** -1074])
         pair = (tmp_path / "i.bin", tmp_path / "v.bin")
@@ -312,8 +316,7 @@ class TestResidualCache:
         def visit(i, v, acc):
             return [*(acc or []), (i.copy(), v.copy())]
 
-        shrink_chunks(monkeypatch, 2)
-        chunks = stream_pass(pair, visit, expected=info)
+        chunks = stream_pass(pair, visit, expected=info, chunks=[2, 1])
         got_idx = np.concatenate([c[0] for c in chunks])
         got_values = np.concatenate([c[1] for c in chunks])
         assert [c[0].shape for c in chunks] == [(2, 3), (1, 3)]
@@ -333,7 +336,7 @@ class TestResidualCache:
         raw = pair[0].read_bytes()
         pair[0].write_bytes(struct.pack("<8sIIQ", b"RTCACHE1", 2, 2, 1) + raw[24:])
         with pytest.raises(CacheError, match="i.bin: bad magic or version"):
-            stream_pass(pair, _visit_nothing, expected=info)
+            stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
 
     @pytest.mark.parametrize("word", [1, 3, 16])
     def test_header_word_size_outside_2_4_8_rejected(self, tmp_path, word):
@@ -342,14 +345,45 @@ class TestResidualCache:
         magic, version, width, _, count = struct.unpack("<8sIHHQ", raw[:24])
         pair[0].write_bytes(struct.pack("<8sIHHQ", magic, version, width, word, count) + raw[24:])
         with pytest.raises(CacheError, match=f"i.bin: {word}-byte words$"):
-            stream_pass(pair, _visit_nothing, expected=info)
+            stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
 
     def test_empty_cache_never_visits(self, tmp_path):
         pair = (tmp_path / "i.bin", tmp_path / "v.bin")
         info = CacheWriter.create(pair, 2, np.int64).close()
         called = []
-        out = stream_pass(pair, lambda i, v, a: called.append(1), expected=info)
+        out = stream_pass(pair, lambda i, v, a: called.append(1), expected=info, chunks=[])
         assert out is None and not called
+
+    @pytest.mark.parametrize("chunks", [[], [1], [1, 1], [2, 2], [4]])
+    def test_chunks_must_add_up_to_the_record_count(self, tmp_path, chunks):
+        pair, info = _write_pair(tmp_path, np.array([[0, 1], [2, 3], [4, 5]]),
+                                 np.array([1.0, 2.0, 3.0]))
+        called = []
+        match = f"i.bin: 3 records, but the chunks hold {sum(chunks)}$"
+        with pytest.raises(CacheError, match=match):
+            stream_pass(pair, lambda i, v, a: called.append(1), expected=info, chunks=chunks)
+        assert not called
+
+    def test_chunkings_visit_the_same_records_in_stored_order(self, rng, tmp_path):
+        idx, values = rng.integers(0, 1000, (40, 3)), rng.normal(size=40)
+        pair, info = _write_pair(tmp_path, idx, values)
+
+        def visit(i, v, acc):
+            return [*(acc or []), (i.copy(), v.copy())]
+
+        for chunks in ([40], [7, 1, 30, 2], [1] * 40):
+            seen = stream_pass(pair, visit, expected=info, chunks=chunks)
+            assert [v.size for _, v in seen] == chunks
+            assert np.array_equal(np.concatenate([i for i, _ in seen]), idx)
+            assert np.concatenate([v for _, v in seen]).tobytes() == values.tobytes()
+
+    def test_cache_files_do_not_depend_on_the_write_chunks(self, rng, tmp_path):
+        store = random_store(rng, (7, 6, 5), 80)
+        files = []
+        for name, size in (("whole", 80), ("split", 9)):
+            write_residual_caches(store, tmp_path / name, {}, [_runs(store.nnz, size)] * 3)
+            files.append(sorted((f.name, f.read_bytes()) for f in (tmp_path / name).iterdir()))
+        assert files[0] == files[1]
 
     def test_checksum_detects_corruption(self, tmp_path):
         for k, offset in ((0, 8), (1, 12)):  # a bit inside the last record of each file
@@ -358,18 +392,19 @@ class TestResidualCache:
             raw[len(raw) - offset] ^= 0xFF
             pair[k].write_bytes(bytes(raw))
             with pytest.raises(CacheError, match=f"{pair[k].name}: checksum"):
-                stream_pass(pair, _visit_nothing, expected=info)
+                stream_pass(pair, _visit_nothing, expected=info, chunks=[1, 1])
 
     def test_manifest_mismatch_detected(self, tmp_path):
         pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
-        stream_pass(pair, _visit_nothing, expected=info)
+        stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
         for path in pair:
             for wrong in (dict(info[path], records=2), dict(info[path], crc32=0)):
                 with pytest.raises(CacheError,
                                    match=f"{path.name}: does not match its writer's record"):
-                    stream_pass(pair, _visit_nothing, expected={**info, path: wrong})
+                    stream_pass(pair, _visit_nothing, expected={**info, path: wrong},
+                                chunks=[1])
             with pytest.raises(CacheError, match=f"{path.name}: does not match"):
-                stream_pass(pair, _visit_nothing,
+                stream_pass(pair, _visit_nothing, chunks=[1],
                             expected={p: r for p, r in info.items() if p != path})
 
     def test_truncated_file_detected(self, tmp_path):
@@ -379,7 +414,7 @@ class TestResidualCache:
             for cut in (5, len(raw) - 10):
                 pair[k].write_bytes(raw[:-cut])
                 with pytest.raises(CacheError, match=pair[k].name):
-                    stream_pass(pair, _visit_nothing, expected=info)
+                    stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
 
     def test_junk_after_trailer_detected(self, tmp_path):
         for k in range(2):
@@ -387,7 +422,7 @@ class TestResidualCache:
             with open(pair[k], "ab") as fh:
                 fh.write(b"\0" * 8)
             with pytest.raises(CacheError, match=rf"{pair[k].name}: \d+ bytes, but 1 records"):
-                stream_pass(pair, _visit_nothing, expected=info)
+                stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
 
     def test_index_and_value_counts_must_agree(self, tmp_path):
         pair, info = _write_pair(tmp_path, np.array([[0, 0], [1, 1]]), np.array([3.0, 4.0]))
@@ -395,12 +430,12 @@ class TestResidualCache:
         (_, one_value), _ = _write_pair(tmp_path / "one", np.array([[0, 0]]), np.array([3.0]))
         pair[1].write_bytes(one_value.read_bytes())
         with pytest.raises(CacheError, match="i.bin holds 2 records but .*v.bin holds 1"):
-            stream_pass(pair, _visit_nothing, expected=info)
+            stream_pass(pair, _visit_nothing, expected=info, chunks=[2])
 
     def test_index_file_is_not_a_value_file(self, tmp_path):
         pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
         with pytest.raises(CacheError, match="i.bin: 2 words per record, not a value file"):
-            stream_pass((pair[1], pair[0]), _visit_nothing, expected=info)
+            stream_pass((pair[1], pair[0]), _visit_nothing, expected=info, chunks=[1])
 
     def test_rewrite_in_place_keeps_size_and_indices(self, tmp_path):
         pair, info = _write_pair(tmp_path, np.array([[0, 1], [2, 3]]), np.array([1.0, 2.0]))
@@ -414,7 +449,7 @@ class TestResidualCache:
         def visit(idx, values, acc):
             return idx.copy(), values.copy()
 
-        idx, values = stream_pass(pair, visit, expected=info)
+        idx, values = stream_pass(pair, visit, expected=info, chunks=[2])
         assert np.array_equal(idx, [[0, 1], [2, 3]]) and np.array_equal(values, [5.0, -6.0])
 
     def test_values_bit_exact(self, tmp_path):
@@ -424,6 +459,6 @@ class TestResidualCache:
         def visit(idx, values, acc):
             return values.copy()
 
-        out = stream_pass(pair, visit, expected=info)
+        out = stream_pass(pair, visit, expected=info, chunks=[4])
         assert np.array_equal(out, vals)
         assert np.signbit(out[1])

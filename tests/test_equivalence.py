@@ -13,10 +13,10 @@ import pytest
 import sals
 from sals.solver import SolverParams, factorize, factorize_cdtf
 from sals.tensor import Coo
-from conftest import random_store, shrink_chunks
+from conftest import random_store, shrink_batches
 
 CASES = [
-    # (lengths, nnz, K, C, T_out, T_in, lam, reg, order, M, strategy, chunk)
+    # (lengths, nnz, K, C, T_out, T_in, lam, reg, order, M, strategy, streaming's batch cap)
     ((9, 7), 40, 3, 1, 2, 1, 0.0, "plain", "fixed", 2, "sequential", 11),
     ((8, 6, 5), 120, 5, 2, 2, 2, 0.05, "weighted", "random_per_outer", 3, "greedy", 23),
     ((5, 4, 6, 3), 150, 4, 3, 2, 1, 0.01, "plain", "random_per_outer", 4, "random", 64),
@@ -27,11 +27,11 @@ CASES = [
     ((6, 6, 6, 6), 400, 5, 5, 2, 1, 0.05, "weighted", "random_per_outer", 2, "sequential", 128),
     # streaming fuses mode 0's augment into the subset's first refit and the
     # last mode's write-back into its last: at N = 1 and T_in = 1 both in one
-    # pass, at T_in = 2 in separate ones (a row holds one entry here, and each
-    # chunk's last row is carried into the next)
+    # pass, at T_in = 2 in separate ones (a row holds one entry here, so a
+    # cache chunk holds several rows)
     ((40,), 30, 3, 1, 2, 1, 0.05, "plain", "fixed", 2, "sequential", 7),
     ((25,), 20, 4, 2, 2, 2, 0.1, "weighted", "random_per_outer", 3, "greedy", 6),
-    # rows of every mode span several chunks
+    # rows of every mode are above the batch cap, each a chunk of its own
     ((4, 3, 3, 3, 4), 300, 4, 2, 2, 1, 0.05, "plain", "random_per_outer", 3, "greedy", 29),
     # long, mostly empty modes: both exceed 2^16 rows (two radix digits), and
     # 94 % and 92 % of their rows hold no entry, under weighted and zero lambda
@@ -43,7 +43,7 @@ CASES = [
 
 @pytest.mark.parametrize("i, case", list(enumerate(CASES)), ids=[f"case{i}" for i in range(len(CASES))])
 def test_all_paths_bitwise_identical(i, case, tmp_path, monkeypatch):
-    lengths, nnz, k, c, t_out, t_in, lam, reg, order, m, strategy, chunk = case
+    lengths, nnz, k, c, t_out, t_in, lam, reg, order, m, strategy, cap = case
     rng = np.random.default_rng(900 + i)
     store = random_store(rng, lengths, nnz)
     params = SolverParams(
@@ -64,7 +64,7 @@ def test_all_paths_bitwise_identical(i, case, tmp_path, monkeypatch):
     for a, b in zip(serial.matrices, dist.matrices):
         assert np.array_equal(a, b)
 
-    shrink_chunks(monkeypatch, chunk)
+    shrink_batches(monkeypatch, cap)
     run = sals.stream_factorize(store, params, workdir=tmp_path, **hooks("streaming"))
     stream = run.load_model()
     for a, b in zip(serial.matrices, stream.matrices):

@@ -26,7 +26,7 @@ import pytest
 
 from sals import cluster, partition, solver, streaming, tensor
 from sals.tensor import Coo, store_from_arrays
-from conftest import random_store, shrink_chunks
+from conftest import random_store, shrink_batches
 
 STORE = random_store(np.random.default_rng(9), (50, 50, 50), 3000)
 TEST = Coo(np.random.default_rng(10).integers(0, 50, (200, 3)),
@@ -64,7 +64,7 @@ def sources(monkeypatch):
 
 def _stream(store, params, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
-        shrink_chunks(mp, 500)
+        shrink_batches(mp, 500)
         run = streaming.stream_factorize(store, params, **kwargs)
     try:
         return run.load_model()

@@ -30,7 +30,7 @@ from sals.tensor import (
 )
 from conftest import (
     KERNEL_SIZES, LIMIT_SIZES, augmented, kernel_store, random_model, random_store, refit_mode,
-    row_normal_eq, shrink_batches, shrink_blocks, shrink_chunks,
+    row_normal_eq, shrink_batches, shrink_blocks,
 )
 
 
@@ -937,7 +937,7 @@ class TestLossRiseFlag:
             )
         elif path == "streaming":
             with pytest.MonkeyPatch.context() as mp:
-                shrink_chunks(mp, 17)
+                shrink_batches(mp, 17)
                 streaming.stream_factorize(store, params, on_iteration=records.append).cleanup()
         else:
             sgd_params = sgd.SgdParams(rank=params.rank, outer_iters=params.outer_iters)

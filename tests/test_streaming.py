@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sals import dataio, streaming
+from sals import dataio, solver, streaming
 from sals.solver import SolverParams, factorize
 from sals.streaming import ColumnStore, stream_factorize
 from sals.tensor import Coo, store_from_arrays
-from conftest import random_store, shrink_chunks
+from conftest import random_store, shrink_batches
 
 
 def max_model_diff(a, b):
@@ -109,32 +109,32 @@ class TestStreamFactorize:
         store = random_store(rng, (9, 8, 7), 160)
         params = SolverParams(**cfg)
         expected = factorize(store, params)
-        shrink_chunks(monkeypatch, 37)
+        shrink_batches(monkeypatch, 37)
         run = stream_factorize(store, params, workdir=tmp_path)
         got = run.load_model()
         assert max_model_diff(expected, got) <= 1e-12
 
-    @pytest.mark.parametrize("records, lengths, nnz", [
-        (1, (9, 8, 7), 160), (7, (9, 8, 7), 160), (1 << 16, (300, 300, 2), 70_000),
+    @pytest.mark.parametrize("cap, lengths, nnz", [
+        (1, (9, 8, 7), 160), (7, (9, 8, 7), 160), (1 << 16, (1, 300, 300), 70_000),
     ])
-    def test_rows_spanning_chunks_match_in_memory(self, rng, tmp_path, monkeypatch, records,
+    def test_rows_spanning_chunks_match_in_memory(self, rng, tmp_path, monkeypatch, cap,
                                                   lengths, nnz):
+        # A row above the batch cap (2^16 is the default at C = 2) is one
+        # batch, and so one cache chunk, of its own: no row spans chunks.
         store = random_store(rng, lengths, nnz)
-        for ptr in store.mode_ptr:  # some row of every mode straddles a chunk boundary
-            assert (ptr[:-1] // records < (ptr[1:] - 1) // records).any()
+        above = [(store.bucket_sizes(n) > cap).any() for n in range(store.n_modes)]
+        assert all(above) if cap < 1 << 16 else above == [True, False, False]
         params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.05, seed=4)
         expected = factorize(store, params)
-        shrink_chunks(monkeypatch, records)
+        shrink_batches(monkeypatch, cap)
         run = stream_factorize(store, params, workdir=tmp_path)
         assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
                                                         run.load_model().matrices))
 
     def test_row_spanning_many_chunks_is_joined_once(self, tmp_path, monkeypatch):
-        # Mode 0's row 0 holds 4,000 entries, so 40-record chunks split it
-        # 100 ways.  Its chunks are joined once, where it ends: the elements
-        # that streaming concatenates grow with the row, not with the square
-        # of its chunk count (6.3x from 400- to 40-record chunks when each
-        # chunk was joined onto the carried part).
+        # Mode 0's row 0 holds 4,000 entries, 100 times a batch cap of 40.
+        # Each cache chunk is one of the row kernel's batches, so the row is
+        # read as one chunk of its own and streaming joins nothing.
         rng = np.random.default_rng(8)
         idx = np.concatenate([
             np.column_stack([np.full(size, i), *np.divmod(rng.choice(10_000, size, False), 100)])
@@ -142,22 +142,53 @@ class TestStreamFactorize:
         store = store_from_arrays(idx, rng.normal(size=len(idx)), (4, 100, 100))
         params = SolverParams(rank=4, n_columns=2, outer_iters=1, lam=0.05, seed=4)
         expected = factorize(store, params)
-        joined = {}
-        for records in (400, 40):
+        for cap in (400, 40):
             counting = _CountingNumpy()
             monkeypatch.setattr(streaming, "np", counting)
-            shrink_chunks(monkeypatch, records)
-            run = stream_factorize(store, params, workdir=tmp_path / str(records))
-            joined[records] = counting.joined
+            shrink_batches(monkeypatch, cap)
+            run = stream_factorize(store, params, workdir=tmp_path / str(cap))
+            assert counting.joined == 0, cap
             assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
                                                             run.load_model().matrices))
-        assert joined[40] <= 2 * joined[400], joined
+
+    @pytest.mark.parametrize("cap", [None, 7, 1], ids=["default", "cap7", "cap1"])
+    @pytest.mark.parametrize("c_cols", [1, 2, 4])
+    def test_kernel_gets_the_in_memory_batches(self, tmp_path, monkeypatch, c_cols, cap):
+        # Each cache chunk is one of the row kernel's batches, so streaming
+        # hands the kernel the same (mode, rows, entries) sequence as
+        # factorize, mode 0's row 0 above the cap included.
+        rng = np.random.default_rng(c_cols)
+        sizes, others = ((140_000, 900, 0, 2000), (400, 400)) if cap is None else \
+            ((40, 9, 0, 1, 2), (9, 8))
+        idx = np.concatenate([
+            np.column_stack([np.full(size, i),
+                             *np.divmod(rng.choice(np.prod(others), size, False), others[1])])
+            for i, size in enumerate(sizes)])
+        store = store_from_arrays(idx, rng.normal(size=len(idx)), (len(sizes), *others))
+        if cap is not None:
+            shrink_batches(monkeypatch, cap)
+        assert store.bucket_sizes(0)[0] > solver._batch_entries(c_cols)
+        calls, real = [], solver.normal_eq_arrays
+
+        def noting(slabs, cols, rhat, seg, mode, *args, **kwargs):
+            calls.append((mode, seg.size - 1, int(seg[-1])))
+            return real(slabs, cols, rhat, seg, mode, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "normal_eq_arrays", noting)
+        params = SolverParams(rank=4, n_columns=c_cols, outer_iters=1, lam=0.05, seed=3)
+        expected = factorize(store, params)
+        in_memory = calls[:]
+        calls.clear()
+        run = stream_factorize(store, params, workdir=tmp_path)
+        assert calls == in_memory
+        assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
+                                                        run.load_model().matrices))
 
     @pytest.mark.parametrize("length, word", [(2**15 - 1, 2), (2**15, 4), (2**15 + 1, 4)])
     def test_index_words_at_the_int16_boundary(self, tmp_path, monkeypatch, length, word):
         # Index records are int16 while every mode is shorter than 2^15 rows;
-        # the top rows start chunks, so a row head's difference from -1 is
-        # taken at the largest row index.
+        # the top rows start batches, and so chunks, so a row head's
+        # difference from -1 is taken at the largest row index.
         rng = np.random.default_rng(length)
         rows = np.concatenate([[0, length - 2, length - 1] * 4, rng.integers(0, length, 300)])
         idx = np.column_stack([rows, rng.integers(0, 5, rows.size), rng.integers(0, 3, rows.size)])
@@ -165,7 +196,7 @@ class TestStreamFactorize:
         store = store_from_arrays(idx, rng.normal(size=len(idx)), (length, 5, 3))
         params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.05, seed=4)
         expected = factorize(store, params)
-        shrink_chunks(monkeypatch, 5)
+        shrink_batches(monkeypatch, 5)
         run = stream_factorize(store, params, workdir=tmp_path)
         for n in range(store.n_modes):
             header = (tmp_path / "cache" / f"idx_m{n}.bin").read_bytes()[:dataio._HEADER.size]
@@ -329,7 +360,7 @@ class TestPasses:
             return real(path, *args, **kwargs)
 
         monkeypatch.setattr(dataio, "stream_pass", counting)
-        shrink_chunks(monkeypatch, 13)
+        shrink_batches(monkeypatch, 13)
         run = stream_factorize(store, params, workdir=tmp_path)
         n, subsets = len(lengths), params.outer_iters * 3  # ceil(K / C) = 3
         # augment and write-back stream N - 1 modes each: mode 0's augment
@@ -366,7 +397,7 @@ class TestFailedPassesCloseFiles:
             return real(*args)
 
         monkeypatch.setattr(owner, name, failing)
-        shrink_chunks(monkeypatch, 50)
+        shrink_batches(monkeypatch, 50)
         with pytest.raises(RuntimeError, match="injected"):
             stream_factorize(store, params, workdir=tmp_path)
         assert next(calls) > call
@@ -396,7 +427,7 @@ class TestEmptyRows:
         serial = factorize(store, params, stats=stats[0])
         dist, _ = run_distributed(store, params, greedy_assign(store, 3), check_replicas=True,
                                   stats=stats[1])
-        shrink_chunks(monkeypatch, 7)
+        shrink_batches(monkeypatch, 7)
         run = stream_factorize(store, params, stats=stats[2])
         try:
             streamed = run.load_model()
@@ -449,7 +480,7 @@ class TestStreamingReadsFactsOnly:
                               regularization=regularization, seed=6)
         expected, expected_records = [], []
         model = factorize(store, params, test_entries=test, on_iteration=expected.append)
-        shrink_chunks(monkeypatch, 7)
+        shrink_batches(monkeypatch, 7)
         run = stream_factorize(store, params, workdir=tmp_path / "store", test_entries=test,
                                on_iteration=expected_records.append)
 

@@ -1,5 +1,5 @@
 """The package surface: exported names resolve, every name the benchmark
-rebinds exists, and no module imports a name it never uses.
+rebinds or the README cites exists, and no module imports a name it never uses.
 
 No linter runs on this tree, so the unused-import check walks each module's
 syntax tree.  An import the module keeps for another reason (perfbench
@@ -7,6 +7,7 @@ rebinds some names in ``streaming`` and ``cluster`` to trace them) says so
 with ``# noqa: F401`` on its first line.
 """
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import sals
 
 MODULES = sorted(Path(sals.__file__).parent.glob("*.py"))
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+README = CHILD.parent.parent / "README.md"
 
 
 def test_all_names_resolve_once():
@@ -76,4 +78,20 @@ def test_benchmark_rebinding_targets_resolve():
             obj = getattr(obj, part, None)
         if not hasattr(obj, name):
             missing.append(f"{owner}.{name}")
+    assert missing == []
+
+
+def test_readme_names_resolve():
+    # every backticked `sals.<module>.<name>` or `sals.<name>`, up to its first
+    # non-name character (a call's parenthesis), is an attribute chain from sals
+    cited = re.findall(r"`(sals(?:\.\w+)+)", README.read_text(encoding="utf-8"))
+    assert cited
+    missing = []
+    for name in cited:
+        owner, _, attr = name.rpartition(".")
+        obj = sals
+        for part in owner.split(".")[1:]:
+            obj = getattr(obj, part, None)
+        if not hasattr(obj, attr):
+            missing.append(name)
     assert missing == []
