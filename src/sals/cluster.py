@@ -22,7 +22,8 @@ mode, the row kernel's input for its owned rows: the store's
 Because every worker owns the complete entry bucket of each row it updates
 (in canonical order) and runs the serial solver's augment, write-back, row
 kernel and record builder, the final model and the records are bitwise
-identical to a serial run with the same seed.
+identical to a serial run with the same seed.  No residual is merged: a
+record reads each worker's owned mode-0 rows from its own replica.
 """
 from __future__ import annotations
 
@@ -175,7 +176,6 @@ def _worker_loop(
     params: SolverParams,
     workers: list[WorkerState],
     master: ColumnStore,
-    master_residual: np.ndarray,
     log: CommLog,
     recorder: Recorder,
     check_replicas: bool,
@@ -221,28 +221,22 @@ def _worker_loop(
             log.sent[ws.machine] += payload.size
             log.events[ws.machine] += 1
 
-    def merge_residual():  # only the records' loss and the replica check read it
-        for ws in workers:
-            order = ws.groups[0].order
-            master_residual[take_rows(ws.positions, order)] = take_rows(ws.residual, order)
-
-    def measure():
-        merge_residual()
-        return float(master_residual @ master_residual), master.blocks(params.rank)
-
     def write_back(_):
         for ws, slabs in zip(workers, replicas):
             with _blame(ws.machine):
                 update_residual(ws.residual, slabs, ws.idx, stats[ws.machine])
         if check_replicas:
-            merge_residual()
+            merged = np.empty(store.nnz)  # each entry as its mode-0 row's owner holds it
+            for ws in workers:
+                order = ws.groups[0].order
+                merged[take_rows(ws.positions, order)] = take_rows(ws.residual, order)
             for ws, slabs in zip(workers, replicas):
                 for n in range(n_modes):
                     if not np.array_equal(slabs[n], replicas[0][n]):
                         raise ClusterError(
                             f"worker {ws.machine}: column replica diverged, mode {n}"
                         )
-                if not np.array_equal(ws.residual, master_residual[ws.positions]):
+                if not np.array_equal(ws.residual, merged[ws.positions]):
                     raise ClusterError(f"worker {ws.machine}: residual replica diverged")
 
     def close(it):
@@ -252,7 +246,9 @@ def _worker_loop(
             total = getattr(log, key).copy()
             rec[key], marks[key] = total - marks[key], total
         log.iterations.append(rec)
-        recorder.close(it, measure, int(log.flops.sum()), params_sent=int(rec["sent"].sum()),
+        recorder.close(it, [(ws.groups[0], ws.residual) for ws in workers],
+                       master.blocks(params.n_columns), int(log.flops.sum()),
+                       params_sent=int(rec["sent"].sum()),
                        params_received=int(rec["received"].sum()))
 
     run_schedule(params, master, augment, refit, write_back, close)
@@ -280,13 +276,13 @@ def run_distributed(
     # checks the test set before the entries are replicated
     recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration)
     workers = distribute(store, assignment)
-    master, residual = init_columns(store.mode_lengths, params), store.values.copy()
+    master = init_columns(store.mode_lengths, params)
     log = CommLog.empty(
         assignment.n_machines, params.rank, params.inner_iters, sum(store.mode_lengths)
     )
     recorder.start()
     worker_stats = _worker_loop(
-        store, params, workers, master, residual, log, recorder, check_replicas, fault_hook,
+        store, params, workers, master, log, recorder, check_replicas, fault_hook,
     )
     if stats is not None:
         for ws_stats in worker_stats:

@@ -22,7 +22,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -339,20 +339,26 @@ def _read_header(fh, path: Path) -> tuple[int, int, int]:
 
 
 def stream_pass(path, visitor: Callable, *, expected: dict, chunks: Sequence[int]):
-    """Fold ``visitor(idx_chunk, values_chunk, acc)`` over a cache pair.
+    """Fold ``visitor(idx_chunk, values_chunk, acc)`` over :func:`stream_chunks`;
+    returns the final accumulator (None for an empty cache)."""
+    acc = None
+    for idx, values in stream_chunks(path, expected=expected, chunks=chunks):
+        acc = visitor(idx, values, acc)
+    return acc
 
+
+def stream_chunks(path, *, expected: dict, chunks: Sequence[int]) -> Iterator:
+    """Yield a cache pair's ``(idx_chunk, values_chunk)``, read-only arrays:
     ``path`` is an (index file, value file) pair, read in lockstep in
     chunks of ``chunks`` records each, which must add up to the files'
-    record count; records are visited in stored order exactly once, the
+    record count; records are yielded in stored order exactly once, the
     indices as a (records, N) array of the index file's word type.  Both
     files' lengths, CRCs and record counts are verified against their
     headers and trailers, their counts against each other, and each file
     against its writer's record in ``expected`` (a mapping from path to the
-    :meth:`CacheWriter.close` result).  Returns the final accumulator (None
-    for an empty cache).
+    :meth:`CacheWriter.close` result), once the last chunk is consumed.
     """
     index_path, value_path = map(Path, path)
-    acc = None
     with open(index_path, "rb") as ifh, open(value_path, "rb") as vfh:
         n_modes, word, count = _read_header(ifh, index_path)
         width, value_word, value_count = _read_header(vfh, value_path)
@@ -370,14 +376,13 @@ def stream_pass(path, visitor: Callable, *, expected: dict, chunks: Sequence[int
             raw_idx, raw_values = ifh.read(take * n_modes * word), vfh.read(take * 8)
             icrc, vcrc = zlib.crc32(raw_idx, icrc), zlib.crc32(raw_values, vcrc)
             idx = np.frombuffer(raw_idx, dtype=index_type).reshape(take, n_modes)
-            acc = visitor(idx, np.frombuffer(raw_values, dtype=_VALUE_TYPE), acc)
+            yield idx, np.frombuffer(raw_values, dtype=_VALUE_TYPE)
         for fh, file, crc in ((ifh, index_path, icrc), (vfh, value_path, vcrc)):
             (stored_crc,) = _TRAILER.unpack(fh.read(_TRAILER.size))
             if stored_crc != crc:
                 raise CacheError(f"{file}: checksum mismatch")
             if expected.get(file) != {"records": count, "crc32": crc}:
                 raise CacheError(f"{file}: does not match its writer's record")
-    return acc
 
 
 def cache_pair(directory: Path, mode: int) -> tuple[Path, Path]:

@@ -296,13 +296,13 @@ def factorize_psgd(
     model = init_sgd_model(store, params)
     epoch_flops = store.nnz * 7 * store.n_modes * params.rank
 
-    def measure():
+    def residual(model):  # the record's one run: the residual, made once it is read
         err = store.values.copy()
         update_residual(err, model.matrices, store.idx)
-        return float(err @ err), [model.matrices]
+        yield store.groups(0), err
 
     recorder = Recorder(store, params.lam, PLAIN, test_entries, on_iteration, flag_rises=False)
     for epoch in range(params.outer_iters):
         model = psgd_epoch(store, model, params, epoch)
-        recorder.close(epoch + 1, measure, (epoch + 1) * epoch_flops)
+        recorder.close(epoch + 1, residual(model), [model.matrices], (epoch + 1) * epoch_flops)
     return model

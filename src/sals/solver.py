@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -475,8 +475,8 @@ def update_rows(
 
 
 class Recorder:
-    """The one builder of :class:`IterationRecord`; every path closes each
-    outer iteration through :meth:`close`.
+    """The one builder and fold of :class:`IterationRecord`; every path closes
+    each outer iteration through :meth:`close`, so records are bitwise equal.
 
     Made before a path's set-up, it checks the test set (and keeps its
     indices column-major, as the evaluator reads them by column) and
@@ -494,6 +494,7 @@ class Recorder:
             test_entries = Coo(np.asfortranarray(idx), values)
         self.test = test_entries
         self.lam, self.on_iteration, self.flops = lam, on_iteration, flops
+        self.n_rows = store.mode_lengths[0]
         self.weights = None if regularization == PLAIN else [
             store.bucket_sizes(n) for n in range(store.n_modes)]
         self.rounding = self.last_loss = None  # rounding: loss_rose's floor, eps * ||x||^2
@@ -505,18 +506,20 @@ class Recorder:
         """(Re)start the clock that the records' ``seconds`` read."""
         self.t0 = time.perf_counter()
 
-    def close(self, iteration: int, measure: Callable, flops: int, **counters: int) -> None:
+    def close(self, iteration: int, runs: Iterable[tuple[RowGroups, np.ndarray]],
+              blocks: Iterable[Sequence[np.ndarray]], flops: int, **counters: int) -> None:
         """Emit the iteration's record off the clock; without a hook, do nothing.
 
-        ``measure()`` gives :func:`sals.tensor.evaluate` the squared residual
-        and the factors' column blocks; ``flops`` is the running total and
-        ``counters`` are further record fields.
+        ``runs`` yields ``(groups, values)``: mode-0 row groups, together
+        holding every filled row once, and the residual values they index.
+        ``blocks`` yields the factors' C-column slabs (see :func:`sals.tensor.evaluate`).
+        ``flops`` is the running total and ``counters`` are further record fields.
         """
         if self.on_iteration is None:
             return
         start = time.perf_counter()
         record = IterationRecord(iteration, start - self.t0, *evaluate(
-            *measure(), self.lam, self.weights, self.test,
+            self._residual_sq(runs), blocks, self.lam, self.weights, self.test,
         ), flops=flops - self.flops, **counters)
         record.eval_seconds = time.perf_counter() - start
         self.flops = flops
@@ -526,6 +529,19 @@ class Recorder:
         self.last_loss = record.loss
         self.on_iteration(record)
         self.t0 += time.perf_counter() - start
+
+    @np.errstate(over="ignore")
+    def _residual_sq(self, runs) -> float:
+        """||r||^2: each mode-0 row's r^2 summed in canonical order by ``np.add.reduceat``,
+        whose bits do not depend on the segment's offset or alignment, then the
+        I_0 row sums (0.0 for an empty row) in row order."""
+        per_row = np.zeros(self.n_rows)
+        for (rows, order, ptr, *_), values in runs:
+            for r0, r1 in _batches(ptr, 1):
+                lo, hi = ptr[r0], ptr[r1]
+                run = values[lo:hi] if order is None else take_rows(values, order[lo:hi])
+                per_row[rows[r0:r1]] = np.add.reduceat(np.square(run), ptr[r0:r1] - lo)
+        return float(per_row.sum())
 
 
 def run_schedule(
@@ -588,14 +604,12 @@ def factorize(
     def refit(slabs, stamp):
         update_rows(slabs, vals, stamp.mode, groups[stamp.mode], params.lam, weighted, stats)
 
-    def measure():
-        return float(vals @ vals), colstore.blocks(params.rank)
-
     recorder = Recorder(store, params.lam, params.regularization, test_entries, on_iteration,
                         flops=stats.flops)
     run_schedule(params, colstore, lambda slabs: compute_rhat(vals, slabs, store.idx, stats),
                  refit, lambda slabs: update_residual(vals, slabs, store.idx, stats),
-                 lambda it: recorder.close(it, measure, stats.flops))
+                 lambda it: recorder.close(it, [(groups[0], vals)],
+                                           colstore.blocks(params.n_columns), stats.flops))
     return colstore.read_model(params.lam)
 
 

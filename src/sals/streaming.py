@@ -9,9 +9,10 @@ are loaded as slabs at a time.  Per mode ``n`` the cache directory holds
 schedule driver (:func:`sals.solver.run_schedule`) runs with steps that work
 on the caches: per column subset, augment rewrites each value file in place
 into r-hat, each refit streams one mode's r-hat to the serial row kernel,
-write back rewrites r-hat in place into the residual, and close measures
-the residual in one pass over a value file.  Every pass over mode n's cache
-reads it in the row kernel's own batches of the mode's rows.  Two of these
+write back rewrites r-hat in place into the residual, and close hands
+mode 0's value file chunks to the record builder as runs of whole rows.
+Every pass over mode n's cache reads it in the row kernel's own batches of
+the mode's rows at the subset's slab width (C, or K mod C).  Two of these
 passes ride on refits: mode 0's augment on the subset's first refit and the
 last mode's write-back on the subset's last refit, each done chunk by chunk.
 A subset thus streams N * T_in + 2N - 2 passes, not N * (T_in + 2): one
@@ -21,7 +22,7 @@ transient of one full factor per mode while the initial model is written
 out), as the fused passes hold no second set of slabs.
 
 The row groups keep canonical order within each row, so a streaming run
-reproduces the in-memory model bit for bit.
+reproduces the in-memory model and records bit for bit.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ class StreamingRun:
 def _value_pass(
     cache: Path,
     written: dict[Path, dict],
-    chunks: list[list[int]],
+    chunks: dict[int, list[list[int]]],
     step,
     slabs: list[np.ndarray],
     stats: SolveStats,
@@ -87,7 +88,7 @@ def _value_pass(
 ) -> None:
     """Rewrite the value files of ``modes`` in place by ``step``, :func:`compute_rhat`
     or :func:`update_residual`, applied to a copy of every chunk's values;
-    mode n's file is read in ``chunks[n]``.
+    mode n's file is read in ``chunks[C][n]``, at the slabs' width C.
 
     Each chunk is read before it is overwritten and writes never get ahead
     of reads, so one file is both input and output; the index file is only read.
@@ -102,14 +103,14 @@ def _value_pass(
                 writer.append(None, values)
                 return acc
 
-            dataio.stream_pass(pair, visit, expected=written, chunks=chunks[n])
+            dataio.stream_pass(pair, visit, expected=written, chunks=chunks[slabs[0].shape[1]][n])
             written.update(writer.close())
 
 
 def _update_mode_streaming(
     path: tuple[Path, Path],
     expected: dict[Path, dict],
-    chunks: list[int],
+    chunks: dict[int, list[list[int]]],
     slabs: list[np.ndarray],
     mode: int,
     absent: RowGroups,
@@ -122,9 +123,9 @@ def _update_mode_streaming(
 ) -> None:
     """One row-refit pass over a mode-grouped cache pair holding r-hat.
 
-    The pair is read in ``chunks``, the row kernel's own batches, so each
-    chunk holds whole rows and goes to :func:`update_rows` as one group,
-    delimited by its row heads.  The ``absent`` group's ``empty`` rows,
+    The pair is read in ``chunks[C][mode]``, the row kernel's own batches at
+    the slabs' width C, so each chunk holds whole rows and goes to
+    :func:`update_rows` as one group.  The ``absent`` group's ``empty`` rows,
     whose buckets are empty and so not cached, go to :func:`update_rows` at
     the end, which settles them without a batch.
 
@@ -142,11 +143,7 @@ def _update_mode_streaming(
             values = values.copy()
             if augment:
                 compute_rhat(values, slabs, idx, stats)
-        rows = idx[:, mode]
-        heads = np.flatnonzero(np.diff(rows, prepend=-1))
-        cols = tuple(None if m == mode else idx[:, m] for m in range(len(slabs)))
-        groups = RowGroups(rows[heads], None, np.append(heads, rows.size), cols, rows[:0])
-        update_rows(slabs, values, mode, groups, lam, weighted, stats)
+        update_rows(slabs, values, mode, _chunk_groups(idx, mode), lam, weighted, stats)
         if write_back:
             update_residual(values, slabs, idx, stats)
         if rewrite:
@@ -154,7 +151,7 @@ def _update_mode_streaming(
         return acc
 
     with CacheWriter.rewrite(path[1]) if rewrite else nullcontext() as writer:
-        dataio.stream_pass(path, visit, expected=expected, chunks=chunks)
+        dataio.stream_pass(path, visit, expected=expected, chunks=chunks[slabs[0].shape[1]][mode])
         if rewrite:
             expected.update(writer.close())
     update_rows(slabs, np.empty(0), mode, absent, lam, weighted, stats)
@@ -188,12 +185,12 @@ def stream_factorize(
     try:
         colstore = init_columns(store.mode_lengths, params, factors)
         sizes = [store.bucket_sizes(n) for n in range(store.n_modes)]
-        chunks = []  # each mode's cache chunks: the record counts of the row kernel's batches
-        for size in sizes:
-            ptr = np.append(0, np.cumsum(size[size > 0]))
-            chunks.append([int(ptr[r1] - ptr[r0]) for r0, r1 in _batches(ptr, params.n_columns)])
+        ptrs = [np.append(0, np.cumsum(size[size > 0])) for size in sizes]
+        # per slab width (C, and K mod C if not 0) each mode's cache chunks: the kernel's batches
+        chunks = {width: [[int(p[r1] - p[r0]) for r0, r1 in _batches(p, width)] for p in ptrs]
+                  for width in {params.n_columns, params.rank % params.n_columns} - {0}}
         written: dict[Path, dict] = {}  # each cache file's writer record, checked on reads
-        write_residual_caches(store, cache, written, chunks)
+        write_residual_caches(store, cache, written, chunks[params.n_columns])
 
         weighted, last = params.regularization == WEIGHTED, store.n_modes - 1
         empty = [np.flatnonzero(size == 0) for size in sizes]
@@ -205,7 +202,7 @@ def stream_factorize(
         def refit(slabs, stamp):
             n = stamp.mode
             _update_mode_streaming(
-                cache_pair(cache, n), written, chunks[n], slabs, n, absent[n], params.lam,
+                cache_pair(cache, n), written, chunks, slabs, n, absent[n], params.lam,
                 weighted, stats,
                 augment=stamp.inner == 0 and n == 0,
                 write_back=stamp.inner == params.inner_iters - 1 and n == last,
@@ -214,14 +211,13 @@ def stream_factorize(
         def write_back(slabs):  # the last mode's write-back rode on its last refit
             _value_pass(cache, written, chunks, update_residual, slabs, stats, range(last))
 
-        def measure():
-            resid_sq = dataio.stream_pass(cache_pair(cache, 0), _sum_squares, expected=written,
-                                          chunks=chunks[0])
-            return resid_sq or 0.0, colstore.blocks(params.n_columns)
+        def close(it):  # the record reads mode 0's cache chunks as runs of whole rows
+            runs = ((_chunk_groups(idx, 0), values) for idx, values in dataio.stream_chunks(
+                cache_pair(cache, 0), expected=written, chunks=chunks[params.n_columns][0]))
+            recorder.close(it, runs, colstore.blocks(params.n_columns), stats.flops)
 
         recorder.start()
-        run_schedule(params, colstore, augment, refit, write_back,
-                     lambda it: recorder.close(it, measure, stats.flops))
+        run_schedule(params, colstore, augment, refit, write_back, close)
     except BaseException:  # a failed run leaves no scratch files behind
         for n in range(store.n_modes):
             for path in (factors / f"factor_{n}.bin", *cache_pair(cache, n)):
@@ -235,5 +231,9 @@ def stream_factorize(
     return StreamingRun(colstore, params.lam, colstore.peak, _tmp=tmp)
 
 
-def _sum_squares(idx, values, acc):
-    return (0.0 if acc is None else acc) + float(values @ values)
+def _chunk_groups(idx: np.ndarray, mode: int) -> RowGroups:
+    """A cache chunk of whole mode-``mode`` rows as one row group, split at its row heads."""
+    rows = idx[:, mode]
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))
+    cols = tuple(None if m == mode else idx[:, m] for m in range(idx.shape[1]))
+    return RowGroups(rows[heads], None, np.append(heads, rows.size), cols, rows[:0])

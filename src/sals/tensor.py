@@ -423,8 +423,8 @@ def evaluate(
 
     ``resid_sq`` is the squared norm of the residual over the observed set.
     ``blocks`` yields every factor's slab over disjoint column sets that
-    cover all K columns: the whole model at once in memory, C columns at a
-    time out of core.  The penalty and the test prediction fold over them.
+    cover all K columns: C columns at a time on every subset-ALS path, a
+    whole model at once otherwise.  The penalty and the test prediction fold over them.
     ``weights[n]`` weighs mode n's rows in the penalty; ``None`` is plain.
     """
     penalty = 0.0

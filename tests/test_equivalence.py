@@ -4,8 +4,8 @@ Serial, distributed (any machine count / assignment), and streaming runs
 share row kernels and consume identical seeded streams, so their final
 models must match bit for bit; coordinate descent, a wrapper of the
 general path, must match it at C=1 with fixed order.  Their progress records
-agree too: bitwise for the cluster, and to rounding for streaming, whose
-penalty folds over C-column blocks.
+agree bitwise too: every path's record folds ||r||^2 by mode-0 row and the
+penalty and test prediction over C-column blocks.
 """
 import numpy as np
 import pytest
@@ -75,11 +75,7 @@ def test_all_paths_bitwise_identical(i, case, tmp_path, monkeypatch):
 
     assert len(records["serial"]) == t_out
     assert [fields(r) for r in records["cluster"]] == [fields(r) for r in records["serial"]]
-    assert len(records["streaming"]) == t_out
-    for a, b in zip(records["serial"], records["streaming"]):
-        assert (b.iteration, b.loss_rose) == (a.iteration, a.loss_rose)
-        assert b.loss == pytest.approx(a.loss, rel=1e-12)
-        assert b.test_rmse == pytest.approx(a.test_rmse, rel=1e-12)
+    assert [fields(r) for r in records["streaming"]] == [fields(r) for r in records["serial"]]
 
     if c == 1 and order == "fixed":
         fused = factorize_cdtf(store, params)
