@@ -2,16 +2,21 @@
 
 COO text files carry one entry per line: N integer indices then a value,
 whitespace separated, 0- or 1-based.  The streaming cache of one mode holds
-that mode's residual entries grouped by row, as an (index file, value file)
-pair read in lockstep.  Each file is little-endian binary: a header (magic,
-version, words per record, bytes per word, record count), fixed-width
-records and a CRC32 trailer.  An index record is N indices, int16 while
-every mode is shorter than 2^15 rows, else int32 below 2^31 rows, else
-int64; a value record is one float64.  The index file is written once;
-the value file, the mode's one residual copy, is rewritten in place (into
-r-hat and back), so it keeps its size and no file is created after
-set-up.  Every read checks both files' lengths, and the record counts and
-CRCs their writers returned.
+that mode's residual entries grouped by row: one index column file per
+other mode and one value file, read in lockstep.  Each file is
+little-endian binary (``CACHE_VERSION`` 4): a header (magic, version, kind,
+bytes per word, record count), one word per record and a CRC32 trailer.
+An index column file holds one other mode's index of every entry,
+contiguous across the file, so its bytes do not depend on the chunks it is
+written or read in; its words are int16 while every mode is shorter than
+2^15 rows (so every index fits), else int32 below 2^31 rows, else int64.
+An entry's indices thus take 2 (N - 1) bytes on int16.  The mode's own
+index is not stored: the entries are grouped by its rows, and the bucket
+sizes fix which row each entry has.  A value is one float64.  The column
+files are written once; the value file, the mode's one residual copy, is
+rewritten in place (into r-hat and back), so it keeps its size and no file
+is created after set-up.  Every read checks each file's length and kind,
+and the record counts and CRCs their writers returned.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ import os
 import struct
 import warnings
 import zlib
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -227,12 +233,14 @@ def generate_zipf(
 # --- binary residual cache ------------------------------------------------
 
 CACHE_MAGIC = b"RTCACHE1"
-CACHE_VERSION = 3
-# magic, version, words per record, bytes per word, record count
-_HEADER = struct.Struct("<8sIHHQ")
+CACHE_VERSION = 4
+# magic, version, kind (b"i" index column, b"f" values), bytes per word, record count
+_HEADER = struct.Struct("<8sIcxHQ")
 _TRAILER = struct.Struct("<I")  # CRC32 of the records
-_INDEX_TYPES = {2: np.dtype("<i2"), 4: np.dtype("<i4"), 8: np.dtype("<i8")}  # by size
-_VALUE_TYPE = np.dtype("<f8")
+_WORDS = {b"i": {2: np.dtype("<i2"), 4: np.dtype("<i4"), 8: np.dtype("<i8")},  # by kind, size
+          b"f": {8: np.dtype("<f8")}}
+_KINDS = {b"i": "an index column file", b"f": "a value file"}
+_VALUE_TYPE = _WORDS[b"f"][8]
 
 
 class CacheError(ValueError):
@@ -240,31 +248,30 @@ class CacheError(ValueError):
 
 
 class _CacheFile:
-    """One cache file open for writing, records of ``width`` words of ``dtype``.
+    """One cache file open for writing, one word of ``dtype`` per record.
 
     The records go after the header's place; :meth:`close` appends the CRC32
     trailer and writes the header last, so each byte is written once.
     """
 
-    def __init__(self, path: Path, width: int, dtype: np.dtype, mode: str):
+    def __init__(self, path: Path, dtype: np.dtype, mode: str):
         self.path = path
-        self.width = width
         self.dtype = dtype
         self._fh = open(path, mode)
         self._fh.seek(_HEADER.size)
         self._crc = 0
         self.count = 0
 
-    def write(self, records: np.ndarray) -> None:
-        words = np.ascontiguousarray(records, dtype=self.dtype).reshape(-1, self.width)
+    def write(self, words: np.ndarray) -> None:
+        words = np.ascontiguousarray(words, dtype=self.dtype)
         self._crc = zlib.crc32(words, self._crc)
         self._fh.write(words)
-        self.count += words.shape[0]
+        self.count += words.size
 
     def close(self) -> dict:
         self._fh.write(_TRAILER.pack(self._crc))
         self._fh.seek(0)
-        self._fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.width,
+        self._fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.dtype.kind.encode(),
                                     self.dtype.itemsize, self.count))
         self._fh.close()
         return {"records": self.count, "crc32": self._crc}
@@ -275,37 +282,47 @@ class _CacheFile:
 
 
 class CacheWriter:
-    """Sequential writer of one cache: a value file and, when new, its index file.
+    """Sequential writer of one cache: a value file and, when new, its index column files.
 
-    :meth:`create` makes both files of an (index, value) pair anew and
-    :meth:`append` writes each record's N indices, as ``dtype``, and its
-    value.  :meth:`rewrite` opens an existing value file in place
+    :meth:`create` makes every file of a cache anew, as :func:`cache_files`
+    lists them: one index column file per other mode, then the value file.
+    Its :meth:`append` takes a (records, N - 1) array of the records'
+    indices, writes column j, as ``dtype``, to column file j, and writes the
+    values.  :meth:`rewrite` opens an existing value file in place
     (``r+b``), so no file is created and the file keeps its size; its
     :meth:`append` writes the values only, and takes ``None`` for the
-    indices, which the pair's index file already holds.  Used as a context
+    indices, which the column files already hold.  Used as a context
     manager, the writer closes on leaving every file that :meth:`close` did
     not finish, so a pass that raises leaves no file open.
     """
 
-    def __init__(self, values: _CacheFile, index: _CacheFile | None = None):
-        self._files = [values] if index is None else [index, values]
+    def __init__(self, files: list[_CacheFile]):
+        self._files = files  # the index column files, then the value file
 
     @classmethod
-    def create(cls, pair, n_modes: int, dtype) -> "CacheWriter":
+    def create(cls, paths, dtype) -> "CacheWriter":
         dtype = np.dtype(dtype)
-        if dtype.kind != "i" or dtype.itemsize not in _INDEX_TYPES:
+        if dtype.kind != "i" or dtype.itemsize not in _WORDS[b"i"]:
             raise ValueError(f"index records must be int16, int32 or int64, not {dtype}")
-        index_path, value_path = map(Path, pair)
-        return cls(_CacheFile(value_path, 1, _VALUE_TYPE, "wb"),
-                   _CacheFile(index_path, n_modes, _INDEX_TYPES[dtype.itemsize], "wb"))
+        *columns, values = map(Path, paths)
+        words = [_WORDS[b"i"][dtype.itemsize]] * len(columns) + [_VALUE_TYPE]
+        files = []
+        try:
+            for path, word in zip([*columns, values], words):
+                files.append(_CacheFile(path, word, "wb"))
+        except BaseException:  # no file stays open when a later one fails to open
+            for f in files:
+                f.drop()
+            raise
+        return cls(files)
 
     @classmethod
     def rewrite(cls, path) -> "CacheWriter":
-        return cls(_CacheFile(Path(path), 1, _VALUE_TYPE, "r+b"))
+        return cls([_CacheFile(Path(path), _VALUE_TYPE, "r+b")])
 
     def append(self, idx: np.ndarray | None, values: np.ndarray) -> None:
-        if len(self._files) == 2:  # a new pair: its index file comes first
-            self._files[0].write(idx)
+        for j, f in enumerate(self._files[:-1]):  # a new cache: its column files first
+            f.write(idx[:, j])
         self._files[-1].write(values)
 
     def close(self) -> dict[Path, dict]:
@@ -320,22 +337,25 @@ class CacheWriter:
             f.drop()
 
 
-def _read_header(fh, path: Path) -> tuple[int, int, int]:
-    """Check a cache file's header and exact length; returns (width, word size, count)."""
+def _read_header(fh, path: Path, kind: bytes) -> tuple[np.dtype, int]:
+    """Check a cache file's header, kind and exact length; returns (word type, count)."""
     head = fh.read(_HEADER.size)
     if len(head) != _HEADER.size:
         raise CacheError(f"{path}: truncated header")
-    magic, version, width, word, count = _HEADER.unpack(head)
+    magic, version, file_kind, word, count = _HEADER.unpack(head)
     if magic != CACHE_MAGIC or version != CACHE_VERSION:
         raise CacheError(f"{path}: bad magic or version")
-    if word not in _INDEX_TYPES:
+    if file_kind != kind:
+        raise CacheError(f"{path}: {_KINDS.get(file_kind, f'kind {file_kind!r}')}, "
+                         f"not {_KINDS[kind]}")
+    if word not in _WORDS[kind]:
         raise CacheError(f"{path}: {word}-byte words")
-    size = _HEADER.size + count * width * word + _TRAILER.size
+    size = _HEADER.size + count * word + _TRAILER.size
     actual = os.fstat(fh.fileno()).st_size
     if actual != size:
-        raise CacheError(f"{path}: {actual} bytes, but {count} records of {width} words "
+        raise CacheError(f"{path}: {actual} bytes, but {count} records of {word} bytes "
                          f"take {size}")
-    return width, word, count
+    return _WORDS[kind][word], count
 
 
 def stream_pass(path, visitor: Callable, *, expected: dict, chunks: Sequence[int]):
@@ -348,36 +368,45 @@ def stream_pass(path, visitor: Callable, *, expected: dict, chunks: Sequence[int
 
 
 def stream_chunks(path, *, expected: dict, chunks: Sequence[int]) -> Iterator:
-    """Yield a cache pair's ``(idx_chunk, values_chunk)``, read-only arrays:
-    ``path`` is an (index file, value file) pair, read in lockstep in
-    chunks of ``chunks`` records each, which must add up to the files'
-    record count; records are yielded in stored order exactly once, the
-    indices as a (records, N) array of the index file's word type.  Both
-    files' lengths, CRCs and record counts are verified against their
-    headers and trailers, their counts against each other, and each file
-    against its writer's record in ``expected`` (a mapping from path to the
-    :meth:`CacheWriter.close` result), once the last chunk is consumed.
+    """Yield a cache's ``(idx_chunk, values_chunk)``: ``path`` lists its
+    files as :func:`cache_files` does, the index column files in mode order
+    and the value file last, read in lockstep in chunks of ``chunks``
+    records each, which must add up to the files' record count; records are
+    yielded in stored order exactly once.  Each chunk is read straight into
+    fresh, writable arrays: the indices into an F-ordered (records, N - 1)
+    array of the column files' word type, one contiguous column per file,
+    and the values into a float64 vector.  Every file's length, CRC and
+    record count are verified against its header and trailer, the counts
+    against each other, and each file against its writer's record in
+    ``expected`` (a mapping from path to the :meth:`CacheWriter.close`
+    result), once the last chunk is consumed.
     """
-    index_path, value_path = map(Path, path)
-    with open(index_path, "rb") as ifh, open(value_path, "rb") as vfh:
-        n_modes, word, count = _read_header(ifh, index_path)
-        width, value_word, value_count = _read_header(vfh, value_path)
-        if width != 1 or value_word != _VALUE_TYPE.itemsize:
-            what = f"{width} words per record" if width != 1 else f"{value_word}-byte words"
-            raise CacheError(f"{value_path}: {what}, not a value file")
-        if value_count != count:
-            raise CacheError(
-                f"{index_path} holds {count} records but {value_path} holds {value_count}")
+    *columns, values_path = paths = [Path(p) for p in path]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "rb")) for p in paths]
+        value_type, count = _read_header(files[-1], values_path, b"f")
+        index_type = np.dtype(np.intp)  # of the (records, 0) chunks of a 1-mode cache
+        for j, (fh, column) in enumerate(zip(files, columns)):
+            word_type, records = _read_header(fh, column, b"i")
+            if records != count:
+                raise CacheError(f"{column} holds {records} records but {values_path} "
+                                 f"holds {count}")
+            if j and word_type != index_type:
+                raise CacheError(f"{column}: {word_type.itemsize}-byte words, but {columns[0]} "
+                                 f"holds {index_type.itemsize}-byte words")
+            index_type = word_type
         if sum(chunks) != count:
-            raise CacheError(f"{index_path}: {count} records, but the chunks hold {sum(chunks)}")
-        index_type = _INDEX_TYPES[word]
-        icrc = vcrc = 0
+            raise CacheError(f"{paths[0]}: {count} records, but the chunks hold {sum(chunks)}")
+        crcs = [0] * len(paths)
         for take in chunks:
-            raw_idx, raw_values = ifh.read(take * n_modes * word), vfh.read(take * 8)
-            icrc, vcrc = zlib.crc32(raw_idx, icrc), zlib.crc32(raw_values, vcrc)
-            idx = np.frombuffer(raw_idx, dtype=index_type).reshape(take, n_modes)
-            yield idx, np.frombuffer(raw_values, dtype=_VALUE_TYPE)
-        for fh, file, crc in ((ifh, index_path, icrc), (vfh, value_path, vcrc)):
+            idx = np.empty((take, len(columns)), index_type, order="F")
+            values = np.empty(take, value_type)
+            for j, buf in enumerate([*idx.T, values]):  # each column is contiguous
+                if files[j].readinto(buf) != buf.nbytes:
+                    raise CacheError(f"{paths[j]}: truncated")
+                crcs[j] = zlib.crc32(buf, crcs[j])
+            yield idx, values
+        for fh, file, crc in zip(files, paths, crcs):
             (stored_crc,) = _TRAILER.unpack(fh.read(_TRAILER.size))
             if stored_crc != crc:
                 raise CacheError(f"{file}: checksum mismatch")
@@ -385,9 +414,11 @@ def stream_chunks(path, *, expected: dict, chunks: Sequence[int]) -> Iterator:
                 raise CacheError(f"{file}: does not match its writer's record")
 
 
-def cache_pair(directory: Path, mode: int) -> tuple[Path, Path]:
-    """The (index file, value file) pair of mode ``mode``'s cache."""
-    return directory / f"idx_m{mode}.bin", directory / f"r_m{mode}.bin"
+def cache_files(directory: Path, mode: int, n_modes: int) -> tuple[Path, ...]:
+    """Mode ``mode``'s cache files: the index column file ``idx_m<mode>_<m>.bin``
+    of every other mode m, in mode order, then the value file ``r_m<mode>.bin``."""
+    return (*(directory / f"idx_m{mode}_{m}.bin" for m in range(n_modes) if m != mode),
+            directory / f"r_m{mode}.bin")
 
 
 def write_residual_caches(
@@ -398,26 +429,29 @@ def write_residual_caches(
 ) -> None:
     """Cache the initial residual (= x) per mode, grouped by that mode's rows.
 
-    Both files of every mode's :func:`cache_pair` are created anew: the
-    index file ``idx_m<n>.bin`` (written here only), its records int16
-    below 2^15 rows, else the store's column type, and the value file
-    ``r_m<n>.bin``, both written in chunks of ``chunks[n]`` records.  Each
-    file's writer record goes into ``written`` under its path, for
+    Every file of every mode's :func:`cache_files` is created anew: the
+    index column files (written here only), each a slice-by-slice copy of
+    one of the store's columns in the mode's bucket order
+    (``store.mode_cols``), int16 while every mode is shorter than 2^15 rows
+    (so every index fits) and else the store's column type, and the value
+    file ``r_m<n>.bin``, all written in chunks of ``chunks[n]`` records.
+    The mode's own column is not stored: its rows and bucket sizes fix it.
+    Each file's writer record goes into ``written`` under its path, for
     :func:`stream_pass` to check on every read.
     """
     directory.mkdir(parents=True, exist_ok=True)
-    short = max(store.mode_lengths, default=0) < 1 << 15  # a row head's diff from -1 fits
+    short = max(store.mode_lengths, default=0) < 1 << 15
     dtype = np.dtype(np.int16) if short else column_dtype(store.mode_lengths)
     for n in range(store.n_modes):
-        perm, cols = store.mode_perm[n], store.mode_cols[n]
-        with CacheWriter.create(cache_pair(directory, n), store.n_modes, dtype) as writer:
+        perm = store.mode_perm[n]
+        cols = [col for col in store.mode_cols[n] if col is not None]
+        with CacheWriter.create(cache_files(directory, n, store.n_modes), dtype) as writer:
             start = 0
             for take in chunks[n]:
-                sel = perm[start:start + take]
-                idx = np.empty((take, store.n_modes), dtype)
-                for m, col in enumerate(cols):  # the other modes' columns are in this order
-                    idx[:, m] = (np.take(store.idx[:, m], sel) if col is None
-                                 else col[start:start + take])
-                writer.append(idx, np.take(store.values, sel))
+                sel = slice(start, start + take)
+                idx = np.empty((take, len(cols)), dtype, order="F")
+                for j, col in enumerate(cols):
+                    idx[:, j] = col[sel]
+                writer.append(idx, np.take(store.values, perm[sel]))
                 start += take
             written.update(writer.close())

@@ -164,21 +164,29 @@ def choose_columns(
     return [cols[s:s + c] for s in range(0, params.rank, c)]
 
 
+def _own_block(own: tuple[int, np.ndarray] | None, block: slice):
+    return None if own is None else (own[0], own[1][block])
+
+
 def compute_rhat(
     residual: np.ndarray,
     slabs: Sequence[np.ndarray],
     idx: np.ndarray,
     stats: SolveStats | None = None,
+    own: tuple[int, np.ndarray] | None = None,
 ) -> None:
     """Augment the residual to r-hat in place: r-hat = r + the slabs' reconstruction.
 
     ``slabs`` are the active columns of every factor and ``idx`` the (nnz, N)
     entry indices.  One :func:`subset_products` call per block of 2^16 / C
     entries (:func:`sals.tensor._entry_blocks`) keeps each block's gathers
-    in cache, and no buffer of the residual's length is allocated.
+    in cache, and no buffer of the residual's length is allocated.  With
+    ``own = (mode, rows)``, ``rows`` are the entries' mode-``mode`` factor
+    rows and ``idx`` holds the other N - 1 modes' columns, as a streaming
+    cache chunk does (see :func:`subset_products`).
     """
     for block in _entry_blocks(idx.shape[0], slabs[0].shape[1]):
-        residual[block] += subset_products(slabs, idx[block])
+        residual[block] += subset_products(slabs, idx[block], _own_block(own, block))
     if stats is not None:
         stats.flops += idx.shape[0] * slabs[0].shape[1] * len(slabs)
 
@@ -188,13 +196,14 @@ def update_residual(
     slabs: Sequence[np.ndarray],
     idx: np.ndarray,
     stats: SolveStats | None = None,
+    own: tuple[int, np.ndarray] | None = None,
 ) -> None:
     """Write the residual back in place: r = r-hat - the refit slabs' reconstruction.
 
     The inverse of :func:`compute_rhat`, in the same blocks.
     """
     for block in _entry_blocks(idx.shape[0], slabs[0].shape[1]):
-        rhat[block] -= subset_products(slabs, idx[block])
+        rhat[block] -= subset_products(slabs, idx[block], _own_block(own, block))
     if stats is not None:
         stats.flops += idx.shape[0] * slabs[0].shape[1] * len(slabs)
 

@@ -331,13 +331,14 @@ def take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     Every row gather on the solver paths goes through here.  numpy's fancy
     indexing of a 2-D array by rows takes a generic path several times
     slower than ``np.take`` on a contiguous index.  The solvers' indices are
-    contiguous columns: the store's column-major ``idx`` and its per-mode
-    copies, whose int32 values ``np.take`` casts to intp.  A strided index
-    (a column of a row-major index matrix, such as a streaming cache chunk)
-    is made contiguous first, as ``np.take`` is slower than fancy indexing
-    on it.  ``a`` should be contiguous too: ``np.take`` copies a strided
-    ``a`` whole before gathering.  Out-of-range indices raise
-    ``IndexError`` as with fancy indexing.
+    contiguous columns: the store's column-major ``idx``, its per-mode
+    copies and the columns of a streaming cache chunk, read straight into an
+    F-ordered array, whose int16 or int32 values ``np.take`` casts to intp.
+    A strided index (a column of a caller's row-major index matrix) is made
+    contiguous first, as ``np.take`` is slower than fancy indexing on it.
+    ``a`` should be contiguous too: ``np.take`` copies a strided ``a``
+    whole before gathering.  Out-of-range indices raise ``IndexError`` as
+    with fancy indexing.
     """
     return np.take(a, np.ascontiguousarray(index), axis=0)
 
@@ -355,12 +356,16 @@ def _entry_blocks(nnz: int, c_cols: int) -> Iterator[slice]:
         yield slice(start, start + step)
 
 
-def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray,
+                    own: tuple[int, np.ndarray] | None = None) -> np.ndarray:
     """Sum over the subset columns of the full mode product, per entry.
 
     ``slabs[n]`` is the (I_n, C) slice of factor n restricted to the active
     columns.  Products multiply modes left to right so every execution path
-    produces identical floating-point results.
+    produces identical floating-point results.  ``own = (mode, rows)`` gives
+    that mode's factor rows per entry, (entries, C), in place of a gather;
+    ``idx`` then holds the other modes' columns only, in mode order (a
+    streaming cache chunk, which stores no own column).
 
     ``prod.sum(axis=1)`` pays one numpy inner-loop call per entry.  Below 8
     terms numpy adds a row in order onto its identity 0.0, so for C < 8 the
@@ -368,9 +373,11 @@ def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
     same bits (signed zeros included).  From 8 terms on numpy sums pairwise
     with 8 accumulators, and the row sum is kept.
     """
-    prod = take_rows(slabs[0], idx[:, 0])  # a gather copies, safe to mutate
+    mode, rows = (-1, None) if own is None else own
+    cols = iter(idx.T)
+    prod = rows.copy() if mode == 0 else take_rows(slabs[0], next(cols))  # safe to mutate
     for n in range(1, len(slabs)):
-        prod *= take_rows(slabs[n], idx[:, n])
+        prod *= rows if n == mode else take_rows(slabs[n], next(cols))
     if prod.shape[1] >= 8:
         return prod.sum(axis=1)
     total = 0.0 + prod[:, 0]

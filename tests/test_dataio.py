@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from sals.dataio import (
     CacheWriter,
     CooFileSpec,
     DataFormatError,
-    cache_pair,
+    cache_files,
     generate_synthetic,
     generate_zipf,
     read_coo,
@@ -20,6 +21,7 @@ from sals.dataio import (
     write_residual_caches,
 )
 from sals.dataio import _read_coo_lines
+from sals import solver
 from sals.tensor import Coo, predict_entries
 from conftest import random_store
 
@@ -251,12 +253,17 @@ class TestGenerateZipf:
         assert generate_zipf((2, 2), 4).nnz == 4
 
 
-def _write_pair(tmp_path, idx, values):
-    """A two-file cache in ``tmp_path``: returns its (index, value) pair and writer records."""
-    pair = (tmp_path / "i.bin", tmp_path / "v.bin")
-    writer = CacheWriter.create(pair, idx.shape[1], np.int64)
+def _files(directory, n_columns):
+    """A cache's files in ``directory``: index columns i.bin, i1.bin, ..., then v.bin."""
+    return (*(directory / f"i{j or ''}.bin" for j in range(n_columns)), directory / "v.bin")
+
+
+def _write_cache(tmp_path, idx, values):
+    """A cache of ``idx``'s columns in ``tmp_path``: returns its files and writer records."""
+    files = _files(tmp_path, idx.shape[1])
+    writer = CacheWriter.create(files, np.int64)
     writer.append(idx, values)
-    return pair, writer.close()
+    return files, writer.close()
 
 
 def _visit_nothing(idx, values, acc):
@@ -268,55 +275,82 @@ def _runs(count, size):
     return [min(size, count - start) for start in range(0, count, size)]
 
 
+def _kernel_chunks(store, width):
+    """Every mode's cache chunks at slab width ``width``: the row kernel's batches."""
+    chunks = []
+    for n in range(store.n_modes):
+        sizes = store.bucket_sizes(n)
+        ptr = np.append(0, np.cumsum(sizes[sizes > 0]))
+        chunks.append([int(ptr[r1] - ptr[r0]) for r0, r1 in solver._batches(ptr, width)])
+    return chunks
+
+
+def _read_all(files, written, chunks):
+    """A cache's (indices, values) read whole through :func:`stream_pass` in ``chunks``."""
+    def visit(idx, values, acc):
+        assert idx.flags.f_contiguous and values.flags.writeable
+        return [*(acc or []), (idx.copy(), values.copy())]
+
+    seen = stream_pass(files, visit, expected=written, chunks=chunks) or []
+    return (np.concatenate([i for i, _ in seen]), np.concatenate([v for _, v in seen]))
+
+
 class TestResidualCache:
     def test_write_read_round_trip(self, rng, tmp_path):
         store = random_store(rng, (7, 6, 5), 80)
         written = {}
         cache = tmp_path / "cache"
         write_residual_caches(store, cache, written, [_runs(store.nnz, 17)] * 3)
-        pair = cache_pair(cache, 1)
-        assert pair == (cache / "idx_m1.bin", cache / "r_m1.bin")
-        assert sorted(written) == sorted(p for n in range(3) for p in cache_pair(cache, n))
+        files = cache_files(cache, 1, 3)
+        assert files == (cache / "idx_m1_0.bin", cache / "idx_m1_2.bin", cache / "r_m1.bin")
+        assert sorted(written) == sorted(p for n in range(3) for p in cache_files(cache, n, 3))
         assert sorted(cache.iterdir()) == sorted(written)
 
-        chunks = []
-
-        def visit(idx, values, acc):
-            chunks.append((idx.copy(), values.copy()))
-            return (0 if acc is None else acc) + idx.shape[0]
-
-        total = stream_pass(pair, visit, expected=written, chunks=_runs(store.nnz, 17))
-        assert total == store.nnz
-        idx = np.concatenate([c[0] for c in chunks])
-        values = np.concatenate([c[1] for c in chunks])
+        idx, values = _read_all(files, written, _runs(store.nnz, 17))
         perm = store.mode_perm[1]
-        assert np.array_equal(idx, store.idx[perm])
+        assert np.array_equal(idx, store.idx[perm][:, [0, 2]])
         assert np.array_equal(values, store.values[perm])
-        # grouped by the mode's rows in ascending order
-        assert (np.diff(idx[:, 1]) >= 0).all()
-        # a value file holds 8 bytes a record, an index file N int16 indices
-        # (every mode is shorter than 2^15 rows)
+        # a value file holds 8 bytes a record, an index column file one int16
+        # index (every mode is shorter than 2^15 rows): 2 (N - 1) bytes an entry
         assert idx.dtype == np.int16
-        assert pair[1].stat().st_size == 24 + 8 * store.nnz + 4
-        assert pair[0].stat().st_size == 24 + 2 * 3 * store.nnz + 4
+        assert files[-1].stat().st_size == 24 + 8 * store.nnz + 4
+        assert [f.stat().st_size for f in files[:-1]] == [24 + 2 * store.nnz + 4] * 2
+
+    @pytest.mark.parametrize("lengths", [(7, 6, 5), (5, 4, 3, 3)])
+    def test_each_mode_holds_the_other_modes_columns(self, rng, tmp_path, lengths):
+        store = random_store(rng, lengths, 70)
+        written = {}
+        write_residual_caches(store, tmp_path, written, [_runs(store.nnz, 9)] * len(lengths))
+        for n in range(len(lengths)):
+            *columns, values = cache_files(tmp_path, n, len(lengths))
+            others = [m for m in range(len(lengths)) if m != n]
+            assert [c.name for c in columns] == [f"idx_m{n}_{m}.bin" for m in others]
+            order = store.mode_perm[n]  # the mode's bucket order
+            for m, column in zip(others, columns):
+                raw = column.read_bytes()
+                want = store.idx[order, m].astype("<i2").tobytes()
+                assert raw[24:-4] == want
+                assert struct.unpack("<I", raw[-4:])[0] == written[column]["crc32"]
+            assert values.read_bytes()[24:-4] == store.values[order].tobytes()
+        assert len(list(tmp_path.iterdir())) == len(lengths) ** 2  # N - 1 columns and values
 
     @pytest.mark.parametrize("dtype, top", [(np.int32, 2**31 - 1), (np.int64, 2**63 - 1),
                                             (np.int16, 2**15 - 1)])
     def test_index_records_round_trip_in_their_type(self, tmp_path, dtype, top):
         idx = np.array([[0, top, 5], [top, 1, top - 7], [3, 0, 2]], dtype=dtype)
         values = np.array([np.pi, -0.0, 2.0 ** -1074])
-        pair = (tmp_path / "i.bin", tmp_path / "v.bin")
-        writer = CacheWriter.create(pair, 3, dtype)
+        files = _files(tmp_path, 3)
+        writer = CacheWriter.create(files, dtype)
         writer.append(idx[:2], values[:2])
         writer.append(idx[2:], values[2:])
         info = writer.close()
         word = np.dtype(dtype).itemsize
-        assert pair[0].stat().st_size == 24 + word * 3 * 3 + 4
+        assert [f.stat().st_size for f in files[:-1]] == [24 + word * 3 + 4] * 3
 
         def visit(i, v, acc):
             return [*(acc or []), (i.copy(), v.copy())]
 
-        chunks = stream_pass(pair, visit, expected=info, chunks=[2, 1])
+        chunks = stream_pass(files, visit, expected=info, chunks=[2, 1])
         got_idx = np.concatenate([c[0] for c in chunks])
         got_values = np.concatenate([c[1] for c in chunks])
         assert [c[0].shape for c in chunks] == [(2, 3), (1, 3)]
@@ -326,53 +360,66 @@ class TestResidualCache:
     def test_index_records_take_only_int16_int32_or_int64(self, tmp_path):
         for dtype in (np.uint32, np.int8, np.float64):
             with pytest.raises(ValueError, match="int16, int32 or int64"):
-                CacheWriter.create((tmp_path / "i.bin", tmp_path / "v.bin"), 2, dtype)
+                CacheWriter.create(_files(tmp_path, 2), dtype)
         for dtype in (np.int16, np.int32, np.int64):
-            CacheWriter.create((tmp_path / "i.bin", tmp_path / "v.bin"), 2, dtype).close()
+            CacheWriter.create(_files(tmp_path, 2), dtype).close()
 
     def test_version_2_file_rejected(self, tmp_path):
-        pair, info = _write_pair(tmp_path, np.array([[0, 1]]), np.array([3.0]))
+        files, info = _write_cache(tmp_path, np.array([[0, 1]]), np.array([3.0]))
         # the version 2 header: magic, version, 8-byte words per record, count
-        raw = pair[0].read_bytes()
-        pair[0].write_bytes(struct.pack("<8sIIQ", b"RTCACHE1", 2, 2, 1) + raw[24:])
+        raw = files[0].read_bytes()
+        files[0].write_bytes(struct.pack("<8sIIQ", b"RTCACHE1", 2, 2, 1) + raw[24:])
         with pytest.raises(CacheError, match="i.bin: bad magic or version"):
-            stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
+            stream_pass(files, _visit_nothing, expected=info, chunks=[1])
+
+    def test_version_3_file_rejected(self, tmp_path):
+        # version 3 kept an entry's N indices as one record of an (index, value) pair:
+        # magic, version, words per record, bytes per word, count
+        records = np.array([[0, 1]], "<i8").tobytes()
+        v3 = struct.pack("<8sIHHQ", b"RTCACHE1", 3, 2, 8, 1) + records + struct.pack(
+            "<I", zlib.crc32(records))
+        for k in range(2):
+            files, info = _write_cache(tmp_path, np.array([[0]]), np.array([3.0]))
+            files[k].write_bytes(v3)
+            with pytest.raises(CacheError, match=rf"{files[k].name}: bad magic or version$"):
+                stream_pass(files, _visit_nothing, expected=info, chunks=[1])
 
     @pytest.mark.parametrize("word", [1, 3, 16])
     def test_header_word_size_outside_2_4_8_rejected(self, tmp_path, word):
-        pair, info = _write_pair(tmp_path, np.array([[0, 1]]), np.array([3.0]))
-        raw = pair[0].read_bytes()
-        magic, version, width, _, count = struct.unpack("<8sIHHQ", raw[:24])
-        pair[0].write_bytes(struct.pack("<8sIHHQ", magic, version, width, word, count) + raw[24:])
+        files, info = _write_cache(tmp_path, np.array([[0, 1]]), np.array([3.0]))
+        raw = files[0].read_bytes()
+        magic, version, kind, _, count = struct.unpack("<8sIcxHQ", raw[:24])
+        files[0].write_bytes(struct.pack("<8sIcxHQ", magic, version, kind, word, count)
+                             + raw[24:])
         with pytest.raises(CacheError, match=f"i.bin: {word}-byte words$"):
-            stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
+            stream_pass(files, _visit_nothing, expected=info, chunks=[1])
 
     def test_empty_cache_never_visits(self, tmp_path):
-        pair = (tmp_path / "i.bin", tmp_path / "v.bin")
-        info = CacheWriter.create(pair, 2, np.int64).close()
+        files = _files(tmp_path, 2)
+        info = CacheWriter.create(files, np.int64).close()
         called = []
-        out = stream_pass(pair, lambda i, v, a: called.append(1), expected=info, chunks=[])
+        out = stream_pass(files, lambda i, v, a: called.append(1), expected=info, chunks=[])
         assert out is None and not called
 
     @pytest.mark.parametrize("chunks", [[], [1], [1, 1], [2, 2], [4]])
     def test_chunks_must_add_up_to_the_record_count(self, tmp_path, chunks):
-        pair, info = _write_pair(tmp_path, np.array([[0, 1], [2, 3], [4, 5]]),
-                                 np.array([1.0, 2.0, 3.0]))
+        files, info = _write_cache(tmp_path, np.array([[0, 1], [2, 3], [4, 5]]),
+                                  np.array([1.0, 2.0, 3.0]))
         called = []
         match = f"i.bin: 3 records, but the chunks hold {sum(chunks)}$"
         with pytest.raises(CacheError, match=match):
-            stream_pass(pair, lambda i, v, a: called.append(1), expected=info, chunks=chunks)
+            stream_pass(files, lambda i, v, a: called.append(1), expected=info, chunks=chunks)
         assert not called
 
     def test_chunkings_visit_the_same_records_in_stored_order(self, rng, tmp_path):
         idx, values = rng.integers(0, 1000, (40, 3)), rng.normal(size=40)
-        pair, info = _write_pair(tmp_path, idx, values)
+        files, info = _write_cache(tmp_path, idx, values)
 
         def visit(i, v, acc):
             return [*(acc or []), (i.copy(), v.copy())]
 
         for chunks in ([40], [7, 1, 30, 2], [1] * 40):
-            seen = stream_pass(pair, visit, expected=info, chunks=chunks)
+            seen = stream_pass(files, visit, expected=info, chunks=chunks)
             assert [v.size for _, v in seen] == chunks
             assert np.array_equal(np.concatenate([i for i, _ in seen]), idx)
             assert np.concatenate([v for _, v in seen]).tobytes() == values.tobytes()
@@ -385,80 +432,123 @@ class TestResidualCache:
             files.append(sorted((f.name, f.read_bytes()) for f in (tmp_path / name).iterdir()))
         assert files[0] == files[1]
 
+    def test_kernel_chunks_of_either_slab_width_read_what_the_other_wrote(
+            self, tmp_path, monkeypatch):
+        # With K = 5 and C = 3, the last subset reads at width 2.  The caches
+        # written in either width's chunks are the same bytes, and each reads
+        # back whole in the other width's chunks.
+        store = generate_zipf((40, 30, 20), 900, seed=3)
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 16)  # batches of 32 entries at C = 3,
+        monkeypatch.setattr(solver, "_BATCH_VALUES", 96)   # 48 at C = 2
+        widths = {w: _kernel_chunks(store, w) for w in (3, 2)}
+        assert widths[3] != widths[2]
+        written = {w: {} for w in widths}
+        for w, chunks in widths.items():
+            write_residual_caches(store, tmp_path / str(w), written[w], chunks)
+        assert [f.read_bytes() for f in sorted((tmp_path / "3").iterdir())] == \
+            [f.read_bytes() for f in sorted((tmp_path / "2").iterdir())]
+        for w, other in ((3, 2), (2, 3)):
+            for n in range(store.n_modes):
+                idx, values = _read_all(cache_files(tmp_path / str(w), n, 3), written[w],
+                                        widths[other][n])
+                order, others = store.mode_perm[n], [m for m in range(3) if m != n]
+                assert np.array_equal(idx, store.idx[order][:, others])
+                assert values.tobytes() == store.values[order].tobytes()
+
     def test_checksum_detects_corruption(self, tmp_path):
-        for k, offset in ((0, 8), (1, 12)):  # a bit inside the last record of each file
-            pair, info = _write_pair(tmp_path, np.array([[0, 1], [1, 0]]), np.array([1.5, -2.5]))
-            raw = bytearray(pair[k].read_bytes())
-            raw[len(raw) - offset] ^= 0xFF
-            pair[k].write_bytes(bytes(raw))
-            with pytest.raises(CacheError, match=f"{pair[k].name}: checksum"):
-                stream_pass(pair, _visit_nothing, expected=info, chunks=[1, 1])
+        for k in range(3):  # a bit inside the last record of each file
+            files, info = _write_cache(tmp_path, np.array([[0, 1], [1, 0]]),
+                                      np.array([1.5, -2.5]))
+            raw = bytearray(files[k].read_bytes())
+            raw[len(raw) - 8] ^= 0xFF
+            files[k].write_bytes(bytes(raw))
+            with pytest.raises(CacheError, match=f"{files[k].name}: checksum"):
+                stream_pass(files, _visit_nothing, expected=info, chunks=[1, 1])
 
     def test_manifest_mismatch_detected(self, tmp_path):
-        pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
-        stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
-        for path in pair:
+        files, info = _write_cache(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+        stream_pass(files, _visit_nothing, expected=info, chunks=[1])
+        assert len(files) == 3
+        for path in files:
             for wrong in (dict(info[path], records=2), dict(info[path], crc32=0)):
                 with pytest.raises(CacheError,
                                    match=f"{path.name}: does not match its writer's record"):
-                    stream_pass(pair, _visit_nothing, expected={**info, path: wrong},
+                    stream_pass(files, _visit_nothing, expected={**info, path: wrong},
                                 chunks=[1])
             with pytest.raises(CacheError, match=f"{path.name}: does not match"):
-                stream_pass(pair, _visit_nothing, chunks=[1],
+                stream_pass(files, _visit_nothing, chunks=[1],
                             expected={p: r for p, r in info.items() if p != path})
 
     def test_truncated_file_detected(self, tmp_path):
-        for k in range(2):
-            pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
-            raw = pair[k].read_bytes()
+        for k in range(3):
+            files, info = _write_cache(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+            raw = files[k].read_bytes()
             for cut in (5, len(raw) - 10):
-                pair[k].write_bytes(raw[:-cut])
-                with pytest.raises(CacheError, match=pair[k].name):
-                    stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
+                files[k].write_bytes(raw[:-cut])
+                with pytest.raises(CacheError, match=files[k].name):
+                    stream_pass(files, _visit_nothing, expected=info, chunks=[1])
 
     def test_junk_after_trailer_detected(self, tmp_path):
-        for k in range(2):
-            pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
-            with open(pair[k], "ab") as fh:
+        for k in range(3):
+            files, info = _write_cache(tmp_path, np.array([[0, 0]]), np.array([3.0]))
+            with open(files[k], "ab") as fh:
                 fh.write(b"\0" * 8)
-            with pytest.raises(CacheError, match=rf"{pair[k].name}: \d+ bytes, but 1 records"):
-                stream_pass(pair, _visit_nothing, expected=info, chunks=[1])
+            with pytest.raises(CacheError, match=rf"{files[k].name}: \d+ bytes, but 1 records"):
+                stream_pass(files, _visit_nothing, expected=info, chunks=[1])
 
     def test_index_and_value_counts_must_agree(self, tmp_path):
-        pair, info = _write_pair(tmp_path, np.array([[0, 0], [1, 1]]), np.array([3.0, 4.0]))
         (tmp_path / "one").mkdir()
-        (_, one_value), _ = _write_pair(tmp_path / "one", np.array([[0, 0]]), np.array([3.0]))
-        pair[1].write_bytes(one_value.read_bytes())
-        with pytest.raises(CacheError, match="i.bin holds 2 records but .*v.bin holds 1"):
-            stream_pass(pair, _visit_nothing, expected=info, chunks=[2])
+        ones, _ = _write_cache(tmp_path / "one", np.array([[0, 0]]), np.array([3.0]))
+        for k in range(3):  # any one file of the set holds one record, the others two
+            files, info = _write_cache(tmp_path, np.array([[0, 0], [1, 1]]),
+                                      np.array([3.0, 4.0]))
+            files[k].write_bytes(ones[k].read_bytes())
+            holds = (f"{files[k].name} holds 1 records but .*v.bin holds 2" if k < 2
+                     else "i.bin holds 2 records but .*v.bin holds 1")
+            with pytest.raises(CacheError, match=holds):
+                stream_pass(files, _visit_nothing, expected=info, chunks=[2])
 
     def test_index_file_is_not_a_value_file(self, tmp_path):
-        pair, info = _write_pair(tmp_path, np.array([[0, 0]]), np.array([3.0]))
-        with pytest.raises(CacheError, match="i.bin: 2 words per record, not a value file"):
-            stream_pass((pair[1], pair[0]), _visit_nothing, expected=info, chunks=[1])
+        files, info = _write_cache(tmp_path, np.array([[0]]), np.array([3.0]))
+        with pytest.raises(CacheError, match="i.bin: an index column file, not a value file$"):
+            stream_pass(files[::-1], _visit_nothing, expected=info, chunks=[1])
+        with pytest.raises(CacheError, match="v.bin: a value file, not an index column file$"):
+            stream_pass((files[1], files[1]), _visit_nothing, expected=info, chunks=[1])
+
+    def test_index_columns_must_share_a_word_type(self, tmp_path):
+        files, info = _write_cache(tmp_path, np.array([[0, 1]]), np.array([3.0]))
+        (tmp_path / "short").mkdir()
+        short = CacheWriter.create(_files(tmp_path / "short", 2), np.int16)
+        short.append(np.array([[0, 1]]), np.array([3.0]))
+        info.update({files[1]: short.close()[tmp_path / "short" / "i1.bin"]})
+        files[1].write_bytes((tmp_path / "short" / "i1.bin").read_bytes())
+        with pytest.raises(CacheError, match="i1.bin: 2-byte words, but .*i.bin holds 8-byte"):
+            stream_pass(files, _visit_nothing, expected=info, chunks=[1])
 
     def test_rewrite_in_place_keeps_size_and_indices(self, tmp_path):
-        pair, info = _write_pair(tmp_path, np.array([[0, 1], [2, 3]]), np.array([1.0, 2.0]))
-        index_bytes, size = pair[0].read_bytes(), pair[1].stat().st_size
-        writer = CacheWriter.rewrite(pair[1])
+        files, info = _write_cache(tmp_path, np.array([[0, 1], [2, 3]]), np.array([1.0, 2.0]))
+        index_bytes = [f.read_bytes() for f in files[:-1]]
+        size = files[-1].stat().st_size
+        writer = CacheWriter.rewrite(files[-1])
         writer.append(None, np.array([5.0]))
         writer.append(None, np.array([-6.0]))
         info.update(writer.close())
-        assert pair[1].stat().st_size == size and pair[0].read_bytes() == index_bytes
+        assert files[-1].stat().st_size == size
+        assert [f.read_bytes() for f in files[:-1]] == index_bytes
 
         def visit(idx, values, acc):
             return idx.copy(), values.copy()
 
-        idx, values = stream_pass(pair, visit, expected=info, chunks=[2])
+        idx, values = stream_pass(files, visit, expected=info, chunks=[2])
         assert np.array_equal(idx, [[0, 1], [2, 3]]) and np.array_equal(values, [5.0, -6.0])
 
     def test_values_bit_exact(self, tmp_path):
         vals = np.array([np.pi, -0.0, 1e-300, 2.0 ** 1000])
-        pair, info = _write_pair(tmp_path, np.arange(4).reshape(-1, 1), vals)
+        files, info = _write_cache(tmp_path, np.arange(4).reshape(-1, 1), vals)
 
         def visit(idx, values, acc):
             return values.copy()
 
-        out = stream_pass(pair, visit, expected=info, chunks=[4])
+        out = stream_pass(files, visit, expected=info, chunks=[4])
         assert np.array_equal(out, vals)
         assert np.signbit(out[1])

@@ -107,6 +107,57 @@ def test_no_rhat_gather_through_the_identity(monkeypatch, path):
     assert bool(gathers) == (path != "streaming")  # modes 1 and 2 gather in memory
 
 
+def test_streaming_gathers_by_contiguous_indices(monkeypatch):
+    # A cache chunk's index columns are read into an F-ordered array, so no
+    # take_rows call pays np.ascontiguousarray for a strided column.
+    contiguous = []
+    spy(monkeypatch, tensor.take_rows,
+        lambda a, index: contiguous.append(index.flags.c_contiguous))
+    RUNS["streaming"](STORE, PARAMS, **HOOKED)
+    assert contiguous and all(contiguous)
+
+
+@pytest.mark.parametrize("lam, regularization", [
+    (0.05, "plain"), (0.05, "weighted"), (0.0, "plain"),
+])
+def test_streaming_chunk_groups_are_the_store_groups_sliced(monkeypatch, lam, regularization):
+    # K = 5, C = 2: the last subset reads its chunks at width 1.  Each chunk's
+    # group, built from the bucket sizes and the chunk's columns, is the
+    # store's whole-mode group cut at the chunk's rows.
+    widths, refits = set(), []
+
+    def note(slabs, rhat_vals, mode, groups, *args):
+        widths.add(slabs[0].shape[1])
+        refits.append((mode, groups))
+
+    spy(monkeypatch, solver.update_rows, note)
+    RUNS["streaming"](EMPTY_ROWS, replace(PARAMS, rank=5, n_columns=2, lam=lam,
+                                          regularization=regularization))
+    assert widths == {1, 2}
+    whole = [EMPTY_ROWS.groups(n) for n in range(EMPTY_ROWS.n_modes)]
+    covered = {n: [] for n in range(EMPTY_ROWS.n_modes)}
+    for mode, groups in refits:
+        full = whole[mode]
+        if groups.ptr.size == 1:  # the mode's empty rows, settled after its chunks
+            assert groups.rows.size == 0 and np.array_equal(groups.empty, full.empty)
+            continue
+        r0 = int(np.searchsorted(full.rows, groups.rows[0]))
+        r1 = r0 + groups.rows.size
+        lo, hi = full.ptr[r0], full.ptr[r1]
+        assert np.array_equal(groups.rows, full.rows[r0:r1])
+        assert np.array_equal(groups.ptr, full.ptr[r0:r1 + 1] - lo)
+        assert groups.order is None and groups.empty.size == 0
+        assert groups.cols[mode] is None
+        for m, col in enumerate(groups.cols):
+            if m != mode:
+                assert np.array_equal(col, full.cols[m][lo:hi])
+        covered[mode].append(groups.rows)
+    for mode, rows in covered.items():  # the chunks cover every filled row, pass by pass
+        rows = np.concatenate(rows)
+        passes = rows.size // whole[mode].rows.size
+        assert np.array_equal(rows, np.tile(whole[mode].rows, passes))
+
+
 def test_rmse_gathers_from_c_contiguous_sources(sources):
     model = solver.factorize(STORE, PARAMS)
     sources.clear()

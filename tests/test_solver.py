@@ -181,9 +181,9 @@ class TestEntryBlocks:
         slabs = [rng.random((50, c_cols)) for _ in range(3)]
         calls, original = [], solver.subset_products
 
-        def spy(slabs, idx):
+        def spy(slabs, idx, own):
             calls.append(idx.shape[0])
-            return original(slabs, idx)
+            return original(slabs, idx, own)
 
         monkeypatch.setattr(solver, "subset_products", spy)
         for step in (compute_rhat, update_residual):

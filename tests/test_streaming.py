@@ -188,9 +188,9 @@ class TestStreamFactorize:
 
     @pytest.mark.parametrize("length, word", [(2**15 - 1, 2), (2**15, 4), (2**15 + 1, 4)])
     def test_index_words_at_the_int16_boundary(self, tmp_path, monkeypatch, length, word):
-        # Index records are int16 while every mode is shorter than 2^15 rows;
-        # the top rows start batches, and so chunks, so a row head's
-        # difference from -1 is taken at the largest row index.
+        # Index columns are int16 while every mode is shorter than 2^15 rows,
+        # so every index fits; the top rows are cached in the other modes'
+        # files.
         rng = np.random.default_rng(length)
         rows = np.concatenate([[0, length - 2, length - 1] * 4, rng.integers(0, length, 300)])
         idx = np.column_stack([rows, rng.integers(0, 5, rows.size), rng.integers(0, 3, rows.size)])
@@ -201,8 +201,10 @@ class TestStreamFactorize:
         shrink_batches(monkeypatch, 5)
         run = stream_factorize(store, params, workdir=tmp_path)
         for n in range(store.n_modes):
-            header = (tmp_path / "cache" / f"idx_m{n}.bin").read_bytes()[:dataio._HEADER.size]
-            assert dataio._HEADER.unpack(header)[2:] == (3, word, store.nnz)
+            *columns, values = dataio.cache_files(tmp_path / "cache", n, store.n_modes)
+            for path, kind, size in [*((c, b"i", word) for c in columns), (values, b"f", 8)]:
+                header = path.read_bytes()[:dataio._HEADER.size]
+                assert dataio._HEADER.unpack(header)[2:] == (kind, size, store.nnz)
         assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
                                                         run.load_model().matrices))
 
@@ -253,7 +255,9 @@ class TestStreamFactorize:
         params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.1, seed=4)
         stream_factorize(store, params, workdir=tmp_path, on_iteration=lambda r: None)
         expected = {f"factors/factor_{n}.bin" for n in range(3)}
-        expected |= {f"cache/{kind}_m{n}.bin" for kind in ("idx", "r") for n in range(3)}
+        # each mode caches its values and the other two modes' index columns, not its own
+        expected |= {f"cache/r_m{n}.bin" for n in range(3)}
+        expected |= {f"cache/idx_m{n}_{m}.bin" for n in range(3) for m in range(3) if m != n}
         found = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
         assert found == expected
 
@@ -283,11 +287,13 @@ class TestStreamFactorize:
         # its last refit).  A rewrite writes header + 8 B per record + CRC
         # trailer, and never an index.
         passes = params.outer_iters * 2 * 2
-        assert sorted(index_files) == [f"idx_m{n}.bin" for n in range(3)]
+        assert sorted(index_files) == [f"idx_m{n}_{m}.bin" for n in range(3)
+                                       for m in range(3) if m != n]
         for n in range(3):
             assert opened[f"r_m{n}.bin", "r+b"] == passes
             assert written[f"r_m{n}.bin"] == passes * (8 * store.nnz + 28)
-            path = cache / f"idx_m{n}.bin"
+        for name in index_files:
+            path = cache / name
             assert (path.stat().st_mtime_ns, path.read_bytes()) == index_files[path.name]
             assert opened[path.name, "rb"] > 0 and written[path.name] == 0
         assert {mode for _, mode in opened} == {"rb", "r+b"}  # no file created after set-up
@@ -320,13 +326,22 @@ class TestStreamFactorize:
         assert not list(tmp_path.glob("sals-stream-*"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failed_run_removes_its_files_from_workdir(self, rng, tmp_path):
+    def test_failed_run_removes_its_files_from_workdir(self, rng, tmp_path, monkeypatch):
         store = random_store(rng, (6, 5, 4), 60, value_scale=1e300)
         params = SolverParams(rank=2, n_columns=1, outer_iters=2, lam=0.1, seed=1)
         keep = tmp_path / "notes.txt"
         keep.write_text("not the run's")
+        present, real = [], streaming.update_rows
+
+        def noting(*args):  # the run fails in its first refit, with every file made
+            present.append(sorted(p.name for p in tmp_path.rglob("*.bin")))
+            return real(*args)
+
+        monkeypatch.setattr(streaming, "update_rows", noting)
         with pytest.raises(ValueError, match="non-finite"):
             stream_factorize(store, params, workdir=tmp_path)
+        assert present[0] == sorted([f"factor_{n}.bin" for n in range(3)] + [
+            p.name for n in range(3) for p in dataio.cache_files(tmp_path, n, 3)])
         assert sorted(tmp_path.rglob("*")) == [keep]
         assert keep.read_text() == "not the run's"
         # a workdir the run made itself is removed too
@@ -357,7 +372,7 @@ class TestPasses:
         real = dataio.stream_pass
 
         def counting(path, *args, **kwargs):
-            passes[Path(path[1]).name] += 1
+            passes[Path(path[-1]).name] += 1  # the value file
             return real(path, *args, **kwargs)
 
         monkeypatch.setattr(dataio, "stream_pass", counting)
@@ -384,7 +399,7 @@ class TestFailedPassesCloseFiles:
         ("compute_rhat", 8),      # mode 0's first refit, which augments
         ("update_residual", 2),   # the last mode's last refit, which writes back
         ("update_residual", 6),   # mode 0's write-back pass
-        ("CacheWriter.append", 2),  # set-up, writing mode 0's two files
+        ("CacheWriter.append", 2),  # set-up, writing mode 0's three files
     ])
     def test_failing_step_closes_its_writer(self, rng, tmp_path, monkeypatch, target, call):
         store = random_store(rng, (6, 5, 4), 120)
@@ -402,6 +417,33 @@ class TestFailedPassesCloseFiles:
         with pytest.raises(RuntimeError, match="injected"):
             stream_factorize(store, params, workdir=tmp_path)
         assert next(calls) > call
+        gc.collect()
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.parametrize("fail_at", [2, 3, 5])
+    def test_set_up_failing_within_a_mode_closes_and_removes_its_files(
+            self, rng, tmp_path, monkeypatch, fail_at):
+        # Set-up creates mode 0's column files idx_m0_1 and idx_m0_2, then
+        # r_m0, then mode 1's: failing to create the 2nd, 3rd or 5th file
+        # leaves only some of one mode's files made, and open.
+        store = random_store(rng, (6, 5, 4), 120)
+        params = SolverParams(rank=2, n_columns=2, outer_iters=1, lam=0.1, seed=1)
+        made, creates = [], itertools.count(1)
+
+        def failing_open(path, mode="r", *args):
+            if mode == "wb":
+                if next(creates) == fail_at:
+                    raise OSError("injected")
+                made.append(Path(path).name)
+            return open(path, mode, *args)
+
+        monkeypatch.setattr(dataio, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="injected"):
+            stream_factorize(store, params, workdir=tmp_path)
+        assert made == [p.name for n in range(2)
+                        for p in dataio.cache_files(tmp_path, n, 3)][:fail_at - 1]
         gc.collect()
         assert not list(tmp_path.iterdir())
 
