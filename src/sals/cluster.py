@@ -12,8 +12,9 @@ copied into every other worker's slab; these copies are the only
 communication, and :class:`CommLog` counts them.  The master column store
 plays the role of the shared file system: the driver reads the active
 columns from it once at the start of a subset, as the lead worker's slabs,
-the other workers copy them, and the driver writes the lead worker's slabs
-back at the end; neither transfer counts as communication.
+the other workers copy them at the subset's first refit, and the driver
+writes the lead worker's slabs back at the end; neither transfer counts as
+communication.
 
 Each worker holds the entries its rows touch in any mode (the assignment's
 :meth:`~sals.partition.RowAssignment.held` positions) and, built once per
@@ -79,8 +80,9 @@ def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[Work
     """Replicate entries to every machine whose row sets touch them.
 
     A worker's groups are the store's groups of its owned rows, with their
-    entry positions mapped to the worker's local ones.  An assignment made
-    for a store of another shape raises ``ValueError``.
+    entry positions mapped to the worker's local ones, and its residual
+    replica starts as its entries' x + 0.0.  An assignment made for a store
+    of another shape raises ``ValueError``.
     """
     if assignment.n_modes != store.n_modes:
         raise ValueError(f"assignment has {assignment.n_modes} modes, the store {store.n_modes}")
@@ -97,8 +99,10 @@ def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[Work
         for n in range(store.n_modes):
             g = store.groups(n, assignment.rows(m, n))
             groups.append(g._replace(order=take_rows(local, g.order)))
+        residual = store.values[positions]
+        residual += 0.0  # the canonical residual, with no -0.0 (see run_schedule)
         workers.append(WorkerState(
-            m, positions, take_columns(store.idx, positions), store.values[positions], groups,
+            m, positions, take_columns(store.idx, positions), residual, groups,
         ))
     return workers
 
@@ -195,14 +199,15 @@ def _worker_loop(
     owned = [[np.concatenate([g.rows, g.empty]) for g in ws.groups] for ws in workers]
     replicas = []  # per worker, the active slabs; the lead worker's are the driver's
 
-    def augment(slabs):
-        replicas[:] = [slabs] + [[slab.copy() for slab in slabs] for _ in workers[1:]]
-        for ws, replica in zip(workers, replicas):
+    def augment(slabs):  # before the subset's first refit every replica equals the driver's
+        for ws in workers:
             with _blame(ws.machine):
-                compute_rhat(ws.residual, replica, ws.idx, stats[ws.machine])
+                compute_rhat(ws.residual, slabs, ws.idx, stats[ws.machine])
 
-    def refit(_, stamp):
+    def refit(driver_slabs, stamp):
         n = stamp.mode
+        if stamp.inner == 0 and n == 0:  # the subset's first refit: the others copy the slabs
+            replicas[:] = [driver_slabs] + [[s.copy() for s in driver_slabs] for _ in workers[1:]]
         for ws, slabs in zip(workers, replicas):
             with _blame(ws.machine, stamp):
                 if fault_hook is not None:

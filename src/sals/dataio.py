@@ -427,7 +427,7 @@ def write_residual_caches(
     written: dict[Path, dict],
     chunks: Sequence[Sequence[int]],
 ) -> None:
-    """Cache the initial residual (= x) per mode, grouped by that mode's rows.
+    """Cache the initial residual (x + 0.0, so no -0.0) per mode, grouped by that mode's rows.
 
     Every file of every mode's :func:`cache_files` is created anew: the
     index column files (written here only), each a slice-by-slice copy of
@@ -452,6 +452,6 @@ def write_residual_caches(
                 idx = np.empty((take, len(cols)), dtype, order="F")
                 for j, col in enumerate(cols):
                     idx[:, j] = col[sel]
-                writer.append(idx, np.take(store.values, perm[sel]))
+                writer.append(idx, np.take(store.values, perm[sel]) + 0.0)  # no -0.0
                 start += take
             written.update(writer.close())

@@ -569,13 +569,25 @@ def run_schedule(
     over all modes) and ``write_back(slabs)`` restores the residual; then
     the driver stores the slabs back and releases them.  ``close(outer)``
     ends each outer iteration, through :meth:`Recorder.close`.
+
+    Outer iteration 1 calls no ``augment``.  :func:`init_columns` draws a
+    zero first factor and each column is refit once per outer iteration, so
+    a subset's mode-0 columns are still +0.0 when it starts there: its
+    reconstruction sums to +0.0 at every entry (the other factors are
+    finite) and r-hat is the residual itself.  That holds bit for bit only
+    for a residual without -0.0, which r + (+0.0) would make +0.0.  So every
+    path starts from the canonical residual x + 0.0, and a write-back
+    r-hat - p makes no -0.0 from an r-hat without one.  Per-subset set-up
+    of a path belongs to the first step that needs it (the cluster copies
+    the slabs to its other workers at the subset's first refit).
     """
     _, order_rng = rng_streams(params.seed)
     modes = range(len(colstore.mode_lengths))
     for it in range(1, params.outer_iters + 1):
         for si, columns in enumerate(choose_columns(params, order_rng)):
             slabs = [colstore.load_columns(n, columns) for n in modes]
-            augment(slabs)
+            if it > 1:  # in outer iteration 1 r-hat is the residual (see above)
+                augment(slabs)
             for inner in range(params.inner_iters):
                 for n in modes:
                     stamp = Stamp(it, si, inner, n)
@@ -605,7 +617,7 @@ def factorize(
     fires after each outer iteration with the regularized loss (and test
     RMSE when a test set is supplied).
     """
-    colstore, vals = init_columns(store.mode_lengths, params), store.values.copy()
+    colstore, vals = init_columns(store.mode_lengths, params), store.values + 0.0  # no -0.0
     stats = stats if stats is not None else SolveStats()
     weighted = params.regularization == WEIGHTED
     groups = [store.groups(n) for n in range(store.n_modes)]

@@ -23,10 +23,12 @@ file chunks to the record builder as runs of whole rows.  Two of these
 passes ride on refits: mode 0's augment on the subset's first refit and the
 last mode's write-back on the subset's last refit, each done chunk by chunk.
 A subset thus streams N * T_in + 2N - 2 passes, not N * (T_in + 2): one
-pass at N = 1 and T_in = 1.  The column store counts the loaded slabs'
-values; their peak stays at C * sum(I_n) during the loop (plus a
-transient of one full factor per mode while the initial model is written
-out), as the fused passes hold no second set of slabs.
+pass at N = 1 and T_in = 1.  Outer iteration 1 augments nothing (see
+:func:`~sals.solver.run_schedule`; the value files start as x + 0.0), so
+there a subset streams N * T_in + N - 1 passes.  The column store counts
+the loaded slabs' values; their peak stays at C * sum(I_n) during the loop
+(plus a transient of one full factor per mode while the initial model is
+written out), as the fused passes hold no second set of slabs.
 
 The row groups keep canonical order within each row, so a streaming run
 reproduces the in-memory model and records bit for bit.
@@ -239,8 +241,8 @@ def stream_factorize(
             n = stamp.mode
             _update_mode_streaming(
                 cache_files(cache, n, n_modes), written, chunks, slabs, n, absent[n], params.lam,
-                weighted, stats,
-                augment=stamp.inner == 0 and n == 0,
+                weighted, stats,  # outer iteration 1 has no augment (see run_schedule)
+                augment=stamp.outer > 1 and stamp.inner == 0 and n == 0,
                 write_back=stamp.inner == params.inner_iters - 1 and n == last,
             )
 

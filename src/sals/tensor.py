@@ -367,22 +367,53 @@ def subset_products(slabs: Sequence[np.ndarray], idx: np.ndarray,
     ``idx`` then holds the other modes' columns only, in mode order (a
     streaming cache chunk, which stores no own column).
 
-    ``prod.sum(axis=1)`` pays one numpy inner-loop call per entry.  Below 8
-    terms numpy adds a row in order onto its identity 0.0, so for C < 8 the
-    columns are added in that order instead, one call per column, with the
-    same bits (signed zeros included).  From 8 terms on numpy sums pairwise
-    with 8 accumulators, and the row sum is kept.
+    ``prod.sum(axis=1)`` pays one numpy inner-loop call per entry, so the
+    row sums are taken column by column instead, with its bits (see
+    :func:`_row_sums`).
     """
     mode, rows = (-1, None) if own is None else own
     cols = iter(idx.T)
     prod = rows.copy() if mode == 0 else take_rows(slabs[0], next(cols))  # safe to mutate
     for n in range(1, len(slabs)):
         prod *= rows if n == mode else take_rows(slabs[n], next(cols))
-    if prod.shape[1] >= 8:
+    return _row_sums(prod)
+
+
+_ACCUMULATE_BELOW = 32  # at most 129: above 128 columns numpy sums a row in halves
+
+
+def _row_sums(prod: np.ndarray) -> np.ndarray:
+    """``prod.sum(axis=1)`` of a C-ordered (entries, C) array, bit for bit.
+
+    Numpy adds each row's pairwise sum onto the identity 0.0.  Below 8
+    terms that sum adds the row in order; from 8 to 128 terms it keeps eight
+    accumulators r_j over columns j, j + 8, ..., combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then adds the
+    last C mod 8 columns in order.  Below ``_ACCUMULATE_BELOW`` columns the
+    same sums run here column by column, one numpy call per column instead
+    of one per entry; wider rows keep numpy's row sum, which is faster there.
+    """
+    width = prod.shape[1]
+    if width < 8:
+        total = 0.0 + prod[:, 0]
+        for j in range(1, width):
+            total += prod[:, j]
+        return total
+    if width >= _ACCUMULATE_BELOW:
         return prod.sum(axis=1)
-    total = 0.0 + prod[:, 0]
-    for j in range(1, prod.shape[1]):
+    stop = width - width % 8
+    acc = [prod[:, j] + prod[:, j + 8] if stop > 8 else prod[:, j] for j in range(8)]
+    for i in range(16, stop, 8):
+        for j in range(8):
+            acc[j] += prod[:, i + j]
+    total = acc[0] + acc[1]
+    total += acc[2] + acc[3]
+    half = acc[4] + acc[5]
+    half += acc[6] + acc[7]
+    total += half
+    for j in range(stop, width):
         total += prod[:, j]
+    total += 0.0  # onto numpy's identity: -0.0 becomes +0.0
     return total
 
 

@@ -70,6 +70,13 @@ def shrink_blocks(monkeypatch, values: int) -> None:
     monkeypatch.setattr(tensor, "_BLOCK_VALUES", values)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bit patterns: unlike ``np.array_equal``,
+    -0.0 and +0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def random_model(
     rng: np.random.Generator, store: SparseTensorStore, rank: int, lam: float = 0.0
 ) -> FactorModel:

@@ -22,7 +22,7 @@ import sals
 from sals import solver
 from sals.solver import SolverParams, factorize, factorize_cdtf
 from conftest import (
-    LIMIT_SIZES, kernel_store, random_store, shrink_batches, shrink_blocks,
+    LIMIT_SIZES, kernel_store, random_store, same_bits, shrink_batches, shrink_blocks,
 )
 
 
@@ -50,7 +50,7 @@ def cases(draw):
 
 
 def assert_same(a, b):
-    assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
+    assert all(same_bits(x, y) for x, y in zip(a.matrices, b.matrices))
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)

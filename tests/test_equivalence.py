@@ -13,7 +13,7 @@ import pytest
 import sals
 from sals.solver import SolverParams, factorize, factorize_cdtf
 from sals.tensor import Coo
-from conftest import random_store, shrink_batches
+from conftest import random_store, same_bits, shrink_batches
 
 CASES = [
     # (lengths, nnz, K, C, T_out, T_in, lam, reg, order, M, strategy, streaming's batch cap)
@@ -62,13 +62,13 @@ def test_all_paths_bitwise_identical(i, case, tmp_path, monkeypatch):
     dist, _ = sals.run_distributed(store, params, assignment, check_replicas=True,
                                    **hooks("cluster"))
     for a, b in zip(serial.matrices, dist.matrices):
-        assert np.array_equal(a, b)
+        assert same_bits(a, b)
 
     shrink_batches(monkeypatch, cap)
     run = sals.stream_factorize(store, params, workdir=tmp_path, **hooks("streaming"))
     stream = run.load_model()
     for a, b in zip(serial.matrices, stream.matrices):
-        assert np.array_equal(a, b)
+        assert same_bits(a, b)
 
     def fields(r):
         return r.iteration, r.loss, r.test_rmse, r.loss_rose
@@ -80,4 +80,83 @@ def test_all_paths_bitwise_identical(i, case, tmp_path, monkeypatch):
     if c == 1 and order == "fixed":
         fused = factorize_cdtf(store, params)
         for a, b in zip(serial.matrices, fused.matrices):
-            assert np.array_equal(a, b)
+            assert same_bits(a, b)
+
+
+def _run(path, store, params, **kwargs):
+    """The model of one path's run: ``serial``, ``cdtf``, ``cluster<M>`` (greedy) or
+    ``streaming``."""
+    if path == "serial":
+        return factorize(store, params, **kwargs)
+    if path == "cdtf":
+        return factorize_cdtf(store, params, **kwargs)
+    if path.startswith("cluster"):
+        assignment = sals.assign(store, "greedy", int(path[len("cluster"):]))
+        return sals.run_distributed(store, params, assignment, check_replicas=True, **kwargs)[0]
+    run = sals.stream_factorize(store, params, **kwargs)
+    try:
+        return run.load_model()
+    finally:
+        run.cleanup()
+
+
+PATHS = ["serial", "cdtf", "cluster1", "cluster2", "cluster3", "streaming"]
+
+
+@pytest.mark.parametrize("t_out", [1, 3])
+@pytest.mark.parametrize("path, c_cols", [(path, c) for path in PATHS for c in (1, 3, 4)
+                                          if path != "cdtf" or c == 1])
+def test_negative_zero_values_give_the_bits_of_positive_zeros(monkeypatch, path, c_cols, t_out):
+    # Outer iteration 1 skips the augment, whose r + (+0.0) made every -0.0
+    # residual +0.0; each path's canonical residual x + 0.0 does so instead.
+    # A mode-0 row of -0.0 values alone would refit to -0.0 at C = 1 without it.
+    rng = np.random.default_rng(77)
+    base = random_store(rng, (7, 6, 5), 120)
+    values = base.values.copy()
+    values[rng.random(values.size) < 0.2] = -0.0
+    row = np.argmax(base.bucket_sizes(0))
+    values[base.idx[:, 0] == row] = -0.0
+    idx = np.asarray(base.idx, dtype=np.int64)
+    negative = sals.store_from_arrays(idx, values, base.mode_lengths)
+    positive = sals.store_from_arrays(idx, values + 0.0, base.mode_lengths)
+    assert np.signbit(negative.values).sum() > np.signbit(positive.values).sum()
+    params = SolverParams(rank=4, n_columns=c_cols, outer_iters=t_out, lam=0.05, seed=5,
+                          column_order="fixed" if path == "cdtf" else "random_per_outer")
+    shrink_batches(monkeypatch, 17)
+    records = {}
+    models = {}
+    for name, store in (("negative", negative), ("positive", positive)):
+        records[name] = []
+        models[name] = _run(path, store, params, on_iteration=records[name].append)
+    assert all(same_bits(a, b) for a, b in zip(models["negative"].matrices,
+                                                models["positive"].matrices))
+    assert [r.loss for r in records["negative"]] == [r.loss for r in records["positive"]]
+
+
+@pytest.mark.parametrize("path", ["serial", "cluster1", "cluster3", "streaming"])
+def test_first_outer_iteration_augments_nothing(monkeypatch, path):
+    # A spy on compute_rhat, counted per outer iteration: none in the first,
+    # then one per subset (and worker) over every entry the path holds, or
+    # over every mode's cache once when streaming.
+    from sals import cluster, solver, streaming
+
+    store = random_store(np.random.default_rng(78), (7, 6, 5), 120)
+    params = SolverParams(rank=5, n_columns=2, outer_iters=3, lam=0.05, seed=5)
+    owner = {"serial": solver, "streaming": streaming}.get(path, cluster)
+    real, records, calls = owner.compute_rhat, [], []
+
+    def spy(residual, *args):
+        calls.append((len(records) + 1, residual.size))
+        return real(residual, *args)
+
+    monkeypatch.setattr(owner, "compute_rhat", spy)
+    _run(path, store, params, on_iteration=records.append)
+    subsets, machines = 3, int(path[len("cluster"):]) if path.startswith("cluster") else 1
+    held = store.nnz * (store.n_modes if path == "streaming" else 1)
+    if machines > 1:
+        held = int(sals.assign(store, "greedy", machines).union_loads.sum())
+    for outer in (1, 2, 3):
+        sizes = [size for it, size in calls if it == outer]
+        assert sum(sizes) == (0 if outer == 1 else subsets * held), outer
+        if path != "streaming":  # streaming augments a cache chunk at a time
+            assert len(sizes) == (0 if outer == 1 else subsets * machines), outer

@@ -281,12 +281,13 @@ class TestStreamFactorize:
 
         monkeypatch.setattr(streaming, "write_residual_caches", set_up)
         stream_factorize(store, params, workdir=tmp_path, on_iteration=lambda r: None)
-        # Each outer iteration runs two column subsets; each subset rewrites
-        # every mode's r_m<n>.bin into r-hat and then into r again (mode 0's
-        # first rewrite rides on its first refit, the last mode's second on
-        # its last refit).  A rewrite writes header + 8 B per record + CRC
-        # trailer, and never an index.
-        passes = params.outer_iters * 2 * 2
+        # Each outer iteration runs two column subsets; after outer iteration
+        # 1 each subset rewrites every mode's r_m<n>.bin into r-hat and then
+        # into r again (mode 0's first rewrite rides on its first refit, the
+        # last mode's second on its last refit).  Outer iteration 1 augments
+        # nothing, so there each subset rewrites each file once.  A rewrite
+        # writes header + 8 B per record + CRC trailer, and never an index.
+        passes = 2 * (1 + 2)
         assert sorted(index_files) == [f"idx_m{n}_{m}.bin" for n in range(3)
                                        for m in range(3) if m != n]
         for n in range(3):
@@ -369,21 +370,30 @@ class TestPasses:
         params = SolverParams(rank=5, n_columns=2, outer_iters=2, inner_iters=t_in, lam=0.05,
                               seed=4)
         passes = collections.Counter()
+        per_outer = []  # each outer iteration's passes per value file
         real = dataio.stream_pass
 
         def counting(path, *args, **kwargs):
             passes[Path(path[-1]).name] += 1  # the value file
             return real(path, *args, **kwargs)
 
+        def close(record):  # the record reads mode 0's cache by stream_chunks, not counted
+            per_outer.append(passes - sum(per_outer, collections.Counter()))
+
         monkeypatch.setattr(dataio, "stream_pass", counting)
         shrink_batches(monkeypatch, 13)
-        run = stream_factorize(store, params, workdir=tmp_path)
-        n, subsets = len(lengths), params.outer_iters * 3  # ceil(K / C) = 3
+        run = stream_factorize(store, params, workdir=tmp_path, on_iteration=close)
+        n, subsets = len(lengths), 3  # ceil(K / C) = 3 per outer iteration
         # augment and write-back stream N - 1 modes each: mode 0's augment
-        # rides on its first refit, the last mode's write-back on its last
-        assert sum(passes.values()) == subsets * (n * t_in + 2 * n - 2)
+        # rides on its first refit, the last mode's write-back on its last;
+        # outer iteration 1 augments nothing
+        first, second = per_outer
+        assert sum(first.values()) == subsets * (n * t_in + n - 1)
+        assert sum(second.values()) == subsets * (n * t_in + 2 * n - 2)
         if n > 1:
-            assert passes["r_m0.bin"] == passes[f"r_m{n - 1}.bin"] == subsets * (t_in + 1)
+            assert first["r_m0.bin"] == second["r_m0.bin"] == subsets * (t_in + 1)
+            assert first[f"r_m{n - 1}.bin"] == subsets * t_in
+            assert second[f"r_m{n - 1}.bin"] == subsets * (t_in + 1)
         expected = factorize(store, params)
         assert all(np.array_equal(a, b) for a, b in zip(expected.matrices,
                                                         run.load_model().matrices))
@@ -395,15 +405,15 @@ class TestFailedPassesCloseFiles:
     @pytest.mark.filterwarnings("error::ResourceWarning")
     @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     @pytest.mark.parametrize("target, call", [
-        ("compute_rhat", 3),      # mode 1's augment pass
-        ("compute_rhat", 8),      # mode 0's first refit, which augments
+        ("compute_rhat", 3),      # outer iteration 2 (1 augments nothing): mode 1's augment pass
+        ("compute_rhat", 8),      # outer iteration 2: mode 0's first refit, which augments
         ("update_residual", 2),   # the last mode's last refit, which writes back
         ("update_residual", 6),   # mode 0's write-back pass
         ("CacheWriter.append", 2),  # set-up, writing mode 0's three files
     ])
     def test_failing_step_closes_its_writer(self, rng, tmp_path, monkeypatch, target, call):
         store = random_store(rng, (6, 5, 4), 120)
-        params = SolverParams(rank=2, n_columns=2, outer_iters=1, lam=0.1, seed=1)
+        params = SolverParams(rank=2, n_columns=2, outer_iters=2, lam=0.1, seed=1)
         owner, name = (dataio.CacheWriter, "append") if "." in target else (streaming, target)
         real, calls = getattr(owner, name), itertools.count(1)
 

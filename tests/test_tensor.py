@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sals import tensor
 from sals.solver import SolverParams, factorize
 from sals.tensor import (
     Coo,
@@ -385,10 +386,8 @@ class TestTakeRows:
 
 
 class TestSubsetProducts:
-    @pytest.mark.parametrize("c_cols", range(1, 10))
-    def test_bytes_equal_numpy_row_sum(self, rng, c_cols):
-        # Below C = 8 the sum runs column by column; that gives the same bits
-        # only while numpy adds a short row in order onto 0.0.
+    @staticmethod
+    def assert_numpy_row_sum(rng, c_cols):
         slabs = []
         for length in (40, 30):
             scale = rng.choice([1e-100, 1.0, 1e100], size=(length, c_cols))
@@ -405,6 +404,20 @@ class TestSubsetProducts:
         got = subset_products(slabs, idx)
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[0])  # -0.0 terms sum onto numpy's identity +0.0
+
+    @pytest.mark.parametrize("c_cols", [*range(1, 10), 15, 16, 17, 31, 32, 64, 200])
+    def test_bytes_equal_numpy_row_sum(self, rng, c_cols):
+        # Below C = 8 the sum runs column by column; that gives the same bits
+        # only while numpy adds a short row in order onto 0.0.  From 8 terms
+        # numpy sums pairwise with eight accumulators.
+        self.assert_numpy_row_sum(rng, c_cols)
+
+    @pytest.mark.parametrize("c_cols", [8, 9, 15, 16, 17, 64, 127, 128, 200])
+    def test_column_accumulators_equal_numpy_row_sum_up_to_128(self, rng, monkeypatch, c_cols):
+        # With the limit lifted to 129 every width from 8 to 128 runs through
+        # the eight column accumulators; above 128 numpy splits a row in halves.
+        monkeypatch.setattr(tensor, "_ACCUMULATE_BELOW", 129)
+        self.assert_numpy_row_sum(rng, c_cols)
 
 
 class TestFactorModel:
