@@ -187,8 +187,9 @@ def _worker_loop(
 ) -> list[SolveStats]:
     """Every worker's steps of the schedule, run in lockstep by :func:`run_schedule`.
 
-    Each step finishes on every worker before the next step starts.
-    Returns each worker's counters.
+    Each step finishes on every worker before the next step starts.  The
+    last subset writes back only for a reader: a progress hook or
+    ``check_replicas``.  Returns each worker's counters.
     """
     n_modes = store.n_modes
     weighted = params.regularization == WEIGHTED
@@ -256,7 +257,8 @@ def _worker_loop(
                        params_sent=int(rec["sent"].sum()),
                        params_received=int(rec["received"].sum()))
 
-    run_schedule(params, master, augment, refit, write_back, close)
+    run_schedule(params, master, augment, refit, write_back, close,
+                 keep_residual=check_replicas or recorder.on_iteration is not None)
     return stats
 
 

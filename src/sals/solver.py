@@ -132,12 +132,17 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 def init_columns(mode_lengths: Sequence[int], params: SolverParams, directory=None) -> ColumnStore:
     """The initial factors in a :class:`ColumnStore`, in memory or under ``directory``:
     a zero first factor and uniform [0,1) others, drawn in mode order.
+
+    Each factor is drawn and written in blocks of :func:`sals.tensor._entry_blocks`
+    rows (2^16 / K), so only one block is ever held row-major; consecutive
+    draws give the bits of one draw of the whole factor.
     """
     init_rng, _ = rng_streams(params.seed)
     colstore = ColumnStore(mode_lengths, params.rank, directory)
     for n, length in enumerate(colstore.mode_lengths):
-        colstore.write_full(n, init_rng.random((length, params.rank)) if n
-                            else np.zeros((length, params.rank)))
+        for block in _entry_blocks(length, params.rank):
+            shape = (min(block.stop, length) - block.start, params.rank)
+            colstore.write_full(n, init_rng.random(shape) if n else np.zeros(shape), block.start)
     return colstore
 
 
@@ -553,6 +558,11 @@ class Recorder:
         return float(per_row.sum())
 
 
+def final_subset(params: SolverParams) -> tuple[int, int]:
+    """The (outer, subset) position of the schedule's last column subset."""
+    return params.outer_iters, -(-params.rank // params.n_columns) - 1
+
+
 def run_schedule(
     params: SolverParams,
     colstore: ColumnStore,
@@ -560,6 +570,8 @@ def run_schedule(
     refit: Callable[[list[np.ndarray], Stamp], None],
     write_back: Callable[[list[np.ndarray]], None],
     close: Callable[[int], None],
+    *,
+    keep_residual: bool = True,
 ) -> None:
     """Drive the subset-ALS schedule through one execution path's steps.
 
@@ -580,9 +592,14 @@ def run_schedule(
     r-hat - p makes no -0.0 from an r-hat without one.  Per-subset set-up
     of a path belongs to the first step that needs it (the cluster copies
     the slabs to its other workers at the subset's first refit).
+
+    After the :func:`final_subset` only a record reads the residual (the
+    model never does), so with ``keep_residual=False``, for a run with no
+    reader, that subset calls no ``write_back`` and leaves r-hat behind.
     """
     _, order_rng = rng_streams(params.seed)
     modes = range(len(colstore.mode_lengths))
+    unread = None if keep_residual else final_subset(params)
     for it in range(1, params.outer_iters + 1):
         for si, columns in enumerate(choose_columns(params, order_rng)):
             slabs = [colstore.load_columns(n, columns) for n in modes]
@@ -595,7 +612,8 @@ def run_schedule(
                         refit(slabs, stamp)
                     except (ValueError, ArithmeticError) as exc:
                         raise type(exc)(f"{stamp}: {exc}") from exc
-            write_back(slabs)
+            if (it, si) != unread:
+                write_back(slabs)
             for n in modes:
                 colstore.store_columns(n, columns, slabs[n])
                 colstore.release(slabs[n])
@@ -615,7 +633,8 @@ def factorize(
     The residual is turned into r-hat and back in place by
     :func:`compute_rhat` and :func:`update_residual`.  The progress hook
     fires after each outer iteration with the regularized loss (and test
-    RMSE when a test set is supplied).
+    RMSE when a test set is supplied); without one the last subset writes
+    nothing back (see :func:`run_schedule`).
     """
     colstore, vals = init_columns(store.mode_lengths, params), store.values + 0.0  # no -0.0
     stats = stats if stats is not None else SolveStats()
@@ -630,7 +649,8 @@ def factorize(
     run_schedule(params, colstore, lambda slabs: compute_rhat(vals, slabs, store.idx, stats),
                  refit, lambda slabs: update_residual(vals, slabs, store.idx, stats),
                  lambda it: recorder.close(it, [(groups[0], vals)],
-                                           colstore.blocks(params.n_columns), stats.flops))
+                                           colstore.blocks(params.n_columns), stats.flops),
+                 keep_residual=on_iteration is not None)
     return colstore.read_model(params.lam)
 
 

@@ -25,10 +25,15 @@ last mode's write-back on the subset's last refit, each done chunk by chunk.
 A subset thus streams N * T_in + 2N - 2 passes, not N * (T_in + 2): one
 pass at N = 1 and T_in = 1.  Outer iteration 1 augments nothing (see
 :func:`~sals.solver.run_schedule`; the value files start as x + 0.0), so
-there a subset streams N * T_in + N - 1 passes.  The column store counts
+there a subset streams N * T_in + N - 1 passes.  A run without a hook
+has no reader of the final subset's residual, so that subset writes nothing
+back (see :func:`~sals.solver.run_schedule`): it streams N * T_in + N - 1
+passes (N * T_in in outer iteration 1), its last refit only reads, and the
+value files, which are scratch, keep its r-hat.  The column store counts
 the loaded slabs' values; their peak stays at C * sum(I_n) during the loop
-(plus a transient of one full factor per mode while the initial model is
-written out), as the fused passes hold no second set of slabs.
+(plus a transient of one block of K * min(2^16 / K, I_n) values while the
+initial model is written out, see :func:`~sals.solver.init_columns`), as
+the fused passes hold no second set of slabs.
 
 The row groups keep canonical order within each row, so a streaming run
 reproduces the in-memory model and records bit for bit.
@@ -53,6 +58,7 @@ from .solver import (  # noqa: F401 - normal_eq_arrays, solve_row: instrumented 
     WEIGHTED,
     _batches,
     compute_rhat,
+    final_subset,
     init_columns,
     normal_eq_arrays,
     run_schedule,
@@ -73,7 +79,11 @@ from .tensor import (  # noqa: F401 - subset_products: instrumented by perfbench
 
 @dataclass
 class StreamingRun:
-    """Handle to a finished streaming run; the model stays on disk."""
+    """Handle to a finished streaming run; the model stays on disk.
+
+    The residual caches are scratch: after a run without a hook they hold
+    the final subset's r-hat, not the residual.
+    """
 
     column_store: ColumnStore
     lam: float
@@ -157,6 +167,7 @@ def _update_mode_streaming(
     *,
     augment: bool = False,
     write_back: bool = False,
+    keep: bool = True,
 ) -> None:
     """One row-refit pass over a mode-grouped cache holding r-hat.
 
@@ -172,8 +183,11 @@ def _update_mode_streaming(
     :func:`update_residual` right after its refit, which must then be the
     subset's last.  Either way the chunk's values are written back in place,
     behind the reads, and ``expected`` gets the value file's new writer record.
+    With ``keep=False`` no later pass reads the values this one leaves, so
+    it writes nothing back and only reads the cache.
     """
-    rewrite, plan, chunk = augment or write_back, chunks[slabs[0].shape[1]][mode], count()
+    write_back, rewrite = write_back and keep, keep and (augment or write_back)
+    plan, chunk = chunks[slabs[0].shape[1]][mode], count()
 
     def visit(idx, values, acc):
         groups = plan.groups(next(chunk), idx)
@@ -231,6 +245,8 @@ def stream_factorize(
                               [plan.counts for plan in chunks[params.n_columns]])
 
         weighted, last = params.regularization == WEIGHTED, n_modes - 1
+        # without a hook nothing reads the final subset's caches after its last sweep
+        unread = None if on_iteration is not None else final_subset(params)
         empty = [np.flatnonzero(size == 0) for size in sizes]
         absent = [RowGroups(rows[:0], rows[:0], np.zeros(1, int), (), rows) for rows in empty]
 
@@ -238,12 +254,13 @@ def stream_factorize(
             _value_pass(cache, written, chunks, compute_rhat, slabs, stats, range(1, last + 1))
 
         def refit(slabs, stamp):
-            n = stamp.mode
+            n, last_sweep = stamp.mode, stamp.inner == params.inner_iters - 1
             _update_mode_streaming(
                 cache_files(cache, n, n_modes), written, chunks, slabs, n, absent[n], params.lam,
                 weighted, stats,  # outer iteration 1 has no augment (see run_schedule)
                 augment=stamp.outer > 1 and stamp.inner == 0 and n == 0,
-                write_back=stamp.inner == params.inner_iters - 1 and n == last,
+                write_back=last_sweep and n == last,
+                keep=not last_sweep or stamp[:2] != unread,
             )
 
         def write_back(slabs):  # the last mode's write-back rode on its last refit
@@ -257,7 +274,8 @@ def stream_factorize(
             recorder.close(it, runs, colstore.blocks(params.n_columns), stats.flops)
 
         recorder.start()
-        run_schedule(params, colstore, augment, refit, write_back, close)
+        run_schedule(params, colstore, augment, refit, write_back, close,
+                     keep_residual=unread is None)
     except BaseException:  # a failed run leaves no scratch files behind
         for n in range(n_modes):
             for path in (factors / f"factor_{n}.bin", *cache_files(cache, n, n_modes)):

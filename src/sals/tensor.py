@@ -269,32 +269,34 @@ class ColumnStore:
     mode.  Loads hand out C-ordered (I_n, C) slabs, which :func:`take_rows`
     gathers from without copying them whole.  With a ``directory``, factor n
     is mapped from ``factor_<n>.bin``: its raw little-endian column-major
-    values, no header.  ``resident`` counts the loaded slabs' values and
-    ``peak`` its highest count.
+    values, no header.  The constructor makes every factor (and its file,
+    anew) unset, for :meth:`write_full` to fill.  ``resident`` counts the
+    loaded slabs' values and ``peak`` its highest count.
     """
 
     def __init__(self, mode_lengths: Sequence[int], rank: int, directory=None):
         self.mode_lengths, self.rank = tuple(mode_lengths), rank
         self.directory = None if directory is None else Path(directory)
         self.resident = self.peak = 0
-        self.factors: list[np.ndarray] = [None] * len(self.mode_lengths)
+        self.factors: list[np.ndarray] = []
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
+        for mode, length in enumerate(self.mode_lengths):
+            shape = (length, rank)
+            if self.directory is not None:
+                path = self.directory / f"factor_{mode}.bin"
+                path.unlink(missing_ok=True)  # an earlier run's mapping keeps its own file
+                path.touch()
+            if self.directory is None or not length:  # numpy maps an empty file only by writing it
+                self.factors.append(np.empty(shape, order="F"))
+            else:
+                self.factors.append(np.memmap(path, "<f8", "r+", shape=shape, order="F"))
 
-    def write_full(self, mode: int, matrix: np.ndarray) -> None:
-        """Set one full factor matrix (init only; counted resident transiently)."""
-        shape = (self.mode_lengths[mode], self.rank)
-        self.peak = max(self.peak, self.resident + shape[0] * self.rank)
-        if self.directory is not None:
-            path = self.directory / f"factor_{mode}.bin"
-            path.unlink(missing_ok=True)  # an earlier run's mapping keeps its own file
-            path.touch()
-        if self.directory is None or not shape[0]:  # numpy maps an empty file only by writing it
-            factor = np.empty(shape, order="F")
-        else:
-            factor = np.memmap(path, "<f8", "r+", shape=shape, order="F")
-        self.factors[mode] = factor
-        factor[:] = matrix
+    def write_full(self, mode: int, matrix: np.ndarray, start: int = 0) -> None:
+        """Set factor ``mode``'s rows from ``start`` on to ``matrix`` (init only;
+        ``matrix`` counts resident transiently)."""
+        self.peak = max(self.peak, self.resident + matrix.size)
+        self.factors[mode][start:start + matrix.shape[0]] = matrix
 
     def load_columns(self, mode: int, columns: np.ndarray) -> np.ndarray:
         factor = self.factors[mode]

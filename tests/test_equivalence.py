@@ -7,6 +7,8 @@ general path, must match it at C=1 with fixed order.  Their progress records
 agree bitwise too: every path's record folds ||r||^2 by mode-0 row and the
 penalty and test prediction over C-column blocks.
 """
+import collections
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,75 @@ def test_first_outer_iteration_augments_nothing(monkeypatch, path):
         assert sum(sizes) == (0 if outer == 1 else subsets * held), outer
         if path != "streaming":  # streaming augments a cache chunk at a time
             assert len(sizes) == (0 if outer == 1 else subsets * machines), outer
+
+
+@pytest.mark.parametrize("t_out", [1, 2])
+@pytest.mark.parametrize("t_in", [1, 2])
+@pytest.mark.parametrize("path, c_cols", [(path, c) for path in PATHS for c in (1, 3, 4)
+                                          if path != "cdtf" or c == 1])
+def test_last_subset_writes_back_nothing_unread(monkeypatch, path, c_cols, t_in, t_out):
+    # Spies on update_residual and on value-file rewrites (r+b opens), each
+    # counted per column subset (a subset ends when its N slabs are stored).
+    # Only a record reads the residual after the final subset, so a run with
+    # no reader writes nothing back there; a hook or check_replicas keeps
+    # every write-back.  The model never reads the residual: its bits agree.
+    from sals import cluster, dataio, solver, streaming
+    from sals.tensor import ColumnStore
+
+    store = random_store(np.random.default_rng(79), (7, 6, 5), 120)
+    n_modes, subsets = store.n_modes, t_out * -(-4 // c_cols)
+    params = SolverParams(rank=4, n_columns=c_cols, outer_iters=t_out, inner_iters=t_in,
+                          lam=0.05, seed=5)
+    owner = {"serial": solver, "cdtf": solver, "streaming": streaming}.get(path, cluster)
+    shrink_batches(monkeypatch, 17)  # streaming passes run several chunks
+    events, stored = None, []
+    real_update, real_store = owner.update_residual, ColumnStore.store_columns
+
+    def update_spy(rhat, *args):
+        events[len(stored) // n_modes, "written back"] += rhat.size
+        return real_update(rhat, *args)
+
+    def store_spy(self, *args):
+        stored.append(None)
+        return real_store(self, *args)
+
+    def open_spy(file, mode="r", *args, **kwargs):
+        if mode == "r+b":  # a record's reads are not counted
+            events[len(stored) // n_modes, mode] += 1
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(owner, "update_residual", update_spy)
+    monkeypatch.setattr(ColumnStore, "store_columns", store_spy)
+    monkeypatch.setattr(dataio, "open", open_spy, raising=False)
+    runs = {"none": {}, "hook": {"on_iteration": lambda record: None}}
+    if path.startswith("cluster"):
+        runs["check_replicas"] = {"check_replicas": True}
+    counts, models = {}, {}
+    for reader, kwargs in runs.items():
+        events, stored[:] = collections.Counter(), []
+        if path.startswith("cluster"):
+            assignment = sals.assign(store, "greedy", int(path[len("cluster"):]))
+            models[reader] = sals.run_distributed(store, params, assignment, **kwargs)[0]
+        else:
+            models[reader] = _run(path, store, params, **kwargs)
+        counts[reader] = events
+    held = store.nnz * (n_modes if path == "streaming" else 1)
+    if path.startswith("cluster"):
+        held = int(assignment.union_loads.sum())
+    final = subsets - 1
+    unread, kept = counts["none"], counts["hook"]
+    assert counts.get("check_replicas", kept) == kept
+    assert [kept[s, "written back"] for s in range(subsets)] == [held] * subsets
+    assert [unread[s, "written back"] for s in range(subsets)] == [held] * final + [0]
+    assert all(unread[key] == kept[key] for key in kept if key[0] != final)
+    if path == "streaming":  # N augment rewrites after outer iteration 1, N write-backs;
+        # without a reader only the rewrites that a later sweep reads remain:
+        # at T_in = 1 mode 0's r-hat is read by its one refit alone
+        augments = n_modes if t_out > 1 else 0
+        assert kept[final, "r+b"] == augments + n_modes
+        assert unread[final, "r+b"] == augments - (t_out > 1 and t_in == 1)
+    else:
+        assert not any(kind == "r+b" for _, kind in kept)
+    for reader in runs:
+        assert all(same_bits(a, b) for a, b in zip(models[reader].matrices,
+                                                    models["none"].matrices))

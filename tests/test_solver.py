@@ -678,7 +678,8 @@ class TestUpdateResidual:
         store = random_store(rng, (8, 7, 6), 150)
         params = SolverParams(rank=4, n_columns=2, lam=0.1, outer_iters=3, seed=5)
         # factorize writes back through the module's update_residual, so the
-        # residual it maintains is the first argument of each call
+        # residual it maintains is the first argument of each call; a hook
+        # reads the residual, so the last subset writes back too
         seen, original = [], solver.update_residual
 
         def spy(rhat, *args):
@@ -686,10 +687,45 @@ class TestUpdateResidual:
             seen.append(rhat)
 
         monkeypatch.setattr(solver, "update_residual", spy)
-        model = factorize(store, params)
+        model = factorize(store, params, on_iteration=lambda record: None)
         assert len(seen) == params.outer_iters * 2 and all(r is seen[0] for r in seen)
         scale = max(1.0, float(np.max(np.abs(store.values))))
         assert residual_error(seen[-1], store, model) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("path", ["cluster", "streaming"])
+    def test_residual_invariant_on_every_replica_and_cache(self, rng, tmp_path, monkeypatch,
+                                                           path):
+        # after a hooked run every worker's replica holds x - model at its
+        # entries, and every mode's value file x - model in its bucket order
+        from sals import cluster, streaming
+        from sals.partition import greedy_assign
+
+        store = random_store(rng, (8, 7, 6), 150)
+        params = SolverParams(rank=5, n_columns=2, lam=0.1, outer_iters=2, inner_iters=2,
+                              seed=5)
+        expected = store.values - predict_entries(factorize(store, params), store.idx)
+        scale = max(1.0, float(np.max(np.abs(store.values))))
+        hook = lambda record: None  # noqa: E731
+        held = []  # per worker or mode: (its residual, the positions of its entries)
+        if path == "cluster":
+            workers, real = [], cluster.distribute
+
+            def spy(*args):
+                workers.extend(real(*args))
+                return workers
+
+            monkeypatch.setattr(cluster, "distribute", spy)
+            cluster.run_distributed(store, params, greedy_assign(store, 3), on_iteration=hook)
+            held = [(ws.residual, ws.positions) for ws in workers]
+        else:
+            streaming.stream_factorize(store, params, workdir=tmp_path, on_iteration=hook)
+            for n in range(store.n_modes):  # a 24-byte header, then 8 bytes a record
+                values = np.fromfile(tmp_path / "cache" / f"r_m{n}.bin", "<f8", store.nnz, "",
+                                     24)
+                held.append((values, store.mode_perm[n]))
+        assert len(held) == 3
+        for residual, positions in held:
+            assert np.max(np.abs(residual - expected[positions])) <= 1e-9 * scale
 
 
 class TestFactorize:
@@ -922,6 +958,38 @@ class TestExactCost:
             held = store.n_modes * store.nnz
         assert [r.flops for r in records] == [self.predicted(store, params, held, outer)
                                               for outer in (1, 2)]
+
+    @pytest.mark.parametrize("path", ["serial", "cluster", "streaming"])
+    @pytest.mark.parametrize("lengths,nnz,rank,n_columns", [
+        ((40,), 25, 4, 3), ((12, 30), 60, 6, 2), ((9, 8, 30), 60, 5, 2),
+        ((6, 5, 4, 60), 60, 4, 4),
+    ])
+    @pytest.mark.parametrize("outer_iters", [1, 2])
+    def test_hookless_runs_skip_the_last_write_back(self, rng, path, lengths, nnz, rank,
+                                                    n_columns, outer_iters):
+        # without a hook the last subset's write-back (H * c_last * N) is
+        # left out of the records' sum
+        from sals import cluster, streaming
+        from sals.partition import greedy_assign
+
+        store = random_store(rng, lengths, nnz)
+        params = SolverParams(rank=rank, n_columns=n_columns, outer_iters=outer_iters,
+                              inner_iters=2, lam=0.1, seed=4)
+        stats = SolveStats()
+        if path == "serial":
+            factorize(store, params, stats=stats)
+            held = store.nnz
+        elif path == "cluster":
+            assignment = greedy_assign(store, 3)
+            cluster.run_distributed(store, params, assignment, stats=stats)
+            held = int(assignment.union_loads.sum())
+        else:
+            streaming.stream_factorize(store, params, stats=stats).cleanup()
+            held = store.n_modes * store.nnz
+        c_last = rank % n_columns or n_columns
+        records = sum(self.predicted(store, params, held, outer)
+                      for outer in range(1, outer_iters + 1))
+        assert stats.flops == records - held * c_last * store.n_modes
 
 
 class TestLossRiseFlag:

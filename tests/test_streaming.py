@@ -12,7 +12,7 @@ from sals import dataio, solver, streaming
 from sals.solver import SolverParams, factorize
 from sals.streaming import ColumnStore, stream_factorize
 from sals.tensor import Coo, store_from_arrays
-from conftest import random_store, shrink_batches
+from conftest import random_store, same_bits, shrink_batches, shrink_blocks
 
 
 def max_model_diff(a, b):
@@ -215,10 +215,35 @@ class TestStreamFactorize:
         run = stream_factorize(store, params, workdir=tmp_path)
         c_sum = params.n_columns * sum(store.mode_lengths)
         assert run.peak_resident_values <= c_sum + 1024
-        # init writes one full factor at a time; the loop holds the C slabs
+        # init writes a factor 2^16 / K rows at a time, here a whole factor;
+        # the loop holds the C slabs
         assert run.peak_resident_values == max(
             c_sum, max(length * params.rank for length in store.mode_lengths)
         )
+
+    @pytest.mark.parametrize("block_values", [6, 30, 1 << 16])
+    def test_initial_factors_in_row_blocks(self, rng, tmp_path, monkeypatch, block_values):
+        # init draws and writes each factor max(1, 2^16 / K) rows at a time
+        # (block_values / K here); the draws give the bits of one whole draw
+        store = random_store(rng, (40, 9, 25), 300)
+        params = SolverParams(rank=6, n_columns=2, outer_iters=2, lam=0.05, seed=2)
+        expected = factorize(store, params)
+        init_rng, _ = solver.rng_streams(params.seed)
+        initial = [np.zeros((store.mode_lengths[0], params.rank))] + [
+            init_rng.random((length, params.rank)) for length in store.mode_lengths[1:]]
+        shrink_blocks(monkeypatch, block_values)
+        colstore = solver.init_columns(store.mode_lengths, params, tmp_path / "init")
+        for n, matrix in enumerate(initial):
+            assert (tmp_path / "init" / f"factor_{n}.bin").read_bytes() == (
+                np.asfortranarray(matrix, "<f8").tobytes("F"))
+        block = max(1, block_values // params.rank)
+        assert colstore.peak == params.rank * min(block, max(store.mode_lengths))
+        run = stream_factorize(store, params, workdir=tmp_path / "run")
+        assert all(same_bits(a, b) for a, b in zip(expected.matrices,
+                                                    run.load_model().matrices))
+        assert run.peak_resident_values == max(
+            params.n_columns * sum(store.mode_lengths),
+            params.rank * min(block, max(store.mode_lengths)))
 
     def test_hooks_match_in_memory_records(self, rng, tmp_path):
         store = random_store(rng, (8, 7, 6), 120)
