@@ -17,9 +17,10 @@ writes the lead worker's slabs back at the end; neither transfer counts as
 communication.
 
 Each worker holds the entries its rows touch in any mode (the assignment's
-:meth:`~sals.partition.RowAssignment.held` positions) and, built once per
-mode, the row kernel's input for its owned rows: the store's
-:class:`~sals.tensor.RowGroups` of those rows with positions made local.
+:meth:`~sals.partition.RowAssignment.held` positions), its owned mode-0
+rows' entries first, and, built once per mode, the row kernel's input for
+its owned rows: the :class:`~sals.tensor.RowGroups` of those rows at local
+positions, which mode 0 and the record slice as the serial path does.
 Because every worker owns the complete entry bucket of each row it updates
 (in canonical order) and runs the serial solver's augment, write-back, row
 kernel and record builder, the final model and the records are bitwise
@@ -70,8 +71,8 @@ class WorkerState:
     """One machine's private shard of the problem."""
 
     machine: int
-    positions: np.ndarray      # global entry positions (canonical order)
-    idx: np.ndarray            # local copy of the indices, column-major
+    positions: np.ndarray      # global entry positions: owned mode-0 rows' entries, then the rest
+    idx: np.ndarray            # its entries' indices, column-major
     residual: np.ndarray       # private residual replica
     groups: list[RowGroups]    # per mode, the owned rows' buckets at local positions
 
@@ -79,31 +80,53 @@ class WorkerState:
 def distribute(store: SparseTensorStore, assignment: RowAssignment) -> list[WorkerState]:
     """Replicate entries to every machine whose row sets touch them.
 
-    A worker's groups are the store's groups of its owned rows, with their
-    entry positions mapped to the worker's local ones, and its residual
-    replica starts as its entries' x + 0.0.  An assignment made for a store
-    of another shape raises ``ValueError``.
+    Each entry's owner in every mode is looked up once for all machines.
+    A worker's local entries are its owned mode-0 rows' entries, then the
+    rest it holds, each run in canonical order, so its mode-0 groups are
+    the serial layout (``order`` is ``None``, columns sliced from its
+    ``idx``); its other modes' groups are the store's groups of its owned
+    rows at local positions.  A worker whose mode-0 rows cover every entry
+    (M = 1) shares the store's ``idx`` and groups.  Its residual replica
+    starts as its entries' x + 0.0.  An assignment made for a store of
+    another shape raises ``ValueError``.
     """
     if assignment.n_modes != store.n_modes:
         raise ValueError(f"assignment has {assignment.n_modes} modes, the store {store.n_modes}")
     for n, (owners, length) in enumerate(zip(assignment.owners, store.mode_lengths)):
         if owners.size != length:
             raise ValueError(f"mode {n}: assignment has {owners.size} rows, the store {length}")
-    position = column_dtype((store.nnz,))
-    local = np.empty(store.nnz, dtype=position)  # global -> local, per worker
+    nnz, n_modes = store.nnz, store.n_modes
+    position = column_dtype((nnz,))
+    machine = np.min_scalar_type(assignment.n_machines - 1)
+    # per mode, the owner of each entry's row
+    owner_of = [take_rows(owners.astype(machine), store.idx[:, n])
+                for n, owners in enumerate(assignment.owners)]
+    local = np.empty(nnz, dtype=position)  # global -> local, per worker
     workers = []
     for m in range(assignment.n_machines):
-        positions = assignment.held(store, m).astype(position)
-        local[positions] = np.arange(positions.size, dtype=position)
-        groups = []
-        for n in range(store.n_modes):
-            g = store.groups(n, assignment.rows(m, n))
-            groups.append(g._replace(order=take_rows(local, g.order)))
+        mine = [assignment.rows(m, n) for n in range(n_modes)]
+        rows, empty, ptr = store.split_rows(0, mine[0])
+        n0 = int(ptr[-1])
+        head = owner_of[0] == m
+        rest = np.zeros(nnz, dtype=bool)
+        for owner in owner_of[1:]:
+            rest |= owner == m
+        rest &= ~head
+        positions = np.concatenate([np.flatnonzero(head), np.flatnonzero(rest)])  # intp
         residual = store.values[positions]
         residual += 0.0  # the canonical residual, with no -0.0 (see run_schedule)
-        workers.append(WorkerState(
-            m, positions, take_columns(store.idx, positions), residual, groups,
-        ))
+        if n0 == nnz:  # every entry in canonical order: local positions are global
+            idx = store.idx
+            groups = [store.groups(n, None if mine[n].size == store.mode_lengths[n] else mine[n])
+                      for n in range(1, n_modes)]
+        else:
+            local[positions] = np.arange(positions.size, dtype=position)
+            groups = [g._replace(order=take_rows(local, g.order))
+                      for g in (store.groups(n, mine[n]) for n in range(1, n_modes))]
+            idx = take_columns(store.idx, positions)  # after the groups' temporaries: a lower heap
+        cols = (None,) + tuple(idx[:n0, k] for k in range(1, n_modes))
+        groups.insert(0, RowGroups(rows, None, ptr, cols, empty))
+        workers.append(WorkerState(m, positions.astype(position), idx, residual, groups))
     return workers
 
 
@@ -233,9 +256,9 @@ def _worker_loop(
                 update_residual(ws.residual, slabs, ws.idx, stats[ws.machine])
         if check_replicas:
             merged = np.empty(store.nnz)  # each entry as its mode-0 row's owner holds it
-            for ws in workers:
-                order = ws.groups[0].order
-                merged[take_rows(ws.positions, order)] = take_rows(ws.residual, order)
+            for ws in workers:  # a worker's owned mode-0 entries lead its replica
+                n0 = ws.groups[0].ptr[-1]
+                merged[ws.positions[:n0]] = ws.residual[:n0]
             for ws, slabs in zip(workers, replicas):
                 for n in range(n_modes):
                     if not np.array_equal(slabs[n], replicas[0][n]):

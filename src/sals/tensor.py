@@ -50,13 +50,13 @@ class Coo(NamedTuple):
 
 
 def _check_range(idx: np.ndarray, mode_lengths: Sequence[int], what: str = "entry") -> None:
+    """One ``min`` and ``max`` per column; only a rejected column is scanned,
+    for its first bad entry, which the message names."""
     for n, length in enumerate(mode_lengths):
-        bad = np.flatnonzero((idx[:, n] < 0) | (idx[:, n] >= length))
-        if bad.size:
-            p = int(bad[0])
-            raise ValueError(
-                f"{what} {p}: mode {n} index {int(idx[p, n]) + 1} outside [1, {length}]"
-            )
+        col = idx[:, n]
+        if col.size and (col.min() < 0 or col.max() >= length):
+            p = int(np.argmax((col < 0) | (col >= length)))
+            raise ValueError(f"{what} {p}: mode {n} index {int(col[p]) + 1} outside [1, {length}]")
 
 
 def as_coo(data: Coo, n_modes: int, mode_lengths: Sequence[int] | None = None) -> Coo:
@@ -132,20 +132,26 @@ class SparseTensorStore:
         every row, ``order`` and ``cols`` are the store's own arrays, not
         copies, and mode 0's ``order`` is ``None``: its bucket order is the
         canonical order."""
-        ptr = self.mode_ptr[mode]
         whole = rows is None
-        rows = np.arange(self.mode_lengths[mode]) if whole else np.asarray(rows, dtype=np.int64)
-        sizes = ptr[rows + 1] - ptr[rows]
-        filled = sizes > 0
-        rows, empty, sizes = rows[filled], rows[~filled], sizes[filled]
-        sub_ptr = np.concatenate([[0], np.cumsum(sizes)])
+        rows, empty, sub_ptr = self.split_rows(mode, rows)
         if whole:
             return RowGroups(rows, self.mode_perm[mode] if mode else None, sub_ptr,
                              self.mode_cols[mode], empty)
-        at = np.arange(sub_ptr[-1]) + np.repeat(ptr[rows] - sub_ptr[:-1], sizes)
+        ptr = self.mode_ptr[mode]
+        at = np.arange(sub_ptr[-1]) + np.repeat(ptr[rows] - sub_ptr[:-1], np.diff(sub_ptr))
         return RowGroups(rows, self.mode_perm[mode][at], sub_ptr,
                          tuple(None if c is None else take_rows(c, at)
                                for c in self.mode_cols[mode]), empty)
+
+    def split_rows(self, mode: int, rows: np.ndarray | None = None):
+        """``(filled, empty, ptr)``: ``rows`` of ``mode`` (default: every row,
+        in order) whose buckets have entries, those whose buckets are empty,
+        and the offsets of the filled rows' buckets laid back to back."""
+        ptr = self.mode_ptr[mode]
+        rows = np.arange(self.mode_lengths[mode]) if rows is None else np.asarray(rows, np.int64)
+        sizes = ptr[rows + 1] - ptr[rows]
+        filled = sizes > 0
+        return rows[filled], rows[~filled], np.concatenate([[0], np.cumsum(sizes[filled])])
 
     def bucket_sizes(self, mode: int) -> np.ndarray:
         """|Omega^(n)_i| for every row i of ``mode``."""
@@ -161,12 +167,21 @@ def column_dtype(mode_lengths: Sequence[int]) -> np.dtype:
 
 def take_columns(idx: np.ndarray, positions: np.ndarray, dtype=None) -> np.ndarray:
     """``idx[positions]`` as a column-major array, of ``idx``'s type unless
-    ``dtype`` is given.  It is gathered a column at a time, so a strided
-    ``idx`` costs one contiguous column copy at a time, never a whole copy."""
-    out = np.empty((positions.size, idx.shape[1]), idx.dtype if dtype is None else dtype,
-                   order="F")
+    ``dtype`` is given; an out-of-range position raises ``IndexError``.
+
+    A column at a time, each made contiguous and of the result's type
+    first, so a strided ``idx`` never costs a whole copy.  The positions
+    are checked once and gathered in ``mode="wrap"``, as ``np.take`` into
+    ``out=`` buffers the whole result in ``mode="raise"``.
+    """
+    dtype = idx.dtype if dtype is None else np.dtype(dtype)
+    out = np.empty((positions.size, idx.shape[1]), dtype, order="F")
+    nnz = idx.shape[0]
+    if positions.size and not (-nnz <= positions.min() and positions.max() < nnz):
+        raise IndexError(f"positions outside [{-nnz}, {nnz})")
     for n in range(idx.shape[1]):
-        np.take(np.ascontiguousarray(idx[:, n]), positions, out=out[:, n])
+        np.take(np.ascontiguousarray(idx[:, n], dtype=dtype), positions, out=out[:, n],
+                mode="wrap")
     return out
 
 

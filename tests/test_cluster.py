@@ -13,7 +13,7 @@ from sals.cluster import (
 from sals.partition import assign, greedy_assign, sequential_assign
 from sals.solver import SolverParams, factorize
 from sals.tensor import Coo, RowGroups, store_from_arrays
-from conftest import random_store
+from conftest import random_store, same_bits
 
 
 class TestDistribute:
@@ -42,7 +42,12 @@ class TestDistribute:
             expected = np.zeros(store.nnz, dtype=bool)
             for n in range(3):
                 expected |= owners[n][store.idx[:, n]] == m
-            assert np.array_equal(np.flatnonzero(expected), w.positions)
+            assert np.array_equal(np.flatnonzero(expected), np.sort(w.positions))
+            # two ascending runs: the owned mode-0 rows' entries, then the rest held
+            n0 = w.groups[0].ptr[-1]
+            assert np.array_equal(w.positions[:n0],
+                                  np.flatnonzero(owners[0][store.idx[:, 0]] == m))
+            assert (np.diff(w.positions[n0:]) > 0).all()
 
     def test_fully_owned_entry_lives_on_one_machine(self):
         # machine 1 owns row 1 of both modes; entry (1,1) appears only there
@@ -67,6 +72,8 @@ class TestDistribute:
                                           assignment.rows(m, n))
                     assert (store.bucket_sizes(n)[empty] == 0).all()
                     n_empty += empty.size
+                    if n == 0:  # the owned rows' entries lead the local order
+                        order = np.arange(ptr[-1])
                     assert ptr[0] == 0 and ptr[-1] == order.size
                     for r, row in enumerate(rows):
                         local = order[ptr[r]:ptr[r + 1]]
@@ -79,6 +86,7 @@ class TestDistribute:
     def test_worker_groups_are_the_row_kernel_layout(self, rng, strategy, lengths):
         # Each worker keeps, per mode, the row kernel's input: its owned rows'
         # buckets at local positions, with the other modes' index columns.
+        # Mode 0's buckets lead the local order, so its positions are ptr's.
         store = random_store(rng, lengths, 150)
         assignment = assign(store, strategy, 3, seed=5)
         workers = distribute(store, assignment)
@@ -93,13 +101,60 @@ class TestDistribute:
             for n in range(store.n_modes):
                 g = w.groups[n]
                 assert isinstance(g, RowGroups)
-                assert g.order.dtype == store.mode_perm[0].dtype
+                if n == 0:
+                    assert g.order is None
+                    at = w.positions[:g.ptr[-1]]
+                else:
+                    assert g.order.dtype == store.mode_perm[0].dtype
+                    at = w.positions[g.order]
                 for k in range(store.n_modes):
                     if k == n:
                         assert g.cols[k] is None
                     else:
-                        assert np.array_equal(g.cols[k], store.idx[w.positions[g.order], k])
+                        assert np.array_equal(g.cols[k], store.idx[at, k])
 
+    @pytest.mark.parametrize("machines", [1, 2, 3])
+    def test_mode_zero_columns_are_views_of_the_worker_idx(self, rng, machines):
+        store = random_store(rng, (9, 7, 5), 150)
+        for w in distribute(store, greedy_assign(store, machines)):
+            cols = w.groups[0].cols
+            assert cols[0] is None
+            for k in range(1, store.n_modes):
+                assert np.shares_memory(cols[k], w.idx)
+                assert np.array_equal(cols[k], w.idx[:w.groups[0].ptr[-1], k])
+
+    @pytest.mark.parametrize("lengths", [(9, 7, 5), (50, 50, 50)])
+    def test_single_machine_shares_the_store_arrays(self, rng, lengths):
+        # Only the residual is the worker's own: x + 0.0.  The second store
+        # has empty rows, which the shared whole-mode groups split out.
+        store = random_store(rng, lengths, 150)
+        [w] = distribute(store, greedy_assign(store, 1))
+        assert w.idx is store.idx
+        assert not np.shares_memory(w.residual, store.values)
+        assert same_bits(w.residual, store.values + 0.0)
+        for n, (mine, whole) in enumerate(zip(w.groups, map(store.groups, range(3)))):
+            assert np.array_equal(mine.rows, whole.rows)
+            assert np.array_equal(mine.empty, whole.empty)
+            assert np.array_equal(mine.ptr, whole.ptr)
+            if n == 0:
+                assert mine.order is None and mine.cols[0] is None
+                assert all(np.shares_memory(col, store.idx) for col in mine.cols[1:])
+            else:
+                assert mine.order is store.mode_perm[n] and mine.cols is store.mode_cols[n]
+
+
+    def test_sole_mode_zero_owner_shares_the_store_idx(self, rng):
+        # One mode-0 row: its owner holds every entry in canonical order, so it
+        # shares the store's idx while the other worker and modes 1, 2 are split.
+        store = random_store(rng, (1, 9, 8), 40)
+        assignment = sequential_assign(store, 2)
+        workers = distribute(store, assignment)
+        assert [w.idx is store.idx for w in workers] == [False, True]
+        assert workers[1].positions.tolist() == list(range(store.nnz))
+        params = SolverParams(rank=3, n_columns=2, outer_iters=2, lam=0.1, seed=2)
+        model, _ = run_distributed(store, params, assignment, check_replicas=True)
+        serial = factorize(store, params)
+        assert all(same_bits(a, b) for a, b in zip(model.matrices, serial.matrices))
 
 def _instance(rng, lengths=(10, 9, 8), nnz=300):
     return random_store(rng, lengths, nnz)
@@ -110,8 +165,9 @@ class TestRunDistributed:
         # Each worker augments and writes back its residual replica in place,
         # in the serial path's fixed-size chunks, so doubling nnz at fixed
         # mode lengths raises the peak by the replicated entries (indices,
-        # values, positions and group orders) and not by an unchunked
-        # pass's (nnz, C) temporaries.
+        # values, positions, and the orders and columns of modes 1 and 2's
+        # groups) and not by an unchunked pass's (nnz, C) temporaries.  The
+        # bound is 10 % above the 77.7 B per added entry measured.
         stores = [random_store(np.random.default_rng(n), (100, 100, 100), 1 << n)
                   for n in (17, 18)]
         params = SolverParams(rank=8, n_columns=4, outer_iters=1, lam=0.05, seed=3)
@@ -125,7 +181,7 @@ class TestRunDistributed:
             finally:
                 tracemalloc.stop()
         added = stores[1].nnz - stores[0].nnz
-        assert (peaks[1] - peaks[0]) / added <= 140, peaks
+        assert (peaks[1] - peaks[0]) / added <= 86, peaks
 
     def test_single_machine_no_traffic_bitwise_serial(self, rng):
         store = _instance(rng)

@@ -89,22 +89,29 @@ def test_path_gathers_from_c_contiguous_sources(sources, path):
     assert [shape for shape, contiguous in sources if not contiguous] == []
 
 
-@pytest.mark.parametrize("path", ["cdtf", "sals", "streaming"])
+@pytest.mark.parametrize("path", sorted(RUNS) + ["cluster-M1"])
 def test_no_rhat_gather_through_the_identity(monkeypatch, path):
-    # Mode 0's whole-mode groups and every streaming chunk hold their
-    # entries in r-hat's own order, so a batch's r-hat is a slice of it.
-    gathers, identity = [], []
+    # Mode 0's whole-mode groups, a worker's mode-0 groups (its owned rows'
+    # entries lead its replica) and every streaming chunk hold their entries
+    # in r-hat's own order, so a batch's r-hat is a slice of it: a mode-0
+    # refit gathers nothing, and no gather runs through the identity.
+    gathers, identity, modes = [], [], [None]  # per 1-D gather, the mode last refit
+    spy(monkeypatch, solver.update_rows, lambda slabs, rhat, mode, *args: modes.append(mode))
 
     def note(a, index):
         if a.ndim == 1:
-            gathers.append(index.size)
+            gathers.append(modes[-1])
             if index.size and np.array_equal(index, np.arange(index[0], index[0] + index.size)):
                 identity.append((int(index[0]), index.size))
 
     spy(monkeypatch, tensor.take_rows, note)
-    RUNS[path](STORE, PARAMS, **HOOKED)
+    if path == "cluster-M1":
+        cluster.run_distributed(STORE, PARAMS, partition.greedy_assign(STORE, 1), **HOOKED)
+    else:
+        RUNS[path](STORE, PARAMS, **HOOKED)
     assert identity == []
-    assert bool(gathers) == (path != "streaming")  # modes 1 and 2 gather in memory
+    assert 0 not in gathers
+    assert set(gathers) - {None} == (set() if path == "streaming" else {1, 2})
 
 
 def test_streaming_gathers_by_contiguous_indices(monkeypatch):

@@ -21,6 +21,7 @@ from sals.tensor import (
     rmse,
     store_from_arrays,
     subset_products,
+    take_columns,
     take_rows,
 )
 from conftest import random_model, random_store
@@ -383,6 +384,62 @@ class TestTakeRows:
             with pytest.raises(ValueError, match=rf"cell 1: mode {n} index "
                                                  rf"{store.mode_lengths[n] + 1} outside"):
                 predict_entries(model, idx)
+
+
+class TestTakeColumns:
+    @pytest.mark.parametrize("source", [np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", [None, np.int32, np.int64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_fancy_indexing_cast(self, rng, source, dtype, order):
+        idx = np.asarray(rng.integers(0, 1 << 20, (300, 4)), dtype=source, order=order)
+        want_type = idx.dtype if dtype is None else np.dtype(dtype)
+        for positions in (rng.permutation(300), np.sort(rng.choice(300, 120, replace=False)),
+                          rng.integers(0, 300, 500), -rng.integers(1, 301, 50),
+                          np.empty(0, dtype=np.int64), np.arange(300, dtype=np.int32)):
+            got = take_columns(idx, positions, dtype)
+            want = idx[positions].astype(want_type)
+            assert got.dtype == want_type and got.flags.f_contiguous
+            assert np.array_equal(got, want)
+
+    def test_empty_source(self):
+        idx = np.empty((0, 3), dtype=np.int64)
+        assert take_columns(idx, np.empty(0, dtype=np.int64), np.int32).shape == (0, 3)
+        with pytest.raises(IndexError):
+            take_columns(idx, np.zeros(1, dtype=np.int64))
+
+    def test_out_of_range_raises_index_error(self, rng):
+        idx = rng.integers(0, 9, (5, 3))
+        for bad in ([0, 5], [-6], [4, 2, 7]):
+            with pytest.raises(IndexError):
+                idx[np.array(bad)]
+            with pytest.raises(IndexError):
+                take_columns(idx, np.array(bad), np.int32)
+
+
+def _first_out_of_range(idx, mode_lengths, what):
+    """The rejection message of an entry-by-entry scan."""
+    for n, length in enumerate(mode_lengths):
+        for p, i in enumerate(idx[:, n].tolist()):
+            if not 0 <= i < length:
+                return f"{what} {p}: mode {n} index {i + 1} outside [1, {length}]"
+    return None
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_range_check_names_the_first_bad_entry_of_the_first_bad_mode(rng, order):
+    lengths = (5, 6, 7)
+    for trial in range(40):
+        idx = np.asarray(rng.integers(0, 5, (30, 3)), order=order)
+        for _ in range(trial % 4):  # up to three bad cells, below 0 or past the length
+            p, n = rng.integers(0, 30), rng.integers(0, 3)
+            idx[p, n] = rng.choice([-1 - rng.integers(0, 3), lengths[n] + rng.integers(0, 3)])
+        want = _first_out_of_range(idx, lengths, "cell")
+        if want is None:
+            tensor._check_range(idx, lengths, "cell")
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                tensor._check_range(idx, lengths, "cell")
+    tensor._check_range(np.empty((0, 3), dtype=np.int64), lengths)
 
 
 class TestSubsetProducts:
